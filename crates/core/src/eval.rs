@@ -196,9 +196,9 @@ impl LowFidelity for AnalyticalLf {
 /// construction, and batches run as design-packs advanced in lockstep
 /// over the shared expansion by [`BatchSimulator`] (see the sim crate's
 /// batch module). Results are gathered in input order and lockstep
-/// results are bit-identical to per-run simulation, so the reported
-/// CPIs are bit-identical whatever the thread count or pack size (see
-/// the crate's DESIGN.md).
+/// results are bit-identical to the reference walk of each design, so
+/// the reported CPIs are bit-identical whatever the thread count or
+/// pack size (see the crate's DESIGN.md).
 #[derive(Debug)]
 pub struct SimulatorHf {
     traces: Vec<Trace>,
@@ -390,8 +390,8 @@ impl Evaluator for SimulatorHf {
         // order and CPIs averaged per design in trace order. Each
         // worker keeps one batch simulator whose lanes recycle cache
         // arrays and kernel scratch across packs; every pack
-        // cold-starts its lanes and lockstep results are bit-identical
-        // to per-run simulation, so nothing here depends on pack
+        // cold-starts its lanes and each lane's result depends only on
+        // its (design, trace), so nothing here depends on pack
         // grouping, thread count or worker reuse.
         let n_traces = self.traces.len();
         let configs: Vec<CoreConfig> = to_run.iter().map(|(_, c)| c.clone()).collect();

@@ -189,6 +189,37 @@ fn prometheus_exposition_is_valid_and_agrees_with_json() {
 }
 
 #[test]
+fn hf_evaluates_publish_live_kernel_metrics() {
+    let server = spawn(quick_config()).expect("bind");
+    let addr = server.addr().to_string();
+
+    let hf = client::post(&addr, "/v1/evaluate", r#"{"points": [31337], "fidelity": "hf"}"#);
+    assert_eq!(hf.unwrap().status, 200);
+
+    // The lane kernel that served the evaluate reports its activity
+    // through the process registry the exposition merges in.
+    let prom = client::get(&addr, "/metrics?format=prometheus").unwrap();
+    assert_eq!(prom.status, 200);
+    dse_obs::check_text(&prom.body)
+        .unwrap_or_else(|errors| panic!("invalid exposition: {errors:?}"));
+    for series in
+        ["sim_kernel_runs_total", "sim_kernel_events_popped_total", "sim_kernel_run_seconds_count"]
+    {
+        let value: f64 = prom
+            .body
+            .lines()
+            .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no {series} sample"))
+            .parse()
+            .unwrap();
+        assert!(value > 0.0, "{series} reads {value} after an hf evaluate");
+    }
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn post_shutdown_drains_and_exits() {
     let server = spawn(quick_config()).expect("bind");
     let addr = server.addr().to_string();

@@ -1,4 +1,5 @@
-//! Design-batched lockstep simulation over an expanded trace.
+//! The lane kernel: the simulator engine, run as design-batched
+//! lockstep packs over an expanded trace.
 //!
 //! [`BatchSimulator`] advances K designs ("lanes") over one shared
 //! [`ExpandedTrace`] in lockstep *windows*: lane 0 simulates until its
@@ -6,50 +7,63 @@
 //! then the window advances. Each lane is an independent deterministic
 //! state machine, so pausing and resuming it at window boundaries
 //! cannot change a single counter — per-lane results are bit-identical
-//! to running [`Simulator`](crate::Simulator) on the original trace,
-//! at any pack size and any window length (asserted by
-//! `crates/sim/tests/batch_equivalence.rs`). What lockstep buys is
-//! locality: a window of trace data stays hot in cache while all K
-//! designs consume it, instead of the whole trace being re-streamed
-//! once per design.
+//! to the cycle-by-cycle `ReferenceSimulator` walk on the original
+//! trace, at any pack size and any window length (asserted by
+//! `crates/sim/tests/equivalence.rs`). What lockstep buys is locality:
+//! a window of trace data stays hot in cache while all K designs
+//! consume it, instead of the whole trace being re-streamed once per
+//! design. [`Simulator`](crate::Simulator) is a one-lane pack.
 //!
-//! The lane kernel is the event-driven kernel of `kernel.rs` re-plumbed
-//! for the struct-of-arrays trace, with mechanical speedups that
-//! change no observable behaviour:
+//! Per lane, the kernel pays only for events where the reference walk
+//! re-scans the ROB every cycle:
 //!
 //! * ROB bookkeeping works in slot indices, so the hot loops never
 //!   compute `idx % rob_entries` (an integer division) — head/fetch
 //!   slots advance by wrapping increments, dependency slots by a
 //!   compare-and-subtract;
-//! * completion events live in a bucketed [`TimingWheel`] instead of a
-//!   binary heap — O(1) flat-array push/pop with a cached earliest due
-//!   time — and instructions whose latency is a single cycle (stores,
-//!   and int/fp ops at unit latency) never enter it at all: they
-//!   complete at issue time with the due time and side effects an
-//!   event popping next cycle would have had, their consumer wakeups
-//!   staged until the issue scan ends so nothing issues a cycle early;
-//! * the ready "queue" is one bit per ROB slot: wakeup is a bit-set
-//!   (the per-run kernel pays a sorted insert), and the issue scan
-//!   walks set bits once around the ring from the ROB head — exactly
-//!   ascending age order — stopping early once every functional-unit
-//!   class is spent for the cycle;
+//! * each in-flight producer carries an intrusive list of waiting
+//!   consumers; a dispatched instruction counts its unresolved operands
+//!   once and becomes ready exactly when its last producer completes;
+//! * completion events live in a bucketed [`TimingWheel`] — O(1)
+//!   flat-array push/pop with a cached earliest due time — and
+//!   instructions whose latency is a single cycle (stores, and int/fp
+//!   ops at unit latency) never enter it at all: they complete at issue
+//!   time with the due time and side effects an event popping next
+//!   cycle would have had, their consumer wakeups staged until the
+//!   issue scan ends so nothing issues a cycle early;
+//! * the ready set is one bit per ROB slot, and the issue scan walks
+//!   set bits once around the ring from the ROB head — exactly
+//!   ascending age order, so loads and stores probe the caches in the
+//!   reference walk's order — stopping early once every
+//!   functional-unit class is spent for the cycle;
 //! * the per-cycle "can anything issue?" probe is O(1) (ready count,
 //!   ready-load count, MSHR count), and on cycles where it proves
 //!   nothing can issue the scan is skipped entirely, crediting the
 //!   same single MSHR stall the full scan would have found;
+//! * idle cycles are skipped: when no event is due, the head cannot
+//!   commit, nothing can issue and the front end is frozen or full, the
+//!   clock jumps to the next completion event or fetch-resume cycle,
+//!   bulk-crediting one MSHR stall per skipped cycle with a ready load;
 //! * the caches are [`LaneCache`]s — decision-identical to
 //!   [`Cache`](crate::Cache) but indexed by shift/mask for the
 //!   power-of-two geometries of the design space — and the MSHR file
 //!   is a counter decremented on load completion instead of a per-cycle
 //!   expiry scan, because an MSHR frees exactly when its load's
 //!   completion event pops.
+//!
+//! Kernel activity (lanes run, wheel pops, skipped cycles, per-lane
+//! wall time) is kept in plain lane-local integers and published to the
+//! `sim_kernel_*` metrics once per pack, never from the hot loop.
+
+use std::time::{Duration, Instant};
 
 use dse_workloads::Op;
 
 use crate::expand::{BR_IS_BRANCH, BR_MISPREDICTED, BR_SITE_SHIFT, BR_TAKEN, NO_DEP};
 use crate::{BranchModel, CoreConfig, ExpandedTrace, Gshare, SimResult};
 
-/// Progress guard, mirroring the per-run kernel's deadlock tripwire.
+/// Progress guard: if nothing commits for this many cycles the pipeline
+/// has deadlocked, which is a simulator bug worth failing loudly on.
 const DEADLOCK_CYCLES: u64 = 1_000_000;
 
 /// Null link of the intrusive waiter lists.
@@ -79,10 +93,9 @@ const LANE_CLUSTER: usize = 8;
 /// and pop are O(1) flat-array writes with no per-bucket allocation, and
 /// the earliest due time is a cached field — peeking costs one load.
 ///
-/// Events due on the same cycle pop in per-bucket LIFO order. Like the
-/// binary heap's unspecified tie order this is observation-free:
-/// equal-time completions only do order-independent work (see
-/// `events.rs`).
+/// Events due on the same cycle pop in per-bucket LIFO order. The order
+/// is observation-free: equal-time completions only do
+/// order-independent work (see [`Lane::complete`]).
 #[derive(Debug, Default)]
 struct TimingWheel {
     /// Per bucket: head slot of the chain, or [`NO_WAITER`].
@@ -315,7 +328,7 @@ impl Slot {
 
 /// One design's complete simulation state: core structures plus the
 /// paused position of its run. Lanes recycle every allocation across
-/// packs, exactly like a reused [`Simulator`](crate::Simulator).
+/// packs.
 #[derive(Debug)]
 struct Lane {
     config: CoreConfig,
@@ -368,6 +381,13 @@ struct Lane {
     last_commit_cycle: u64,
     /// Whether this lane has committed its whole trace.
     done: bool,
+    /// Completion events popped from the timing wheel (observability
+    /// only, like the two fields below — never part of [`SimResult`]).
+    events_popped: u64,
+    /// Cycles the idle skip-ahead jumped over instead of walking.
+    skipped_cycles: u64,
+    /// Summed wall time of this lane's [`Lane::advance`] calls.
+    busy: Duration,
 }
 
 impl Lane {
@@ -400,12 +420,15 @@ impl Lane {
             pending_flush: None,
             last_commit_cycle: 0,
             done: false,
+            events_popped: 0,
+            skipped_cycles: 0,
+            busy: Duration::ZERO,
         }
     }
 
-    /// Points this lane at `config` and returns it to the cold-core
-    /// state a fresh [`Simulator`](crate::Simulator) would start from,
-    /// reusing allocations wherever the geometry allows.
+    /// Points this lane at `config` and returns it to a cold core
+    /// (empty caches, cleared predictor, nothing in flight), reusing
+    /// allocations wherever the geometry allows.
     fn start(&mut self, config: &CoreConfig) {
         if *config != self.config {
             self.l1.reshape(config.l1_sets, config.l1_ways);
@@ -457,6 +480,9 @@ impl Lane {
         self.pending_flush = None;
         self.last_commit_cycle = 0;
         self.done = false;
+        self.events_popped = 0;
+        self.skipped_cycles = 0;
+        self.busy = Duration::ZERO;
     }
 
     /// Marks `slot` ready to issue.
@@ -481,8 +507,10 @@ impl Lane {
     /// cycle `t`: marks it done, releases its MSHR, resolves a flush it
     /// was blocking, and stages a wakeup for every consumer waiting on
     /// it (the caller publishes them with [`Self::drain_woken`]).
-    /// Same-cycle completions may run in any order — all of this is
-    /// order-independent (see `events.rs`).
+    /// Same-cycle completions may run in any order: each only marks its
+    /// own slot, matches the flush by slot id and decrements pending
+    /// counts, and staged wakeups publish as a set, so the tie order
+    /// never reaches the statistics.
     #[inline]
     fn complete(&mut self, slot: usize, t: u64) {
         debug_assert_eq!(self.slots[slot].state, SlotState::Issued);
@@ -557,6 +585,7 @@ impl Lane {
                 if self.ready_len > 0 {
                     self.stats.mshr_stall_cycles += target - self.cycle;
                 }
+                self.skipped_cycles += target - self.cycle;
                 self.cycle = target;
             }
             assert!(
@@ -571,8 +600,9 @@ impl Lane {
             //    latency instructions never get here: they complete at
             //    issue time, below.) Wakeups publish before the issue
             //    stage, so a woken consumer is issue-eligible this
-            //    cycle — just as it would be in the per-run kernel.
+            //    cycle — just as in the reference walk.
             while let Some((t, slot)) = self.events.pop_due(self.cycle) {
+                self.events_popped += 1;
                 self.complete(slot as usize, t);
             }
             self.drain_woken();
@@ -679,8 +709,9 @@ impl Lane {
                                         self.stats.l2_misses += 1;
                                         if self.config.l2_next_line_prefetch {
                                             // Idealized next-line
-                                            // prefetch, as in the
-                                            // per-run kernel.
+                                            // prefetch: the following
+                                            // line is resident by the
+                                            // time a stream wants it.
                                             self.l2.access(entry.addr + crate::cache::LINE_BYTES);
                                             self.stats.prefetches += 1;
                                         }
@@ -833,13 +864,14 @@ fn build_predictor(config: &CoreConfig) -> Option<Gshare> {
 }
 
 /// Simulates a pack of designs in lockstep over one shared
-/// [`ExpandedTrace`].
+/// [`ExpandedTrace`] — the simulator engine every high-fidelity
+/// evaluation runs on.
 ///
-/// Results are bit-identical to running each design through
-/// [`Simulator`](crate::Simulator) on the original trace — the lockstep
-/// schedule only changes *when* each design's deterministic state
-/// machine runs, never what it computes — while the shared trace window
-/// stays hot in cache across all designs of the pack.
+/// Results are bit-identical to the cycle-by-cycle `ReferenceSimulator`
+/// walk of each design over the original trace — the lockstep schedule
+/// only changes *when* each design's deterministic state machine runs,
+/// never what it computes — while the shared trace window stays hot in
+/// cache across all designs of the pack.
 ///
 /// A `BatchSimulator` reuses its per-lane allocations (ROB rings, cache
 /// arrays, timing wheels) across packs, so a worker thread sweeping
@@ -848,7 +880,7 @@ fn build_predictor(config: &CoreConfig) -> Option<Gshare> {
 /// # Examples
 ///
 /// ```
-/// use dse_sim::{BatchSimulator, CoreConfig, ExpandedTrace, Simulator};
+/// use dse_sim::{BatchSimulator, CoreConfig, ExpandedTrace, ReferenceSimulator};
 /// use dse_space::DesignSpace;
 /// use dse_workloads::Benchmark;
 ///
@@ -859,7 +891,7 @@ fn build_predictor(config: &CoreConfig) -> Option<Gshare> {
 ///     .map(|p| CoreConfig::from_point(&space, p))
 ///     .collect();
 /// let batch = BatchSimulator::new().run_pack(&configs, &ExpandedTrace::expand(&trace));
-/// assert_eq!(batch[1], Simulator::new(configs[1].clone()).run(&trace));
+/// assert_eq!(batch[1], ReferenceSimulator::new(configs[1].clone()).run(&trace));
 /// ```
 #[derive(Debug)]
 pub struct BatchSimulator {
@@ -902,7 +934,7 @@ impl BatchSimulator {
     /// [`SimResult`] per design in input order.
     ///
     /// Each result is bit-identical to
-    /// `Simulator::new(config).run(&original_trace)`.
+    /// `ReferenceSimulator::new(config).run(&original_trace)`.
     ///
     /// # Panics
     ///
@@ -939,7 +971,9 @@ impl BatchSimulator {
                 let mut all_done = true;
                 for lane in cluster.iter_mut() {
                     if !lane.done {
+                        let start = Instant::now();
                         lane.advance(trace, limit);
+                        lane.busy += start.elapsed();
                         all_done &= lane.done;
                     }
                 }
@@ -950,15 +984,24 @@ impl BatchSimulator {
             }
         }
 
+        // Kernel activity goes to the atomic registry once per pack,
+        // never into `SimResult` (whose bit-identity the equivalence
+        // suite compares) and never from the hot loop.
         let m = metrics();
         m.packs.inc();
         m.pack_designs.observe(configs.len() as f64);
         m.expansion_reuse.inc();
+        m.kernel_runs.add(lanes.len() as u64);
+        m.events_popped.add(lanes.iter().map(|lane| lane.events_popped).sum());
+        m.skipped_cycles.add(lanes.iter().map(|lane| lane.skipped_cycles).sum());
+        for lane in lanes.iter() {
+            m.run_seconds.observe_duration(lane.busy);
+        }
         lanes.iter().map(|lane| lane.stats).collect()
     }
 }
 
-/// Cached registry handles for batch-kernel metrics.
+/// Cached registry handles for lane-kernel metrics.
 struct BatchMetrics {
     packs: dse_obs::Counter,
     pack_designs: dse_obs::Histogram,
@@ -966,6 +1009,12 @@ struct BatchMetrics {
     /// `sim_trace_expansions_total` this measures how far each one-time
     /// expansion was amortized.
     expansion_reuse: dse_obs::Counter,
+    /// Lanes simulated (one per design per pack).
+    kernel_runs: dse_obs::Counter,
+    events_popped: dse_obs::Counter,
+    skipped_cycles: dse_obs::Counter,
+    /// One sample per lane: the summed wall time of its `advance` calls.
+    run_seconds: dse_obs::Histogram,
 }
 
 fn metrics() -> &'static BatchMetrics {
@@ -976,6 +1025,10 @@ fn metrics() -> &'static BatchMetrics {
             packs: registry.counter("sim_batch_packs_total"),
             pack_designs: registry.histogram("sim_batch_pack_designs", dse_obs::SIZE_BUCKETS),
             expansion_reuse: registry.counter("sim_batch_expansion_reuse_total"),
+            kernel_runs: registry.counter("sim_kernel_runs_total"),
+            events_popped: registry.counter("sim_kernel_events_popped_total"),
+            skipped_cycles: registry.counter("sim_kernel_skipped_cycles_total"),
+            run_seconds: registry.histogram("sim_kernel_run_seconds", dse_obs::LATENCY_BUCKETS_S),
         }
     })
 }
@@ -983,9 +1036,8 @@ fn metrics() -> &'static BatchMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Simulator;
     use dse_space::DesignSpace;
-    use dse_workloads::Benchmark;
+    use dse_workloads::{Benchmark, Instr};
 
     fn configs(count: u64) -> Vec<CoreConfig> {
         let space = DesignSpace::boom();
@@ -997,43 +1049,35 @@ mod tests {
     }
 
     #[test]
-    fn pack_matches_per_run_simulation() {
-        let trace = Benchmark::Dijkstra.trace(6_000, 3);
-        let x = ExpandedTrace::expand(&trace);
-        let cfgs = configs(5);
-        let batch = BatchSimulator::new().run_pack(&cfgs, &x);
-        for (i, (cfg, got)) in cfgs.iter().zip(&batch).enumerate() {
-            assert_eq!(*got, Simulator::new(cfg.clone()).run(&trace), "design {i}");
+    fn kernel_counters_reach_the_registry() {
+        // A chain of dependent cold-missing loads: every load is a wheel
+        // event and each DRAM wait is a skipped idle span.
+        let trace: Vec<Instr> = (0..200u64)
+            .map(|i| Instr {
+                op: Op::Load,
+                deps: [(i > 0).then_some(1), None],
+                addr: Some(i * 8192),
+                branch: None,
+            })
+            .collect();
+        let registry = dse_obs::global();
+        let runs = registry.counter("sim_kernel_runs_total");
+        let popped = registry.counter("sim_kernel_events_popped_total");
+        let skipped = registry.counter("sim_kernel_skipped_cycles_total");
+        let seconds = registry.histogram("sim_kernel_run_seconds", dse_obs::LATENCY_BUCKETS_S);
+        let before = (runs.get(), popped.get(), skipped.get(), seconds.count());
+        let mut batch = BatchSimulator::new().with_window(64);
+        let _ = batch.run_pack(&configs(2), &ExpandedTrace::expand(&trace));
+        for lane in &batch.lanes {
+            assert_eq!(lane.events_popped, 200, "one wheel pop per load");
+            assert!(lane.skipped_cycles > 200 * 100, "DRAM waits are skipped");
         }
-    }
-
-    #[test]
-    fn window_length_is_invisible_to_results() {
-        let trace = Benchmark::FpVvadd.trace(4_000, 5);
-        let x = ExpandedTrace::expand(&trace);
-        let cfgs = configs(3);
-        let reference = BatchSimulator::new().run_pack(&cfgs, &x);
-        for window in [1, 7, 100, 4_000, 1 << 20] {
-            let got = BatchSimulator::new().with_window(window).run_pack(&cfgs, &x);
-            assert_eq!(got, reference, "window {window}");
-        }
-    }
-
-    #[test]
-    fn pack_reuse_matches_fresh_packs() {
-        // One BatchSimulator across packs of different sizes and
-        // designs must behave like a fresh one each time.
-        let trace_a = Benchmark::Mm.trace(3_000, 2);
-        let trace_b = Benchmark::Quicksort.trace(3_000, 8);
-        let (xa, xb) = (ExpandedTrace::expand(&trace_a), ExpandedTrace::expand(&trace_b));
-        let cfgs = configs(6);
-        let mut reused = BatchSimulator::new();
-        let first = reused.run_pack(&cfgs, &xa);
-        let second = reused.run_pack(&cfgs[..2], &xb);
-        let third = reused.run_pack(&cfgs, &xa);
-        assert_eq!(first, BatchSimulator::new().run_pack(&cfgs, &xa));
-        assert_eq!(second, BatchSimulator::new().run_pack(&cfgs[..2], &xb));
-        assert_eq!(first, third, "a pack must not leak state into the next");
+        // Other tests publish concurrently, so the registry only bounds
+        // this pack's contribution from below.
+        assert!(runs.get() - before.0 >= 2);
+        assert!(popped.get() - before.1 >= 400);
+        assert!(skipped.get() - before.2 >= 2 * 200 * 100);
+        assert!(seconds.count() - before.3 >= 2, "one wall-time sample per lane");
     }
 
     #[test]

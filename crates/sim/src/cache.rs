@@ -106,41 +106,6 @@ impl Cache {
         false
     }
 
-    /// Empties the cache and zeroes its counters, keeping the line
-    /// storage allocated. After a reset the cache behaves exactly like
-    /// a freshly constructed one of the same geometry.
-    pub fn reset(&mut self) {
-        self.tags.fill(None);
-        self.stamps.fill(0);
-        self.tick = 0;
-        self.hits = 0;
-        self.misses = 0;
-    }
-
-    /// Changes the cache to an empty `sets × ways` geometry, reusing
-    /// the existing line storage where capacities allow.
-    ///
-    /// Equivalent to `*self = Cache::new(sets, ways)` without the
-    /// guaranteed reallocation — the reuse path for sweeping many
-    /// configurations on one simulator instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sets` or `ways` is zero.
-    pub fn reshape(&mut self, sets: usize, ways: usize) {
-        assert!(sets > 0 && ways > 0, "cache geometry must be non-zero");
-        self.sets = sets;
-        self.ways = ways;
-        let lines = sets * ways;
-        self.tags.clear();
-        self.tags.resize(lines, None);
-        self.stamps.clear();
-        self.stamps.resize(lines, 0);
-        self.tick = 0;
-        self.hits = 0;
-        self.misses = 0;
-    }
-
     /// Hits observed so far.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -232,40 +197,6 @@ mod tests {
             }
         }
         assert!(small.miss_rate() > large.miss_rate());
-    }
-
-    /// Access trace → (hit pattern, hits, misses) on a fresh walk.
-    fn walk(c: &mut Cache, addrs: &[u64]) -> (Vec<bool>, u64, u64) {
-        let pattern = addrs.iter().map(|&a| c.access(a)).collect();
-        (pattern, c.hits(), c.misses())
-    }
-
-    #[test]
-    fn reset_restores_cold_behaviour() {
-        let addrs: Vec<u64> = (0..200).map(|i| (i * 0x9E37) % 4096).collect();
-        let mut c = Cache::new(8, 2);
-        let first = walk(&mut c, &addrs);
-        c.reset();
-        assert_eq!(c.hits(), 0);
-        assert_eq!(c.misses(), 0);
-        assert_eq!(walk(&mut c, &addrs), first, "reset must equal fresh construction");
-    }
-
-    #[test]
-    fn reshape_equals_fresh_construction() {
-        let addrs: Vec<u64> = (0..300).map(|i| (i * 0x51ED) % 16384).collect();
-        let mut reused = Cache::new(64, 8);
-        walk(&mut reused, &addrs); // dirty it thoroughly
-        reused.reshape(4, 2);
-        assert_eq!((reused.sets(), reused.ways()), (4, 2));
-        let mut fresh = Cache::new(4, 2);
-        assert_eq!(walk(&mut reused, &addrs), walk(&mut fresh, &addrs));
-    }
-
-    #[test]
-    #[should_panic(expected = "geometry must be non-zero")]
-    fn reshape_rejects_zero_geometry() {
-        Cache::new(2, 2).reshape(0, 2);
     }
 
     proptest! {

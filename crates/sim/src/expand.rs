@@ -1,17 +1,18 @@
 //! One-time trace expansion into a flat struct-of-arrays form.
 //!
-//! A DSE sweep runs hundreds of designs over the *same* trace. The
-//! per-run kernel walks the trace as a slice of [`Instr`] records —
-//! roughly 40 bytes each, most of it `Option` discriminants the
-//! dispatch stage re-decodes on every single run. [`ExpandedTrace`]
-//! pays that decode exactly once: operation classes, dependency
+//! A DSE sweep runs hundreds of designs over the *same* trace. A trace
+//! is a slice of [`Instr`] records — roughly 40 bytes each, most of it
+//! `Option` discriminants a dispatch stage would re-decode on every
+//! single run. [`ExpandedTrace`] pays that decode exactly once: operation classes, dependency
 //! distances, memory addresses and branch metadata are split into
 //! dense parallel arrays with all `Option`s pre-resolved, so the
 //! batch kernel's dispatch stage reads exactly the bytes it needs and
 //! K lockstep designs share one read-only copy (the type is `Sync` —
 //! plain owned arrays, no interior mutability).
 
-use dse_workloads::{Op, Trace};
+use std::convert::Infallible;
+
+use dse_workloads::{Instr, Op, Trace};
 
 /// `deps` sentinel: this operand has no register producer.
 pub(crate) const NO_DEP: u32 = 0;
@@ -67,45 +68,22 @@ impl ExpandedTrace {
     /// # Panics
     ///
     /// Panics on a dependency distance of 0 (a self-dependency, which
-    /// no well-formed trace contains) or a trace longer than the
-    /// kernel's `u32` entry ids can index.
+    /// no well-formed trace contains), a load or store without an
+    /// address, or a trace longer than the kernel's `u32` entry ids can
+    /// index.
     pub fn expand(trace: &Trace) -> Self {
-        assert!(trace.len() <= u32::MAX as usize, "trace too long for the event queue");
-        let mut ops = Vec::with_capacity(trace.len());
-        let mut deps = Vec::with_capacity(trace.len());
-        let mut addrs = Vec::with_capacity(trace.len());
-        let mut branches = Vec::with_capacity(trace.len());
-        for instr in trace {
-            ops.push(instr.op);
-            let dep = |d: Option<u32>| match d {
-                Some(d) => {
-                    assert!(d >= 1, "dependency distances must be >= 1");
-                    d
-                }
-                None => NO_DEP,
-            };
-            deps.push([dep(instr.deps[0]), dep(instr.deps[1])]);
-            addrs.push(instr.addr.unwrap_or(0));
-            branches.push(match instr.branch {
-                Some(b) => {
-                    BR_IS_BRANCH
-                        | if b.taken { BR_TAKEN } else { 0 }
-                        | if b.mispredicted { BR_MISPREDICTED } else { 0 }
-                        | (u32::from(b.site) << BR_SITE_SHIFT)
-                }
-                None => 0,
-            });
+        match Self::from_stream(trace.iter().copied().map(Ok::<_, Infallible>)) {
+            Ok(expanded) => expanded,
+            Err(never) => match never {},
         }
-        metrics().expansions.inc();
-        Self { ops, deps, addrs, branches }
     }
 
     /// Decodes a *streamed* trace into struct-of-arrays form without
-    /// ever holding a `Vec<Instr>` — the streaming counterpart of
-    /// [`ExpandedTrace::expand`] for traces read incrementally (e.g.
-    /// from an on-disk trace file). The error type is the stream's own;
-    /// the first stream error aborts the expansion and is returned
-    /// verbatim.
+    /// ever holding a `Vec<Instr>` — the decode loop behind
+    /// [`ExpandedTrace::expand`], also fed by traces read incrementally
+    /// (e.g. from an on-disk trace file). The error type is the
+    /// stream's own; the first stream error aborts the expansion and is
+    /// returned verbatim.
     ///
     /// # Errors
     ///
@@ -113,16 +91,16 @@ impl ExpandedTrace {
     ///
     /// # Panics
     ///
-    /// Panics on a dependency distance of 0 or a stream longer than the
-    /// kernel's `u32` entry ids can index, exactly as
-    /// [`ExpandedTrace::expand`] does.
-    pub fn from_stream<E>(
-        stream: impl IntoIterator<Item = Result<dse_workloads::Instr, E>>,
-    ) -> Result<Self, E> {
-        let mut ops = Vec::new();
-        let mut deps = Vec::new();
-        let mut addrs = Vec::new();
-        let mut branches = Vec::new();
+    /// Panics on a dependency distance of 0, a load or store without an
+    /// address, or a stream longer than the kernel's `u32` entry ids
+    /// can index, exactly as [`ExpandedTrace::expand`] does.
+    pub fn from_stream<E>(stream: impl IntoIterator<Item = Result<Instr, E>>) -> Result<Self, E> {
+        let stream = stream.into_iter();
+        let capacity = stream.size_hint().0;
+        let mut ops = Vec::with_capacity(capacity);
+        let mut deps = Vec::with_capacity(capacity);
+        let mut addrs = Vec::with_capacity(capacity);
+        let mut branches = Vec::with_capacity(capacity);
         for item in stream {
             let instr = item?;
             assert!(ops.len() < u32::MAX as usize, "trace too long for the event queue");
@@ -135,7 +113,16 @@ impl ExpandedTrace {
                 None => NO_DEP,
             };
             deps.push([dep(instr.deps[0]), dep(instr.deps[1])]);
-            addrs.push(instr.addr.unwrap_or(0));
+            addrs.push(match instr.addr {
+                Some(addr) => addr,
+                None => {
+                    assert!(
+                        !matches!(instr.op, Op::Load | Op::Store),
+                        "loads and stores must carry addresses"
+                    );
+                    0
+                }
+            });
             branches.push(match instr.branch {
                 Some(b) => {
                     BR_IS_BRANCH
@@ -176,7 +163,7 @@ fn metrics() -> &'static ExpandMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dse_workloads::{Benchmark, Instr};
+    use dse_workloads::Benchmark;
 
     #[test]
     fn expansion_round_trips_every_field() {
@@ -235,5 +222,12 @@ mod tests {
         let mut instr = Instr::nop();
         instr.deps[0] = Some(0);
         let _ = ExpandedTrace::expand(&vec![instr]);
+    }
+
+    #[test]
+    #[should_panic(expected = "loads and stores must carry addresses")]
+    fn address_free_load_is_rejected() {
+        let load = Instr { op: Op::Load, deps: [None, None], addr: None, branch: None };
+        let _ = ExpandedTrace::expand(&vec![Instr::nop(), load]);
     }
 }

@@ -16,6 +16,13 @@
 //! * a two-level set-associative cache hierarchy with LRU replacement,
 //!   where the number of MSHRs caps outstanding L1 load misses.
 //!
+//! One engine runs all of it: the lane kernel behind [`BatchSimulator`],
+//! which advances packs of designs in lockstep over an
+//! [`ExpandedTrace`]. [`Simulator`] is its one-design front end. The
+//! cycle-by-cycle `ReferenceSimulator` (compiled for tests and under
+//! the `reference` feature) is the oracle the kernel is differentially
+//! tested against, counter for counter, in `tests/equivalence.rs`.
+//!
 //! # Examples
 //!
 //! ```
@@ -36,9 +43,7 @@
 mod batch;
 mod cache;
 mod config;
-mod events;
 mod expand;
-mod kernel;
 mod pipeline;
 mod predictor;
 #[cfg(any(test, feature = "reference"))]

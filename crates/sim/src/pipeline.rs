@@ -1,9 +1,10 @@
-//! The out-of-order pipeline model: public [`Simulator`] API over the
-//! event-driven kernel.
+//! The public one-design [`Simulator`] front end over the lane kernel.
+
+use std::slice;
 
 use dse_workloads::Trace;
 
-use crate::{kernel, BranchModel, Cache, CoreConfig, Gshare, SimResult};
+use crate::{BatchSimulator, CoreConfig, ExpandedTrace, SimResult};
 
 /// The cycle-level out-of-order core simulator.
 ///
@@ -14,18 +15,14 @@ use crate::{kernel, BranchModel, Cache, CoreConfig, Gshare, SimResult};
 /// availability), and dispatches new instructions unless a mispredicted
 /// branch has frozen the front end.
 ///
-/// Internally those semantics run on an event-driven kernel (completion
-/// heap, dependency wakeup lists, idle-cycle skip-ahead — see
-/// `kernel.rs`) that is differentially tested to produce bit-identical
-/// [`SimResult`]s to the retained cycle-by-cycle
-/// [`ReferenceSimulator`](crate::ReferenceSimulator) walk.
-///
-/// A `Simulator` owns its cache state and scratch buffers. Every
-/// [`run`](Simulator::run) starts from a cold core (caches and
-/// predictor are reset first), so results depend only on
-/// `(config, trace)`; batch evaluators reuse one instance per worker —
-/// [`reconfigure`](Simulator::reconfigure)-ing it between designs —
-/// to amortize allocations without changing any result.
+/// A `Simulator` is a one-design pack on the lane kernel: each
+/// [`run`](Simulator::run) expands the trace and simulates it as a
+/// one-lane [`BatchSimulator`] pack, which is differentially tested to
+/// produce bit-identical [`SimResult`]s to the retained cycle-by-cycle
+/// `ReferenceSimulator` walk. Every run starts from a cold core, so
+/// results depend only on `(config, trace)`. Sweeps over many designs
+/// should call [`BatchSimulator::run_pack`] directly and expand each
+/// trace once.
 ///
 /// # Examples
 ///
@@ -42,14 +39,11 @@ use crate::{kernel, BranchModel, Cache, CoreConfig, Gshare, SimResult};
 #[derive(Debug)]
 pub struct Simulator {
     config: CoreConfig,
-    l1: Cache,
-    l2: Cache,
-    predictor: Option<Gshare>,
-    scratch: kernel::Scratch,
+    batch: BatchSimulator,
 }
 
 impl Simulator {
-    /// Creates a simulator with cold caches for one configuration.
+    /// Creates a simulator for one configuration.
     ///
     /// # Panics
     ///
@@ -58,19 +52,7 @@ impl Simulator {
         if let Err(e) = config.validate() {
             panic!("invalid core configuration: {e}");
         }
-        let l1 = Cache::new(config.l1_sets, config.l1_ways);
-        let l2 = Cache::new(config.l2_sets, config.l2_ways);
-        let predictor = Self::build_predictor(&config);
-        Self { config, l1, l2, predictor, scratch: kernel::Scratch::default() }
-    }
-
-    fn build_predictor(config: &CoreConfig) -> Option<Gshare> {
-        match config.branch_model {
-            BranchModel::FromTrace => None,
-            BranchModel::Gshare { history_bits, table_bits } => {
-                Some(Gshare::new(history_bits, table_bits))
-            }
-        }
+        Self { config, batch: BatchSimulator::new() }
     }
 
     /// The configuration being simulated.
@@ -78,115 +60,22 @@ impl Simulator {
         &self.config
     }
 
-    /// Switches this simulator to a different configuration, reusing
-    /// cache, predictor and kernel allocations wherever the geometry
-    /// allows.
-    ///
-    /// Equivalent to replacing the simulator with
-    /// `Simulator::new(config)` — [`run`](Simulator::run) cold-starts
-    /// the core either way — but without reallocating, which is what
-    /// lets batch workers sweep many designs on one instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`CoreConfig::validate`].
-    pub fn reconfigure(&mut self, config: &CoreConfig) {
-        if *config == self.config {
-            return;
-        }
-        if let Err(e) = config.validate() {
-            panic!("invalid core configuration: {e}");
-        }
-        self.l1.reshape(config.l1_sets, config.l1_ways);
-        self.l2.reshape(config.l2_sets, config.l2_ways);
-        self.predictor = match (config.branch_model, self.predictor.take()) {
-            (BranchModel::Gshare { history_bits, table_bits }, Some(p))
-                if p.matches_geometry(history_bits, table_bits) =>
-            {
-                Some(p)
-            }
-            _ => Self::build_predictor(config),
-        };
-        self.config = config.clone();
-    }
-
-    /// Returns the core to its just-constructed cold state: caches
-    /// emptied, predictor history and counters cleared.
-    ///
-    /// [`run`](Simulator::run) calls this itself, so repeated runs on
-    /// one instance are bit-identical to runs on fresh instances.
-    pub fn reset(&mut self) {
-        self.l1.reset();
-        self.l2.reset();
-        if let Some(p) = &mut self.predictor {
-            p.reset();
-        }
-    }
-
     /// Simulates a trace to completion on a cold core and returns the
     /// statistics.
     ///
     /// # Panics
     ///
-    /// Panics on an empty trace, or if the pipeline stops making
-    /// progress (which would indicate a simulator bug).
+    /// Panics on an empty trace, on a load or store without an address,
+    /// or if the pipeline stops making progress (which would indicate a
+    /// simulator bug).
     pub fn run(&mut self, trace: &Trace) -> SimResult {
-        self.reset();
-        let start = std::time::Instant::now();
-        let result = kernel::run(
-            &self.config,
-            &mut self.l1,
-            &mut self.l2,
-            self.predictor.as_mut(),
-            &mut self.scratch,
-            trace,
-        );
-        // Kernel activity goes to the atomic metrics registry, never
-        // into `SimResult` (whose bit-identity the equivalence tests
-        // compare) and never into the trace (worker threads complete
-        // in nondeterministic order; counters are order-free).
-        metrics().record(&self.scratch.counters, start.elapsed());
-        result
+        self.batch.run_pack(slice::from_ref(&self.config), &ExpandedTrace::expand(trace))[0]
     }
-}
-
-/// Cached registry handles for per-run kernel metrics.
-struct KernelMetrics {
-    runs: dse_obs::Counter,
-    events_popped: dse_obs::Counter,
-    skipped_cycles: dse_obs::Counter,
-    heap_peak: dse_obs::Histogram,
-    run_seconds: dse_obs::Histogram,
-}
-
-impl KernelMetrics {
-    fn record(&self, counters: &kernel::KernelCounters, wall: std::time::Duration) {
-        self.runs.inc();
-        self.events_popped.add(counters.events_popped);
-        self.skipped_cycles.add(counters.skipped_cycles);
-        self.heap_peak.observe(counters.heap_peak as f64);
-        self.run_seconds.observe_duration(wall);
-    }
-}
-
-fn metrics() -> &'static KernelMetrics {
-    static METRICS: std::sync::OnceLock<KernelMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        let registry = dse_obs::global();
-        KernelMetrics {
-            runs: registry.counter("sim_kernel_runs_total"),
-            events_popped: registry.counter("sim_kernel_events_popped_total"),
-            skipped_cycles: registry.counter("sim_kernel_skipped_cycles_total"),
-            heap_peak: registry.histogram("sim_kernel_heap_peak_depth", dse_obs::SIZE_BUCKETS),
-            run_seconds: registry.histogram("sim_kernel_run_seconds", dse_obs::LATENCY_BUCKETS_S),
-        }
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ReferenceSimulator;
     use dse_space::{DesignSpace, Param};
     use dse_workloads::{Benchmark, Instr, Op};
 
@@ -321,194 +210,21 @@ mod tests {
 
     #[test]
     fn determinism() {
+        // Two fresh instances and a reused one agree, with the live
+        // gshare front end included.
         let trace = Benchmark::Quicksort.trace(10_000, 9);
-        let a = Simulator::new(config_at(777)).run(&trace);
-        let b = Simulator::new(config_at(777)).run(&trace);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn rerunning_one_instance_matches_fresh_instances() {
-        // The reset path must leave no state behind: run → run on one
-        // simulator equals two cold constructions, bit for bit.
-        let trace_a = Benchmark::Quicksort.trace(8_000, 9);
-        let trace_b = Benchmark::Mm.trace(8_000, 4);
-        let mut cfg = config_at(123_457);
-        cfg.branch_model = crate::BranchModel::Gshare { history_bits: 6, table_bits: 10 };
-        cfg.l2_next_line_prefetch = true;
-        let mut reused = Simulator::new(cfg.clone());
-        let first = reused.run(&trace_a);
-        let second = reused.run(&trace_b);
-        let third = reused.run(&trace_a);
-        assert_eq!(first, Simulator::new(cfg.clone()).run(&trace_a));
-        assert_eq!(second, Simulator::new(cfg.clone()).run(&trace_b));
-        assert_eq!(first, third, "a run must not leak state into the next");
-    }
-
-    #[test]
-    fn reconfigure_matches_fresh_construction() {
-        // Sweeping designs on one instance (the batch-worker pattern)
-        // must be indistinguishable from constructing each design cold.
-        let space = DesignSpace::boom();
-        let trace = Benchmark::Dijkstra.trace(6_000, 2);
-        let mut reused = Simulator::new(smallest());
-        for i in 0..8u64 {
-            let code = i * (space.size() - 1) / 7;
-            let mut cfg = config_at(code);
-            if i % 2 == 0 {
-                cfg.branch_model = crate::BranchModel::Gshare { history_bits: 6, table_bits: 10 };
-            }
-            cfg.l2_next_line_prefetch = i % 3 == 0;
-            reused.reconfigure(&cfg);
-            assert_eq!(reused.config(), &cfg);
-            assert_eq!(
-                reused.run(&trace),
-                Simulator::new(cfg).run(&trace),
-                "design {i} diverged after reconfigure"
-            );
-        }
-    }
-
-    #[test]
-    fn skip_ahead_preserves_serial_cold_miss_timing() {
-        // A chain of dependent cold-missing loads maximizes idle spans:
-        // each load's DRAM latency is a window where the kernel skips
-        // and the reference walks cycle by cycle. The counters — cycles
-        // above all — must still agree exactly.
-        let trace: Trace = (0..600u64)
-            .map(|i| Instr {
-                op: Op::Load,
-                deps: [if i > 0 { Some(1) } else { None }, None],
-                // A fresh line every access, far apart: always misses.
-                addr: Some(i * 8192),
-                branch: None,
-            })
-            .collect();
-        let kernel = Simulator::new(smallest()).run(&trace);
-        let reference = ReferenceSimulator::new(smallest()).run(&trace);
-        assert_eq!(kernel, reference);
-        // Sanity: the workload really is DRAM-bound serial misses.
-        assert_eq!(kernel.l1_misses, 600);
-        assert!(kernel.cycles > 600 * 100, "each load should pay DRAM latency");
-    }
-
-    #[test]
-    fn mshr_stall_bulk_credit_matches_reference() {
-        // Independent streaming cold misses on the fewest-MSHR design:
-        // ready loads sit MSHR-blocked across long spans, exercising the
-        // skip-ahead bulk credit of `mshr_stall_cycles`.
-        let space = DesignSpace::boom();
-        let mut few_mshr = space.largest();
-        while let Some(next) = few_mshr.decreased(Param::NMshr) {
-            few_mshr = next;
-        }
-        let cfg = CoreConfig::from_point(&space, &few_mshr);
-        let trace: Trace = (0..2_000u64)
-            .map(|i| Instr { op: Op::Load, deps: [None, None], addr: Some(i * 8192), branch: None })
-            .collect();
-        let kernel = Simulator::new(cfg.clone()).run(&trace);
-        let reference = ReferenceSimulator::new(cfg).run(&trace);
-        assert_eq!(kernel, reference);
-        assert!(kernel.mshr_stall_cycles > 0, "the MSHR file must saturate");
-    }
-
-    #[test]
-    fn commits_every_instruction_once() {
-        for b in Benchmark::ALL {
-            let trace = b.trace(5_000, 13);
-            let r = Simulator::new(config_at(1_999_999)).run(&trace);
-            assert_eq!(r.instructions, 5_000, "{b}");
-        }
+        let mut cfg = config_at(777);
+        cfg.branch_model = crate::BranchModel::Gshare { history_bits: 8, table_bits: 10 };
+        let mut sim = Simulator::new(cfg.clone());
+        let a = sim.run(&trace);
+        assert_eq!(a, Simulator::new(cfg).run(&trace));
+        assert_eq!(a, sim.run(&trace), "a run must not leak state into the next");
     }
 
     #[test]
     #[should_panic(expected = "empty trace")]
     fn empty_trace_panics() {
         let _ = Simulator::new(smallest()).run(&Vec::new());
-    }
-
-    mod fuzz {
-        //! Property-based stress tests: arbitrary (but structurally
-        //! valid) traces must never wedge the pipeline or break its
-        //! accounting, on any corner of the design space — and the
-        //! event-driven kernel must match the reference walk bit for
-        //! bit on every counter.
-        use super::*;
-        use proptest::prelude::*;
-
-        prop_compose! {
-            /// An arbitrary valid instruction at position `i`.
-            fn arb_instr(i: usize)(
-                kind in 0u8..6,
-                d1 in proptest::option::of(1u32..64),
-                d2 in proptest::option::of(1u32..64),
-                addr in 0u64..(1 << 22),
-                site in 0u16..64,
-                taken in proptest::bool::ANY,
-                mispredicted in proptest::bool::weighted(0.2),
-            ) -> Instr {
-                let op = match kind {
-                    0 => Op::IntAlu,
-                    1 => Op::IntMul,
-                    2 => Op::Load,
-                    3 => Op::Store,
-                    4 => Op::FpAlu,
-                    _ => Op::Branch,
-                };
-                let clamp = |d: Option<u32>| d.map(|d| d.min(i as u32)).filter(|&d| d > 0);
-                Instr {
-                    op,
-                    deps: [clamp(d1), clamp(d2)],
-                    addr: matches!(op, Op::Load | Op::Store).then_some(addr & !7),
-                    branch: (op == Op::Branch).then_some(dse_workloads::BranchInfo {
-                        site,
-                        taken,
-                        mispredicted,
-                    }),
-                }
-            }
-        }
-
-        fn arb_trace(len: usize) -> impl Strategy<Value = Trace> {
-            (0..len).map(arb_instr).collect::<Vec<_>>()
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(24))]
-
-            #[test]
-            fn any_trace_terminates_with_consistent_accounting(
-                trace in arb_trace(600),
-                code in 0u64..3_000_000,
-                gshare in proptest::bool::ANY,
-                prefetch in proptest::bool::ANY,
-            ) {
-                prop_assume!(!trace.is_empty());
-                let space = DesignSpace::boom();
-                let mut cfg = CoreConfig::from_point(&space, &space.decode(code));
-                if gshare {
-                    cfg.branch_model =
-                        crate::BranchModel::Gshare { history_bits: 6, table_bits: 10 };
-                }
-                cfg.l2_next_line_prefetch = prefetch;
-                let width = cfg.decode_width as u64;
-                let r = Simulator::new(cfg.clone()).run(&trace);
-                // The kernel agrees with the reference walk on every
-                // counter — the tentpole bit-identity property.
-                prop_assert_eq!(&r, &ReferenceSimulator::new(cfg).run(&trace));
-                // Every instruction commits exactly once.
-                prop_assert_eq!(r.instructions, trace.len() as u64);
-                // The machine cannot beat its own dispatch width.
-                prop_assert!(r.cycles * width >= r.instructions);
-                // Cache accounting is hierarchical.
-                prop_assert!(r.l1_misses <= r.l1_accesses);
-                prop_assert_eq!(r.l2_accesses, r.l1_misses);
-                prop_assert!(r.l2_misses <= r.l2_accesses);
-                // Flushes can't exceed the number of branches.
-                let branches = trace.iter().filter(|i| i.op == Op::Branch).count() as u64;
-                prop_assert!(r.flushes <= branches);
-            }
-        }
     }
 
     #[test]
@@ -554,15 +270,5 @@ mod tests {
             plain.l2_misses
         );
         assert!(prefetched.cpi() < plain.cpi());
-    }
-
-    #[test]
-    fn gshare_model_is_deterministic() {
-        let trace = Benchmark::StringSearch.trace(5_000, 2);
-        let mut cfg = smallest();
-        cfg.branch_model = crate::BranchModel::Gshare { history_bits: 8, table_bits: 10 };
-        let a = Simulator::new(cfg.clone()).run(&trace);
-        let b = Simulator::new(cfg).run(&trace);
-        assert_eq!(a, b);
     }
 }

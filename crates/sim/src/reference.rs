@@ -1,11 +1,12 @@
 //! The retained cycle-by-cycle reference walk.
 //!
 //! This is the original O(cycles × ROB) pipeline model, kept verbatim
-//! as the oracle for the event-driven kernel: every differential test
-//! asserts full [`SimResult`] bit-equality between the two. It is
-//! compiled only for tests and under the `reference` feature (which the
-//! bench harness enables to measure kernel-vs-reference throughput) —
-//! production evaluation always runs the kernel.
+//! as the oracle for the lane kernel (`batch.rs`): the differential
+//! suite in `tests/equivalence.rs` asserts full [`SimResult`]
+//! bit-equality between the two. It is compiled only for tests and
+//! under the `reference` feature (which the bench harness enables to
+//! measure kernel-vs-reference throughput) — production evaluation
+//! always runs the lane kernel.
 
 use std::collections::VecDeque;
 
@@ -38,16 +39,17 @@ struct RobEntry {
 
 /// The original cycle-by-cycle out-of-order core simulator.
 ///
-/// Semantically identical to [`Simulator`](crate::Simulator) — the
-/// differential suite proves bit-equality of every counter — but it
-/// re-scans the whole ROB twice per simulated cycle and simulates every
-/// idle cycle individually, which is what the event-driven kernel
-/// exists to avoid. One instance simulates one trace.
+/// Semantically identical to the lane kernel of
+/// [`BatchSimulator`](crate::BatchSimulator) — the differential suite
+/// proves bit-equality of every counter — but it re-scans the whole ROB
+/// twice per simulated cycle and simulates every idle cycle
+/// individually, which is what the lane kernel exists to avoid. One
+/// instance simulates one trace.
 ///
 /// # Examples
 ///
 /// ```
-/// use dse_sim::{CoreConfig, ReferenceSimulator, Simulator};
+/// use dse_sim::{BatchSimulator, CoreConfig, ExpandedTrace, ReferenceSimulator};
 /// use dse_space::DesignSpace;
 /// use dse_workloads::Benchmark;
 ///
@@ -55,7 +57,8 @@ struct RobEntry {
 /// let trace = Benchmark::StringSearch.trace(2_000, 1);
 /// let cfg = CoreConfig::from_point(&space, &space.smallest());
 /// let reference = ReferenceSimulator::new(cfg.clone()).run(&trace);
-/// assert_eq!(reference, Simulator::new(cfg).run(&trace));
+/// let lanes = BatchSimulator::new().run_pack(&[cfg], &ExpandedTrace::expand(&trace));
+/// assert_eq!(reference, lanes[0]);
 /// ```
 #[derive(Debug)]
 pub struct ReferenceSimulator {

@@ -1,14 +1,14 @@
 //! Cross-layer guarantees for ingested workloads: a fixture ELF runs
-//! through the LF analytical model, both HF kernels (event-driven and
-//! batch lockstep, bit-identically), the on-disk trace format, and the
-//! 3-tier router — and every stage is a pure function of the ELF bytes.
+//! through the LF analytical model, the HF lane kernel (bit-identical
+//! to the reference walk), the on-disk trace format, and the 3-tier
+//! router — and every stage is a pure function of the ELF bytes.
 
 use archdse::eval::{AnalyticalLf, IngestedWorkload, SimulatorHf};
 use archdse::Explorer;
 use dse_ingest::trace_file::{encode_trace, TraceReader, TraceWriter};
 use dse_ingest::{ingest_elf, ExecConfig, Ingested};
 use dse_mfrl::LowFidelity;
-use dse_sim::{BatchSimulator, CoreConfig, ExpandedTrace, SimResult, Simulator};
+use dse_sim::{BatchSimulator, CoreConfig, ExpandedTrace, ReferenceSimulator, SimResult};
 use dse_space::{DesignPoint, DesignSpace};
 
 fn fixture(stem: &str) -> Vec<u8> {
@@ -44,18 +44,18 @@ fn ingested_profile_drives_the_lf_model() {
 }
 
 #[test]
-fn event_kernel_and_batch_lockstep_agree_on_the_ingested_trace() {
+fn lane_kernel_matches_the_reference_on_the_ingested_trace() {
     let space = DesignSpace::boom();
     let ingested = ingest("stride_c");
     let configs: Vec<CoreConfig> =
         probe_points(&space).iter().map(|p| CoreConfig::from_point(&space, p)).collect();
 
-    let event: Vec<SimResult> =
-        configs.iter().map(|c| Simulator::new(c.clone()).run(&ingested.trace)).collect();
+    let reference: Vec<SimResult> =
+        configs.iter().map(|c| ReferenceSimulator::new(c.clone()).run(&ingested.trace)).collect();
     let expanded = ExpandedTrace::expand(&ingested.trace);
     let lockstep = BatchSimulator::new().run_pack(&configs, &expanded);
-    assert_eq!(event, lockstep, "both HF kernels must agree counter for counter");
-    assert!(event.iter().all(|r| r.instructions == ingested.trace.len() as u64));
+    assert_eq!(lockstep, reference, "the lane kernel must match the oracle counter for counter");
+    assert!(lockstep.iter().all(|r| r.instructions == ingested.trace.len() as u64));
 }
 
 #[test]
