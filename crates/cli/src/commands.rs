@@ -637,23 +637,40 @@ fn cmd_serve(args: &Args) -> Result<i32, Box<dyn Error>> {
         eprintln!("--shards must be >= 1");
         return Ok(2);
     }
-    if shards > 1 {
-        return cmd_serve_sharded(args, shards);
-    }
     let addr = args.value_or("addr", "127.0.0.1:8711".to_string())?;
-    let trace_out = install_serve_tracer(args)?;
-    let config = serve_config_from_args(args, &addr)?;
-    let benchmarks: Vec<&str> = config.explorer.benchmarks().iter().map(|b| b.name()).collect();
-    let server = spawn(config)?;
+    // A sharded parent hosts the router: its records (role "router", no
+    // shard id) go to the plain --trace-out path, each worker's to a
+    // derived .shardN path with the same sampling rate so a trace id gets
+    // the same verdict on both sides of the proxy.
+    let traced = install_serve_tracer(args)?;
+    let (stack, detail) = if shards == 1 {
+        let config = serve_config_from_args(args, &addr)?;
+        let benchmarks: Vec<&str> = config.explorer.benchmarks().iter().map(|b| b.name()).collect();
+        let detail = format!("serving benchmarks: {}", benchmarks.join(", "));
+        (Stack::single(config)?, detail)
+    } else {
+        let child_args = child_serve_args(args)?;
+        let trace_out = args.value_of::<String>("trace-out")?;
+        let sample = args.value_or("trace-sample", 1u64)?;
+        let workers = args.value_or("router-workers", 256usize)?;
+        let stack = Stack::sharded(shards, &addr, workers, |shard| {
+            let mut shard_args = child_args.clone();
+            shard_args.extend(shard_trace_args(trace_out.as_deref(), sample, shard));
+            shard_args
+        })?;
+        let shard_addrs: Vec<&str> = stack.children.iter().map(|c| c.addr.as_str()).collect();
+        let detail = format!("routing {shards} shards: {}", shard_addrs.join(", "));
+        (stack, detail)
+    };
     // The smoke harness parses this line for the ephemeral port; keep
     // the format stable and flush it before blocking.
-    println!("archdse-serve listening on {}", server.addr());
-    println!("serving benchmarks: {}", benchmarks.join(", "));
+    println!("archdse-serve listening on {}", stack.addr);
+    println!("{detail}");
     println!("POST /v1/shutdown to stop");
     use std::io::Write as _;
     std::io::stdout().flush()?;
-    server.join();
-    if trace_out {
+    stack.wait();
+    if traced {
         dse_obs::trace::shutdown()?;
     }
     println!("archdse-serve drained and stopped");
@@ -782,20 +799,30 @@ impl Drop for ShardProc {
     }
 }
 
-/// A self-hosted serving stack: `shards` worker processes, behind a
-/// router when there is more than one.
-struct ShardStack {
+/// A self-hosted serving stack: an in-process front door (a server, or a
+/// router over worker processes) and the worker processes behind it.
+struct Stack {
+    front: Option<archdse_serve::ServerHandle>,
     children: Vec<ShardProc>,
-    router: Option<archdse_serve::RouterHandle>,
     /// The front-door address clients should hit.
     addr: String,
 }
 
-impl ShardStack {
-    fn boot(
+impl Stack {
+    /// One server in this process.
+    fn single(config: ServeConfig) -> std::io::Result<Self> {
+        let server = spawn(config)?;
+        Ok(Self { addr: server.addr().to_string(), front: Some(server), children: Vec::new() })
+    }
+
+    /// `shards` worker processes, each started with
+    /// `child_args_for(shard)`; with more than one, a router on `addr`
+    /// with `router_workers` app workers in front of them.
+    fn sharded(
         shards: usize,
-        child_args_for: impl Fn(usize) -> Vec<String>,
+        addr: &str,
         router_workers: usize,
+        child_args_for: impl Fn(usize) -> Vec<String>,
     ) -> Result<Self, Box<dyn Error>> {
         let mut children = Vec::with_capacity(shards);
         for shard in 0..shards {
@@ -803,69 +830,37 @@ impl ShardStack {
         }
         if shards == 1 {
             let addr = children[0].addr.clone();
-            return Ok(Self { children, router: None, addr });
+            return Ok(Self { front: None, children, addr });
         }
         let mut config = RouterConfig::new(children.iter().map(|c| c.addr.clone()).collect());
+        config.addr = addr.to_string();
         config.workers = router_workers.max(1);
-        config.pool_idle_cap = router_workers.max(64);
         let router = spawn_router(config)?;
-        let addr = router.addr().to_string();
-        Ok(Self { children, router: Some(router), addr })
+        Ok(Self { addr: router.addr().to_string(), front: Some(router), children })
     }
 
-    /// Gracefully drains the whole stack: `POST /v1/shutdown` at the
-    /// front door (the router fans it to every shard), join the router,
-    /// then wait for the worker processes to exit.
-    fn teardown(mut self) {
-        let _ = archdse_serve::client::post(&self.addr, "/v1/shutdown", "");
-        if let Some(router) = self.router.take() {
-            router.join();
+    /// Waits for the front door to drain and exit, then for the worker
+    /// processes, which a router's `/v1/shutdown` fan-out stopped.
+    fn wait(mut self) {
+        if let Some(front) = self.front.take() {
+            front.join();
         }
         for child in &mut self.children {
             child.finish(std::time::Duration::from_secs(30));
         }
     }
-}
 
-fn cmd_serve_sharded(args: &Args, shards: usize) -> Result<i32, Box<dyn Error>> {
-    let addr = args.value_or("addr", "127.0.0.1:8711".to_string())?;
-    // The parent process hosts the router: its records (role "router",
-    // no shard id) go to the plain --trace-out path, each worker's to a
-    // derived .shardN path with the same sampling rate so a trace id
-    // gets the same verdict on both sides of the proxy.
-    let trace_out = args.value_of::<String>("trace-out")?;
-    let trace_sample = args.value_or("trace-sample", 1u64)?;
-    if let Some(path) = &trace_out {
-        dse_obs::trace::install_file(path)?;
-        dse_obs::trace::set_request_sampling(trace_sample);
+    /// Gracefully drains the whole stack: `POST /v1/shutdown` at the
+    /// front door (a router fans it to every shard), then [`Self::wait`].
+    /// The front door is also flagged directly, so the wait ends even when
+    /// the request could not be sent.
+    fn teardown(self) {
+        let _ = archdse_serve::client::post(&self.addr, "/v1/shutdown", "");
+        if let Some(front) = &self.front {
+            front.shutdown();
+        }
+        self.wait();
     }
-    let child_args = child_serve_args(args)?;
-    let mut children = Vec::with_capacity(shards);
-    for shard in 0..shards {
-        let mut shard_args = child_args.clone();
-        shard_args.extend(shard_trace_args(trace_out.as_deref(), trace_sample, shard));
-        children.push(ShardProc::spawn(&shard_args)?);
-    }
-    let shard_addrs: Vec<String> = children.iter().map(|c| c.addr.clone()).collect();
-    let mut config = RouterConfig::new(shard_addrs.clone());
-    config.addr = addr;
-    config.workers = args.value_or("router-workers", 256usize)?.max(1);
-    config.pool_idle_cap = config.workers.max(64);
-    let router = spawn_router(config)?;
-    println!("archdse-serve listening on {}", router.addr());
-    println!("routing {shards} shards: {}", shard_addrs.join(", "));
-    println!("POST /v1/shutdown to stop");
-    use std::io::Write as _;
-    std::io::stdout().flush()?;
-    router.join();
-    for child in &mut children {
-        child.finish(std::time::Duration::from_secs(30));
-    }
-    if trace_out.is_some() {
-        dse_obs::trace::shutdown()?;
-    }
-    println!("archdse-serve drained and stopped");
-    Ok(0)
 }
 
 /// The serve flags a sharded parent forwards verbatim to its worker
@@ -894,29 +889,6 @@ fn child_serve_args(args: &Args) -> Result<Vec<String>, Box<dyn Error>> {
         }
     }
     Ok(out)
-}
-
-/// What `loadgen` is pointed at, and what must be torn down afterward.
-enum LoadgenTarget {
-    /// `--addr`: an externally managed server; nothing to tear down.
-    External,
-    /// Self-hosted in-process single server (quick default).
-    InProcess(archdse_serve::ServerHandle),
-    /// Self-hosted multi-process shard stack (`--shards > 1`).
-    Stack(ShardStack),
-}
-
-impl LoadgenTarget {
-    fn teardown(self) {
-        match self {
-            LoadgenTarget::External => {}
-            LoadgenTarget::InProcess(server) => {
-                server.shutdown();
-                server.join();
-            }
-            LoadgenTarget::Stack(stack) => stack.teardown(),
-        }
-    }
 }
 
 /// The serve flags `loadgen`'s self-hosted worker processes run with.
@@ -973,8 +945,9 @@ fn cmd_loadgen(args: &Args) -> Result<i32, Box<dyn Error>> {
         // write derived .shardN files.
         dse_obs::trace::install_file(path)?;
     }
-    let (addr, target) = match external {
-        Some(addr) => (addr, LoadgenTarget::External),
+    // The self-hosted target, torn down after the run; none with --addr.
+    let (addr, stack) = match external {
+        Some(addr) => (addr, None),
         None if shards == 1 => {
             // Self-host a quick in-process server for the duration.
             let explorer = Explorer::for_benchmark(Benchmark::StringSearch)
@@ -982,25 +955,21 @@ fn cmd_loadgen(args: &Args) -> Result<i32, Box<dyn Error>> {
             let mut config = ServeConfig::new(explorer);
             config.batcher.queue_capacity =
                 args.value_or("queue-cap", config.batcher.queue_capacity)?.max(1);
-            let server = spawn(config)?;
-            println!("(self-hosting a quick server on {})", server.addr());
-            (server.addr().to_string(), LoadgenTarget::InProcess(server))
+            let stack = Stack::single(config)?;
+            println!("(self-hosting a quick server on {})", stack.addr);
+            (stack.addr.clone(), Some(stack))
         }
         None => {
             let workers = concurrency.unwrap_or(64).max(64);
             let base_args = loadgen_child_args(args)?;
             let trace_out = trace_out.as_deref();
-            let stack = ShardStack::boot(
-                shards,
-                |shard| {
-                    let mut shard_args = base_args.clone();
-                    shard_args.extend(shard_trace_args(trace_out, 1, shard));
-                    shard_args
-                },
-                workers,
-            )?;
+            let stack = Stack::sharded(shards, "127.0.0.1:0", workers, |shard| {
+                let mut shard_args = base_args.clone();
+                shard_args.extend(shard_trace_args(trace_out, 1, shard));
+                shard_args
+            })?;
             println!("(self-hosting {shards} shard processes behind {})", stack.addr);
-            (stack.addr.clone(), LoadgenTarget::Stack(stack))
+            (stack.addr.clone(), Some(stack))
         }
     };
     let mut config = LoadgenConfig::new(addr.clone());
@@ -1023,7 +992,9 @@ fn cmd_loadgen(args: &Args) -> Result<i32, Box<dyn Error>> {
             }
         }
     }
-    target.teardown();
+    if let Some(stack) = stack {
+        stack.teardown();
+    }
     if trace_out.is_some() {
         dse_obs::trace::shutdown()?;
     }
@@ -1070,7 +1041,8 @@ fn cmd_loadgen_trend(args: &Args, fidelity: &str, shards_n: usize) -> Result<i32
     for shards in [1, shards_n] {
         for &clients in &concurrencies {
             println!("== {shards} shard(s), {clients} clients, {duration_s:.1}s closed-loop ==");
-            let stack = ShardStack::boot(shards, |_| child_args.clone(), clients.max(64))?;
+            let stack =
+                Stack::sharded(shards, "127.0.0.1:0", clients.max(64), |_| child_args.clone())?;
             let mut config = LoadgenConfig::new(stack.addr.clone());
             config.clients = clients;
             config.duration = Some(std::time::Duration::from_secs_f64(duration_s));

@@ -1,7 +1,7 @@
 //! End-to-end request tracing over a real 2-shard stack: boot
-//! `archdse serve --shards 2 --trace-out`, drive traced evaluate
-//! requests through the router, and verify the acceptance criteria of
-//! the tracing layer — 100% of router request spans join shard-side
+//! `archdse serve --shards 2 --trace-out`, drive traced evaluates and a
+//! traced explore job through the router, and verify the acceptance
+//! criteria of the tracing layer — 100% of router request spans join shard-side
 //! spans, ≥95% of wall time is attributed to named phases, every
 //! coalesced batch span links back to its member requests, and
 //! `trace-report --requests` agrees with all of it.
@@ -160,6 +160,28 @@ fn traced_two_shard_run_reconciles_end_to_end() {
     let recorded: u64 = shard_dumps.iter().map(|s| s["recorded"].as_u64().unwrap_or(0)).sum();
     assert!(recorded >= ids.len() as u64, "flight recorders saw {recorded} requests");
 
+    // An explore job started and polled through the router under client
+    // ids: each poll must reach its shard with the same id.
+    let spec = r#"{"benchmark": "ss", "lf_episodes": 5, "hf_budget": 1, "trace_len": 500}"#;
+    let (status, _, started) =
+        raw_request(&addr, "POST", "/v1/explore", spec, &[("X-ArchDSE-Trace", "job-start")]);
+    assert_eq!(status, 200, "{started}");
+    let job = serde_json::from_str::<Value>(&started).expect("job JSON")["job"].as_u64().unwrap();
+    let poll = format!("/v1/jobs/{job}");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let (status, _, polled) =
+            raw_request(&addr, "GET", &poll, "", &[("X-ArchDSE-Trace", "job-poll")]);
+        assert_eq!(status, 200, "{polled}");
+        let state = serde_json::from_str::<Value>(&polled).expect("job JSON")["state"].clone();
+        assert_ne!(state.as_str(), Some("failed"), "{polled}");
+        if state.as_str() == Some("done") {
+            break;
+        }
+        assert!(Instant::now() < deadline, "job {job} never finished");
+        std::thread::sleep(Duration::from_millis(100));
+    }
+
     let (status, _, _) = raw_request(&addr, "POST", "/v1/shutdown", "", &[]);
     assert_eq!(status, 200);
     wait_exit(child);
@@ -193,8 +215,8 @@ fn traced_two_shard_run_reconciles_end_to_end() {
             }
         }
     }
-    for id in &ids {
-        assert!(shard_ids_seen.iter().any(|s| s == id), "{id} joined no shard request span");
+    for id in ids.iter().map(String::as_str).chain(["job-start", "job-poll"]) {
+        assert!(shard_ids_seen.contains(&id), "{id} joined no shard request span");
     }
 
     // ≥95% of each traced request's wall time is attributed to named

@@ -159,9 +159,6 @@ pub(crate) struct Conn {
     pub endpoint: &'static str,
     /// Status of the response currently being written (flight record).
     pub status: u16,
-    /// Encoded design points of an in-flight `/v1/evaluate` (local mode),
-    /// kept for rendering the reply when the completion arrives.
-    pub pending_codes: Vec<u64>,
     /// Phase timeline of the in-flight request.
     pub timeline: Timeline,
     /// The peer's read half hit EOF.
@@ -182,7 +179,6 @@ impl Conn {
             started: None,
             endpoint: "other",
             status: 0,
-            pending_codes: Vec::new(),
             timeline: Timeline::default(),
             read_closed: false,
         }
@@ -275,7 +271,6 @@ impl Conn {
         self.started = None;
         self.endpoint = "other";
         self.status = 0;
-        self.pending_codes = Vec::new();
         self.timeline = Timeline::default();
         self.keep_alive_after = false;
         self.got_bytes = self.parser.buffered() > 0;

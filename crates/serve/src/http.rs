@@ -44,6 +44,12 @@ impl Request {
     pub fn body_utf8(&self) -> Result<&str, BadRequest> {
         std::str::from_utf8(&self.body).map_err(|_| BadRequest::new(400, "body is not UTF-8"))
     }
+
+    /// The path without its query string, and the query string (empty
+    /// when there is none).
+    pub fn split_path(&self) -> (&str, &str) {
+        self.path.split_once('?').unwrap_or((&self.path, ""))
+    }
 }
 
 /// A request that could not be served, carrying the HTTP status to
@@ -59,6 +65,11 @@ pub(crate) struct BadRequest {
 impl BadRequest {
     pub fn new(status: u16, reason: impl Into<String>) -> Self {
         Self { status, reason: reason.into() }
+    }
+
+    /// The status and `{"error": reason}` body to answer with.
+    pub fn reply(&self) -> (u16, String) {
+        (self.status, crate::protocol::error_body(&self.reason))
     }
 }
 
@@ -372,20 +383,10 @@ pub(crate) const CT_JSON: &str = "application/json";
 /// `Content-Type` of the Prometheus text exposition.
 pub(crate) const CT_PROMETHEUS: &str = "text/plain; version=0.0.4";
 
-/// Renders a complete response (head + body) ready to be written out by the
-/// reactor's nonblocking writer.
+/// Renders a complete response (head + body, plus any extra headers such
+/// as `Server-Timing`, each rendered verbatim as `Name: value`) ready to
+/// be written out by the reactor's nonblocking writer.
 pub(crate) fn build_response(
-    status: u16,
-    content_type: &str,
-    body: &str,
-    keep_alive: bool,
-) -> Vec<u8> {
-    build_response_with(status, content_type, body, keep_alive, &[])
-}
-
-/// [`build_response`] plus extra response headers (`Server-Timing`,
-/// notably). Each pair is rendered verbatim as `Name: value`.
-pub(crate) fn build_response_with(
     status: u16,
     content_type: &str,
     body: &str,
@@ -856,7 +857,7 @@ mod tests {
 
     #[test]
     fn extra_response_headers_are_rendered_and_parsed_back() {
-        let raw = build_response_with(
+        let raw = build_response(
             200,
             CT_JSON,
             "{}",
@@ -865,8 +866,9 @@ mod tests {
         );
         let text = String::from_utf8(raw).unwrap();
         assert!(text.contains("\r\nServer-Timing: parse;dur=0.01, exec;dur=1.50\r\n"), "{text}");
-        // And build_response stays byte-identical to the no-extras form.
-        assert_eq!(build_response(200, CT_JSON, "{}", true), {
+        // With no extras it is byte-identical to the same response minus
+        // the header.
+        assert_eq!(build_response(200, CT_JSON, "{}", true, &[]), {
             let mut t = text.clone();
             t = t.replace("Server-Timing: parse;dur=0.01, exec;dur=1.50\r\n", "");
             t.into_bytes()

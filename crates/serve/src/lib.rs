@@ -13,7 +13,14 @@
 //! | `POST /v1/explore` | start a background exploration job |
 //! | `POST /v1/workloads` | upload a statically linked RV64 ELF; it is ingested and registered as an evaluable workload |
 //! | `GET /v1/jobs/<id>` | poll a job |
+//! | `GET /debug/requests` | the flight recorder: recent and slowest completed request timelines |
 //! | `POST /v1/shutdown` | graceful shutdown (drains in-flight work) |
+//!
+//! Each endpoint answers one method: any other method on a known path
+//! is a `405`, and an unknown path is a `404` listing the table. A shard
+//! router ([`spawn_router`]) serves the same table with the same limits
+//! and refuses the same requests; [`spawn`] and [`spawn_router`] both
+//! return a [`ServerHandle`].
 //!
 //! ## Ingested workloads
 //!
@@ -50,7 +57,8 @@
 //!   the reactor's timer wheel; slow-loris senders get `408` or a
 //!   silent close instead of pinning resources.
 //! * **Size limits** — request line, header count and body size are all
-//!   capped; oversize bodies answer `413`.
+//!   capped ([`Limits`]); oversize bodies answer `413`, and an evaluate
+//!   batch over 256 points answers `400`.
 //! * **Graceful shutdown** — `POST /v1/shutdown` (or
 //!   [`ServerHandle::shutdown`]) stops accepting, then drains every
 //!   accepted connection, queued evaluation and background job before
@@ -82,6 +90,7 @@
 mod batcher;
 mod conn;
 mod flight;
+mod front;
 mod http;
 mod loadgen;
 mod protocol;
@@ -90,11 +99,12 @@ mod server;
 mod shard;
 
 pub use batcher::{BatcherConfig, CoalescerStats};
+pub use front::{Limits, ServerHandle};
 pub use http::client;
 pub use loadgen::{run as run_loadgen, LatencyStats, LoadgenConfig, LoadgenReport, StatusLatency};
 pub use protocol::{
     EvaluateResponse, EvaluatedPoint, ExplainResponse, JobResult, JobStatus, MetricsResponse,
     RequestCounters, WorkloadUploadResponse,
 };
-pub use server::{spawn, ServeConfig, ServerHandle};
-pub use shard::{spawn_router, RouterConfig, RouterHandle};
+pub use server::{spawn, ServeConfig};
+pub use shard::{spawn_router, RouterConfig};

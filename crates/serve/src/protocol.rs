@@ -8,62 +8,55 @@ use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
 use crate::batcher::{CoalescerStats, TierRequest};
+use crate::http::BadRequest;
 
-/// A structured request rejection: message plus HTTP status.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ProtocolError(pub String);
+/// Most design points one `/v1/evaluate` request may carry. A router
+/// holds batches to the same cap, so both roles refuse the same requests.
+pub(crate) const MAX_POINTS_PER_REQUEST: usize = 256;
 
-impl ProtocolError {
-    fn new(msg: impl Into<String>) -> Self {
-        Self(msg.into())
-    }
+/// A malformed request body: a 400 naming what is wrong.
+fn invalid(msg: impl Into<String>) -> BadRequest {
+    BadRequest::new(400, msg)
 }
 
 /// Parses a request body into the JSON tree.
-pub(crate) fn parse_body(body: &str) -> Result<Value, ProtocolError> {
+pub(crate) fn parse_body(body: &str) -> Result<Value, BadRequest> {
     if body.trim().is_empty() {
-        return Err(ProtocolError::new("request body must be a JSON object"));
+        return Err(invalid("request body must be a JSON object"));
     }
-    serde_json::from_str(body).map_err(|e| ProtocolError::new(e.to_string()))
+    serde_json::from_str(body).map_err(|e| invalid(e.to_string()))
 }
 
-fn get_u64(value: &Value, key: &str) -> Result<Option<u64>, ProtocolError> {
+fn get_u64(value: &Value, key: &str) -> Result<Option<u64>, BadRequest> {
     match value.get(key) {
         None => Ok(None),
         Some(v) => v
             .as_u64()
             .map(Some)
-            .ok_or_else(|| ProtocolError::new(format!("`{key}` must be a non-negative integer"))),
+            .ok_or_else(|| invalid(format!("`{key}` must be a non-negative integer"))),
     }
 }
 
-fn get_f64(value: &Value, key: &str) -> Result<Option<f64>, ProtocolError> {
+fn get_f64(value: &Value, key: &str) -> Result<Option<f64>, BadRequest> {
     match value.get(key) {
         None => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| ProtocolError::new(format!("`{key}` must be a number"))),
+        Some(v) => v.as_f64().map(Some).ok_or_else(|| invalid(format!("`{key}` must be a number"))),
     }
 }
 
-fn get_str<'a>(value: &'a Value, key: &str) -> Result<Option<&'a str>, ProtocolError> {
+fn get_str<'a>(value: &'a Value, key: &str) -> Result<Option<&'a str>, BadRequest> {
     match value.get(key) {
         None => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(Some)
-            .ok_or_else(|| ProtocolError::new(format!("`{key}` must be a string"))),
+        Some(v) => v.as_str().map(Some).ok_or_else(|| invalid(format!("`{key}` must be a string"))),
     }
 }
 
-fn get_bool(value: &Value, key: &str) -> Result<Option<bool>, ProtocolError> {
+fn get_bool(value: &Value, key: &str) -> Result<Option<bool>, BadRequest> {
     match value.get(key) {
         None => Ok(None),
-        Some(v) => v
-            .as_bool()
-            .map(Some)
-            .ok_or_else(|| ProtocolError::new(format!("`{key}` must be a boolean"))),
+        Some(v) => {
+            v.as_bool().map(Some).ok_or_else(|| invalid(format!("`{key}` must be a boolean")))
+        }
     }
 }
 
@@ -88,7 +81,7 @@ impl EvaluateRequest {
     /// workloads have no learned tier or router, so `workload` combined
     /// with `"learned"`/`"auto"` is rejected here, before anything is
     /// queued.
-    pub fn parse(body: &str, space_size: u64, max_points: usize) -> Result<Self, ProtocolError> {
+    pub fn parse(body: &str, space_size: u64, max_points: usize) -> Result<Self, BadRequest> {
         let value = parse_body(body)?;
         let fidelity = match get_str(&value, "fidelity")? {
             None => TierRequest::Fixed(Fidelity::High),
@@ -99,7 +92,7 @@ impl EvaluateRequest {
                 } else if let Some(tier) = Fidelity::from_key(&key) {
                     TierRequest::Fixed(tier)
                 } else {
-                    return Err(ProtocolError::new(format!(
+                    return Err(invalid(format!(
                         "unknown fidelity {name:?} (expected \"lf\", \"learned\", \"hf\" or \
                          \"auto\")"
                     )));
@@ -110,7 +103,7 @@ impl EvaluateRequest {
         if workload.is_some()
             && !matches!(fidelity, TierRequest::Fixed(Fidelity::Low | Fidelity::High))
         {
-            return Err(ProtocolError::new(
+            return Err(invalid(
                 "ingested workloads answer fixed tiers only: use fidelity \"lf\" or \"hf\" \
                  (the learned tier and \"auto\" routing are trained on the synthetic template \
                  workload)",
@@ -118,25 +111,25 @@ impl EvaluateRequest {
         }
         let raw = value
             .get("points")
-            .ok_or_else(|| ProtocolError::new("missing `points` array"))?
+            .ok_or_else(|| invalid("missing `points` array"))?
             .as_array()
-            .ok_or_else(|| ProtocolError::new("`points` must be an array"))?;
+            .ok_or_else(|| invalid("`points` must be an array"))?;
         if raw.is_empty() {
-            return Err(ProtocolError::new("`points` must not be empty"));
+            return Err(invalid("`points` must not be empty"));
         }
         if raw.len() > max_points {
-            return Err(ProtocolError::new(format!(
+            return Err(invalid(format!(
                 "{} points exceed the per-request limit of {max_points}",
                 raw.len()
             )));
         }
         let mut points = Vec::with_capacity(raw.len());
         for (i, item) in raw.iter().enumerate() {
-            let code = item.as_u64().ok_or_else(|| {
-                ProtocolError::new(format!("points[{i}] must be a non-negative integer"))
-            })?;
+            let code = item
+                .as_u64()
+                .ok_or_else(|| invalid(format!("points[{i}] must be a non-negative integer")))?;
             if code >= space_size {
-                return Err(ProtocolError::new(format!(
+                return Err(invalid(format!(
                     "points[{i}] = {code} is outside the design space (size {space_size})"
                 )));
             }
@@ -160,23 +153,19 @@ impl WorkloadUploadRequest {
     /// Parses `{"name": "...", "elf_base64": "..."}`. Names are 1–64
     /// chars of `[A-Za-z0-9_-]` so they stay unambiguous in URLs, error
     /// messages and metrics labels.
-    pub fn parse(body: &str) -> Result<Self, ProtocolError> {
+    pub fn parse(body: &str) -> Result<Self, BadRequest> {
         let value = parse_body(body)?;
         let name = get_str(&value, "name")?
-            .ok_or_else(|| ProtocolError::new("missing `name` (the id to register under)"))?
+            .ok_or_else(|| invalid("missing `name` (the id to register under)"))?
             .to_string();
         if name.is_empty() || name.len() > 64 {
-            return Err(ProtocolError::new("`name` must be 1-64 characters"));
+            return Err(invalid("`name` must be 1-64 characters"));
         }
         if !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-') {
-            return Err(ProtocolError::new(
-                "`name` may only contain ASCII letters, digits, `_` and `-`",
-            ));
+            return Err(invalid("`name` may only contain ASCII letters, digits, `_` and `-`"));
         }
         let elf_base64 = get_str(&value, "elf_base64")?
-            .ok_or_else(|| {
-                ProtocolError::new("missing `elf_base64` (the ELF binary, base64-encoded)")
-            })?
+            .ok_or_else(|| invalid("missing `elf_base64` (the ELF binary, base64-encoded)"))?
             .to_string();
         Ok(Self { name, elf_base64 })
     }
@@ -240,24 +229,24 @@ pub(crate) struct ExplainRequest {
 
 impl ExplainRequest {
     /// Parses `{"point": n, "k": 3, "output": "rob", "cpi": 1.2}`.
-    pub fn parse(body: &str, space_size: u64) -> Result<Self, ProtocolError> {
+    pub fn parse(body: &str, space_size: u64) -> Result<Self, BadRequest> {
         let value = parse_body(body)?;
         let point = get_u64(&value, "point")?
-            .ok_or_else(|| ProtocolError::new("missing `point` (encoded design index)"))?;
+            .ok_or_else(|| invalid("missing `point` (encoded design index)"))?;
         if point >= space_size {
-            return Err(ProtocolError::new(format!(
+            return Err(invalid(format!(
                 "`point` = {point} is outside the design space (size {space_size})"
             )));
         }
         let k = get_u64(&value, "k")?.unwrap_or(3) as usize;
         if k == 0 {
-            return Err(ProtocolError::new("`k` must be at least 1"));
+            return Err(invalid("`k` must be at least 1"));
         }
         let output = get_str(&value, "output")?.map(str::to_string);
         let cpi = get_f64(&value, "cpi")?;
         if let Some(cpi) = cpi {
             if !cpi.is_finite() || cpi <= 0.0 {
-                return Err(ProtocolError::new("`cpi` must be a positive finite number"));
+                return Err(invalid("`cpi` must be a positive finite number"));
             }
         }
         Ok(Self { point, k, output, cpi })
@@ -299,26 +288,24 @@ pub(crate) struct ExploreRequest {
 
 impl ExploreRequest {
     /// Parses the job spec with service-quick defaults.
-    pub fn parse(body: &str) -> Result<Self, ProtocolError> {
+    pub fn parse(body: &str) -> Result<Self, BadRequest> {
         let value = parse_body(body)?;
         let general = get_bool(&value, "general")?.unwrap_or(false);
         let benchmark = get_str(&value, "benchmark")?.map(str::to_string);
         if general && benchmark.is_some() {
-            return Err(ProtocolError::new("`general` and `benchmark` are mutually exclusive"));
+            return Err(invalid("`general` and `benchmark` are mutually exclusive"));
         }
         let workload = get_str(&value, "workload")?.map(str::to_string);
         if workload.is_some() && (general || benchmark.is_some()) {
-            return Err(ProtocolError::new(
-                "`workload` is mutually exclusive with `benchmark` and `general`",
-            ));
+            return Err(invalid("`workload` is mutually exclusive with `benchmark` and `general`"));
         }
         let area_mm2 = get_f64(&value, "area")?.unwrap_or(8.0);
         if !area_mm2.is_finite() || area_mm2 <= 0.0 {
-            return Err(ProtocolError::new("`area` must be a positive number"));
+            return Err(invalid("`area` must be a positive number"));
         }
         let trace_len = get_u64(&value, "trace_len")?.unwrap_or(2_000) as usize;
         if trace_len == 0 {
-            return Err(ProtocolError::new("`trace_len` must be at least 1"));
+            return Err(invalid("`trace_len` must be at least 1"));
         }
         Ok(Self {
             benchmark: if general || workload.is_some() {
@@ -437,7 +424,7 @@ mod tests {
         assert!(EvaluateRequest::parse(r#"{"points": []}"#, 10, 8).is_err());
         assert!(EvaluateRequest::parse(r#"{"points": [1, 2, 3]}"#, 10, 2).is_err());
         let bad = EvaluateRequest::parse(r#"{"points": [1], "fidelity": "mid"}"#, 10, 8);
-        let msg = bad.unwrap_err().0;
+        let msg = bad.unwrap_err().reason;
         assert!(msg.contains("\"learned\"") && msg.contains("\"auto\""), "{msg}");
         assert!(EvaluateRequest::parse("nonsense", 10, 8).is_err());
         assert!(EvaluateRequest::parse("", 10, 8).is_err());
@@ -491,7 +478,7 @@ mod tests {
         // naming the tiers that do work.
         for tier in ["learned", "auto"] {
             let body = format!(r#"{{"points": [1], "workload": "fw", "fidelity": "{tier}"}}"#);
-            let msg = EvaluateRequest::parse(&body, 10, 8).unwrap_err().0;
+            let msg = EvaluateRequest::parse(&body, 10, 8).unwrap_err().reason;
             assert!(msg.contains("\"lf\"") && msg.contains("\"hf\""), "{msg}");
         }
     }

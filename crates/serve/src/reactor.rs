@@ -9,11 +9,15 @@
 //!
 //! Work leaves the reactor two ways and comes back through one:
 //!
-//! - `/v1/evaluate` (local mode) is parsed inline — it is cheap string work —
-//!   and enqueued on the coalescer, which stays the batching heart of the
+//! - A role may serve an endpoint inline ([`Engine::inline`]): a single
+//!   server parses `/v1/evaluate` on the reactor — it is cheap string work —
+//!   and enqueues it on the coalescer, which stays the batching heart of the
 //!   service; the connection parks with interest `None`.
 //! - Every other endpoint is handed to a small app-handler pool (CPU-bound
 //!   JSON/ingestion/aggregation work must not stall the event loop).
+//!
+//! Unknown paths and wrong methods never leave the reactor: the endpoint
+//! table ([`Endpoint::resolve`]) answers them with a 404 or 405.
 //!
 //! Both paths post a [`Completion`] to the shared [`CompletionQueue`] and
 //! wake the poller; the reactor then renders/loads the response and drives
@@ -33,12 +37,10 @@ use dse_obs::trace;
 use dse_reactor::{Backend, Event, Interest, Poller, TimerWheel, WakeRx, Waker, WAKE_TOKEN};
 
 use crate::batcher::EvalTiming;
-use crate::conn::{trace_id_hash, Conn, ConnState, ReadEvent, Timeline, PHASES};
-use crate::flight::CompletedRequest;
-use crate::http::{build_response, build_response_with, Request, CT_JSON};
+use crate::conn::{trace_id_hash, Conn, ConnState, ReadEvent};
+use crate::front::{json_reply, Endpoint, Front, Limits, Reply};
+use crate::http::{build_response, BadRequest, Request, CT_JSON};
 use crate::protocol::error_body;
-use crate::server::{endpoint_label, Shared};
-use crate::shard::RouterShared;
 
 /// Listener registration token (connection tokens start above it).
 const LISTEN_TOKEN: u64 = 0;
@@ -47,174 +49,62 @@ const TICK: Duration = Duration::from_millis(5);
 /// Timer wheel size (deadlines beyond the horizon re-queue transparently).
 const WHEEL_SLOTS: usize = 512;
 
-/// Which service logic a reactor instance drives.
-#[derive(Clone)]
-pub(crate) enum Engine {
-    /// A full evaluation server (coalescer, eval core, jobs).
-    Local(Arc<Shared>),
-    /// A shard router front (fan-out to upstream shard servers).
-    Router(Arc<RouterShared>),
+/// What a serving role adds to the shared [`Front`]: the calls that
+/// differ between a single server and a shard router.
+pub(crate) trait Engine: Send + Sync + 'static {
+    /// The reactor-facing state every role shares.
+    fn front(&self) -> &Front;
+
+    /// Serves `endpoint` on the reactor thread when this role can do so
+    /// without blocking; `None` hands the request to the app pool.
+    fn inline(
+        &self,
+        _endpoint: Endpoint,
+        _request: &Request,
+        _token: u64,
+        _generation: u64,
+        _completions: &Arc<CompletionQueue>,
+    ) -> Option<Dispatch> {
+        None
+    }
+
+    /// Renders an evaluate that [`Engine::inline`] parked on the
+    /// coalescer. Only a role that parks evaluates overrides this.
+    fn render_evaluate(&self, _codes: &[u64], _entries: Vec<(LedgerEntry, Fidelity)>) -> Reply {
+        json_reply(Err(BadRequest::new(500, "this role evaluates nothing locally")))
+    }
+
+    /// Blocking handling of `endpoint` on an app-pool worker.
+    fn route(&self, endpoint: Endpoint, request: &Request) -> Reply;
 }
 
-impl Engine {
-    pub(crate) fn shutting_down(&self) -> bool {
-        match self {
-            Engine::Local(s) => s.is_shutting_down(),
-            Engine::Router(r) => r.is_shutting_down(),
-        }
-    }
-
-    fn metrics(&self) -> &crate::server::ServerMetrics {
-        match self {
-            Engine::Local(s) => s.metrics(),
-            Engine::Router(r) => r.metrics(),
-        }
-    }
-
-    fn limits(&self) -> (Duration, Duration, usize) {
-        match self {
-            Engine::Local(s) => s.limits(),
-            Engine::Router(r) => r.limits(),
-        }
-    }
-
-    /// The next server-assigned trace id (deterministic per-process
-    /// counter; prefixed by role so router- and shard-assigned ids
-    /// never collide in a merged trace).
-    fn next_trace_id(&self) -> String {
-        match self {
-            Engine::Local(s) => format!("s{:08x}", s.next_trace_seq()),
-            Engine::Router(r) => format!("r{:08x}", r.next_trace_seq()),
-        }
-    }
-
-    /// The role label this engine stamps on its request records.
-    fn role(&self) -> &'static str {
-        match self {
-            Engine::Local(_) => "server",
-            Engine::Router(_) => "router",
-        }
-    }
-
-    /// Records one fully written response: always into the in-memory
-    /// flight recorder, and — when the request is trace-sampled — as a
-    /// `request` record in the JSONL trace.
-    fn record_request(
-        &self,
-        timeline: &Timeline,
-        endpoint: &'static str,
-        status: u16,
-        total_us: u64,
-    ) {
-        let completed = CompletedRequest::new(timeline, endpoint, status, total_us);
-        match self {
-            Engine::Local(s) => s.flight().record(completed),
-            Engine::Router(r) => r.flight().record(completed),
-        }
-        if timeline.sampled {
-            if let Some(id) = &timeline.trace {
-                let phases: Vec<(&'static str, u64)> =
-                    PHASES.iter().copied().zip(timeline.phase_values()).collect();
-                trace::request(&trace::RequestRecord {
-                    trace: id,
-                    role: self.role(),
-                    endpoint,
-                    status,
-                    dur_us: total_us,
-                    phases: &phases,
-                });
-            }
-        }
-    }
-
-    /// Reactor-thread dispatch of a parsed request. Only work that is cheap
-    /// and nonblocking may run here.
-    fn dispatch(
-        &self,
-        request: Request,
-        token: u64,
-        generation: u64,
-        completions: &Arc<CompletionQueue>,
-        app_tx: &SyncSender<AppJob>,
-    ) -> Dispatch {
-        // Local mode answers `/v1/evaluate` through the coalescer; every
-        // other request (and everything in router mode, whose handlers do
-        // blocking upstream I/O) goes to the app pool.
-        if let Engine::Local(shared) = self {
-            let path = request.path.split('?').next().unwrap_or(&request.path);
-            if (request.method.as_str(), path) == ("POST", "/v1/evaluate") {
-                return shared.dispatch_evaluate(&request, token, generation, completions);
-            }
-            if (request.method.as_str(), path) == ("POST", "/v1/shutdown") {
-                shared.initiate_shutdown();
-                return Dispatch::Immediate(200, "{\"status\":\"shutting down\"}".into(), CT_JSON);
-            }
-        }
-        // Router mode handles everything (including /v1/shutdown, whose
-        // upstream fan-out blocks) on the app pool.
-        match app_tx.try_send(AppJob { token, generation, request, enqueued_at: Instant::now() }) {
-            Ok(()) => Dispatch::Queued,
-            Err(TrySendError::Full(_)) => {
-                self.metrics().rejected.inc();
-                Dispatch::Immediate(503, error_body("request queue full, retry later"), CT_JSON)
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                Dispatch::Immediate(503, error_body("server is shutting down"), CT_JSON)
-            }
-        }
-    }
-
-    /// Renders a parked evaluate completion (local mode only).
-    fn render_eval(
-        &self,
-        codes: &[u64],
-        entries: Vec<(LedgerEntry, Fidelity)>,
-    ) -> (u16, String, &'static str) {
-        match self {
-            Engine::Local(shared) => shared.render_evaluate(codes, entries),
-            Engine::Router(_) => (500, error_body("router has no local evaluator"), CT_JSON),
-        }
-    }
-
-    /// Blocking request handling on an app-pool worker.
-    fn app_handle(&self, request: &Request) -> (u16, String, &'static str) {
-        match self {
-            Engine::Local(shared) => crate::server::route(shared, request),
-            Engine::Router(router) => crate::shard::route(router, request),
-        }
-    }
-}
-
-/// Outcome of [`Engine::dispatch`].
+/// Outcome of [`Reactor::dispatch`].
 pub(crate) enum Dispatch {
     /// Respond now from the reactor thread.
-    Immediate(u16, String, &'static str),
-    /// Parked on the coalescer; a [`Completion::Eval`] will arrive.
-    EvalParked { codes: Vec<u64> },
-    /// Handed to the app pool; a [`Completion::App`] will arrive.
+    Immediate(Reply),
+    /// Handed off (to the coalescer or the app pool); a [`Completion`]
+    /// will arrive.
     Queued,
 }
 
 /// One finished piece of off-reactor work, addressed by connection token
 /// and the generation it was issued under.
-pub(crate) enum Completion {
-    Eval {
-        token: u64,
-        generation: u64,
-        entries: Vec<(LedgerEntry, Fidelity)>,
-        timing: EvalTiming,
-        /// When the completion was posted — anchors the write phase.
-        posted_at: Instant,
-    },
-    App {
-        token: u64,
-        generation: u64,
-        status: u16,
-        body: String,
-        content_type: &'static str,
-        timing: EvalTiming,
-        posted_at: Instant,
-    },
+pub(crate) struct Completion {
+    pub token: u64,
+    pub generation: u64,
+    pub timing: EvalTiming,
+    /// When the completion was posted — anchors the write phase.
+    pub posted_at: Instant,
+    pub outcome: Outcome,
+}
+
+/// What a [`Completion`] brings back.
+pub(crate) enum Outcome {
+    /// An app-pool handler's response.
+    Reply(Reply),
+    /// The coalesced ledger entries of an evaluate, one per point of
+    /// `codes`, for [`Engine::render_evaluate`].
+    Evaluated { codes: Vec<u64>, entries: Vec<(LedgerEntry, Fidelity)> },
 }
 
 /// MPSC rendezvous from workers back to the reactor, with a built-in wake.
@@ -242,6 +132,7 @@ impl CompletionQueue {
 pub(crate) struct AppJob {
     pub token: u64,
     pub generation: u64,
+    pub endpoint: Endpoint,
     pub request: Request,
     /// When the job was queued (timeline `queue` phase).
     pub enqueued_at: Instant,
@@ -249,7 +140,7 @@ pub(crate) struct AppJob {
 
 /// The app-pool worker body: handle requests until the queue closes.
 pub(crate) fn app_worker_loop(
-    engine: Engine,
+    engine: Arc<dyn Engine>,
     rx: Arc<Mutex<Receiver<AppJob>>>,
     completions: Arc<CompletionQueue>,
 ) {
@@ -260,20 +151,19 @@ pub(crate) fn app_worker_loop(
         };
         let Ok(job) = job else { return };
         let picked_at = Instant::now();
-        let (status, body, content_type) = engine.app_handle(&job.request);
+        engine.front().count(job.endpoint);
+        let reply = engine.route(job.endpoint, &job.request);
         let timing = EvalTiming {
             queue_us: picked_at.saturating_duration_since(job.enqueued_at).as_micros() as u64,
             coalesce_us: 0,
             exec_us: picked_at.elapsed().as_micros() as u64,
         };
-        completions.push(Completion::App {
+        completions.push(Completion {
             token: job.token,
             generation: job.generation,
-            status,
-            body,
-            content_type,
             timing,
             posted_at: Instant::now(),
+            outcome: Outcome::Reply(reply),
         });
     }
 }
@@ -288,7 +178,7 @@ fn make_poller() -> std::io::Result<Poller> {
 }
 
 pub(crate) struct Reactor {
-    engine: Engine,
+    engine: Arc<dyn Engine>,
     poller: Poller,
     wheel: TimerWheel,
     conns: HashMap<u64, Conn>,
@@ -297,16 +187,14 @@ pub(crate) struct Reactor {
     wake_rx: WakeRx,
     listener: Option<TcpListener>,
     next_token: u64,
-    read_timeout: Duration,
-    write_timeout: Duration,
-    max_body_bytes: usize,
+    limits: Limits,
 }
 
 impl Reactor {
     /// The reactor thread body. Returns when shutdown has been requested
     /// and every accepted connection has fully drained.
     pub(crate) fn run(
-        engine: Engine,
+        engine: Arc<dyn Engine>,
         listener: TcpListener,
         wake_rx: WakeRx,
         completions: Arc<CompletionQueue>,
@@ -322,7 +210,7 @@ impl Reactor {
         if poller.register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::Read).is_err() {
             return;
         }
-        let (read_timeout, write_timeout, max_body_bytes) = engine.limits();
+        let limits = engine.front().limits;
         let mut reactor = Reactor {
             engine,
             poller,
@@ -333,9 +221,7 @@ impl Reactor {
             wake_rx,
             listener: Some(listener),
             next_token: LISTEN_TOKEN + 1,
-            read_timeout,
-            write_timeout,
-            max_body_bytes,
+            limits,
         };
         reactor.event_loop();
     }
@@ -356,7 +242,7 @@ impl Reactor {
                     std::thread::sleep(Duration::from_millis(1));
                 }
             }
-            self.engine.metrics().reactor_wakeups.inc();
+            self.engine.front().metrics.reactor_wakeups.inc();
 
             let batch = std::mem::take(&mut events);
             for event in &batch {
@@ -380,7 +266,7 @@ impl Reactor {
             }
             fired = due;
 
-            if self.engine.shutting_down() && self.shutdown_sweep() {
+            if self.engine.front().is_shutting_down() && self.shutdown_sweep() {
                 return;
             }
         }
@@ -411,7 +297,7 @@ impl Reactor {
             let Some(listener) = self.listener.as_ref() else { return };
             match listener.accept() {
                 Ok((stream, _)) => {
-                    if self.engine.shutting_down() {
+                    if self.engine.front().is_shutting_down() {
                         continue; // drop it; we are draining
                     }
                     if stream.set_nonblocking(true).is_err() {
@@ -420,14 +306,19 @@ impl Reactor {
                     let _ = stream.set_nodelay(true);
                     let token = self.next_token;
                     self.next_token += 1;
-                    let conn = Conn::new(stream, self.max_body_bytes);
+                    let conn = Conn::new(stream, self.limits.max_body_bytes);
                     if self.poller.register(conn.stream.as_raw_fd(), token, Interest::Read).is_err()
                     {
                         continue;
                     }
-                    self.wheel.insert(Instant::now(), self.read_timeout, token, conn.generation);
+                    self.wheel.insert(
+                        Instant::now(),
+                        self.limits.read_timeout,
+                        token,
+                        conn.generation,
+                    );
                     self.conns.insert(token, conn);
-                    self.engine.metrics().connections_open.set(self.conns.len() as f64);
+                    self.engine.front().metrics.connections_open.set(self.conns.len() as f64);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -435,7 +326,7 @@ impl Reactor {
                     // Out of fds or a transient accept failure: count it and
                     // yield briefly — level-triggered readiness would
                     // otherwise spin the loop at full speed.
-                    self.engine.metrics().accept_errors.inc();
+                    self.engine.front().metrics.accept_errors.inc();
                     std::thread::sleep(Duration::from_millis(2));
                     return;
                 }
@@ -480,13 +371,7 @@ impl Reactor {
                     return;
                 }
                 ReadEvent::Bad(bad) => {
-                    let metrics = self.engine.metrics();
-                    metrics.errors.inc();
-                    metrics.response("unparsed", bad.status).inc();
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.keep_alive_after = false;
-                    }
-                    self.respond(token, bad.status, &error_body(&bad.reason), CT_JSON, false);
+                    self.refuse_unparsed(token, bad.status, &bad.reason);
                     return;
                 }
                 ReadEvent::Request(request) => {
@@ -505,11 +390,11 @@ impl Reactor {
     /// written out entirely and the connection is back in `Reading` (so the
     /// caller may continue pumping pipelined input).
     fn begin_request(&mut self, token: u64, mut request: Request) -> bool {
-        let shutting_down = self.engine.shutting_down();
+        let shutting_down = self.engine.front().is_shutting_down();
         // Trace context: adopt the client's id, or — only when a trace
         // sink is installed — assign one. Off path this is one load.
         if request.trace.is_none() && trace::enabled() {
-            request.trace = Some(self.engine.next_trace_id());
+            request.trace = Some(self.engine.front().mint_trace_id());
         }
         let Some(conn) = self.conns.get_mut(&token) else { return false };
         let now = Instant::now();
@@ -520,25 +405,62 @@ impl Reactor {
         if let Some(read_started) = conn.timeline.read_started {
             conn.timeline.parse_us = now.saturating_duration_since(read_started).as_micros() as u64;
         }
-        conn.endpoint = endpoint_label(&request.path);
+        let (label, endpoint) = Endpoint::resolve(&request);
+        conn.endpoint = label;
         conn.keep_alive_after = request.keep_alive && !shutting_down;
         conn.state = ConnState::InFlight;
         let generation = conn.bump_generation();
         let fd = conn.stream.as_raw_fd();
         let _ = self.poller.modify(fd, token, Interest::None);
 
-        match self.engine.dispatch(request, token, generation, &self.completions, &self.app_tx) {
-            Dispatch::Immediate(status, body, content_type) => {
+        let dispatch = match endpoint {
+            Ok(endpoint) => self.dispatch(endpoint, request, token, generation),
+            Err(bad) => Dispatch::Immediate(json_reply(Err(bad))),
+        };
+        match dispatch {
+            Dispatch::Immediate((status, body, content_type)) => {
                 self.finish_and_respond(token, status, &body, content_type)
-            }
-            Dispatch::EvalParked { codes } => {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.pending_codes = codes;
-                }
-                false
             }
             Dispatch::Queued => false,
         }
+    }
+
+    /// Serves a resolved request inline when the role can, and otherwise
+    /// queues it on the app pool. Only work that is cheap and nonblocking
+    /// may run here.
+    fn dispatch(
+        &self,
+        endpoint: Endpoint,
+        request: Request,
+        token: u64,
+        generation: u64,
+    ) -> Dispatch {
+        let front = self.engine.front();
+        if let Some(done) =
+            self.engine.inline(endpoint, &request, token, generation, &self.completions)
+        {
+            front.count(endpoint);
+            return done;
+        }
+        let job = AppJob { token, generation, endpoint, request, enqueued_at: Instant::now() };
+        let refused = match self.app_tx.try_send(job) {
+            Ok(()) => return Dispatch::Queued,
+            Err(TrySendError::Full(_)) => {
+                front.metrics.rejected.inc();
+                "request queue full, retry later"
+            }
+            Err(TrySendError::Disconnected(_)) => "server is shutting down",
+        };
+        Dispatch::Immediate(json_reply(Err(BadRequest::new(503, refused))))
+    }
+
+    /// Answers a request that never parsed (malformed, or cut off by the
+    /// read deadline); the connection closes after the response.
+    fn refuse_unparsed(&mut self, token: u64, status: u16, reason: &str) {
+        let metrics = &self.engine.front().metrics;
+        metrics.errors.inc();
+        metrics.response("unparsed", status).inc();
+        self.respond(token, status, &error_body(reason), CT_JSON, false);
     }
 
     /// Observes per-request metrics, then writes the response. Returns
@@ -553,7 +475,7 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&token) else { return false };
         let endpoint = conn.endpoint;
         let elapsed = conn.started.map(|s| s.elapsed());
-        let metrics = self.engine.metrics();
+        let metrics = &self.engine.front().metrics;
         if let Some(elapsed) = elapsed {
             metrics.request_seconds(endpoint).observe_duration(elapsed);
         }
@@ -576,7 +498,7 @@ impl Reactor {
         content_type: &'static str,
         keep_alive_allowed: bool,
     ) -> bool {
-        let shutting_down = self.engine.shutting_down();
+        let shutting_down = self.engine.front().is_shutting_down();
         let Some(conn) = self.conns.get_mut(&token) else { return false };
         let keep = keep_alive_allowed && conn.keep_alive_after && !shutting_down;
         conn.keep_alive_after = keep;
@@ -588,15 +510,15 @@ impl Reactor {
         }
         // Requests with trace context get the phase breakdown echoed as
         // a `Server-Timing` header; everyone else keeps the old bytes.
-        let response = if conn.timeline.trace.is_some() {
-            let timing = conn.timeline.server_timing_value();
-            build_response_with(status, content_type, body, keep, &[("Server-Timing", timing)])
-        } else {
-            build_response(status, content_type, body, keep)
-        };
+        let timing = conn
+            .timeline
+            .trace
+            .as_ref()
+            .map(|_| ("Server-Timing", conn.timeline.server_timing_value()));
+        let response = build_response(status, content_type, body, keep, timing.as_slice());
         conn.set_response(response);
         let generation = conn.bump_generation();
-        self.wheel.insert(Instant::now(), self.write_timeout, token, generation);
+        self.wheel.insert(Instant::now(), self.limits.write_timeout, token, generation);
         self.continue_write(token)
     }
 
@@ -628,13 +550,13 @@ impl Reactor {
                     .unwrap_or(0);
                 let timeline = conn.timeline.clone();
                 let (endpoint, status) = (conn.endpoint, conn.status);
-                self.engine.record_request(&timeline, endpoint, status, total_us);
+                self.engine.front().record_request(&timeline, endpoint, status, total_us);
                 let Some(conn) = self.conns.get_mut(&token) else { return false };
                 if conn.keep_alive_after && conn.reset_for_next_request() {
                     let generation = conn.generation;
                     let fd = conn.stream.as_raw_fd();
                     let _ = self.poller.modify(fd, token, Interest::Read);
-                    self.wheel.insert(Instant::now(), self.read_timeout, token, generation);
+                    self.wheel.insert(Instant::now(), self.limits.read_timeout, token, generation);
                     // A pipelined request may already be buffered; the
                     // caller (pump) keeps going. When called from a
                     // completion path, pump explicitly.
@@ -656,48 +578,28 @@ impl Reactor {
         }
     }
 
-    fn apply_completion(&mut self, completion: Completion) {
-        let (token, generation) = match &completion {
-            Completion::Eval { token, generation, .. } => (*token, *generation),
-            Completion::App { token, generation, .. } => (*token, *generation),
-        };
-        let Some(conn) = self.conns.get(&token) else { return };
-        if conn.generation != generation || conn.state != ConnState::InFlight {
+    fn apply_completion(&mut self, done: Completion) {
+        let Some(conn) = self.conns.get_mut(&done.token) else { return };
+        if conn.generation != done.generation || conn.state != ConnState::InFlight {
             return; // stale: the connection moved on (timeout/close path)
         }
-        let ready = match completion {
-            Completion::Eval { entries, timing, posted_at, .. } => {
-                let codes = self
-                    .conns
-                    .get_mut(&token)
-                    .map(|c| {
-                        c.timeline.queue_us = timing.queue_us;
-                        c.timeline.coalesce_us = timing.coalesce_us;
-                        c.timeline.exec_us = timing.exec_us;
-                        c.timeline.resp_ready = Some(posted_at);
-                        std::mem::take(&mut c.pending_codes)
-                    })
-                    .unwrap_or_default();
+        conn.timeline.queue_us = done.timing.queue_us;
+        conn.timeline.coalesce_us = done.timing.coalesce_us;
+        conn.timeline.exec_us = done.timing.exec_us;
+        conn.timeline.resp_ready = Some(done.posted_at);
+        let (status, body, content_type) = match done.outcome {
+            Outcome::Reply(reply) => reply,
+            Outcome::Evaluated { codes, entries } => {
                 let serialize_start = Instant::now();
-                let (status, body, content_type) = self.engine.render_eval(&codes, entries);
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.timeline.serialize_us = serialize_start.elapsed().as_micros() as u64;
-                }
-                self.finish_and_respond(token, status, &body, content_type)
-            }
-            Completion::App { status, body, content_type, timing, posted_at, .. } => {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.timeline.queue_us = timing.queue_us;
-                    conn.timeline.exec_us = timing.exec_us;
-                    conn.timeline.resp_ready = Some(posted_at);
-                }
-                self.finish_and_respond(token, status, &body, content_type)
+                let reply = self.engine.render_evaluate(&codes, entries);
+                conn.timeline.serialize_us = serialize_start.elapsed().as_micros() as u64;
+                reply
             }
         };
-        if ready {
+        if self.finish_and_respond(done.token, status, &body, content_type) {
             // The response flushed inline and the connection is reading
             // again — service any pipelined input that is already buffered.
-            self.pump(token, false);
+            self.pump(done.token, false);
         }
     }
 
@@ -711,14 +613,10 @@ impl Reactor {
                 if conn.got_bytes {
                     // Slow-loris: a partial request dribbled past the read
                     // deadline gets a 408 and the door.
-                    let metrics = self.engine.metrics();
-                    metrics.errors.inc();
-                    metrics.response("unparsed", 408).inc();
-                    conn.keep_alive_after = false;
-                    self.respond(token, 408, &error_body("request timed out"), CT_JSON, false);
+                    self.refuse_unparsed(token, 408, "request timed out");
                 } else {
                     // Idle keep-alive / never-spoke connection: quiet close.
-                    self.engine.metrics().conns_reaped.inc();
+                    self.engine.front().metrics.conns_reaped.inc();
                     self.close_conn(token);
                 }
             }
@@ -731,7 +629,7 @@ impl Reactor {
         if let Some(mut conn) = self.conns.remove(&token) {
             conn.state = ConnState::Closed;
             let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            self.engine.metrics().connections_open.set(self.conns.len() as f64);
+            self.engine.front().metrics.connections_open.set(self.conns.len() as f64);
         }
     }
 }

@@ -8,21 +8,18 @@
 //! struct here is the hub all of them hang off.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use archdse::eval::{AnalyticalLf, DesignConstraints, IngestedWorkload, SimulatorHf};
 use archdse::{Explorer, Fnn};
 use dse_exec::{CostLedger, Fidelity, LearnedTier, LedgerEntry, TierGate};
 use dse_fnn::{explain_decision, explain_top_action};
 use dse_mfrl::{Constraint as _, LowFidelity as _};
-use dse_obs::{Counter, Gauge, Histogram, Registry, LATENCY_BUCKETS_S, SIZE_BUCKETS};
-use dse_reactor::{waker_pair, Waker};
 use dse_space::{DesignPoint, DesignSpace};
 use dse_workloads::Benchmark;
 
@@ -30,15 +27,17 @@ use crate::batcher::{
     run_coalescer, BatcherConfig, CoalescerStats, EvalCore, EvalJob, IngestedCore, LfCostModel,
     ReplyFn,
 };
+use crate::front::{
+    job_id, json_reply, start, wants_prometheus, Answer, Endpoint, Front, Limits, Reply,
+    ServerHandle,
+};
 use crate::http::{BadRequest, Request, CT_JSON, CT_PROMETHEUS};
 use crate::protocol::{
     error_body, EvaluateRequest, EvaluateResponse, EvaluatedPoint, ExplainRequest, ExplainResponse,
-    ExploreRequest, JobResult, JobStatus, MetricsResponse, ProtocolError, RequestCounters,
-    WorkloadUploadRequest, WorkloadUploadResponse,
+    ExploreRequest, JobResult, JobStatus, MetricsResponse, WorkloadUploadRequest,
+    WorkloadUploadResponse, MAX_POINTS_PER_REQUEST,
 };
-use crate::reactor::{
-    app_worker_loop, AppJob, Completion, CompletionQueue, Dispatch, Engine, Reactor,
-};
+use crate::reactor::{Completion, CompletionQueue, Dispatch, Engine, Outcome};
 
 /// Most ingested workloads one server instance will register; further
 /// uploads are rejected so a misbehaving client cannot grow the core
@@ -59,14 +58,8 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Micro-batcher policy (window, batch size, queue depth).
     pub batcher: BatcherConfig,
-    /// Per-connection read deadline (slow clients get a 408).
-    pub read_timeout: Duration,
-    /// Per-connection write deadline.
-    pub write_timeout: Duration,
-    /// Largest accepted request body.
-    pub max_body_bytes: usize,
-    /// Most design points accepted in one `/v1/evaluate` request.
-    pub max_points_per_request: usize,
+    /// Socket deadlines and the body size cap.
+    pub limits: Limits,
     /// The workload/space/trace template the shared evaluators and the
     /// explanation network are built from.
     pub explorer: Explorer,
@@ -77,16 +70,13 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Defaults around an explorer template: ephemeral localhost port,
-    /// 4 app workers, 1 MiB bodies, 10 s socket deadlines.
+    /// 4 app workers and the default [`Limits`].
     pub fn new(explorer: Explorer) -> Self {
         Self {
             addr: "127.0.0.1:0".into(),
             workers: 4,
             batcher: BatcherConfig::default(),
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-            max_body_bytes: 1024 * 1024,
-            max_points_per_request: 256,
+            limits: Limits::default(),
             explorer,
             fnn: None,
         }
@@ -99,93 +89,27 @@ enum JobState {
     Failed(String),
 }
 
+impl JobState {
+    /// The `GET /v1/jobs/<id>` view of this state.
+    fn status(&self, job: u64) -> JobStatus {
+        let (state, result, error) = match self {
+            JobState::Running => ("running", None, None),
+            JobState::Done(result) => ("done", Some((**result).clone()), None),
+            JobState::Failed(msg) => ("failed", None, Some(msg.clone())),
+        };
+        JobStatus { job, state: state.into(), result, error }
+    }
+}
+
 #[derive(Default)]
 struct JobTable {
     next: AtomicU64,
     states: Mutex<HashMap<u64, JobState>>,
 }
 
-/// Per-server observability handles. Every request counter flows
-/// through one per-instance [`Registry`], so `/metrics` is a single
-/// consistent snapshot of the same storage both expositions read — and
-/// tests hosting several servers in one process never share counts.
-pub(crate) struct ServerMetrics {
-    pub(crate) registry: Registry,
-    pub(crate) healthz: Counter,
-    pub(crate) metrics: Counter,
-    pub(crate) evaluate: Counter,
-    pub(crate) explain: Counter,
-    pub(crate) explore: Counter,
-    pub(crate) workloads: Counter,
-    pub(crate) jobs: Counter,
-    pub(crate) rejected: Counter,
-    pub(crate) errors: Counter,
-    /// Ingested workloads successfully registered over this server's
-    /// lifetime.
-    pub(crate) workloads_registered: Counter,
-    pub(crate) coalescer_batch_points: Histogram,
-    /// Time evaluate jobs sat in the coalescer queue before a batch
-    /// picked them up.
-    pub(crate) coalescer_queue_wait: Histogram,
-    /// Currently open connections on the reactor.
-    pub(crate) connections_open: Gauge,
-    /// Idle / never-spoke connections quietly closed by the read
-    /// deadline (the non-408 half of the reaping policy).
-    pub(crate) conns_reaped: Counter,
-    /// `accept(2)` failures (out of fds, transient kernel errors).
-    pub(crate) accept_errors: Counter,
-    /// Reactor poll returns — the loop's heartbeat.
-    pub(crate) reactor_wakeups: Counter,
-}
-
-impl ServerMetrics {
-    pub(crate) fn new() -> Self {
-        let registry = Registry::new();
-        let endpoint = |name| registry.counter_with("serve_requests_total", &[("endpoint", name)]);
-        Self {
-            healthz: endpoint("healthz"),
-            metrics: endpoint("metrics"),
-            evaluate: endpoint("evaluate"),
-            explain: endpoint("explain"),
-            explore: endpoint("explore"),
-            workloads: endpoint("workloads"),
-            jobs: endpoint("jobs"),
-            rejected: registry.counter("serve_rejected_total"),
-            errors: registry.counter("serve_errors_total"),
-            workloads_registered: registry.counter("workloads_registered"),
-            coalescer_batch_points: registry
-                .histogram("serve_coalescer_batch_points", SIZE_BUCKETS),
-            coalescer_queue_wait: registry
-                .histogram("serve_coalescer_queue_wait_seconds", LATENCY_BUCKETS_S),
-            connections_open: registry.gauge("serve_connections_open"),
-            conns_reaped: registry.counter("serve_conns_reaped_total"),
-            accept_errors: registry.counter("serve_accept_errors_total"),
-            reactor_wakeups: registry.counter("serve_reactor_wakeups_total"),
-            registry,
-        }
-    }
-
-    /// Per-endpoint request latency series (registered on first hit).
-    pub(crate) fn request_seconds(&self, endpoint: &str) -> Histogram {
-        self.registry.histogram_with(
-            "serve_request_seconds",
-            &[("endpoint", endpoint)],
-            LATENCY_BUCKETS_S,
-        )
-    }
-
-    /// Per-endpoint, per-status response counter.
-    pub(crate) fn response(&self, endpoint: &str, status: u16) -> Counter {
-        let status = status.to_string();
-        self.registry
-            .counter_with("serve_responses_total", &[("endpoint", endpoint), ("status", &status)])
-    }
-}
-
 /// Cross-thread server state.
 pub(crate) struct Shared {
-    addr: SocketAddr,
-    config: ServeConfig,
+    front: Front,
     benchmarks: Vec<Benchmark>,
     space: DesignSpace,
     space_size: u64,
@@ -195,140 +119,44 @@ pub(crate) struct Shared {
     core: Arc<Mutex<EvalCore>>,
     coalescer_stats: Arc<Mutex<CoalescerStats>>,
     eval_tx: Mutex<Option<std::sync::mpsc::SyncSender<EvalJob>>>,
-    shutdown: AtomicBool,
-    /// Pokes the reactor when shutdown trips or a completion lands.
-    waker: Waker,
     /// Registered workload names, mirrored out of the core so the
     /// reactor thread can resolve them without touching the core lock
     /// (the coalescer holds that lock for whole simulation batches).
     workload_names: Mutex<Vec<String>>,
-    jobs: JobTable,
+    jobs: Arc<JobTable>,
     job_handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Request accounting (the `/metrics` `requests` section and the
-    /// Prometheus exposition alike).
-    metrics: ServerMetrics,
-    /// Completed-request ring for `GET /debug/requests`.
-    flight: crate::flight::FlightRecorder,
-    /// Server-assigned trace id sequence (deterministic per process).
-    trace_seq: AtomicU64,
 }
 
-impl Shared {
-    fn counters(&self) -> RequestCounters {
-        RequestCounters {
-            healthz: self.metrics.healthz.get(),
-            metrics: self.metrics.metrics.get(),
-            evaluate: self.metrics.evaluate.get(),
-            explain: self.metrics.explain.get(),
-            explore: self.metrics.explore.get(),
-            workloads: self.metrics.workloads.get(),
-            jobs: self.metrics.jobs.get(),
-            rejected: self.metrics.rejected.get(),
-            errors: self.metrics.errors.get(),
-        }
+impl Engine for Shared {
+    fn front(&self) -> &Front {
+        &self.front
     }
 
-    pub(crate) fn metrics(&self) -> &ServerMetrics {
-        &self.metrics
-    }
-
-    pub(crate) fn flight(&self) -> &crate::flight::FlightRecorder {
-        &self.flight
-    }
-
-    pub(crate) fn next_trace_seq(&self) -> u64 {
-        self.trace_seq.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    pub(crate) fn limits(&self) -> (Duration, Duration, usize) {
-        (self.config.read_timeout, self.config.write_timeout, self.config.max_body_bytes)
-    }
-
-    pub(crate) fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Flags shutdown and wakes the reactor so it notices immediately.
-    pub(crate) fn initiate_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.waker.wake();
-    }
-
-    /// Reactor-thread half of `/v1/evaluate`: parse, resolve, enqueue on
-    /// the coalescer. Never blocks and never takes the core lock.
-    pub(crate) fn dispatch_evaluate(
+    /// `/v1/evaluate` goes straight to the coalescer and `/v1/shutdown`
+    /// only flips a flag, so neither waits for the app pool.
+    fn inline(
         &self,
+        endpoint: Endpoint,
         request: &Request,
         token: u64,
         generation: u64,
         completions: &Arc<CompletionQueue>,
-    ) -> Dispatch {
-        self.metrics.evaluate.inc();
-        let immediate = |status: u16, body: String| Dispatch::Immediate(status, body, CT_JSON);
-        let body = match request.body_utf8() {
-            Ok(body) => body,
-            Err(BadRequest { status, reason }) => return immediate(status, error_body(&reason)),
-        };
-        let parsed =
-            match EvaluateRequest::parse(body, self.space_size, self.config.max_points_per_request)
-            {
-                Ok(parsed) => parsed,
-                Err(e) => return immediate(400, error_body(&e.0)),
-            };
-        let workload = match &parsed.workload {
-            None => None,
-            Some(name) => {
-                let names = self.workload_names.lock().expect("workload names poisoned");
-                match names.iter().position(|w| w == name) {
-                    Some(index) => Some(index),
-                    None => return immediate(400, unknown_workload(name, &names)),
-                }
+    ) -> Option<Dispatch> {
+        match endpoint {
+            Endpoint::Evaluate => Some(
+                self.dispatch_evaluate(request, token, generation, completions)
+                    .unwrap_or_else(|bad| Dispatch::Immediate(json_reply(Err(bad)))),
+            ),
+            Endpoint::Shutdown => {
+                Some(Dispatch::Immediate(json_reply(Ok(self.front.acknowledge_shutdown()))))
             }
-        };
-        let points: Vec<DesignPoint> =
-            parsed.points.iter().map(|&code| self.space.decode(code)).collect();
-
-        let completions = Arc::clone(completions);
-        let reply: ReplyFn = Box::new(move |entries, timing| {
-            completions.push(Completion::Eval {
-                token,
-                generation,
-                entries,
-                timing,
-                posted_at: Instant::now(),
-            });
-        });
-        let job = EvalJob {
-            tier: parsed.fidelity,
-            workload,
-            points,
-            enqueued_at: Instant::now(),
-            trace: request.trace.clone(),
-            reply,
-        };
-        let sender = self.eval_tx.lock().expect("eval_tx poisoned").clone();
-        let Some(sender) = sender else {
-            return immediate(503, error_body("server is shutting down"));
-        };
-        match sender.try_send(job) {
-            Ok(()) => Dispatch::EvalParked { codes: parsed.points },
-            Err(TrySendError::Full(_)) => {
-                self.metrics.rejected.inc();
-                immediate(503, error_body("evaluation queue full, retry later"))
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                immediate(503, error_body("server is shutting down"))
-            }
+            _ => None,
         }
     }
 
     /// Renders the `/v1/evaluate` response once the coalescer's ledger
     /// entries come back. Runs on the reactor thread; pure computation.
-    pub(crate) fn render_evaluate(
-        &self,
-        codes: &[u64],
-        entries: Vec<(LedgerEntry, Fidelity)>,
-    ) -> (u16, String, &'static str) {
+    fn render_evaluate(&self, codes: &[u64], entries: Vec<(LedgerEntry, Fidelity)>) -> Reply {
         let mut results = Vec::with_capacity(entries.len());
         for (&code, (entry, answered_by)) in codes.iter().zip(&entries) {
             let point = self.space.decode(code);
@@ -352,38 +180,81 @@ impl Shared {
                 feasible: self.constraints.fits(&self.space, &point),
             });
         }
-        let (status, body) = json(&EvaluateResponse { results });
-        (status, body, CT_JSON)
+        json_reply(Ok(json(&EvaluateResponse { results })))
+    }
+
+    fn route(&self, endpoint: Endpoint, request: &Request) -> Reply {
+        let answer = match endpoint {
+            Endpoint::Metrics => {
+                return handle_metrics(self, request).unwrap_or_else(|bad| json_reply(Err(bad)))
+            }
+            Endpoint::Healthz => Ok(handle_healthz(self)),
+            Endpoint::Debug => Ok((200, self.front.flight.to_json())),
+            Endpoint::Explain => handle_explain(self, request),
+            Endpoint::Explore => handle_explore(self, request),
+            Endpoint::Workloads => handle_workloads(self, request),
+            Endpoint::Jobs => handle_job(self, request),
+            // Served inline; reaching the pool is a routing bug, not a
+            // client error.
+            Endpoint::Evaluate | Endpoint::Shutdown => {
+                Err(BadRequest::new(500, "this endpoint is served on the reactor"))
+            }
+        };
+        json_reply(answer)
     }
 }
 
-/// A running server: its bound address plus shutdown/join control.
-pub struct ServerHandle {
-    shared: Arc<Shared>,
-    supervisor: Option<JoinHandle<()>>,
-}
+impl Shared {
+    /// Reactor-thread half of `/v1/evaluate`: parse, resolve, enqueue on
+    /// the coalescer. Never blocks and never takes the core lock.
+    fn dispatch_evaluate(
+        &self,
+        request: &Request,
+        token: u64,
+        generation: u64,
+        completions: &Arc<CompletionQueue>,
+    ) -> Result<Dispatch, BadRequest> {
+        let body = request.body_utf8()?;
+        let parsed = EvaluateRequest::parse(body, self.space_size, MAX_POINTS_PER_REQUEST)?;
+        let workload = match &parsed.workload {
+            None => None,
+            Some(name) => {
+                let names = self.workload_names.lock().expect("workload names poisoned");
+                let index = names.iter().position(|w| w == name);
+                Some(index.ok_or_else(|| unknown_workload(name, &names))?)
+            }
+        };
+        let points: Vec<DesignPoint> =
+            parsed.points.iter().map(|&code| self.space.decode(code)).collect();
 
-impl ServerHandle {
-    /// The address the server is listening on (with the real port even
-    /// when the config asked for port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
-    }
-
-    /// Requests a graceful shutdown: stop accepting, finish in-flight
-    /// connections, drain the evaluation queue, join exploration jobs.
-    pub fn shutdown(&self) {
-        self.shared.initiate_shutdown();
-    }
-
-    /// Blocks until the server has fully drained and exited.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the supervisor thread itself panicked.
-    pub fn join(mut self) {
-        if let Some(handle) = self.supervisor.take() {
-            handle.join().expect("server supervisor panicked");
+        let completions = Arc::clone(completions);
+        let codes = parsed.points;
+        let reply: ReplyFn = Box::new(move |entries, timing| {
+            completions.push(Completion {
+                token,
+                generation,
+                timing,
+                posted_at: Instant::now(),
+                outcome: Outcome::Evaluated { codes, entries },
+            });
+        });
+        let job = EvalJob {
+            tier: parsed.fidelity,
+            workload,
+            points,
+            enqueued_at: Instant::now(),
+            trace: request.trace.clone(),
+            reply,
+        };
+        let sender = self.eval_tx.lock().expect("eval_tx poisoned").clone();
+        let shutting_down = || BadRequest::new(503, "server is shutting down");
+        match sender.ok_or_else(shutting_down)?.try_send(job) {
+            Ok(()) => Ok(Dispatch::Queued),
+            Err(TrySendError::Full(_)) => {
+                self.front.metrics.rejected.inc();
+                Err(BadRequest::new(503, "evaluation queue full, retry later"))
+            }
+            Err(TrySendError::Disconnected(_)) => Err(shutting_down()),
         }
     }
 }
@@ -395,8 +266,7 @@ impl ServerHandle {
 ///
 /// Fails when the address cannot be bound or inspected.
 pub fn spawn(config: ServeConfig) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
+    let (front, listener, wake_rx) = Front::bind(&config.addr, "server", config.limits)?;
 
     let explorer = &config.explorer;
     let space = explorer.space().clone();
@@ -410,106 +280,50 @@ pub fn spawn(config: ServeConfig) -> std::io::Result<ServerHandle> {
         ledger: CostLedger::new(),
         ingested: Vec::new(),
     }));
-    let fnn = config.fnn.clone().unwrap_or_else(|| explorer.build_fnn());
-    let (waker, wake_rx) = waker_pair()?;
-
-    let shared = Arc::new(Shared {
-        addr,
-        benchmarks: explorer.benchmarks().to_vec(),
-        space_size: space.size(),
-        space,
-        fnn,
-        lf_explain: lf_model,
-        constraints: explorer.constraints(),
-        core: Arc::clone(&core),
-        coalescer_stats: Arc::new(Mutex::new(CoalescerStats::default())),
-        eval_tx: Mutex::new(None),
-        shutdown: AtomicBool::new(false),
-        waker: waker.clone(),
-        workload_names: Mutex::new(Vec::new()),
-        jobs: JobTable::default(),
-        job_handles: Mutex::new(Vec::new()),
-        metrics: ServerMetrics::new(),
-        flight: crate::flight::FlightRecorder::new(),
-        trace_seq: AtomicU64::new(0),
-        config,
-    });
-    let completions = Arc::new(CompletionQueue::new(waker));
-
-    // Coalescer thread: owns the evaluation queue's receiving end.
-    let (eval_tx, eval_rx) = sync_channel::<EvalJob>(shared.config.batcher.queue_capacity);
-    *shared.eval_tx.lock().expect("eval_tx poisoned") = Some(eval_tx);
+    // The coalescer thread owns the evaluation queue's receiving end.
+    let (eval_tx, eval_rx) = sync_channel::<EvalJob>(config.batcher.queue_capacity);
+    let coalescer_stats = Arc::new(Mutex::new(CoalescerStats::default()));
     let coalescer = {
         let core = Arc::clone(&core);
-        let stats = Arc::clone(&shared.coalescer_stats);
-        let batcher = shared.config.batcher;
-        let batch_points = shared.metrics.coalescer_batch_points.clone();
-        let queue_wait = shared.metrics.coalescer_queue_wait.clone();
+        let stats = Arc::clone(&coalescer_stats);
+        let batcher = config.batcher;
+        let batch_points = front.metrics.coalescer_batch_points.clone();
+        let queue_wait = front.metrics.coalescer_queue_wait.clone();
         std::thread::spawn(move || {
             run_coalescer(eval_rx, core, stats, batcher, batch_points, queue_wait)
         })
     };
 
-    // App-handler pool: blocking endpoint work off the reactor thread.
-    let (app_tx, app_rx) = sync_channel::<AppJob>(shared.config.batcher.queue_capacity);
-    let app_rx = Arc::new(Mutex::new(app_rx));
-    let app_workers: Vec<JoinHandle<()>> = (0..shared.config.workers.max(1))
-        .map(|_| {
-            let engine = Engine::Local(Arc::clone(&shared));
-            let app_rx = Arc::clone(&app_rx);
-            let completions = Arc::clone(&completions);
-            std::thread::spawn(move || app_worker_loop(engine, app_rx, completions))
-        })
-        .collect();
-
-    // Reactor thread: owns the listener and every connection.
-    let reactor = {
-        let engine = Engine::Local(Arc::clone(&shared));
-        let completions = Arc::clone(&completions);
-        std::thread::spawn(move || Reactor::run(engine, listener, wake_rx, completions, app_tx))
-    };
-
-    // Supervisor: tear the pipeline down stage by stage once the reactor
-    // has drained every connection.
-    let supervisor = {
+    let shared = Arc::new(Shared {
+        front,
+        benchmarks: explorer.benchmarks().to_vec(),
+        space_size: space.size(),
+        space,
+        fnn: config.fnn.clone().unwrap_or_else(|| explorer.build_fnn()),
+        lf_explain: lf_model,
+        constraints: explorer.constraints(),
+        core,
+        coalescer_stats,
+        eval_tx: Mutex::new(Some(eval_tx)),
+        workload_names: Mutex::new(Vec::new()),
+        jobs: Arc::default(),
+        job_handles: Mutex::new(Vec::new()),
+    });
+    // Once the reactor and the app pool are gone: dropping the primary
+    // eval sender lets the coalescer drain the queue and exit, then the
+    // exploration jobs are joined.
+    let teardown = {
         let shared = Arc::clone(&shared);
-        std::thread::spawn(move || {
-            let _ = reactor.join();
-            // The reactor owned the only app sender; its exit closes the
-            // app queue and the workers drain out.
-            for worker in app_workers {
-                let _ = worker.join();
-            }
-            // Dropping the primary eval sender lets the coalescer drain
-            // the queue and exit.
+        move || {
             *shared.eval_tx.lock().expect("eval_tx poisoned") = None;
             let _ = coalescer.join();
             let handles = std::mem::take(&mut *shared.job_handles.lock().expect("jobs poisoned"));
             for handle in handles {
                 let _ = handle.join();
             }
-        })
+        }
     };
-
-    Ok(ServerHandle { shared, supervisor: Some(supervisor) })
-}
-
-/// The low-cardinality endpoint label of a request path (query string
-/// and job ids stripped).
-pub(crate) fn endpoint_label(path: &str) -> &'static str {
-    let path = path.split('?').next().unwrap_or(path);
-    match path {
-        "/healthz" => "healthz",
-        "/metrics" => "metrics",
-        "/debug/requests" => "debug",
-        "/v1/evaluate" => "evaluate",
-        "/v1/explain" => "explain",
-        "/v1/explore" => "explore",
-        "/v1/workloads" => "workloads",
-        "/v1/shutdown" => "shutdown",
-        p if p.starts_with("/v1/jobs/") => "jobs",
-        _ => "other",
-    }
+    Ok(start(shared, listener, wake_rx, config.workers, config.batcher.queue_capacity, teardown))
 }
 
 /// JSON-serializes a response payload (an internal failure here is a
@@ -521,68 +335,23 @@ fn json<T: serde::Serialize>(value: &T) -> (u16, String) {
     }
 }
 
-fn bad(err: ProtocolError) -> (u16, String) {
-    (400, error_body(&err.0))
-}
-
-/// The 400 body for a workload id that is not registered, naming every
-/// id that is (mirroring the unknown-fidelity error style).
-fn unknown_workload(name: &str, registered: &[String]) -> String {
+/// The 400 for a workload id that is not registered, naming every id
+/// that is (mirroring the unknown-fidelity error style).
+fn unknown_workload(name: &str, registered: &[String]) -> BadRequest {
     if registered.is_empty() {
-        return error_body(&format!(
-            "unknown workload {name:?} (no workloads registered — upload one via \
-             POST /v1/workloads)"
-        ));
+        return BadRequest::new(
+            400,
+            format!(
+                "unknown workload {name:?} (no workloads registered — upload one via \
+                 POST /v1/workloads)"
+            ),
+        );
     }
     let registered: Vec<String> = registered.iter().map(|w| format!("{w:?}")).collect();
-    error_body(&format!("unknown workload {name:?} (expected {})", registered.join(", ")))
+    BadRequest::new(400, format!("unknown workload {name:?} (expected {})", registered.join(", ")))
 }
 
-/// App-pool request routing (every endpoint except `/v1/evaluate`,
-/// which the reactor dispatches straight to the coalescer).
-pub(crate) fn route(shared: &Arc<Shared>, request: &Request) -> (u16, String, &'static str) {
-    // The query string is only meaningful on `/metrics` (the exposition
-    // format selector); everywhere else it is ignored, as before.
-    let (path, query) = match request.path.split_once('?') {
-        Some((path, query)) => (path, query),
-        None => (request.path.as_str(), ""),
-    };
-    if let ("GET", "/metrics") = (request.method.as_str(), path) {
-        return handle_metrics(shared, query);
-    }
-    let (status, body) = match (request.method.as_str(), path) {
-        ("GET", "/healthz") => handle_healthz(shared),
-        ("GET", "/debug/requests") => (200, shared.flight.to_json()),
-        // Dispatched on the reactor in local mode; reaching here means a
-        // routing bug, not a client error.
-        ("POST", "/v1/evaluate") => (500, error_body("evaluate must be reactor-dispatched")),
-        ("POST", "/v1/explain") => handle_explain(shared, request),
-        ("POST", "/v1/explore") => handle_explore(shared, request),
-        ("POST", "/v1/workloads") => handle_workloads(shared, request),
-        ("GET", path) if path.starts_with("/v1/jobs/") => handle_job(shared, path),
-        ("POST", "/v1/shutdown") => {
-            shared.initiate_shutdown();
-            (200, "{\"status\":\"shutting down\"}".into())
-        }
-        (
-            _,
-            "/healthz" | "/metrics" | "/v1/evaluate" | "/v1/explain" | "/v1/explore"
-            | "/v1/workloads",
-        ) => (405, error_body("method not allowed for this endpoint")),
-        _ => (
-            404,
-            error_body(
-                "no such endpoint; try GET /healthz, GET /metrics, POST /v1/evaluate, \
-                 POST /v1/explain, POST /v1/explore, POST /v1/workloads, GET /v1/jobs/<id>, \
-                 POST /v1/shutdown",
-            ),
-        ),
-    };
-    (status, body, CT_JSON)
-}
-
-fn handle_healthz(shared: &Arc<Shared>) -> (u16, String) {
-    shared.metrics.healthz.inc();
+fn handle_healthz(shared: &Shared) -> (u16, String) {
     #[derive(serde::Serialize)]
     struct Health {
         status: &'static str,
@@ -601,63 +370,39 @@ fn handle_healthz(shared: &Arc<Shared>) -> (u16, String) {
     })
 }
 
-fn handle_metrics(shared: &Arc<Shared>, query: &str) -> (u16, String, &'static str) {
-    shared.metrics.metrics.inc();
-    let format = query.split('&').find_map(|pair| pair.strip_prefix("format=")).unwrap_or("json");
-    match format {
-        "prometheus" => {
-            // The per-server registry first, then the process-global one
-            // (sim kernel, executor, MFRL series); on a name collision
-            // the server's own series wins.
-            let text = shared
-                .metrics
-                .registry
-                .snapshot()
-                .merged(dse_obs::global().snapshot())
-                .to_prometheus_text();
-            (200, text, CT_PROMETHEUS)
-        }
-        "json" => {
-            let (ledger, hf_cache) = {
-                let core = shared.core.lock().expect("evaluation core poisoned");
-                (core.ledger.summary(), core.hf.cache_stats())
-            };
-            let coalescer = *shared.coalescer_stats.lock().expect("coalescer stats poisoned");
-            let mut job_states = [0u64; 3];
-            for state in shared.jobs.states.lock().expect("job table poisoned").values() {
-                match state {
-                    JobState::Running => job_states[0] += 1,
-                    JobState::Done(_) => job_states[1] += 1,
-                    JobState::Failed(_) => job_states[2] += 1,
-                }
-            }
-            let (status, body) = json(&MetricsResponse {
-                requests: shared.counters(),
-                coalescer,
-                ledger,
-                hf_cache,
-                job_states,
-            });
-            (status, body, CT_JSON)
-        }
-        other => (
-            400,
-            error_body(&format!("unknown format {other:?} (expected \"json\" or \"prometheus\")")),
-            CT_JSON,
-        ),
+fn handle_metrics(shared: &Shared, request: &Request) -> Result<Reply, BadRequest> {
+    if wants_prometheus(request)? {
+        // The per-server registry first, then the process-global one
+        // (sim kernel, executor, MFRL series); on a name collision the
+        // server's own series wins.
+        let text = shared
+            .front
+            .metrics
+            .registry
+            .snapshot()
+            .merged(dse_obs::global().snapshot())
+            .to_prometheus_text();
+        return Ok((200, text, CT_PROMETHEUS));
     }
+    let (ledger, hf_cache) = {
+        let core = shared.core.lock().expect("evaluation core poisoned");
+        (core.ledger.summary(), core.hf.cache_stats())
+    };
+    let coalescer = *shared.coalescer_stats.lock().expect("coalescer stats poisoned");
+    let mut job_states = [0u64; 3];
+    for state in shared.jobs.states.lock().expect("job table poisoned").values() {
+        match state {
+            JobState::Running => job_states[0] += 1,
+            JobState::Done(_) => job_states[1] += 1,
+            JobState::Failed(_) => job_states[2] += 1,
+        }
+    }
+    let requests = shared.front.counters();
+    Ok(json_reply(Ok(json(&MetricsResponse { requests, coalescer, ledger, hf_cache, job_states }))))
 }
 
-fn handle_explain(shared: &Arc<Shared>, request: &Request) -> (u16, String) {
-    shared.metrics.explain.inc();
-    let body = match request.body_utf8() {
-        Ok(body) => body,
-        Err(BadRequest { status, reason }) => return (status, error_body(&reason)),
-    };
-    let parsed = match ExplainRequest::parse(body, shared.space_size) {
-        Ok(parsed) => parsed,
-        Err(e) => return bad(e),
-    };
+fn handle_explain(shared: &Shared, request: &Request) -> Answer {
+    let parsed = ExplainRequest::parse(request.body_utf8()?, shared.space_size)?;
     let space = &shared.space;
     let point = space.decode(parsed.point);
     // Explanations read the LF proxy directly: they are introspection,
@@ -667,71 +412,52 @@ fn handle_explain(shared: &Arc<Shared>, request: &Request) -> (u16, String) {
     let explanation = match parsed.output {
         None => explain_top_action(&shared.fnn, &obs, parsed.k),
         Some(name) => {
-            let Some(output) =
-                shared.fnn.output_names().iter().position(|n| n.eq_ignore_ascii_case(&name))
-            else {
-                return (
-                    400,
-                    error_body(&format!(
-                        "unknown output {name:?}; valid outputs: {}",
-                        shared.fnn.output_names().join(", ")
-                    )),
-                );
-            };
+            let names = shared.fnn.output_names();
+            let output =
+                names.iter().position(|n| n.eq_ignore_ascii_case(&name)).ok_or_else(|| {
+                    let valid = names.join(", ");
+                    BadRequest::new(400, format!("unknown output {name:?}; valid outputs: {valid}"))
+                })?;
             explain_decision(&shared.fnn, &obs, output, parsed.k)
         }
     };
-    json(&ExplainResponse { point: parsed.point, design: point.describe(space), cpi, explanation })
+    Ok(json(&ExplainResponse {
+        point: parsed.point,
+        design: point.describe(space),
+        cpi,
+        explanation,
+    }))
 }
 
-fn handle_workloads(shared: &Arc<Shared>, request: &Request) -> (u16, String) {
-    shared.metrics.workloads.inc();
-    let body = match request.body_utf8() {
-        Ok(body) => body,
-        Err(BadRequest { status, reason }) => return (status, error_body(&reason)),
-    };
-    let parsed = match WorkloadUploadRequest::parse(body) {
-        Ok(parsed) => parsed,
-        Err(e) => return bad(e),
-    };
+fn handle_workloads(shared: &Shared, request: &Request) -> Answer {
+    let parsed = WorkloadUploadRequest::parse(request.body_utf8()?)?;
+    let refuse = |reason: String| BadRequest::new(400, reason);
     // Anything `/v1/explore`'s benchmark resolver would accept (names
     // and aliases alike) is off-limits as a workload id.
     if parsed.name.parse::<Benchmark>().is_ok() {
-        return (
-            400,
-            error_body(&format!(
-                "workload name {:?} collides with a built-in benchmark",
-                parsed.name
-            )),
-        );
+        let name = &parsed.name;
+        return Err(refuse(format!("workload name {name:?} collides with a built-in benchmark")));
     }
-    let elf = match dse_ingest::base64::decode(&parsed.elf_base64) {
-        Ok(elf) => elf,
-        Err(e) => return (400, error_body(&format!("`elf_base64` is not valid base64: {e}"))),
-    };
+    let elf = dse_ingest::base64::decode(&parsed.elf_base64)
+        .map_err(|e| refuse(format!("`elf_base64` is not valid base64: {e}")))?;
     // Ingestion (parse + functional execution + characterization) runs
     // on this app worker, outside the core lock — a slow binary delays
     // its uploader, not the evaluate path.
     let config = dse_ingest::ExecConfig { max_instrs: MAX_INGEST_INSTRS };
-    let ingested = match dse_ingest::ingest_elf(&parsed.name, &elf, config) {
-        Ok(ingested) => ingested,
-        Err(e) => return (400, error_body(&format!("ingestion failed: {e}"))),
-    };
+    let ingested = dse_ingest::ingest_elf(&parsed.name, &elf, config)
+        .map_err(|e| refuse(format!("ingestion failed: {e}")))?;
     let instructions = ingested.trace.len() as u64;
     let exit_code = ingested.exit_code;
 
     let mut core = shared.core.lock().expect("evaluation core poisoned");
     if core.ingested.iter().any(|w| w.name == parsed.name) {
-        return (400, error_body(&format!("workload {:?} is already registered", parsed.name)));
+        return Err(refuse(format!("workload {:?} is already registered", parsed.name)));
     }
     if core.ingested.len() >= MAX_WORKLOADS {
-        return (
-            400,
-            error_body(&format!(
-                "workload registry is full ({MAX_WORKLOADS} workloads); restart the server to \
-                 register more"
-            )),
-        );
+        return Err(refuse(format!(
+            "workload registry is full ({MAX_WORKLOADS} workloads); restart the server to \
+             register more"
+        )));
     }
     let hf = SimulatorHf::for_traces(vec![ingested.trace.clone()]);
     let lf = LfCostModel(AnalyticalLf::for_profiles(
@@ -750,23 +476,15 @@ fn handle_workloads(shared: &Arc<Shared>, request: &Request) -> (u16, String) {
     drop(core);
     // Mirror the registry for the reactor thread (see `workload_names`).
     *shared.workload_names.lock().expect("workload names poisoned") = registered.clone();
-    shared.metrics.workloads_registered.inc();
-    json(&WorkloadUploadResponse { workload: parsed.name, instructions, exit_code, registered })
+    shared.front.metrics.workloads_registered.inc();
+    Ok(json(&WorkloadUploadResponse { workload: parsed.name, instructions, exit_code, registered }))
 }
 
-fn handle_explore(shared: &Arc<Shared>, request: &Request) -> (u16, String) {
-    shared.metrics.explore.inc();
-    if shared.is_shutting_down() {
-        return (503, error_body("server is shutting down"));
+fn handle_explore(shared: &Shared, request: &Request) -> Answer {
+    if shared.front.is_shutting_down() {
+        return Err(BadRequest::new(503, "server is shutting down"));
     }
-    let body = match request.body_utf8() {
-        Ok(body) => body,
-        Err(BadRequest { status, reason }) => return (status, error_body(&reason)),
-    };
-    let parsed = match ExploreRequest::parse(body) {
-        Ok(parsed) => parsed,
-        Err(e) => return bad(e),
-    };
+    let parsed = ExploreRequest::parse(request.body_utf8()?)?;
     let explorer = if let Some(name) = &parsed.workload {
         let core = shared.core.lock().expect("evaluation core poisoned");
         match core.ingested.iter().find(|w| &w.name == name) {
@@ -777,16 +495,15 @@ fn handle_explore(shared: &Arc<Shared>, request: &Request) -> (u16, String) {
             }),
             None => {
                 let names: Vec<String> = core.ingested.iter().map(|w| w.name.clone()).collect();
-                return (400, unknown_workload(name, &names));
+                return Err(unknown_workload(name, &names));
             }
         }
     } else {
         match &parsed.benchmark {
             None => Explorer::general_purpose(),
-            Some(name) => match name.parse::<Benchmark>() {
-                Ok(benchmark) => Explorer::for_benchmark(benchmark),
-                Err(e) => return (400, error_body(&e.to_string())),
-            },
+            Some(name) => Explorer::for_benchmark(
+                name.parse::<Benchmark>().map_err(|e| BadRequest::new(400, e.to_string()))?,
+            ),
         }
     }
     .area_limit_mm2(parsed.area_mm2)
@@ -797,7 +514,7 @@ fn handle_explore(shared: &Arc<Shared>, request: &Request) -> (u16, String) {
 
     let id = shared.jobs.next.fetch_add(1, Ordering::Relaxed) + 1;
     shared.jobs.states.lock().expect("job table poisoned").insert(id, JobState::Running);
-    let job_shared = Arc::clone(shared);
+    let jobs = Arc::clone(&shared.jobs);
     let handle = std::thread::spawn(move || {
         // Jobs run their own explorer (and evaluator): a long search
         // must not hold the shared evaluate stack's lock.
@@ -824,34 +541,16 @@ fn handle_explore(shared: &Arc<Shared>, request: &Request) -> (u16, String) {
                 JobState::Failed(msg)
             }
         };
-        job_shared.jobs.states.lock().expect("job table poisoned").insert(id, state);
+        jobs.states.lock().expect("job table poisoned").insert(id, state);
     });
     shared.job_handles.lock().expect("jobs poisoned").push(handle);
-    json(&JobStatus { job: id, state: "running".into(), result: None, error: None })
+    Ok(json(&JobState::Running.status(id)))
 }
 
-fn handle_job(shared: &Arc<Shared>, path: &str) -> (u16, String) {
-    shared.metrics.jobs.inc();
-    let Some(id) = path.strip_prefix("/v1/jobs/").and_then(|raw| raw.parse::<u64>().ok()) else {
-        return (400, error_body("job ids are integers: GET /v1/jobs/<id>"));
-    };
-    let states = shared.jobs.states.lock().expect("job table poisoned");
-    match states.get(&id) {
-        None => (404, error_body(&format!("no job {id}"))),
-        Some(JobState::Running) => {
-            json(&JobStatus { job: id, state: "running".into(), result: None, error: None })
-        }
-        Some(JobState::Done(result)) => json(&JobStatus {
-            job: id,
-            state: "done".into(),
-            result: Some((**result).clone()),
-            error: None,
-        }),
-        Some(JobState::Failed(msg)) => json(&JobStatus {
-            job: id,
-            state: "failed".into(),
-            result: None,
-            error: Some(msg.clone()),
-        }),
+fn handle_job(shared: &Shared, request: &Request) -> Answer {
+    let id = job_id(request)?;
+    match shared.jobs.states.lock().expect("job table poisoned").get(&id) {
+        None => Err(BadRequest::new(404, format!("no job {id}"))),
+        Some(state) => Ok(json(&state.status(id))),
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! Each shard is a full `archdse-serve` instance (its own reactor,
 //! coalescer, `CpiCache` and learned tier — shared-nothing). The router
-//! is a second, thinner instance of the same reactor whose app handlers
-//! proxy to the shards over persistent keep-alive connections:
+//! is the same front end as a single server — one [`Front`], one endpoint
+//! table, the same [`Limits`] — whose app handlers proxy to the shards
+//! over persistent keep-alive connections:
 //!
 //! * `/v1/evaluate` — each point is owned by the shard
 //!   `shard_of(code)` (a splitmix64 hash of the encoded design point,
@@ -13,40 +14,52 @@
 //!   every shard evaluates deterministically and a point always lands
 //!   on the same shard's cache, the merged answers are bit-identical to
 //!   a single server's — sharding changes throughput, never answers.
+//!   Batches over [`MAX_POINTS_PER_REQUEST`] and bodies the router cannot
+//!   read go to shard 0 verbatim, so they fail with a single server's
+//!   error.
 //! * `/v1/explain` — routed by the same hash (stateless, but keeps a
 //!   point's traffic on one shard).
-//! * `/v1/workloads` — fanned to *all* shards so every shard can answer
-//!   for every registered workload.
 //! * `/v1/explore` + `/v1/jobs` — jobs round-robin across shards; the
 //!   router hands out global ids `local * N + shard` so a job id alone
 //!   names its shard.
-//! * `/metrics` — the JSON form is a field-wise sum of the shards'
-//!   reports; the Prometheus form re-parses each shard's exposition
+//! * `/healthz` — answered by shard 0.
+//! * `/v1/workloads`, `/v1/shutdown`, `/debug/requests` and `/metrics`
+//!   go to every shard through one fan-out helper
+//!   ([`RouterShared::broadcast`]), which relays the first shard that
+//!   does not answer 200 and turns an unreachable one into a 502. The
+//!   JSON `/metrics` is a field-wise sum of the shards' reports; the
+//!   Prometheus form re-parses each shard's exposition
 //!   ([`dse_obs::parse_prometheus_text`]), sums series
 //!   ([`dse_obs::sum_snapshots`]) and overlays the router's own
 //!   registry (router series win collisions).
+//!
+//! Every proxied request carries the caller's trace context.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::sync_channel;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dse_obs::Counter;
-use dse_reactor::{waker_pair, Waker};
 use serde_json::Value;
 
+use crate::front::{
+    job_id, json_reply, start, wants_prometheus, Answer, Endpoint, Front, Limits, Reply,
+    ServerHandle,
+};
 use crate::http::client::{ClientResponse, Conn};
 use crate::http::{BadRequest, Request, CT_JSON, CT_PROMETHEUS};
-use crate::protocol::{error_body, RequestCounters};
-use crate::reactor::{app_worker_loop, AppJob, CompletionQueue, Engine, Reactor};
-use crate::server::ServerMetrics;
+use crate::protocol::{error_body, MAX_POINTS_PER_REQUEST};
+use crate::reactor::Engine;
 
 /// Socket timeout on upstream connections (generous: an upstream
 /// evaluate can sit behind a long coalescer batch).
 const UPSTREAM_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Fewest idle keep-alive connections parked per shard. A router with
+/// more app workers than this parks one per worker, so a pool sized for
+/// the client concurrency never reconnects between requests.
+const MIN_IDLE_UPSTREAMS: usize = 64;
 
 /// The shard that owns an encoded design point: a splitmix64 finalizer
 /// over the code, mod the shard count. Pure function of the point, so
@@ -71,97 +84,46 @@ pub struct RouterConfig {
     /// round-trip: size this at or above the peak client concurrency
     /// you want served without `503` admission pushback.
     pub workers: usize,
-    /// Idle upstream keep-alive connections kept per shard; checked-out
-    /// connections are unbounded, this only caps what parks between
-    /// requests.
-    pub pool_idle_cap: usize,
-    /// Per-connection read deadline on the router's own sockets.
-    pub read_timeout: Duration,
-    /// Per-connection write deadline on the router's own sockets.
-    pub write_timeout: Duration,
-    /// Largest accepted request body.
-    pub max_body_bytes: usize,
+    /// Socket deadlines and the body size cap on the router's own
+    /// sockets.
+    pub limits: Limits,
 }
 
 impl RouterConfig {
-    /// Defaults: ephemeral localhost port, 64 app workers, 64 parked
-    /// upstream connections per shard, 1 MiB bodies, 10 s socket
-    /// deadlines.
+    /// Defaults: ephemeral localhost port, 64 app workers and the
+    /// default [`Limits`].
     #[must_use]
     pub fn new(shard_addrs: Vec<String>) -> Self {
-        Self {
-            addr: "127.0.0.1:0".into(),
-            shard_addrs,
-            workers: 64,
-            pool_idle_cap: 64,
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-            max_body_bytes: 1024 * 1024,
-        }
+        Self { addr: "127.0.0.1:0".into(), shard_addrs, workers: 64, limits: Limits::default() }
     }
 }
 
 /// Cross-thread router state.
 pub(crate) struct RouterShared {
-    addr: SocketAddr,
-    config: RouterConfig,
-    shutdown: AtomicBool,
-    waker: Waker,
-    metrics: ServerMetrics,
+    front: Front,
+    shard_addrs: Vec<String>,
     /// Requests forwarded per shard (`serve_shard_requests_total{shard}`).
     shard_requests: Vec<Counter>,
     /// Round-robin cursor for `/v1/explore`.
     explore_rr: AtomicU64,
     /// Idle keep-alive connections per shard.
     pools: Vec<Mutex<Vec<Conn>>>,
-    /// Completed-request ring for `GET /debug/requests` (router view).
-    flight: crate::flight::FlightRecorder,
-    /// Router-assigned trace id sequence (deterministic per process).
-    trace_seq: AtomicU64,
+    /// Most idle connections parked per shard; checked-out connections
+    /// are unbounded, this only caps what parks between requests.
+    idle_cap: usize,
+}
+
+/// A shard that did not answer a fan-out with 200.
+struct Refusal {
+    shard: usize,
+    /// The shard's answer, to relay verbatim, or a 502 naming the shard
+    /// when it was unreachable.
+    reply: (u16, String),
 }
 
 impl RouterShared {
-    pub(crate) fn metrics(&self) -> &ServerMetrics {
-        &self.metrics
-    }
-
-    pub(crate) fn flight(&self) -> &crate::flight::FlightRecorder {
-        &self.flight
-    }
-
-    pub(crate) fn next_trace_seq(&self) -> u64 {
-        self.trace_seq.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    pub(crate) fn limits(&self) -> (Duration, Duration, usize) {
-        (self.config.read_timeout, self.config.write_timeout, self.config.max_body_bytes)
-    }
-
-    pub(crate) fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn initiate_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.waker.wake();
-    }
-
     fn shards(&self) -> usize {
-        self.config.shard_addrs.len()
-    }
-
-    fn counters(&self) -> RequestCounters {
-        RequestCounters {
-            healthz: self.metrics.healthz.get(),
-            metrics: self.metrics.metrics.get(),
-            evaluate: self.metrics.evaluate.get(),
-            explain: self.metrics.explain.get(),
-            explore: self.metrics.explore.get(),
-            workloads: self.metrics.workloads.get(),
-            jobs: self.metrics.jobs.get(),
-            rejected: self.metrics.rejected.get(),
-            errors: self.metrics.errors.get(),
-        }
+        self.shard_addrs.len()
     }
 
     /// One request/response round-trip to a shard over a pooled
@@ -187,8 +149,7 @@ impl RouterShared {
                 return Ok(response);
             }
         }
-        let addr = &self.config.shard_addrs[shard];
-        let mut conn = Conn::connect_with_timeout(addr, UPSTREAM_TIMEOUT)?;
+        let mut conn = Conn::connect_with_timeout(&self.shard_addrs[shard], UPSTREAM_TIMEOUT)?;
         let response = conn.request_with(method, path, body, headers)?;
         self.park(shard, conn);
         Ok(response)
@@ -199,39 +160,62 @@ impl RouterShared {
             return;
         }
         let mut pool = self.pools[shard].lock().expect("shard pool poisoned");
-        if pool.len() < self.config.pool_idle_cap {
+        if pool.len() < self.idle_cap {
             pool.push(conn);
         }
     }
-}
 
-/// A running shard router: bound address plus shutdown/join control.
-pub struct RouterHandle {
-    shared: Arc<RouterShared>,
-    supervisor: Option<JoinHandle<()>>,
-}
-
-impl RouterHandle {
-    /// The address the router is listening on.
-    pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+    /// Forwards a request to one shard verbatim, proxying status and body.
+    fn forward(&self, shard: usize, request: &Request) -> Answer {
+        let body = upstream_body(request)?;
+        let response = self
+            .upstream(shard, &request.method, &request.path, body, request.trace.as_deref())
+            .map_err(|e| shard_down(shard, &e))?;
+        Ok((response.status, response.body))
     }
 
-    /// Requests a graceful shutdown of the router (the shards are shut
-    /// down by `POST /v1/shutdown`, not by this call).
-    pub fn shutdown(&self) {
-        self.shared.initiate_shutdown();
+    /// Sends one request to every shard in shard order, yielding each
+    /// shard's 200 body or its [`Refusal`]. The walk is lazy: collecting
+    /// into a `Result` stops at the first refusal, draining the iterator
+    /// reaches every shard whatever the others answered.
+    fn broadcast<'a>(
+        &'a self,
+        method: &'a str,
+        path: &'a str,
+        body: Option<&'a str>,
+        trace: Option<&'a str>,
+    ) -> impl Iterator<Item = Result<String, Refusal>> + 'a {
+        (0..self.shards()).map(move |shard| match self.upstream(shard, method, path, body, trace) {
+            Ok(response) if response.status == 200 => Ok(response.body),
+            Ok(response) => Err(Refusal { shard, reply: (response.status, response.body) }),
+            Err(e) => Err(Refusal { shard, reply: shard_down(shard, &e).reply() }),
+        })
+    }
+}
+
+impl Engine for RouterShared {
+    fn front(&self) -> &Front {
+        &self.front
     }
 
-    /// Blocks until the router has drained and exited.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the supervisor thread itself panicked.
-    pub fn join(mut self) {
-        if let Some(handle) = self.supervisor.take() {
-            handle.join().expect("router supervisor panicked");
-        }
+    fn route(&self, endpoint: Endpoint, request: &Request) -> Reply {
+        json_reply(match endpoint {
+            Endpoint::Metrics => {
+                return handle_metrics(self, request).unwrap_or_else(|bad| json_reply(Err(bad)))
+            }
+            Endpoint::Healthz => self.forward(0, request),
+            Endpoint::Debug => Ok(handle_debug_requests(self, request.trace.as_deref())),
+            Endpoint::Evaluate => handle_evaluate(self, request),
+            Endpoint::Explain => handle_explain(self, request),
+            Endpoint::Explore => handle_explore(self, request),
+            Endpoint::Workloads => handle_workloads(self, request),
+            Endpoint::Jobs => handle_job(self, request),
+            Endpoint::Shutdown => {
+                // Every shard is told, whatever the others answered.
+                self.broadcast("POST", "/v1/shutdown", None, None).for_each(drop);
+                Ok(self.front.acknowledge_shutdown())
+            }
+        })
     }
 }
 
@@ -242,7 +226,7 @@ impl RouterHandle {
 ///
 /// Fails when the address cannot be bound, no shards were given, or a
 /// shard does not answer its health check.
-pub fn spawn_router(config: RouterConfig) -> io::Result<RouterHandle> {
+pub fn spawn_router(config: RouterConfig) -> io::Result<ServerHandle> {
     if config.shard_addrs.is_empty() {
         return Err(io::Error::other("a router needs at least one shard address"));
     }
@@ -257,162 +241,65 @@ pub fn spawn_router(config: RouterConfig) -> io::Result<RouterHandle> {
         }
     }
 
-    let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
-    let (waker, wake_rx) = waker_pair()?;
-    let metrics = ServerMetrics::new();
-    let shard_requests = (0..config.shard_addrs.len())
+    let (front, listener, wake_rx) = Front::bind(&config.addr, "router", config.limits)?;
+    let shards = config.shard_addrs.len();
+    let shard_requests = (0..shards)
         .map(|i| {
-            metrics
+            front
+                .metrics
                 .registry
                 .counter_with("serve_shard_requests_total", &[("shard", &i.to_string())])
         })
         .collect();
-    let pools = (0..config.shard_addrs.len()).map(|_| Mutex::new(Vec::new())).collect();
-    let shared = Arc::new(RouterShared {
-        addr,
-        shutdown: AtomicBool::new(false),
-        waker: waker.clone(),
-        metrics,
+    let router = Arc::new(RouterShared {
+        front,
+        shard_addrs: config.shard_addrs,
         shard_requests,
         explore_rr: AtomicU64::new(0),
-        pools,
-        flight: crate::flight::FlightRecorder::new(),
-        trace_seq: AtomicU64::new(0),
-        config,
+        pools: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+        idle_cap: config.workers.max(MIN_IDLE_UPSTREAMS),
     });
-    let completions = Arc::new(CompletionQueue::new(waker));
-
     // The queue buffers between the reactor and the handler pool; with
     // a pool sized for the target concurrency it stays near-empty, so
     // it only needs to absorb scheduling jitter.
-    let (app_tx, app_rx) = sync_channel::<AppJob>(shared.config.workers.max(128));
-    let app_rx = Arc::new(Mutex::new(app_rx));
-    let app_workers: Vec<JoinHandle<()>> = (0..shared.config.workers.max(1))
-        .map(|_| {
-            let engine = Engine::Router(Arc::clone(&shared));
-            let app_rx = Arc::clone(&app_rx);
-            let completions = Arc::clone(&completions);
-            std::thread::spawn(move || app_worker_loop(engine, app_rx, completions))
-        })
-        .collect();
-
-    let reactor = {
-        let engine = Engine::Router(Arc::clone(&shared));
-        let completions = Arc::clone(&completions);
-        std::thread::spawn(move || Reactor::run(engine, listener, wake_rx, completions, app_tx))
-    };
-
-    let supervisor = std::thread::spawn(move || {
-        let _ = reactor.join();
-        for worker in app_workers {
-            let _ = worker.join();
-        }
-    });
-
-    Ok(RouterHandle { shared, supervisor: Some(supervisor) })
+    Ok(start(router, listener, wake_rx, config.workers, config.workers.max(128), || {}))
 }
 
-/// Renders an upstream failure as a 502 naming the shard.
-fn shard_down(shard: usize, e: &io::Error) -> (u16, String) {
-    (502, error_body(&format!("shard {shard} is unreachable: {e}")))
+/// An upstream failure: a 502 naming the shard.
+fn shard_down(shard: usize, e: &io::Error) -> BadRequest {
+    BadRequest::new(502, format!("shard {shard} is unreachable: {e}"))
 }
 
-/// Forwards a request to one shard verbatim, proxying status and body.
-fn forward(router: &RouterShared, shard: usize, request: &Request) -> (u16, String) {
-    let body = match request.body_utf8() {
-        Ok(body) if !body.is_empty() => Some(body),
-        Ok(_) => None,
-        Err(BadRequest { status, reason }) => return (status, error_body(&reason)),
-    };
-    match router.upstream(shard, &request.method, &request.path, body, request.trace.as_deref()) {
-        Ok(response) => (response.status, response.body),
-        Err(e) => shard_down(shard, &e),
-    }
-}
-
-/// App-pool request routing for the router engine.
-pub(crate) fn route(router: &Arc<RouterShared>, request: &Request) -> (u16, String, &'static str) {
-    let (path, query) = match request.path.split_once('?') {
-        Some((path, query)) => (path, query),
-        None => (request.path.as_str(), ""),
-    };
-    if let ("GET", "/metrics") = (request.method.as_str(), path) {
-        return handle_metrics(router, query);
-    }
-    let (status, body) = match (request.method.as_str(), path) {
-        ("GET", "/healthz") => {
-            router.metrics.healthz.inc();
-            forward(router, 0, request)
-        }
-        ("GET", "/debug/requests") => handle_debug_requests(router, request),
-        ("POST", "/v1/evaluate") => handle_evaluate(router, request),
-        ("POST", "/v1/explain") => handle_explain(router, request),
-        ("POST", "/v1/explore") => handle_explore(router, request),
-        ("POST", "/v1/workloads") => handle_workloads(router, request),
-        ("GET", path) if path.starts_with("/v1/jobs/") => handle_job(router, path),
-        ("POST", "/v1/shutdown") => handle_shutdown(router),
-        (
-            _,
-            "/healthz" | "/metrics" | "/v1/evaluate" | "/v1/explain" | "/v1/explore"
-            | "/v1/workloads",
-        ) => (405, error_body("method not allowed for this endpoint")),
-        _ => (
-            404,
-            error_body(
-                "no such endpoint; try GET /healthz, GET /metrics, POST /v1/evaluate, \
-                 POST /v1/explain, POST /v1/explore, POST /v1/workloads, GET /v1/jobs/<id>, \
-                 POST /v1/shutdown",
-            ),
-        ),
-    };
-    (status, body, CT_JSON)
+/// A request's body as it goes upstream: `None` when empty.
+fn upstream_body(request: &Request) -> Result<Option<&str>, BadRequest> {
+    Ok(Some(request.body_utf8()?).filter(|body| !body.is_empty()))
 }
 
 /// `GET /debug/requests` on the router: the router's own flight
 /// recorder plus each shard's, in shard order.
-fn handle_debug_requests(router: &Arc<RouterShared>, request: &Request) -> (u16, String) {
-    let mut out = String::from("{\"router\":");
-    out.push_str(&router.flight.to_json());
-    out.push_str(",\"shards\":[");
-    for shard in 0..router.shards() {
-        if shard > 0 {
-            out.push(',');
-        }
-        match router.upstream(shard, "GET", "/debug/requests", None, request.trace.as_deref()) {
-            Ok(response) if response.status == 200 => out.push_str(&response.body),
-            Ok(response) => return (response.status, response.body),
-            Err(e) => return shard_down(shard, &e),
-        }
+fn handle_debug_requests(router: &RouterShared, trace: Option<&str>) -> (u16, String) {
+    let own = router.front.flight.to_json();
+    match router.broadcast("GET", "/debug/requests", None, trace).collect::<Result<Vec<_>, _>>() {
+        Ok(shards) => (200, format!("{{\"router\":{own},\"shards\":[{}]}}", shards.join(","))),
+        Err(refusal) => refusal.reply,
     }
-    out.push_str("]}");
-    (200, out)
 }
 
-fn handle_evaluate(router: &Arc<RouterShared>, request: &Request) -> (u16, String) {
-    router.metrics.evaluate.inc();
-    let body = match request.body_utf8() {
-        Ok(body) => body,
-        Err(BadRequest { status, reason }) => return (status, error_body(&reason)),
-    };
+fn handle_evaluate(router: &RouterShared, request: &Request) -> Answer {
     let shards = router.shards();
-    // Malformed bodies (or ones whose points we cannot read) forward to
-    // shard 0 verbatim so clients get the shard's canonical error text.
-    let Ok(parsed) = serde_json::from_str::<Value>(body) else {
-        return forward(router, 0, request);
-    };
+    let parsed = serde_json::from_str::<Value>(request.body_utf8()?).ok();
     let codes: Option<Vec<u64>> = parsed
-        .get("points")
-        .and_then(Value::as_array)
-        .map(|points| points.iter().map(Value::as_u64).collect::<Option<Vec<u64>>>())
-        .unwrap_or(None);
-    let Some(codes) = codes else {
-        return forward(router, 0, request);
+        .as_ref()
+        .and_then(|v| v.get("points")?.as_array()?.iter().map(Value::as_u64).collect());
+    // Bodies whose points the router cannot read go to shard 0 verbatim,
+    // so clients get a shard's canonical error text. So do batches over
+    // the cap, which would pass each shard's check once split.
+    let (Some(parsed), Some(codes)) = (parsed, codes) else {
+        return router.forward(0, request);
     };
-    if codes.is_empty() || shards == 1 {
-        return forward(router, 0, request);
+    if codes.is_empty() || codes.len() > MAX_POINTS_PER_REQUEST || shards == 1 {
+        return router.forward(0, request);
     }
-
     // Split the batch by owning shard, preserving arrival order within
     // each shard's sub-batch.
     let owners: Vec<usize> = codes.iter().map(|&code| shard_of(code, shards)).collect();
@@ -422,280 +309,191 @@ fn handle_evaluate(router: &Arc<RouterShared>, request: &Request) -> (u16, Strin
     // serialization, no fan-out threads, no response re-parse/merge.
     // Identical answers either way; this only removes router work.
     if owners.iter().all(|&owner| owner == owners[0]) {
-        return forward(router, owners[0], request);
+        return router.forward(owners[0], request);
     }
     let mut per_shard: Vec<Vec<u64>> = vec![Vec::new(); shards];
     for (&owner, &code) in owners.iter().zip(&codes) {
         per_shard[owner].push(code);
     }
-    let mut bodies: Vec<Option<String>> = Vec::with_capacity(shards);
-    for codes in &per_shard {
-        if codes.is_empty() {
-            bodies.push(None);
-            continue;
-        }
+    // One shard's sub-batch, answered with exactly one row per point.
+    let trace = request.trace.as_deref();
+    let leg = |shard: usize, codes: &[u64]| -> Result<Vec<Value>, (u16, String)> {
         let mut sub = parsed.clone();
         set_field(&mut sub, "points", Value::Seq(codes.iter().map(|&c| Value::U64(c)).collect()));
-        match serde_json::to_string(&sub) {
-            Ok(body) => bodies.push(Some(body)),
-            Err(e) => return (500, error_body(&format!("sub-batch serialization failed: {e}"))),
+        let body = serde_json::to_string(&sub)
+            .map_err(|e| (500, error_body(&format!("sub-batch serialization failed: {e}"))))?;
+        let response = router
+            .upstream(shard, "POST", "/v1/evaluate", Some(&body), trace)
+            .map_err(|e| shard_down(shard, &e).reply())?;
+        if response.status != 200 {
+            return Err((response.status, response.body));
         }
-    }
-
+        serde_json::from_str::<Value>(&response.body)
+            .ok()
+            .and_then(|v| v.get("results").and_then(Value::as_array).cloned())
+            .filter(|rows| rows.len() == codes.len())
+            .ok_or_else(|| {
+                (502, error_body(&format!("shard {shard} returned a malformed evaluate response")))
+            })
+    };
     // Concurrent fan-out: every active shard's sub-batch is in flight at
     // once, so the router adds one upstream round-trip, not N. Every leg
     // carries the same trace context, so one router request span joins
     // each shard sub-batch it touched.
-    let router_ref: &RouterShared = router;
-    let trace = request.trace.as_deref();
-    let mut replies: Vec<Option<io::Result<ClientResponse>>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = bodies
+    let legs: Vec<Result<Vec<Value>, _>> = std::thread::scope(|scope| {
+        let leg = &leg;
+        let handles: Vec<_> = per_shard
             .iter()
             .enumerate()
-            .map(|(shard, body)| {
-                body.as_deref().map(|body| {
-                    scope.spawn(move || {
-                        router_ref.upstream(shard, "POST", "/v1/evaluate", Some(body), trace)
-                    })
-                })
+            .map(|(shard, codes)| {
+                (!codes.is_empty()).then(|| scope.spawn(move || leg(shard, codes)))
             })
             .collect();
-        replies = handles
+        handles
             .into_iter()
-            .map(|handle| handle.map(|h| h.join().expect("shard fan-out thread panicked")))
-            .collect();
+            .map(|handle| {
+                handle.map_or(Ok(Vec::new()), |h| h.join().expect("shard fan-out thread panicked"))
+            })
+            .collect()
     });
-
     // Any failure propagates (lowest shard index first, deterministic).
-    let mut results_per_shard: Vec<std::vec::IntoIter<Value>> = Vec::with_capacity(shards);
-    for (shard, reply) in replies.into_iter().enumerate() {
-        match reply {
-            None => results_per_shard.push(Vec::new().into_iter()),
-            Some(Err(e)) => return shard_down(shard, &e),
-            Some(Ok(response)) if response.status != 200 => {
-                return (response.status, response.body)
-            }
-            Some(Ok(response)) => {
-                let rows = serde_json::from_str::<Value>(&response.body)
-                    .ok()
-                    .and_then(|v| v.get("results").and_then(Value::as_array).cloned());
-                match rows {
-                    Some(rows) if rows.len() == per_shard[shard].len() => {
-                        results_per_shard.push(rows.into_iter());
-                    }
-                    _ => {
-                        return (
-                            502,
-                            error_body(&format!(
-                                "shard {shard} returned a malformed evaluate response"
-                            )),
-                        )
-                    }
-                }
-            }
-        }
-    }
-
+    let mut rows_per_shard: Vec<_> = match legs.into_iter().collect::<Result<Vec<_>, _>>() {
+        Ok(rows) => rows.into_iter().map(Vec::into_iter).collect(),
+        Err(reply) => return Ok(reply),
+    };
     // Order-stable merge: walk the original points, taking each row from
-    // its owner's reply stream.
-    let mut merged = Vec::with_capacity(codes.len());
-    for &owner in &owners {
-        match results_per_shard[owner].next() {
-            Some(row) => merged.push(row),
-            None => return (502, error_body(&format!("shard {owner} returned too few results"))),
-        }
-    }
+    // its owner's reply stream (each holds one row per point it owns).
+    let merged: Vec<Value> = owners
+        .iter()
+        .map(|&owner| rows_per_shard[owner].next().expect("legs answer one row per point"))
+        .collect();
     let merged = Value::Map(vec![("results".to_string(), Value::Seq(merged))]);
-    match serde_json::to_string(&merged) {
-        Ok(body) => (200, body),
-        Err(e) => (500, error_body(&format!("merge serialization failed: {e}"))),
-    }
+    let body = serde_json::to_string(&merged)
+        .map_err(|e| BadRequest::new(500, format!("merge serialization failed: {e}")))?;
+    Ok((200, body))
 }
 
-fn handle_explain(router: &Arc<RouterShared>, request: &Request) -> (u16, String) {
-    router.metrics.explain.inc();
-    let shards = router.shards();
+fn handle_explain(router: &RouterShared, request: &Request) -> Answer {
     let point = request
         .body_utf8()
         .ok()
         .and_then(|body| serde_json::from_str::<Value>(body).ok())
         .and_then(|v| v.get("point").and_then(Value::as_u64));
-    let shard = point.map_or(0, |p| shard_of(p, shards));
-    forward(router, shard, request)
+    router.forward(point.map_or(0, |p| shard_of(p, router.shards())), request)
 }
 
-fn handle_workloads(router: &Arc<RouterShared>, request: &Request) -> (u16, String) {
-    router.metrics.workloads.inc();
+fn handle_workloads(router: &RouterShared, request: &Request) -> Answer {
+    let body = upstream_body(request)?;
     // Every shard must know every workload; fan the upload to all of
     // them and report shard 0's response. A failure part-way leaves the
     // registries inconsistent, so it is surfaced loudly as a 502.
-    let mut first: Option<(u16, String)> = None;
-    for shard in 0..router.shards() {
-        let (status, body) = forward(router, shard, request);
-        if status != 200 {
-            if shard == 0 {
-                // Shard 0 rejected it outright (bad request, duplicate):
-                // nothing was registered anywhere; relay verbatim.
-                return (status, body);
-            }
-            return (
-                502,
-                error_body(&format!(
-                    "workload registration diverged: shard {shard} answered {status} after \
-                     earlier shards accepted ({body})"
-                )),
-            );
-        }
-        if first.is_none() {
-            first = Some((status, body));
-        }
+    let legs = router.broadcast("POST", &request.path, body, request.trace.as_deref());
+    match legs.collect::<Result<Vec<String>, _>>() {
+        Ok(bodies) => bodies
+            .into_iter()
+            .next()
+            .map(|body| (200, body))
+            .ok_or_else(|| BadRequest::new(502, "no shards configured")),
+        // Shard 0 rejected it outright (bad request, duplicate): nothing
+        // was registered anywhere; relay verbatim.
+        Err(Refusal { shard: 0, reply }) => Ok(reply),
+        Err(Refusal { shard, reply: (status, body) }) => Err(BadRequest::new(
+            502,
+            format!(
+                "workload registration diverged: shard {shard} answered {status} after earlier \
+                 shards accepted ({body})"
+            ),
+        )),
     }
-    first.unwrap_or((502, error_body("no shards configured")))
 }
 
-fn handle_explore(router: &Arc<RouterShared>, request: &Request) -> (u16, String) {
-    router.metrics.explore.inc();
-    if router.is_shutting_down() {
-        return (503, error_body("server is shutting down"));
+fn handle_explore(router: &RouterShared, request: &Request) -> Answer {
+    if router.front.is_shutting_down() {
+        return Err(BadRequest::new(503, "server is shutting down"));
     }
     let shards = router.shards() as u64;
     let shard = (router.explore_rr.fetch_add(1, Ordering::Relaxed) % shards) as usize;
-    let (status, body) = forward(router, shard, request);
-    if status != 200 {
-        return (status, body);
-    }
-    // Rewrite the local job id into a global one that encodes the shard.
-    match serde_json::from_str::<Value>(&body) {
-        Ok(mut v) => {
-            let Some(local) = v.get("job").and_then(Value::as_u64) else {
-                return (502, error_body(&format!("shard {shard} returned a jobless response")));
-            };
-            set_field(&mut v, "job", Value::U64(local * shards + shard as u64));
-            match serde_json::to_string(&v) {
-                Ok(body) => (200, body),
-                Err(e) => (500, error_body(&format!("job id rewrite failed: {e}"))),
-            }
-        }
-        Err(_) => (502, error_body(&format!("shard {shard} returned malformed job JSON"))),
+    match router.forward(shard, request)? {
+        // Rewrite the local job id into a global one that encodes the shard.
+        (200, body) => with_job_id(&body, |local| local * shards + shard as u64)
+            .map(|body| (200, body))
+            .ok_or_else(|| {
+                BadRequest::new(502, format!("shard {shard} returned a jobless response"))
+            }),
+        refused => Ok(refused),
     }
 }
 
-fn handle_job(router: &Arc<RouterShared>, path: &str) -> (u16, String) {
-    router.metrics.jobs.inc();
-    let Some(global) = path.strip_prefix("/v1/jobs/").and_then(|raw| raw.parse::<u64>().ok())
-    else {
-        return (400, error_body("job ids are integers: GET /v1/jobs/<id>"));
-    };
+fn handle_job(router: &RouterShared, request: &Request) -> Answer {
+    let global = job_id(request)?;
     let shards = router.shards() as u64;
     let (shard, local) = ((global % shards) as usize, global / shards);
     if local == 0 {
         // Local ids start at 1, so no global id maps to local 0.
-        return (404, error_body(&format!("no job {global}")));
+        return Err(BadRequest::new(404, format!("no job {global}")));
     }
-    match router.upstream(shard, "GET", &format!("/v1/jobs/{local}"), None, None) {
-        Err(e) => shard_down(shard, &e),
-        Ok(response) => {
-            // Patch the shard-local id back into the caller's global id.
-            match serde_json::from_str::<Value>(&response.body) {
-                Ok(mut v) if v.get("job").is_some() => {
-                    set_field(&mut v, "job", Value::U64(global));
-                    match serde_json::to_string(&v) {
-                        Ok(body) => (response.status, body),
-                        Err(_) => (response.status, response.body),
-                    }
-                }
-                _ => (response.status, response.body),
-            }
-        }
-    }
+    let path = format!("/v1/jobs/{local}");
+    let response = router
+        .upstream(shard, "GET", &path, None, request.trace.as_deref())
+        .map_err(|e| shard_down(shard, &e))?;
+    // Patch the shard-local id back into the caller's global id.
+    let patched = with_job_id(&response.body, |_| global);
+    Ok((response.status, patched.unwrap_or(response.body)))
 }
 
-fn handle_shutdown(router: &Arc<RouterShared>) -> (u16, String) {
-    for shard in 0..router.shards() {
-        let _ = router.upstream(shard, "POST", "/v1/shutdown", None, None);
-    }
-    router.initiate_shutdown();
-    (200, "{\"status\":\"shutting down\"}".into())
+/// `body` with its `job` id mapped through `id`; `None` when the body is
+/// not a JSON object carrying a job id.
+fn with_job_id(body: &str, id: impl FnOnce(u64) -> u64) -> Option<String> {
+    let mut v = serde_json::from_str::<Value>(body).ok()?;
+    let job = v.get("job").and_then(Value::as_u64)?;
+    set_field(&mut v, "job", Value::U64(id(job)));
+    serde_json::to_string(&v).ok()
 }
 
-fn handle_metrics(router: &Arc<RouterShared>, query: &str) -> (u16, String, &'static str) {
-    router.metrics.metrics.inc();
-    let format = query.split('&').find_map(|pair| pair.strip_prefix("format=")).unwrap_or("json");
-    match format {
-        "prometheus" => {
-            let mut shard_snaps = Vec::with_capacity(router.shards());
-            for shard in 0..router.shards() {
-                let response =
-                    match router.upstream(shard, "GET", "/metrics?format=prometheus", None, None) {
-                        Ok(r) if r.status == 200 => r,
-                        Ok(r) => return (r.status, r.body, CT_JSON),
-                        Err(e) => {
-                            let (status, body) = shard_down(shard, &e);
-                            return (status, body, CT_JSON);
-                        }
-                    };
-                match dse_obs::parse_prometheus_text(&response.body) {
-                    Ok(snap) => shard_snaps.push(snap),
-                    Err(e) => {
-                        return (
-                            502,
-                            error_body(&format!("shard {shard} exposition did not parse: {e}")),
-                            CT_JSON,
-                        )
-                    }
-                }
-            }
-            let summed = dse_obs::sum_snapshots(shard_snaps);
-            // Router registry first: its serve_* series (its own request
-            // counts, shard counters, reactor gauges) win collisions;
-            // shard-only series (ledger, sim kernel) pass through summed.
-            let text = router.metrics.registry.snapshot().merged(summed).to_prometheus_text();
-            (200, text, CT_PROMETHEUS)
-        }
-        "json" => {
-            let mut acc: Option<Value> = None;
-            for shard in 0..router.shards() {
-                let response =
-                    match router.upstream(shard, "GET", "/metrics?format=json", None, None) {
-                        Ok(r) if r.status == 200 => r,
-                        Ok(r) => return (r.status, r.body, CT_JSON),
-                        Err(e) => {
-                            let (status, body) = shard_down(shard, &e);
-                            return (status, body, CT_JSON);
-                        }
-                    };
-                let Ok(v) = serde_json::from_str::<Value>(&response.body) else {
-                    return (
-                        502,
-                        error_body(&format!("shard {shard} metrics did not parse")),
-                        CT_JSON,
-                    );
-                };
-                match &mut acc {
-                    None => acc = Some(v),
-                    Some(acc) => sum_json(acc, &v),
-                }
-            }
-            let mut v = acc.unwrap_or(Value::Null);
-            // The shard-summed `requests` section counts backend work
-            // (sub-batches, fan-outs); replace it with the router's own
-            // front-door view and record the topology.
-            if v.is_object() {
-                set_field(&mut v, "requests", serde::Serialize::to_content(&router.counters()));
-                set_field(&mut v, "shards", Value::U64(router.shards() as u64));
-            }
-            match serde_json::to_string(&v) {
-                Ok(body) => (200, body, CT_JSON),
-                Err(e) => (500, error_body(&format!("metrics serialization failed: {e}")), CT_JSON),
-            }
-        }
-        other => (
-            400,
-            error_body(&format!("unknown format {other:?} (expected \"json\" or \"prometheus\")")),
-            CT_JSON,
-        ),
+fn handle_metrics(router: &RouterShared, request: &Request) -> Result<Reply, BadRequest> {
+    let prometheus = wants_prometheus(request)?;
+    let path = if prometheus { "/metrics?format=prometheus" } else { "/metrics?format=json" };
+    let bodies: Vec<String> = match router.broadcast("GET", path, None, None).collect() {
+        Ok(bodies) => bodies,
+        Err(refusal) => return Ok(json_reply(Ok(refusal.reply))),
+    };
+    if prometheus {
+        let snaps = bodies
+            .iter()
+            .enumerate()
+            .map(|(shard, body)| {
+                dse_obs::parse_prometheus_text(body).map_err(|e| {
+                    BadRequest::new(502, format!("shard {shard} exposition did not parse: {e}"))
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        // Router registry first: its serve_* series (its own request
+        // counts, shard counters, reactor gauges) win collisions;
+        // shard-only series (ledger, sim kernel) pass through summed.
+        let summed = dse_obs::sum_snapshots(snaps);
+        let text = router.front.metrics.registry.snapshot().merged(summed).to_prometheus_text();
+        return Ok((200, text, CT_PROMETHEUS));
     }
+    let mut acc: Option<Value> = None;
+    for (shard, body) in bodies.iter().enumerate() {
+        let v = serde_json::from_str::<Value>(body)
+            .map_err(|_| BadRequest::new(502, format!("shard {shard} metrics did not parse")))?;
+        match &mut acc {
+            None => acc = Some(v),
+            Some(acc) => sum_json(acc, &v),
+        }
+    }
+    let mut v = acc.unwrap_or(Value::Null);
+    // The shard-summed `requests` section counts backend work
+    // (sub-batches, fan-outs); replace it with the router's own
+    // front-door view and record the topology.
+    if v.is_object() {
+        set_field(&mut v, "requests", serde::Serialize::to_content(&router.front.counters()));
+        set_field(&mut v, "shards", Value::U64(router.shards() as u64));
+    }
+    let body = serde_json::to_string(&v)
+        .map_err(|e| BadRequest::new(500, format!("metrics serialization failed: {e}")))?;
+    Ok((200, body, CT_JSON))
 }
 
 /// Field-wise sum of two JSON documents: numbers add (u64 arithmetic

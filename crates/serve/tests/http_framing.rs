@@ -23,7 +23,7 @@ fn quick_server() -> ServerHandle {
         Explorer::for_benchmark(Benchmark::StringSearch).trace_len(2_000).seed(7).threads(2);
     let mut config = ServeConfig::new(explorer);
     config.workers = 2;
-    config.max_body_bytes = 16 * 1024;
+    config.limits.max_body_bytes = 16 * 1024;
     spawn(config).expect("bind")
 }
 

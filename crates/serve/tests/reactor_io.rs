@@ -14,7 +14,7 @@ fn server_with_read_timeout(read_timeout: Duration) -> ServerHandle {
     let explorer = Explorer::for_benchmark(Benchmark::StringSearch).trace_len(1_000).seed(7);
     let mut config = ServeConfig::new(explorer);
     config.workers = 2;
-    config.read_timeout = read_timeout;
+    config.limits.read_timeout = read_timeout;
     spawn(config).expect("bind")
 }
 

@@ -1,6 +1,8 @@
 //! End-to-end service tests over real sockets: every endpoint, the
 //! error paths, and graceful shutdown draining.
 
+mod common;
+
 use std::time::Duration;
 
 use archdse::Explorer;
@@ -13,7 +15,7 @@ fn quick_config() -> ServeConfig {
         Explorer::for_benchmark(Benchmark::StringSearch).trace_len(2_000).seed(7).threads(2);
     let mut config = ServeConfig::new(explorer);
     config.workers = 3;
-    config.max_body_bytes = 16 * 1024;
+    config.limits.max_body_bytes = 16 * 1024;
     config
 }
 
@@ -83,21 +85,8 @@ fn error_paths_answer_structured_json() {
     let server = spawn(quick_config()).expect("bind");
     let addr = server.addr().to_string();
 
-    let cases = [
-        ("POST", "/v1/evaluate", Some("not json"), 400),
-        ("POST", "/v1/evaluate", Some(r#"{"points": []}"#), 400),
-        ("POST", "/v1/evaluate", Some(r#"{"points": [99999999999999]}"#), 400),
-        ("POST", "/v1/evaluate", Some(r#"{"points": [1], "fidelity": "mid"}"#), 400),
-        ("POST", "/v1/explain", Some(r#"{"k": 3}"#), 400),
-        ("POST", "/v1/explain", Some(r#"{"point": 1, "output": "nosuch"}"#), 400),
-        ("POST", "/v1/explore", Some(r#"{"general": true, "benchmark": "mm"}"#), 400),
-        ("GET", "/nope", None, 404),
-        ("GET", "/v1/jobs/999", None, 404),
-        ("GET", "/v1/jobs/xyz", None, 400),
-        ("DELETE", "/v1/evaluate", None, 405),
-    ];
-    for (method, path, body, expected) in cases {
-        let response = client::request(&addr, method, path, body).unwrap();
+    for (method, path, body, expected) in common::error_cases() {
+        let response = client::request(&addr, method, path, body.as_deref()).unwrap();
         assert_eq!(response.status, expected, "{method} {path}: {}", response.body);
         let parsed: Value = serde_json::from_str(&response.body).expect("errors are JSON");
         assert!(parsed.get("error").is_some(), "{method} {path} lacks an error field");

@@ -2,7 +2,9 @@
 //! in-process shard servers. Checks the load-bearing invariants —
 //! sharded answers bit-identical to a single server's, order-stable
 //! merges, global job ids, aggregated metrics, graceful fan-out
-//! shutdown.
+//! shutdown, and the same refusals as a single server.
+
+mod common;
 
 use std::time::Duration;
 
@@ -22,7 +24,7 @@ fn quick_config() -> ServeConfig {
 }
 
 /// Two identically configured shards behind a router.
-fn boot_stack() -> (Vec<ServerHandle>, archdse_serve::RouterHandle) {
+fn boot_stack() -> (Vec<ServerHandle>, ServerHandle) {
     let shards: Vec<ServerHandle> =
         (0..2).map(|_| spawn(quick_config()).expect("bind shard")).collect();
     let addrs = shards.iter().map(|s| s.addr().to_string()).collect();
@@ -63,6 +65,35 @@ fn sharded_answers_are_bit_identical_to_a_single_server() {
     assert_eq!(hf.results[0].fidelity, "HF");
     assert!(hf.results[0].area_mm2 > 0.0);
 
+    router.shutdown();
+    router.join();
+    for shard in shards {
+        shard.shutdown();
+        shard.join();
+    }
+}
+
+#[test]
+fn router_refuses_what_a_single_server_refuses() {
+    let single = spawn(quick_config()).expect("bind");
+    let single_addr = single.addr().to_string();
+    let (shards, router) = boot_stack();
+    let addr = router.addr().to_string();
+
+    for (method, path, body, expected) in common::error_cases() {
+        let alone = client::request(&single_addr, method, path, body.as_deref()).unwrap();
+        let routed = client::request(&addr, method, path, body.as_deref()).unwrap();
+        assert_eq!(alone.status, expected, "{method} {path} alone: {}", alone.body);
+        assert_eq!(routed.status, alone.status, "{method} {path} routed: {}", routed.body);
+        if path == "/v1/evaluate" {
+            // Refused batches, the oversized one included, reach shard 0
+            // whole, so the client reads a single server's error text.
+            assert_eq!(routed.body, alone.body, "{method} {path}");
+        }
+    }
+
+    single.shutdown();
+    single.join();
     router.shutdown();
     router.join();
     for shard in shards {
