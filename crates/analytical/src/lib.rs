@@ -110,8 +110,7 @@ impl AnalyticalModel {
 
     /// Predicted CPI under an explicit design space.
     pub fn cpi_in(&self, space: &DesignSpace, point: &DesignPoint) -> f64 {
-        let values = point.values(space);
-        self.cpi_generic(&values)
+        self.cpi_generic(&Param::ALL.map(|p| point.value(space, p)))
     }
 
     /// Predicted instructions per cycle (1/CPI).
@@ -121,12 +120,20 @@ impl AnalyticalModel {
 
     /// CPI together with its gradient with respect to each parameter's
     /// *value* (in [`Param::ALL`] order), via forward-mode autodiff.
-    pub fn cpi_with_gradient(&self, space: &DesignSpace, point: &DesignPoint) -> (f64, Vec<f64>) {
-        let values = point.values(space);
-        let duals: Vec<Dual> =
-            values.iter().enumerate().map(|(i, &v)| Dual::variable(v, i, Param::COUNT)).collect();
+    ///
+    /// The 11 variables are inline [`Dual`] numbers, so the call does not
+    /// touch the heap. The value is bit-identical to
+    /// [`cpi_in`](Self::cpi_in).
+    pub fn cpi_with_gradient(
+        &self,
+        space: &DesignSpace,
+        point: &DesignPoint,
+    ) -> (f64, [f64; Param::COUNT]) {
+        let duals: [Dual<{ Param::COUNT }>; Param::COUNT] =
+            std::array::from_fn(|i| Dual::variable(point.value(space, Param::ALL[i]), i));
         let out = self.cpi_generic(&duals);
-        (out.value(), out.gradient().to_vec())
+        let grad = out.gradient().try_into().expect("the CPI depends on the design parameters");
+        (out.value(), grad)
     }
 
     /// First-order predicted ΔCPI for bumping each parameter to its next
@@ -135,20 +142,21 @@ impl AnalyticalModel {
     /// This is `∂CPI/∂value × candidate step`, the quantity the LF phase
     /// masks on: the paper "only allow\[s\] the design parameters with
     /// negative gradients to be chosen for increasing".
-    pub fn step_deltas(&self, space: &DesignSpace, point: &DesignPoint) -> Vec<Option<f64>> {
+    pub fn step_deltas(
+        &self,
+        space: &DesignSpace,
+        point: &DesignPoint,
+    ) -> [Option<f64>; Param::COUNT] {
         let (_, grad) = self.cpi_with_gradient(space, point);
-        Param::ALL
-            .iter()
-            .map(|&p| {
-                let idx = point.index_of(p);
-                let cands = space.candidates(p);
-                if idx + 1 < cands.len() {
-                    Some(grad[p.index()] * (cands[idx + 1] - cands[idx]))
-                } else {
-                    None
-                }
-            })
-            .collect()
+        Param::ALL.map(|p| {
+            let idx = point.index_of(p);
+            let cands = space.candidates(p);
+            if idx + 1 < cands.len() {
+                Some(grad[p.index()] * (cands[idx + 1] - cands[idx]))
+            } else {
+                None
+            }
+        })
     }
 
     /// Parameters whose next step is predicted to *reduce* CPI — the LF

@@ -1,52 +1,59 @@
-//! Dense forward-mode dual numbers.
+//! Forward-mode dual numbers with an inline gradient.
 
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
-/// A forward-mode dual number: a value plus a dense gradient vector.
+/// A forward-mode dual number: a value plus an inline gradient of `N`
+/// partial derivatives.
 ///
-/// Each [`Dual::variable`] seeds one slot of an `n_vars`-long gradient;
-/// arithmetic then propagates all partial derivatives simultaneously.
-/// With the 11 design parameters of the paper's Table 1 a dense vector is
-/// both simpler and faster than taping.
+/// Each [`Dual::variable`] seeds one slot of the gradient; arithmetic
+/// then propagates all partial derivatives simultaneously. The gradient
+/// is a fixed-size array, so a `Dual` is `Copy` and every operation works
+/// on the stack: the analytical model runs dozens of operations per
+/// design and the LF phase asks for a gradient at every RL step, so a
+/// heap vector per operation would cost more than the arithmetic.
 ///
-/// Constants may carry an empty gradient (`n_vars = 0`); binary
-/// operations broadcast the empty gradient against any length, so
-/// `Scalar::constant` does not need to know the variable count.
+/// Constants are *unseeded*: their gradient reads as empty (see
+/// [`Dual::gradient`]) and binary operations broadcast them against
+/// seeded operands, so [`Scalar::constant`](crate::Scalar::constant)
+/// needs no variable index.
 ///
 /// # Examples
 ///
 /// ```
 /// use dse_autodiff::Dual;
 ///
-/// let x = Dual::variable(2.0, 0, 1);
-/// let y = (x.clone() * x).recip_dual(); // 1/x²
+/// let x = Dual::<1>::variable(2.0, 0);
+/// let y = (x * x).recip_dual(); // 1/x²
 /// assert_eq!(y.value(), 0.25);
 /// assert!((y.gradient()[0] - (-0.25)).abs() < 1e-12); // d(1/x²)/dx = -2/x³
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Dual {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Dual<const N: usize> {
     v: f64,
-    d: Vec<f64>,
+    /// The partials; all zero while `seeded` is false.
+    d: [f64; N],
+    /// Whether any variable flows into this number.
+    seeded: bool,
 }
 
-impl Dual {
-    /// Creates the `index`-th of `n_vars` independent variables with the
-    /// given value.
+impl<const N: usize> Dual<N> {
+    /// Creates the `index`-th of `N` independent variables with the given
+    /// value.
     ///
     /// # Panics
     ///
-    /// Panics if `index >= n_vars`.
-    pub fn variable(value: f64, index: usize, n_vars: usize) -> Self {
-        assert!(index < n_vars, "variable index {index} out of range {n_vars}");
-        let mut d = vec![0.0; n_vars];
+    /// Panics if `index >= N`.
+    pub fn variable(value: f64, index: usize) -> Self {
+        assert!(index < N, "variable index {index} out of range {N}");
+        let mut d = [0.0; N];
         d[index] = 1.0;
-        Self { v: value, d }
+        Self { v: value, d, seeded: true }
     }
 
-    /// Creates a constant with an explicit gradient length (all zeros).
-    pub fn constant_with_len(value: f64, n_vars: usize) -> Self {
-        Self { v: value, d: vec![0.0; n_vars] }
+    /// A constant: zero derivative with respect to every variable.
+    pub(crate) fn constant(value: f64) -> Self {
+        Self { v: value, d: [0.0; N], seeded: false }
     }
 
     /// The numeric value.
@@ -54,16 +61,25 @@ impl Dual {
         self.v
     }
 
-    /// The gradient vector (may be empty for constants).
+    /// The gradient: all `N` partials, or empty for a constant.
     pub fn gradient(&self) -> &[f64] {
-        &self.d
+        if self.seeded {
+            &self.d
+        } else {
+            &[]
+        }
     }
 
     /// Applies a unary differentiable function given its value map and
     /// derivative at the current value (chain rule).
     pub(crate) fn map(&self, f: impl Fn(f64) -> f64, df: impl Fn(f64) -> f64) -> Self {
         let scale = df(self.v);
-        Self { v: f(self.v), d: self.d.iter().map(|g| g * scale).collect() }
+        let v = f(self.v);
+        if self.seeded {
+            Self { v, d: self.d.map(|g| g * scale), seeded: true }
+        } else {
+            Self::constant(v)
+        }
     }
 
     /// Multiplicative inverse, provided inherently so doc examples don't
@@ -72,73 +88,68 @@ impl Dual {
         self.map(|v| 1.0 / v, |v| -1.0 / (v * v))
     }
 
-    fn zip(&self, rhs: &Dual, v: f64, df: impl Fn(f64, f64) -> (f64, f64)) -> Dual {
+    /// Combines two operands given the result value and the partials of
+    /// the operation with respect to each operand. A constant operand
+    /// contributes no term, so each partial is computed by the same f64
+    /// operations whether or not the other side is seeded.
+    fn zip(&self, rhs: &Self, v: f64, df: impl Fn(f64, f64) -> (f64, f64)) -> Self {
         let (da, db) = df(self.v, rhs.v);
-        let d = match (self.d.is_empty(), rhs.d.is_empty()) {
-            (true, true) => Vec::new(),
-            (false, true) => self.d.iter().map(|g| g * da).collect(),
-            (true, false) => rhs.d.iter().map(|g| g * db).collect(),
-            (false, false) => {
-                assert_eq!(
-                    self.d.len(),
-                    rhs.d.len(),
-                    "dual numbers with {} and {} variables mixed",
-                    self.d.len(),
-                    rhs.d.len()
-                );
-                self.d.iter().zip(&rhs.d).map(|(a, b)| a * da + b * db).collect()
-            }
+        let d = match (self.seeded, rhs.seeded) {
+            (false, false) => return Self::constant(v),
+            (true, false) => self.d.map(|g| g * da),
+            (false, true) => rhs.d.map(|g| g * db),
+            (true, true) => std::array::from_fn(|i| self.d[i] * da + rhs.d[i] * db),
         };
-        Dual { v, d }
+        Self { v, d, seeded: true }
     }
 }
 
-impl Add for Dual {
-    type Output = Dual;
+impl<const N: usize> Add for Dual<N> {
+    type Output = Self;
 
-    fn add(self, rhs: Dual) -> Dual {
+    fn add(self, rhs: Self) -> Self {
         self.zip(&rhs, self.v + rhs.v, |_, _| (1.0, 1.0))
     }
 }
 
-impl Sub for Dual {
-    type Output = Dual;
+impl<const N: usize> Sub for Dual<N> {
+    type Output = Self;
 
-    fn sub(self, rhs: Dual) -> Dual {
+    fn sub(self, rhs: Self) -> Self {
         self.zip(&rhs, self.v - rhs.v, |_, _| (1.0, -1.0))
     }
 }
 
-impl Mul for Dual {
-    type Output = Dual;
+impl<const N: usize> Mul for Dual<N> {
+    type Output = Self;
 
-    fn mul(self, rhs: Dual) -> Dual {
+    fn mul(self, rhs: Self) -> Self {
         self.zip(&rhs, self.v * rhs.v, |a, b| (b, a))
     }
 }
 
-impl Div for Dual {
-    type Output = Dual;
+impl<const N: usize> Div for Dual<N> {
+    type Output = Self;
 
     // The quotient rule genuinely multiplies inside a Div impl.
     #[allow(clippy::suspicious_arithmetic_impl)]
-    fn div(self, rhs: Dual) -> Dual {
+    fn div(self, rhs: Self) -> Self {
         self.zip(&rhs, self.v / rhs.v, |a, b| (1.0 / b, -a / (b * b)))
     }
 }
 
-impl Neg for Dual {
-    type Output = Dual;
+impl<const N: usize> Neg for Dual<N> {
+    type Output = Self;
 
-    fn neg(self) -> Dual {
-        Dual { v: -self.v, d: self.d.into_iter().map(|g| -g).collect() }
+    fn neg(self) -> Self {
+        Self { v: -self.v, d: self.d.map(|g| -g), seeded: self.seeded }
     }
 }
 
-impl fmt::Display for Dual {
+impl<const N: usize> fmt::Display for Dual<N> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.v)?;
-        if !self.d.is_empty() {
+        if self.seeded {
             write!(f, " + {:?}ε", self.d)?;
         }
         Ok(())
@@ -153,8 +164,8 @@ mod tests {
 
     #[test]
     fn product_rule() {
-        let x = Dual::variable(3.0, 0, 2);
-        let y = Dual::variable(4.0, 1, 2);
+        let x = Dual::<2>::variable(3.0, 0);
+        let y = Dual::<2>::variable(4.0, 1);
         let p = x * y;
         assert_eq!(p.value(), 12.0);
         assert_eq!(p.gradient(), &[4.0, 3.0]);
@@ -162,8 +173,8 @@ mod tests {
 
     #[test]
     fn quotient_rule() {
-        let x = Dual::variable(6.0, 0, 1);
-        let q = x / Dual::constant_with_len(2.0, 1);
+        let x = Dual::<1>::variable(6.0, 0);
+        let q = x / <Dual<1> as Scalar>::constant(2.0);
         assert_eq!(q.value(), 3.0);
         assert_eq!(q.gradient(), &[0.5]);
     }
@@ -171,27 +182,27 @@ mod tests {
     #[test]
     fn chain_rule_through_exp_ln() {
         // f(x) = ln(exp(x)) = x → derivative exactly 1 for all x.
-        let x = Dual::variable(1.7, 0, 1);
+        let x = Dual::<1>::variable(1.7, 0);
         let f = Scalar::ln(&Scalar::exp(&x));
         assert!((f.value() - 1.7).abs() < 1e-12);
         assert!((f.gradient()[0] - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn constants_broadcast_against_variables() {
-        let x = Dual::variable(2.0, 0, 3);
-        let c = <Dual as Scalar>::constant(5.0);
+    fn constants_carry_an_empty_gradient_and_broadcast() {
+        let c = <Dual<3> as Scalar>::constant(5.0);
+        assert!(c.gradient().is_empty());
+        // Arithmetic between constants stays constant.
+        let k = Scalar::exp(&(c * c - c));
+        assert!(k.gradient().is_empty());
+        assert_eq!(k.to_string(), format!("{}", (20.0_f64).exp()));
+        // A constant on either side broadcasts against a variable.
+        let x = Dual::<3>::variable(2.0, 0);
         let s = c + x;
         assert_eq!(s.value(), 7.0);
         assert_eq!(s.gradient(), &[1.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "variables mixed")]
-    fn mismatched_lengths_panic() {
-        let x = Dual::variable(1.0, 0, 2);
-        let y = Dual::variable(1.0, 0, 3);
-        let _ = x + y;
+        let t = x * c;
+        assert_eq!(t.gradient(), &[5.0, 0.0, 0.0]);
     }
 
     proptest! {
@@ -199,8 +210,8 @@ mod tests {
         fn derivative_matches_finite_difference(v in 0.3_f64..4.0) {
             // f(x) = x·exp(-x) + sqrt(x)
             let f = |x: f64| x * (-x).exp() + x.sqrt();
-            let x = Dual::variable(v, 0, 1);
-            let y = x.clone() * Scalar::exp(&-x.clone()) + Scalar::sqrt(&x);
+            let x = Dual::<1>::variable(v, 0);
+            let y = x * Scalar::exp(&-x) + Scalar::sqrt(&x);
             let h = 1e-6;
             let fd = (f(v + h) - f(v - h)) / (2.0 * h);
             prop_assert!((y.gradient()[0] - fd).abs() < 1e-5);
@@ -209,9 +220,9 @@ mod tests {
 
         #[test]
         fn addition_is_commutative(a in -10.0_f64..10.0, b in -10.0_f64..10.0) {
-            let x = Dual::variable(a, 0, 2);
-            let y = Dual::variable(b, 1, 2);
-            prop_assert_eq!(x.clone() + y.clone(), y + x);
+            let x = Dual::<2>::variable(a, 0);
+            let y = Dual::<2>::variable(b, 1);
+            prop_assert_eq!(x + y, y + x);
         }
     }
 }

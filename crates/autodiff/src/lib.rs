@@ -6,8 +6,9 @@
 //! design parameters the RL policy is allowed to increase. This crate
 //! provides that machinery:
 //!
-//! * [`Dual`] — a dual number carrying a value plus a dense gradient
-//!   vector (one slot per design parameter);
+//! * [`Dual`] — a dual number carrying a value plus an inline gradient
+//!   array (`Dual<N>`, one slot per design parameter), `Copy` and
+//!   allocation-free;
 //! * [`Scalar`] — the abstraction the analytical model is written
 //!   against, implemented by both `f64` (fast evaluation) and [`Dual`]
 //!   (evaluation with gradients);
@@ -21,9 +22,9 @@
 //! use dse_autodiff::{Dual, Scalar};
 //!
 //! // f(x, y) = x² · y at (3, 2): value 18, ∂x = 12, ∂y = 9.
-//! let x = Dual::variable(3.0, 0, 2);
-//! let y = Dual::variable(2.0, 1, 2);
-//! let f = x.clone() * x * y;
+//! let x = Dual::<2>::variable(3.0, 0);
+//! let y = Dual::<2>::variable(2.0, 1);
+//! let f = x * x * y;
 //! assert_eq!(f.value(), 18.0);
 //! assert_eq!(f.gradient(), &[12.0, 9.0]);
 //! ```

@@ -52,7 +52,7 @@ impl Error for BuildPwlError {}
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let table = PiecewiseLinear::new(vec![(1.0, 10.0), (2.0, 14.0), (4.0, 15.0)])?;
 /// assert_eq!(table.eval(&1.5_f64), 12.0);
-/// let x = Dual::variable(3.0, 0, 1);
+/// let x = Dual::<1>::variable(3.0, 0);
 /// assert_eq!(table.eval(&x).gradient()[0], 0.5); // slope of the 2→4 segment
 /// # Ok(())
 /// # }
@@ -132,9 +132,9 @@ mod tests {
     #[test]
     fn gradient_matches_segment_slope() {
         let t = table();
-        let x = Dual::variable(0.5, 0, 1);
+        let x = Dual::<1>::variable(0.5, 0);
         assert_eq!(t.eval(&x).gradient()[0], 2.0);
-        let x = Dual::variable(2.0, 0, 1);
+        let x = Dual::<1>::variable(2.0, 0);
         assert_eq!(t.eval(&x).gradient()[0], 0.5);
     }
 

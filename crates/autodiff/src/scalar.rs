@@ -108,9 +108,9 @@ impl Scalar for f64 {
     }
 }
 
-impl Scalar for Dual {
+impl<const N: usize> Scalar for Dual<N> {
     fn constant(v: f64) -> Self {
-        Dual::constant_with_len(v, 0)
+        Dual::constant(v)
     }
 
     fn value(&self) -> f64 {
@@ -165,8 +165,8 @@ mod tests {
 
     #[test]
     fn dual_smooth_max_gradient_selects_winner() {
-        let a = Dual::variable(5.0, 0, 2);
-        let b = Dual::variable(1.0, 1, 2);
+        let a = Dual::<2>::variable(5.0, 0);
+        let b = Dual::<2>::variable(1.0, 1);
         let m = a.smooth_max(&b, 30.0);
         // Gradient should be ≈ (1, 0): the max tracks `a`.
         assert!((m.gradient()[0] - 1.0).abs() < 1e-3);

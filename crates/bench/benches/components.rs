@@ -4,15 +4,38 @@
 //! * the analytical model should evaluate in ~microseconds (the paper
 //!   quotes "about 0.1 ms per design");
 //! * the cycle-level simulator is the expensive proxy (milliseconds);
+//! * the LF step of an episode — the six-model gradient mask and the
+//!   REINFORCE update over a whole episode — sets the cost of a Fig. 5
+//!   campaign, which the simulator barely touches;
 //! * FNN forward+backward and GP fit/predict set the per-episode and
 //!   per-acquisition costs of our method and the BO baselines.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
-use archdse::{AnalyticalModel, CoreConfig, DesignSpace, FnnBuilder, Simulator};
+use archdse::{
+    AnalyticalModel, CoreConfig, DesignPoint, DesignSpace, Explorer, FnnBuilder, Simulator,
+};
 use dse_baselines::GaussianProcess;
+use dse_mfrl::{rollout, train_on_episode, Constraint, LowFidelity, ReinforceConfig};
 use dse_sim::Cache;
 use dse_workloads::Benchmark;
+
+/// Steps in the benchmarked episode: about the mean episode length of a
+/// Fig. 5 campaign at 8 mm².
+const EPISODE_STEPS: usize = 27;
+
+/// Admits designs whose candidate indices sum to at most the bound, so an
+/// unmasked rollout from the smallest design takes exactly that many
+/// steps.
+struct IndexBudget(usize);
+
+impl Constraint for IndexBudget {
+    fn fits(&self, _space: &DesignSpace, point: &DesignPoint) -> bool {
+        point.indices().iter().sum::<usize>() <= self.0
+    }
+}
 
 fn bench_analytical(c: &mut Criterion) {
     let space = DesignSpace::boom();
@@ -22,6 +45,11 @@ fn bench_analytical(c: &mut Criterion) {
     group.bench_function("cpi", |b| b.iter(|| std::hint::black_box(model.cpi_in(&space, &point))));
     group.bench_function("cpi_with_gradient", |b| {
         b.iter(|| std::hint::black_box(model.cpi_with_gradient(&space, &point)))
+    });
+    // The LF proxy of a Fig. 5 campaign: the mean mask over all six models.
+    let lf = Explorer::general_purpose().lf_model();
+    group.bench_function("beneficial_params_6_models", |b| {
+        b.iter(|| std::hint::black_box(lf.beneficial_params(&space, &point)))
     });
     group.finish();
 }
@@ -54,6 +82,22 @@ fn bench_fnn(c: &mut Criterion) {
     let d_scores = vec![0.1; fnn.output_count()];
     group.bench_function("backward_192_rules", |b| {
         b.iter(|| std::hint::black_box(fnn.backward(&pass, &d_scores).consequents[0][0]))
+    });
+    let lf = Explorer::general_purpose().lf_model();
+    let mut rng = StdRng::seed_from_u64(0);
+    let budget = IndexBudget(EPISODE_STEPS);
+    let episode = rollout(&fnn, &space, &lf, &budget, space.smallest(), false, &mut rng);
+    assert_eq!(episode.steps.len(), EPISODE_STEPS);
+    let cfg = ReinforceConfig::default();
+    group.bench_function("train_on_episode_27_steps", |b| {
+        b.iter_batched(
+            || fnn.clone(),
+            |mut trained| {
+                train_on_episode(&mut trained, &episode, 0.3, &cfg);
+                std::hint::black_box(trained)
+            },
+            BatchSize::SmallInput,
+        )
     });
     group.finish();
 }

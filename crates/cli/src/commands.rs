@@ -429,6 +429,10 @@ fn cmd_explore(args: &Args) -> Result<i32, Box<dyn Error>> {
         .tiers(tiers)
         .gate_threshold(args.value_or("gate-threshold", 0.05)?)
         .trace_len(args.value_or("trace-len", 30_000)?);
+    if let Err(e) = explorer.check_area() {
+        eprintln!("error: {e}");
+        return Ok(2);
+    }
     if let Some(leakage) = args.value_of::<f64>("leakage")? {
         explorer = explorer.leakage_limit_mw(leakage);
     }

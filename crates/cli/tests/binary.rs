@@ -41,6 +41,19 @@ fn bad_flag_value_is_reported() {
 }
 
 #[test]
+fn explore_below_the_smallest_design_area_is_an_error() {
+    let out = archdse()
+        .args(["explore", "--benchmark", "ss", "--area", "1.0", "--lf-episodes", "10"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.starts_with("error: "), "stderr: {err}");
+    assert!(err.contains("minimum feasible area of 2.68 mm2"), "stderr: {err}");
+    assert!(out.stdout.is_empty(), "no design may be reported");
+}
+
+#[test]
 fn quick_explore_emits_a_design_and_rules_header() {
     let out = archdse()
         .args([

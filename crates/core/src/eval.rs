@@ -709,6 +709,22 @@ mod tests {
     }
 
     #[test]
+    fn six_model_mask_matches_the_recorded_digest() {
+        // FNV-1a over the endorsed-parameter bitmask at 2,000 points,
+        // recorded when the dual numbers still kept heap gradients.
+        let space = DesignSpace::boom();
+        let lf = AnalyticalLf::for_benchmarks(&space, &Benchmark::ALL, 1.0);
+        let mut hash = 0xCBF2_9CE4_8422_2325_u64;
+        for i in 0..2_000u64 {
+            let point = space.decode(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % space.size());
+            let mask: u64 =
+                lf.beneficial_params(&space, &point).iter().map(|p| 1u64 << p.index()).sum();
+            hash = (hash ^ mask).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        assert_eq!(hash, 0xad56_e325_1669_d814);
+    }
+
+    #[test]
     fn lf_mask_subset_of_in_range_params() {
         let space = DesignSpace::boom();
         let lf = AnalyticalLf::for_benchmarks(&space, &Benchmark::ALL, 1.0);

@@ -1,5 +1,9 @@
 //! The friendly end-to-end API.
 
+use std::error::Error;
+use std::fmt;
+
+use dse_area::AreaModel;
 use dse_exec::{CostLedger, FeatureFn, Fidelity, LearnedTier, TierGate, TieredEvaluator};
 use dse_fnn::{extract_rules, Fnn, FnnBuilder, Rule, RuleExtractionConfig};
 use dse_mfrl::{
@@ -25,6 +29,31 @@ pub struct Preference {
     /// Consequent boost for "`group` is low → increase `target`" rules.
     pub boost: f64,
 }
+
+/// An area limit no design fits under: even the smallest design of the
+/// space is larger, so a run could only return an over-limit design.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AreaBelowMinimum {
+    /// The requested limit in mm².
+    pub limit_mm2: f64,
+    /// Area of the smallest design, the least limit any design fits under.
+    pub min_mm2: f64,
+}
+
+impl fmt::Display for AreaBelowMinimum {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Round the minimum up, so the printed figure is itself feasible.
+        let min = (self.min_mm2 * 100.0).ceil() / 100.0;
+        write!(
+            f,
+            "area limit {} mm2 is below the minimum feasible area of {min:.2} mm2 \
+             (the smallest design); no design fits",
+            self.limit_mm2
+        )
+    }
+}
+
+impl Error for AreaBelowMinimum {}
 
 /// Everything a DSE run produces.
 #[derive(Debug, Clone)]
@@ -313,6 +342,23 @@ impl Explorer {
         AreaLimit::new(self.area_limit_mm2)
     }
 
+    /// Checks that the area limit admits at least one design. Call it
+    /// before [`run`](Self::run): the episodes start from the smallest
+    /// design, so below its area a run returns an over-limit design.
+    ///
+    /// # Errors
+    ///
+    /// [`AreaBelowMinimum`] when the limit is below the area of the
+    /// space's smallest design (or not a number).
+    pub fn check_area(&self) -> Result<(), AreaBelowMinimum> {
+        let min_mm2 = AreaModel::new().area_mm2(&self.space, &self.space.smallest());
+        if self.area_limit_mm2 >= min_mm2 {
+            Ok(())
+        } else {
+            Err(AreaBelowMinimum { limit_mm2: self.area_limit_mm2, min_mm2 })
+        }
+    }
+
     /// Builds the full feasibility predicate (area + optional leakage
     /// budget) the episodes run under.
     pub fn constraints(&self) -> DesignConstraints {
@@ -506,6 +552,24 @@ mod tests {
         for d in &report.lf.episode_designs {
             assert!(d.value(space, Param::DecodeWidth) >= 3.0);
         }
+    }
+
+    #[test]
+    fn area_below_the_smallest_design_is_rejected() {
+        let err = quick(Benchmark::Mm).area_limit_mm2(1.0).check_area().unwrap_err();
+        let min = err.min_mm2;
+        assert!(min > 2.0 && min < 4.0, "smallest design area {min}");
+        assert_eq!(err.limit_mm2, 1.0);
+        let explorer = quick(Benchmark::Mm).area_limit_mm2(min);
+        assert!(explorer.area().fits(explorer.space(), &explorer.space().smallest()));
+        let text = err.to_string();
+        assert!(text.contains("minimum feasible area"), "{text}");
+        // The printed minimum is rounded up, so it is itself feasible.
+        let printed: f64 =
+            text.split("area of ").nth(1).unwrap().split(' ').next().unwrap().parse().unwrap();
+        assert!(quick(Benchmark::Mm).area_limit_mm2(printed).check_area().is_ok(), "{text}");
+        assert!(quick(Benchmark::Mm).area_limit_mm2(min).check_area().is_ok());
+        assert!(quick(Benchmark::Mm).area_limit_mm2(f64::NAN).check_area().is_err());
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod pareto;
 pub mod regret;
 pub mod stats;
 
-pub use explorer::{ExplorationReport, Explorer, Preference};
+pub use explorer::{AreaBelowMinimum, ExplorationReport, Explorer, Preference};
 
 // Re-export the workspace vocabulary so downstream users need one crate.
 pub use dse_analytical::AnalyticalModel;

@@ -117,7 +117,8 @@ impl FnnGradients {
 /// structure).
 ///
 /// Construct via [`FnnBuilder`](crate::FnnBuilder); drive with
-/// [`Fnn::forward`] / [`Fnn::backward`] / [`Fnn::apply`].
+/// [`Fnn::forward`] / [`Fnn::backward`] (or [`Fnn::backward_into`]) /
+/// [`Fnn::apply`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fnn {
     inputs: Vec<InputSpec>,
@@ -257,6 +258,14 @@ impl Fnn {
         ForwardPass { scores, memberships, normalized, strength_sum, observation: obs.clone() }
     }
 
+    /// All-zero gradients shaped like this network's trainable weights.
+    pub fn zero_gradients(&self) -> FnnGradients {
+        FnnGradients {
+            consequents: vec![vec![0.0; self.output_count()]; self.rule_count()],
+            centers: self.inputs.iter().map(|s| vec![0.0; s.memberships.len()]).collect(),
+        }
+    }
+
     /// Backpropagates `∂L/∂scores` through the cached forward pass,
     /// returning gradients for the consequents and the *parameter*
     /// membership centers (metric centers stay frozen, §2.3).
@@ -265,56 +274,92 @@ impl Fnn {
     ///
     /// Panics if `d_scores.len()` does not match the output count.
     pub fn backward(&self, pass: &ForwardPass, d_scores: &[f64]) -> FnnGradients {
+        let mut grads = self.zero_gradients();
+        self.backward_into(pass, d_scores, &mut grads, true, &mut Vec::new());
+        grads
+    }
+
+    /// [`backward`](Self::backward) folded into a caller-owned sum, for
+    /// summing per-step gradients over an episode without allocating.
+    ///
+    /// With `first` set, the step's gradients overwrite `sum`; otherwise
+    /// they are added to it. Assigning the first step (rather than adding
+    /// it to zeros) makes the sum bit-identical to folding separate
+    /// [`backward`](Self::backward) results with
+    /// [`FnnGradients::accumulate`], signed zeros included. `scratch` is
+    /// reused for the per-rule intermediates; its contents on entry do
+    /// not matter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d_scores.len()` does not match the output count or
+    /// `sum` is not shaped like [`zero_gradients`](Self::zero_gradients).
+    pub fn backward_into(
+        &self,
+        pass: &ForwardPass,
+        d_scores: &[f64],
+        sum: &mut FnnGradients,
+        first: bool,
+        scratch: &mut Vec<f64>,
+    ) {
         assert_eq!(d_scores.len(), self.output_names.len(), "d_scores length mismatch");
-        let n_rules = self.rule_count();
-        let n_inputs = self.inputs.len();
-
-        // ∂L/∂consequent and ∂L/∂normalized-strength (q).
-        let mut d_consequents = vec![vec![0.0; d_scores.len()]; n_rules];
-        let mut q = vec![0.0; n_rules];
-        for r in 0..n_rules {
-            for (o, &g) in d_scores.iter().enumerate() {
-                d_consequents[r][o] = pass.normalized[r] * g;
-                q[r] += self.consequents[r][o] * g;
+        assert_eq!(sum.consequents.len(), self.rule_count(), "gradient shape mismatch");
+        assert_eq!(sum.centers.len(), self.inputs.len(), "gradient shape mismatch");
+        let fold = |slot: &mut f64, v: f64| {
+            if first {
+                *slot = v;
+            } else {
+                *slot += v;
             }
-        }
-        // Through normalization: ∂L/∂w_r = (q_r − Σ_j q_j·n_j) / S.
-        let q_dot_n: f64 = q.iter().zip(&pass.normalized).map(|(a, b)| a * b).sum();
-        let d_firing: Vec<f64> = q.iter().map(|&qr| (qr - q_dot_n) / pass.strength_sum).collect();
+        };
 
-        // Through the product t-norm to each membership value:
-        // ∂w_r/∂μ(i,l) = Π_{i'≠i} μ(i', label_{i'}) for rules using (i,l).
-        let mut d_membership = vec![vec![0.0; 3]; n_inputs];
-        for (r, labels) in self.rule_labels.iter().enumerate() {
-            let dw = d_firing[r];
-            if dw == 0.0 {
+        // ∂L/∂consequent, and ∂L/∂normalized-strength (q) into scratch.
+        scratch.clear();
+        for ((row, weights), &n) in
+            sum.consequents.iter_mut().zip(&self.consequents).zip(&pass.normalized)
+        {
+            let mut q = 0.0;
+            for ((slot, &w), &g) in row.iter_mut().zip(weights).zip(d_scores) {
+                fold(slot, n * g);
+                q += w * g;
+            }
+            scratch.push(q);
+        }
+        // Through normalization, in place: ∂L/∂w_r = (q_r − Σ_j q_j·n_j) / S.
+        let q_dot_n: f64 = scratch.iter().zip(&pass.normalized).map(|(a, b)| a * b).sum();
+        for q in scratch.iter_mut() {
+            *q = (*q - q_dot_n) / pass.strength_sum;
+        }
+        let d_firing = &scratch[..];
+
+        for (i, spec) in self.inputs.iter().enumerate() {
+            if spec.kind != InputKind::Parameter {
+                // Metric centers are frozen.
+                sum.centers[i].iter_mut().for_each(|slot| fold(slot, 0.0));
                 continue;
             }
-            for i in 0..n_inputs {
+            // Through the product t-norm to each membership value:
+            // ∂w_r/∂μ(i,l) = Π_{i'≠i} μ(i', label_{i'}) for rules using (i,l).
+            let mut d_membership = [0.0f64; 3];
+            for (labels, &dw) in self.rule_labels.iter().zip(d_firing) {
+                if dw == 0.0 {
+                    continue;
+                }
                 let mut excl = 1.0;
                 for (j, &l) in labels.iter().enumerate() {
                     if j != i {
                         excl *= pass.memberships[j][l];
                     }
                 }
-                d_membership[i][labels[i]] += dw * excl;
+                d_membership[labels[i]] += dw * excl;
             }
-        }
-
-        // Through fuzzification to the trainable centers.
-        let mut d_centers: Vec<Vec<f64>> =
-            self.inputs.iter().map(|spec| vec![0.0; spec.memberships.len()]).collect();
-        for (i, spec) in self.inputs.iter().enumerate() {
-            if spec.kind != InputKind::Parameter {
-                continue; // metric centers are frozen
-            }
+            // Through fuzzification to the trainable centers.
             let x = pass.observation.values[i];
-            for (l, m) in spec.memberships.iter().enumerate() {
-                d_centers[i][l] = d_membership[i][l] * m.d_center(x);
+            for ((slot, m), d) in sum.centers[i].iter_mut().zip(&spec.memberships).zip(d_membership)
+            {
+                fold(slot, d * m.d_center(x));
             }
         }
-
-        FnnGradients { consequents: d_consequents, centers: d_centers }
     }
 
     /// Gradient-descent update: `w ← w − lr·∂L/∂w`, with separate

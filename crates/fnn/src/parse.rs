@@ -18,7 +18,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::{Fnn, FnnGradients};
+use crate::Fnn;
 
 /// Error produced while parsing or applying a textual rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -158,10 +158,7 @@ pub fn apply_rule(fnn: &mut Fnn, rule: &ParsedRule, boost: f64) -> usize {
         .collect();
     // Route the seed through the gradient interface so the network's
     // internals stay encapsulated.
-    let mut grads = FnnGradients {
-        consequents: vec![vec![0.0; fnn.output_count()]; fnn.rule_count()],
-        centers: fnn.inputs().iter().map(|s| vec![0.0; s.memberships.len()]).collect(),
-    };
+    let mut grads = fnn.zero_gradients();
     for &r in &matching {
         grads.consequents[r][rule.output] = -boost;
     }

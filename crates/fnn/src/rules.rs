@@ -260,10 +260,7 @@ mod tests {
     fn set_consequent(f: &mut Fnn, rule: usize, output: usize, value: f64) {
         // Test-only poke through the gradient interface: descend from 0
         // by -value with lr 1.
-        let mut grads = crate::FnnGradients {
-            consequents: vec![vec![0.0; f.output_count()]; f.rule_count()],
-            centers: f.inputs().iter().map(|s| vec![0.0; s.memberships.len()]).collect(),
-        };
+        let mut grads = f.zero_gradients();
         grads.consequents[rule][output] = -value;
         f.apply(&grads, 1.0, 0.0);
     }

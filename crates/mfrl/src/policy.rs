@@ -79,20 +79,19 @@ pub fn argmax_masked(scores: &[f64], legal: &[bool]) -> usize {
 
 /// Gradient of `log π(action)` with respect to the raw scores:
 /// `one-hot(action) − probs` on legal entries, zero on illegal ones.
-pub fn d_log_prob(probs: &[f64], action: usize) -> Vec<f64> {
-    probs
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| {
-            if p == 0.0 {
-                0.0 // illegal actions never entered the softmax
-            } else if i == action {
-                1.0 - p
-            } else {
-                -p
-            }
-        })
-        .collect()
+///
+/// Returned lazily, one entry per probability, so a caller can scale it
+/// into a buffer it reuses.
+pub fn d_log_prob(probs: &[f64], action: usize) -> impl Iterator<Item = f64> + '_ {
+    probs.iter().enumerate().map(move |(i, &p)| {
+        if p == 0.0 {
+            0.0 // illegal actions never entered the softmax
+        } else if i == action {
+            1.0 - p
+        } else {
+            -p
+        }
+    })
 }
 
 #[cfg(test)]
@@ -135,7 +134,7 @@ mod tests {
     #[test]
     fn d_log_prob_sums_to_zero_over_legal() {
         let probs = softmax_masked(&[1.0, -1.0, 0.5], &[true, true, true]);
-        let g = d_log_prob(&probs, 0);
+        let g: Vec<f64> = d_log_prob(&probs, 0).collect();
         assert!((g.iter().sum::<f64>()).abs() < 1e-12);
         assert!(g[0] > 0.0, "chosen action gradient positive");
     }

@@ -1,6 +1,6 @@
 //! REINFORCE policy-gradient updates.
 
-use dse_fnn::{Fnn, FnnGradients};
+use dse_fnn::Fnn;
 
 use crate::{policy, Episode};
 
@@ -32,22 +32,23 @@ impl Default for ReinforceConfig {
 /// action earns the full episode reward, exactly the paper's credit
 /// assignment — and applied once at episode end.
 ///
+/// The sum is built in place by [`Fnn::backward_into`]: one gradient
+/// buffer per episode and no allocation per step, bit-identical to
+/// summing separate [`Fnn::backward`] results.
+///
 /// Does nothing for an empty episode.
 pub fn train_on_episode(fnn: &mut Fnn, episode: &Episode, reward: f64, cfg: &ReinforceConfig) {
     if episode.steps.is_empty() {
         return;
     }
-    let mut total: Option<FnnGradients> = None;
-    for step in &episode.steps {
-        let d_log = policy::d_log_prob(&step.probs, step.action);
-        let d_scores: Vec<f64> = d_log.iter().map(|g| -reward * g).collect();
-        let grads = fnn.backward(&step.pass, &d_scores);
-        match &mut total {
-            None => total = Some(grads),
-            Some(t) => t.accumulate(&grads),
-        }
+    let mut total = fnn.zero_gradients();
+    let mut d_scores = Vec::with_capacity(fnn.output_count());
+    let mut scratch = Vec::with_capacity(fnn.rule_count());
+    for (t, step) in episode.steps.iter().enumerate() {
+        d_scores.clear();
+        d_scores.extend(policy::d_log_prob(&step.probs, step.action).map(|g| -reward * g));
+        fnn.backward_into(&step.pass, &d_scores, &mut total, t == 0, &mut scratch);
     }
-    let total = total.expect("non-empty episode produced gradients");
     fnn.apply(&total, cfg.lr_consequent, cfg.lr_center);
 }
 
@@ -56,7 +57,7 @@ mod tests {
     use super::*;
     use crate::testutil::{QuadraticLf, SumConstraint};
     use crate::{rollout, EPSILON};
-    use dse_fnn::FnnBuilder;
+    use dse_fnn::{FnnBuilder, FnnGradients};
     use dse_space::DesignSpace;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -105,6 +106,87 @@ mod tests {
         let ep = Episode { steps: Vec::new(), final_point: space.smallest() };
         train_on_episode(&mut fnn, &ep, EPSILON, &ReinforceConfig::default());
         assert_eq!(fnn, before);
+    }
+
+    /// FNV-1a over the bits of a sequence of floats.
+    fn digest(words: impl IntoIterator<Item = f64>) -> u64 {
+        let mut hash = 0xCBF2_9CE4_8422_2325_u64;
+        for w in words {
+            for byte in w.to_bits().to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        hash
+    }
+
+    fn grads_digest(g: &FnnGradients) -> u64 {
+        digest(g.consequents.iter().chain(&g.centers).flatten().copied())
+    }
+
+    /// The per-step fold `train_on_episode` used before the in-place sum:
+    /// a fresh `backward` per step, folded with `accumulate`.
+    fn reference_fold(fnn: &Fnn, episode: &Episode, reward: f64) -> FnnGradients {
+        let mut total: Option<FnnGradients> = None;
+        for step in &episode.steps {
+            let d_scores: Vec<f64> =
+                policy::d_log_prob(&step.probs, step.action).map(|g| -reward * g).collect();
+            let grads = fnn.backward(&step.pass, &d_scores);
+            match &mut total {
+                None => total = Some(grads),
+                Some(t) => t.accumulate(&grads),
+            }
+        }
+        total.expect("non-empty episode")
+    }
+
+    /// The in-place sum `train_on_episode` applies.
+    fn in_place_sum(fnn: &Fnn, episode: &Episode, reward: f64) -> FnnGradients {
+        let mut total = fnn.zero_gradients();
+        let mut scratch = vec![f64::NAN; 3]; // stale contents must not leak in
+        for (t, step) in episode.steps.iter().enumerate() {
+            let d_scores: Vec<f64> =
+                policy::d_log_prob(&step.probs, step.action).map(|g| -reward * g).collect();
+            fnn.backward_into(&step.pass, &d_scores, &mut total, t == 0, &mut scratch);
+        }
+        total
+    }
+
+    #[test]
+    fn in_place_sum_matches_the_per_step_fold_bit_for_bit() {
+        // Six recorded 27-step episodes, trained one after another, with
+        // rewards of both signed zeros among them. The digests were
+        // recorded from the per-step fold before the in-place sum existed.
+        const GOLDEN: [u64; 6] = [
+            0x4c4e_c891_2486_6651,
+            0x32d3_2eb3_09d2_7a7d,
+            0xb7cc_1de2_7c0a_e585,
+            0x6cd7_47f8_3151_02bc,
+            0x0cfd_37fd_afbe_e585,
+            0x2638_07d0_58a1_140c,
+        ];
+        const TRAINED: u64 = 0x594d_b272_ec57_ed46;
+        let space = DesignSpace::boom();
+        let mut fnn = FnnBuilder::for_space(&space).build();
+        let lf = QuadraticLf::new(&space);
+        let constraint = SumConstraint { max_index_sum: 27 };
+        let mut rng = StdRng::seed_from_u64(11);
+        let rewards = [0.37, -0.21, 0.0, EPSILON, -0.0, 1.5];
+        for (i, (reward, golden)) in rewards.into_iter().zip(GOLDEN).enumerate() {
+            let ep = rollout(&fnn, &space, &lf, &constraint, space.smallest(), false, &mut rng);
+            assert_eq!(ep.steps.len(), 27);
+            let reference = reference_fold(&fnn, &ep, reward);
+            let summed = in_place_sum(&fnn, &ep, reward);
+            assert_eq!(grads_digest(&reference), golden, "episode {i}: reference fold moved");
+            assert_eq!(grads_digest(&summed), golden, "episode {i}: in-place sum differs");
+            train_on_episode(&mut fnn, &ep, reward, &ReinforceConfig::default());
+        }
+        let weights = fnn
+            .consequents()
+            .iter()
+            .flatten()
+            .copied()
+            .chain(fnn.inputs().iter().flat_map(|s| s.memberships.iter().map(|m| m.center())));
+        assert_eq!(digest(weights), TRAINED, "trained network moved");
     }
 
     fn obs_of(fnn: &Fnn, space: &DesignSpace, lf: &QuadraticLf) -> dse_fnn::Observation {

@@ -511,6 +511,7 @@ fn handle_explore(shared: &Shared, request: &Request) -> Answer {
     .lf_episodes(parsed.lf_episodes)
     .hf_budget(parsed.hf_budget)
     .trace_len(parsed.trace_len);
+    explorer.check_area().map_err(|e| BadRequest::new(400, e.to_string()))?;
 
     let id = shared.jobs.next.fetch_add(1, Ordering::Relaxed) + 1;
     shared.jobs.states.lock().expect("job table poisoned").insert(id, JobState::Running);

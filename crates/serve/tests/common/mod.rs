@@ -11,6 +11,7 @@ pub fn error_cases() -> Vec<(&'static str, &'static str, Option<String>, u16)> {
         ("POST", "/v1/explain", Some(r#"{"k": 3}"#), 400),
         ("POST", "/v1/explain", Some(r#"{"point": 1, "output": "nosuch"}"#), 400),
         ("POST", "/v1/explore", Some(r#"{"general": true, "benchmark": "mm"}"#), 400),
+        ("POST", "/v1/explore", Some(r#"{"area": 1.0}"#), 400),
         ("GET", "/nope", None, 404),
         ("GET", "/v1/jobs/999", None, 404),
         ("GET", "/v1/jobs/xyz", None, 400),

@@ -137,6 +137,23 @@ fn explore_jobs_run_in_the_background_and_complete() {
 }
 
 #[test]
+fn explore_below_the_smallest_design_area_is_refused() {
+    let server = spawn(quick_config()).expect("bind");
+    let addr = server.addr().to_string();
+
+    let refused =
+        client::post(&addr, "/v1/explore", r#"{"benchmark": "ss", "area": 2.0}"#).unwrap();
+    assert_eq!(refused.status, 400, "{}", refused.body);
+    assert!(refused.body.contains("minimum feasible area of 2.68 mm2"), "{}", refused.body);
+    // No job was started for the refused spec.
+    let jobs = client::get(&addr, "/v1/jobs/1").unwrap();
+    assert_eq!(jobs.status, 404, "{}", jobs.body);
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn prometheus_exposition_is_valid_and_agrees_with_json() {
     let server = spawn(quick_config()).expect("bind");
     let addr = server.addr().to_string();
