@@ -128,8 +128,8 @@ COMMANDS:
                              worker); conflicts with --addr
       --metrics-out <file>   dump the target's (aggregated) Prometheus
                              exposition after the run
-                             (run stats also persist to
-                             results/BENCH_loadgen.json)
+                             (a plain run prints its report and writes
+                             no file; only --trend records an artifact)
   trace-report               summarize a JSONL trace from --trace-out:
                              per-phase wall time, per-fidelity budget
                              totals cross-checked against the ledger,
@@ -1010,11 +1010,6 @@ fn cmd_loadgen(args: &Args) -> Result<i32, Box<dyn Error>> {
             report.coalescer.requests, report.coalescer.batches
         );
     }
-    // Persist the run as a bench-style artifact so service latency has
-    // the same durable record as kernel throughput.
-    let row = loadgen_row(&report, &config);
-    let artifact = serde_json::to_string_pretty(&LoadgenArtifact { rows: vec![row] })?;
-    dse_bench::write_results_artifact("BENCH_loadgen.json", &artifact);
     Ok(if report.failed == 0 { 0 } else { 1 })
 }
 
@@ -1196,8 +1191,8 @@ struct LoadgenRow {
 }
 
 /// The `results/BENCH_loadgen.json` payload: one row per measured
-/// configuration. A plain run records one row; `--trend` records the
-/// whole 1-shard vs N-shard × concurrency matrix.
+/// configuration of the 1-shard vs N-shard × concurrency matrix. Only
+/// `--trend` writes it; a plain run prints its report and nothing else.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct LoadgenArtifact {
     rows: Vec<LoadgenRow>,

@@ -1,116 +1,48 @@
 //! Cross-process metric aggregation: parse a Prometheus text exposition
 //! back into a [`Snapshot`] and sum snapshots series-by-series.
 //!
-//! This is the router half of sharded serving: each shard process
-//! renders its own registry with [`Snapshot::to_prometheus_text`], the
-//! front router scrapes them over HTTP, re-parses with
-//! [`parse_prometheus_text`] (de-cumulating histogram buckets back to
-//! per-bucket counts), folds them with [`sum_snapshots`], and renders
-//! one combined exposition. Round-tripping through the text format —
-//! rather than a private side channel — keeps the aggregate honest:
-//! anything the router can sum, any scraper could too.
+//! This is the router half of sharded serving. Each shard renders one
+//! snapshot with [`Snapshot::to_prometheus_text`]; the router scrapes
+//! them over HTTP, reads each back with [`parse_prometheus_text`]
+//! (de-cumulating histogram buckets back to per-bucket counts), folds
+//! them with [`sum_snapshots`] and renders both `/metrics` forms from
+//! the one result. Round-tripping through the text format — rather than
+//! a private side channel — keeps the aggregate honest: anything the
+//! router can sum, any scraper could too.
 
 use std::collections::BTreeMap;
 
-use crate::promcheck::{parse_sample, parse_value, Sample};
+use crate::promcheck;
 use crate::registry::{MetricSnapshot, MetricValue, Snapshot};
 
 /// Parses a Prometheus text exposition into a [`Snapshot`].
 ///
-/// Counter/gauge kinds come from the `# TYPE` comments; histogram
-/// `_bucket`/`_sum`/`_count` triples are reassembled into one
-/// [`MetricValue::Histogram`] per label set, with the cumulative bucket
-/// values de-cumulated back into per-bucket hit counts. `summary` and
-/// `untyped` families are not produced by our renderer and are
-/// rejected.
+/// The document goes through the same reader as
+/// [`promcheck::check_text`]. Counter and gauge samples keep their
+/// declared kind; each histogram label set becomes one
+/// [`MetricValue::Histogram`] with its cumulative buckets de-cumulated
+/// back into per-bucket hit counts. `summary` and `untyped` families
+/// are not produced by our renderer and are rejected.
 ///
 /// # Errors
 ///
-/// Returns a `line N: ...` message for grammar errors, samples without
-/// a `# TYPE`, or histogram triples that do not reassemble (bounds out
-/// of order, cumulative counts decreasing, missing `+Inf`).
+/// Returns the first `line N: ...` problem the reader found (grammar,
+/// samples without a `# TYPE`, histogram triples that do not
+/// reassemble), an unsupported family, or a counter that is not a u64.
 pub fn parse_prometheus_text(text: &str) -> Result<Snapshot, String> {
-    let mut families: BTreeMap<String, String> = BTreeMap::new();
-    let mut samples: Vec<Sample> = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let n = idx + 1;
-        let line = raw.trim_end();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(comment) = line.strip_prefix('#') {
-            let mut parts = comment.split_whitespace();
-            if parts.next() == Some("TYPE") {
-                let name = parts
-                    .next()
-                    .ok_or_else(|| format!("line {n}: `# TYPE` without a metric name"))?;
-                let kind = parts.next().unwrap_or("");
-                match kind {
-                    "counter" | "gauge" | "histogram" => {
-                        families.insert(name.to_string(), kind.to_string());
-                    }
-                    other => return Err(format!("line {n}: unsupported metric type {other:?}")),
-                }
-            }
-            continue;
-        }
-        samples.push(parse_sample(n, line)?);
+    let mut errors = Vec::new();
+    let doc = promcheck::read(text, &mut errors);
+    if let Some(first) = errors.into_iter().next() {
+        return Err(first);
     }
-
-    let mut metrics: Vec<MetricSnapshot> = Vec::new();
-    // Histogram parts grouped by (family, labels-without-le).
-    type LabelSet = Vec<(String, String)>;
-    struct HistParts {
-        line: usize,
-        buckets: Vec<(f64, f64)>, // (le, cumulative) in file order
-        sum: Option<f64>,
-        count: Option<f64>,
+    if let Some((name, kind)) =
+        doc.families.iter().find(|(_, kind)| !["counter", "gauge", "histogram"].contains(kind))
+    {
+        return Err(format!("{name}: unsupported metric type {kind:?}"));
     }
-    let mut hists: BTreeMap<(String, LabelSet), HistParts> = BTreeMap::new();
-
-    for s in samples {
-        // A histogram part first: `x_bucket`/`x_sum`/`x_count` where `x`
-        // is a declared histogram family.
-        let part = ["_bucket", "_sum", "_count"].iter().find_map(|suffix| {
-            s.name
-                .strip_suffix(suffix)
-                .filter(|base| families.get(*base).map(String::as_str) == Some("histogram"))
-                .map(|base| (base.to_string(), *suffix))
-        });
-        if let Some((family, suffix)) = part {
-            let mut labels: LabelSet = Vec::new();
-            let mut le: Option<f64> = None;
-            for (k, v) in &s.labels {
-                if suffix == "_bucket" && k == "le" {
-                    le = Some(
-                        parse_value(v)
-                            .ok_or_else(|| format!("line {}: unparseable le={v:?}", s.line))?,
-                    );
-                } else {
-                    labels.push((k.clone(), v.clone()));
-                }
-            }
-            let entry = hists.entry((family, labels)).or_insert_with(|| HistParts {
-                line: s.line,
-                buckets: Vec::new(),
-                sum: None,
-                count: None,
-            });
-            match suffix {
-                "_bucket" => {
-                    let le =
-                        le.ok_or_else(|| format!("line {}: _bucket without le label", s.line))?;
-                    entry.buckets.push((le, s.value));
-                }
-                "_sum" => entry.sum = Some(s.value),
-                _ => entry.count = Some(s.value),
-            }
-            continue;
-        }
-        let kind = families
-            .get(&s.name)
-            .ok_or_else(|| format!("line {}: sample {} has no `# TYPE`", s.line, s.name))?;
-        let value = match kind.as_str() {
+    let mut metrics = Vec::with_capacity(doc.samples.len() + doc.histograms.len());
+    for s in doc.samples {
+        let value = match doc.families[&s.name] {
             "counter" => {
                 if s.value < 0.0 || s.value.fract() != 0.0 || s.value > u64::MAX as f64 {
                     return Err(format!(
@@ -121,45 +53,30 @@ pub fn parse_prometheus_text(text: &str) -> Result<Snapshot, String> {
                 MetricValue::Counter(s.value as u64)
             }
             "gauge" => MetricValue::Gauge(s.value),
-            other => {
-                return Err(format!("line {}: {} declared as {other:?}", s.line, s.name));
+            _ => {
+                return Err(format!("line {}: histogram sample {} lacks a suffix", s.line, s.name))
             }
         };
         metrics.push(MetricSnapshot { name: s.name, labels: s.labels, value });
     }
-
-    for ((family, labels), parts) in hists {
-        let line = parts.line;
-        let mut bounds = Vec::new();
-        let mut buckets = Vec::new();
-        let mut prev_le = f64::NEG_INFINITY;
-        let mut prev_cum = 0.0f64;
-        for (le, cum) in &parts.buckets {
-            if *le <= prev_le {
-                return Err(format!("line {line}: {family} le bounds not increasing"));
-            }
-            if *cum < prev_cum {
-                return Err(format!("line {line}: {family} cumulative buckets decrease"));
-            }
-            if le.is_finite() {
-                bounds.push(*le);
-            }
-            buckets.push((*cum - prev_cum) as u64);
-            prev_le = *le;
-            prev_cum = *cum;
-        }
-        if prev_le != f64::INFINITY {
-            return Err(format!("line {line}: {family} missing the le=\"+Inf\" bucket"));
-        }
-        let sum = parts.sum.ok_or_else(|| format!("line {line}: {family} missing _sum"))?;
-        let count = parts.count.ok_or_else(|| format!("line {line}: {family} missing _count"))?;
+    for h in doc.histograms {
+        let bounds = h.buckets.iter().map(|&(le, _)| le).filter(|le| le.is_finite()).collect();
+        let mut below = 0.0;
+        let buckets = h
+            .buckets
+            .iter()
+            .map(|&(_, cumulative)| {
+                let hits = (cumulative - below) as u64;
+                below = cumulative;
+                hits
+            })
+            .collect();
         metrics.push(MetricSnapshot {
-            name: family,
-            labels,
-            value: MetricValue::Histogram { bounds, buckets, sum, count: count as u64 },
+            name: h.family,
+            labels: h.labels,
+            value: MetricValue::Histogram { bounds, buckets, sum: h.sum, count: h.count as u64 },
         });
     }
-
     metrics.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
     Ok(Snapshot { metrics })
 }

@@ -3,11 +3,11 @@
 //! The paper's pitch is an *explainable* DSE flow; this crate extends
 //! that explainability from the FNN's answers to the run itself: where
 //! wall-clock went, how the multi-fidelity budget was spent, and what
-//! every episode decided. Three pieces, all dependency-free:
+//! every episode decided. Four pieces, all dependency-free:
 //!
 //! * [`Registry`] — named counters, gauges and fixed-bucket histograms
 //!   over atomic storage. Registration takes a mutex once; updates are
-//!   lock-free. Snapshots render as Prometheus text or JSON.
+//!   lock-free. Snapshots render as Prometheus text.
 //!   [`global()`] is the process-wide instance; components needing
 //!   isolated counting own their own and [`Snapshot::merged`] joins
 //!   them at exposition time.
@@ -16,12 +16,13 @@
 //!   it records spans with ids/parent links and flat key-value events.
 //!   Emission is driver-thread-only by convention, which keeps traces
 //!   bit-deterministic (modulo timestamps) under worker parallelism.
-//! * [`promcheck`] — a promtool-style validator for the text
-//!   exposition format, shared by the golden tests and the CLI's
-//!   `check-metrics` subcommand so CI needs no external tooling.
-//! * [`aggregate`] — parse a text exposition back into a [`Snapshot`]
-//!   and sum snapshots series-by-series, so a shard router can serve
-//!   one `/metrics` for N worker processes.
+//! * [`promcheck`] — the one reader of the text exposition format and
+//!   a promtool-style validator on top of it, shared by the golden
+//!   tests and the CLI's `check-metrics` subcommand so CI needs no
+//!   external tooling.
+//! * [`aggregate`] — read a text exposition back into a [`Snapshot`]
+//!   (through the same reader) and sum snapshots series-by-series, so a
+//!   shard router renders one `/metrics` for N worker processes.
 //!
 //! ## Example
 //!

@@ -1,23 +1,35 @@
-//! A promtool-style validator for the Prometheus text exposition
-//! format — pure string processing so CI can lint `/metrics` output
-//! with no network dependencies.
+//! The one reader of the Prometheus text exposition format, and a
+//! promtool-style validator built on it — pure string processing so CI
+//! can lint `/metrics` output with no network dependencies.
 //!
-//! [`check_text`] verifies, line by line:
+//! The (crate-private) reader takes a document apart once for two consumers:
+//! [`check_text`] lints with it and [`crate::parse_prometheus_text`]
+//! rebuilds a [`crate::Snapshot`] from it. The reader enforces:
 //!
-//! * comment grammar (`# TYPE name kind` with a known kind, declared
-//!   at most once per metric);
+//! * comment grammar (`# TYPE name kind` with a valid name and a known
+//!   kind, declared at most once per metric);
 //! * sample grammar: metric name `[a-zA-Z_:][a-zA-Z0-9_:]*`, label
 //!   names `[a-zA-Z_][a-zA-Z0-9_]*`, properly quoted/escaped label
 //!   values, and a parseable value;
 //! * every sample belongs to a declared `# TYPE` family;
-//! * histogram families form complete `_bucket`/`_sum`/`_count`
+//! * histogram families reassemble into `_bucket`/`_sum`/`_count`
 //!   triples per label set: `le` bounds strictly increasing and ending
-//!   at `+Inf`, cumulative bucket values non-decreasing, the `+Inf`
-//!   bucket equal to `_count`, and `_sum` finite and non-negative.
+//!   at `+Inf`, cumulative bucket values non-decreasing, `_sum` and
+//!   `_count` present.
+//!
+//! [`check_text`] adds the lint rules on top: counters are
+//! non-negative, the `+Inf` bucket equals `_count`, and `_sum` is
+//! finite and non-negative.
 
 use std::collections::BTreeMap;
 
 use crate::expo;
+
+/// A label set in file order.
+type LabelSet = Vec<(String, String)>;
+
+/// The metric types a `# TYPE` line may declare.
+const KINDS: [&str; 5] = ["counter", "gauge", "histogram", "summary", "untyped"];
 
 /// What a successful [`check_text`] run covered.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -47,207 +59,246 @@ impl std::fmt::Display for CheckSummary {
 pub(crate) struct Sample {
     pub(crate) line: usize,
     pub(crate) name: String,
-    pub(crate) labels: Vec<(String, String)>,
+    pub(crate) labels: LabelSet,
     pub(crate) value: f64,
 }
 
-/// Validates Prometheus text exposition output.
-///
-/// # Errors
-///
-/// Returns every problem found, each as a `line N: ...` message.
-pub fn check_text(text: &str) -> Result<CheckSummary, Vec<String>> {
-    let mut errors: Vec<String> = Vec::new();
-    let mut families: BTreeMap<String, &str> = BTreeMap::new();
-    let mut samples: Vec<Sample> = Vec::new();
-    let mut summary = CheckSummary::default();
+/// One histogram label set, reassembled from its `_bucket`, `_sum` and
+/// `_count` samples.
+#[derive(Debug, Clone)]
+pub(crate) struct HistogramSeries {
+    pub(crate) family: String,
+    /// The labels without `le`.
+    pub(crate) labels: LabelSet,
+    /// The line of the last bucket, for messages.
+    pub(crate) line: usize,
+    /// `(le, cumulative value)` in file order: `le` strictly increasing
+    /// and ending at `+Inf`, values non-decreasing.
+    pub(crate) buckets: Vec<(f64, f64)>,
+    pub(crate) sum: f64,
+    pub(crate) count: f64,
+}
 
+/// A document as [`read`] found it.
+#[derive(Debug, Default)]
+pub(crate) struct Exposition {
+    /// Non-empty lines.
+    pub(crate) lines: usize,
+    /// Sample lines that parsed.
+    pub(crate) sample_lines: usize,
+    /// Declared families and their kinds.
+    pub(crate) families: BTreeMap<String, &'static str>,
+    /// Samples of every family that is not a histogram, in file order.
+    pub(crate) samples: Vec<Sample>,
+    /// Every well-formed histogram label set, sorted by family and labels.
+    pub(crate) histograms: Vec<HistogramSeries>,
+}
+
+/// The samples of one histogram label set, as they turned up.
+#[derive(Default)]
+struct HistogramParts {
+    /// `(line, le, cumulative value)` in file order.
+    buckets: Vec<(usize, f64, f64)>,
+    sum: Option<f64>,
+    count: Option<f64>,
+}
+
+/// Reads a text exposition, appending a `line N: ...` message to
+/// `errors` for every problem found. What is malformed is left out of
+/// the result; the rest is still read.
+pub(crate) fn read(text: &str, errors: &mut Vec<String>) -> Exposition {
+    let mut doc = Exposition::default();
+    let mut parsed = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let n = idx + 1;
         let line = raw.trim_end();
         if line.is_empty() {
             continue;
         }
-        summary.lines += 1;
+        doc.lines += 1;
         if let Some(comment) = line.strip_prefix('#') {
             let mut parts = comment.split_whitespace();
             if parts.next() == Some("TYPE") {
-                let Some(name) = parts.next() else {
-                    errors.push(format!("line {n}: `# TYPE` without a metric name"));
-                    continue;
-                };
-                if !expo::is_valid_metric_name(name) {
-                    errors.push(format!("line {n}: invalid metric name {name:?} in TYPE"));
-                }
-                let kind = parts.next().unwrap_or("");
-                let kind = match kind {
-                    "counter" => "counter",
-                    "gauge" => "gauge",
-                    "histogram" => "histogram",
-                    "summary" => "summary",
-                    "untyped" => "untyped",
-                    other => {
-                        errors.push(format!("line {n}: unknown metric type {other:?}"));
-                        continue;
-                    }
-                };
-                if families.insert(name.to_string(), kind).is_some() {
-                    errors.push(format!("line {n}: duplicate TYPE for {name}"));
+                if let Err(e) = declare(&mut doc.families, n, parts.next(), parts.next()) {
+                    errors.push(e);
                 }
             }
             // `# HELP` and free-form comments are always legal.
             continue;
         }
         match parse_sample(n, line) {
-            Ok(sample) => {
-                summary.samples += 1;
-                samples.push(sample);
-            }
+            Ok(sample) => parsed.push(sample),
             Err(e) => errors.push(e),
         }
     }
-    summary.families = families.len();
+    doc.sample_lines = parsed.len();
 
-    // Family membership: every sample must trace back to a TYPE line.
-    for s in &samples {
-        let family = histogram_family(&families, &s.name).unwrap_or(s.name.as_str());
-        if !families.contains_key(family) {
-            errors.push(format!("line {}: sample {} has no `# TYPE` declaration", s.line, s.name));
-        }
-        if families.get(family) == Some(&"counter") && s.value < 0.0 {
-            errors.push(format!("line {}: counter {} is negative", s.line, s.name));
-        }
-    }
-
-    // Histogram triples, grouped by (family, labels-without-le).
-    for (family, kind) in &families {
-        if *kind != "histogram" {
+    // Histogram parts grouped by (family, labels without `le`).
+    let mut histograms: BTreeMap<(String, LabelSet), HistogramParts> = BTreeMap::new();
+    for s in parsed {
+        let Some((family, suffix)) = histogram_part(&doc.families, &s.name) else {
+            if doc.families.contains_key(&s.name) {
+                doc.samples.push(s);
+            } else {
+                errors.push(format!(
+                    "line {}: sample {} has no `# TYPE` declaration",
+                    s.line, s.name
+                ));
+            }
+            continue;
+        };
+        let (family, mut labels) = (family.to_string(), s.labels);
+        if suffix != "_bucket" {
+            let parts = histograms.entry((family, labels)).or_default();
+            let slot = if suffix == "_sum" { &mut parts.sum } else { &mut parts.count };
+            *slot = Some(s.value);
             continue;
         }
-        summary.histograms += check_histogram_family(family, &samples, &mut errors);
+        let le = labels.iter().position(|(k, _)| k == "le").map(|i| labels.remove(i).1);
+        match le.as_deref().map(|v| (v, parse_value(v))) {
+            Some((_, Some(le))) => {
+                let parts = histograms.entry((family, labels)).or_default();
+                parts.buckets.push((s.line, le, s.value));
+            }
+            Some((v, None)) => errors.push(format!("line {}: unparseable le={v:?}", s.line)),
+            None => errors.push(format!("line {}: {family}_bucket without le label", s.line)),
+        }
     }
+    for ((family, labels), parts) in histograms {
+        doc.histograms.extend(assemble(family, labels, parts, errors));
+    }
+    doc
+}
 
-    if errors.is_empty() {
-        Ok(summary)
-    } else {
-        Err(errors)
+/// Records one `# TYPE name kind` declaration.
+fn declare(
+    families: &mut BTreeMap<String, &'static str>,
+    n: usize,
+    name: Option<&str>,
+    kind: Option<&str>,
+) -> Result<(), String> {
+    let name = name.ok_or_else(|| format!("line {n}: `# TYPE` without a metric name"))?;
+    if !expo::is_valid_metric_name(name) {
+        return Err(format!("line {n}: invalid metric name {name:?} in TYPE"));
     }
+    let kind = kind.unwrap_or("");
+    let kind = KINDS
+        .into_iter()
+        .find(|&known| known == kind)
+        .ok_or_else(|| format!("line {n}: unknown metric type {kind:?}"))?;
+    if families.contains_key(name) {
+        return Err(format!("line {n}: duplicate TYPE for {name}"));
+    }
+    families.insert(name.to_string(), kind);
+    Ok(())
 }
 
 /// If `name` is a `_bucket`/`_sum`/`_count` series of a declared
-/// histogram family, returns that family name.
-fn histogram_family<'a>(families: &BTreeMap<String, &str>, name: &'a str) -> Option<&'a str> {
-    for suffix in ["_bucket", "_sum", "_count"] {
-        if let Some(base) = name.strip_suffix(suffix) {
-            if families.get(base) == Some(&"histogram") {
-                return Some(base);
-            }
-        }
-    }
-    None
+/// histogram family, returns that family name and the suffix.
+fn histogram_part<'a>(
+    families: &BTreeMap<String, &str>,
+    name: &'a str,
+) -> Option<(&'a str, &'static str)> {
+    ["_bucket", "_sum", "_count"].into_iter().find_map(|suffix| {
+        let base = name.strip_suffix(suffix)?;
+        (families.get(base) == Some(&"histogram")).then_some((base, suffix))
+    })
 }
 
-/// Checks every label-set of one histogram family; returns how many
-/// label-sets were verified.
-fn check_histogram_family(family: &str, samples: &[Sample], errors: &mut Vec<String>) -> usize {
-    type LabelSet = Vec<(String, String)>;
-    // Per label-set: cumulative (le, value) in file order, plus _sum/_count.
-    let mut buckets: BTreeMap<LabelSet, Vec<(usize, f64, f64)>> = BTreeMap::new();
-    let mut sums: BTreeMap<LabelSet, f64> = BTreeMap::new();
-    let mut counts: BTreeMap<LabelSet, f64> = BTreeMap::new();
-    for s in samples {
-        if s.name == format!("{family}_bucket") {
-            let mut rest: LabelSet = Vec::new();
-            let mut le: Option<(usize, f64)> = None;
-            for (k, v) in &s.labels {
-                if k == "le" {
-                    match parse_value(v) {
-                        Some(bound) => le = Some((s.line, bound)),
-                        None => {
-                            errors.push(format!("line {}: unparseable le={v:?}", s.line));
-                        }
-                    }
-                } else {
-                    rest.push((k.clone(), v.clone()));
-                }
-            }
-            match le {
-                Some((line, bound)) => {
-                    buckets.entry(rest).or_default().push((line, bound, s.value));
-                }
-                None => errors.push(format!("line {}: {}_bucket without le label", s.line, family)),
-            }
-        } else if s.name == format!("{family}_sum") {
-            sums.insert(s.labels.clone(), s.value);
-        } else if s.name == format!("{family}_count") {
-            counts.insert(s.labels.clone(), s.value);
-        }
-    }
-
-    let mut checked = 0;
-    for (labels, series) in &buckets {
-        checked += 1;
-        let label_desc = if labels.is_empty() {
-            String::new()
-        } else {
-            format!(
-                "{{{}}}",
-                labels.iter().map(|(k, v)| format!("{k}={v:?}")).collect::<Vec<_>>().join(",")
-            )
-        };
-        for pair in series.windows(2) {
-            let (line, lo, v_lo) = pair[0];
-            let (_, hi, v_hi) = pair[1];
-            if lo >= hi {
-                errors.push(format!(
-                    "line {line}: {family}_bucket{label_desc} le bounds not increasing \
-                     ({lo} then {hi})"
-                ));
-            }
-            if v_lo > v_hi {
-                errors.push(format!(
-                    "line {line}: {family}_bucket{label_desc} cumulative values decrease \
-                     ({v_lo} then {v_hi})"
-                ));
-            }
-        }
-        let Some(&(line, last_le, inf_value)) = series.last() else { continue };
-        if last_le != f64::INFINITY {
+/// Checks one histogram label set's parts, reporting every broken rule;
+/// `None` when any rule broke.
+fn assemble(
+    family: String,
+    labels: LabelSet,
+    parts: HistogramParts,
+    errors: &mut Vec<String>,
+) -> Option<HistogramSeries> {
+    let desc = label_desc(&labels);
+    let Some(&(line, last_le, _)) = parts.buckets.last() else {
+        // A `_sum`/`_count` label set with no `_bucket` series at all is
+        // a malformed histogram too, not merely unchecked.
+        errors.push(format!("histogram {family}{desc} has _sum/_count but no _bucket series"));
+        return None;
+    };
+    let before = errors.len();
+    for pair in parts.buckets.windows(2) {
+        let ((line, lo, v_lo), (_, hi, v_hi)) = (pair[0], pair[1]);
+        if lo >= hi {
             errors.push(format!(
-                "line {line}: {family}_bucket{label_desc} missing the le=\"+Inf\" bucket"
+                "line {line}: {family}_bucket{desc} le bounds not increasing ({lo} then {hi})"
             ));
-            continue;
         }
-        match counts.get(labels) {
-            Some(&count) if count == inf_value => {}
-            Some(&count) => errors.push(format!(
-                "line {line}: {family}{label_desc} _count {count} != +Inf bucket {inf_value}"
-            )),
-            None => errors.push(format!("line {line}: {family}{label_desc} missing _count")),
-        }
-        match sums.get(labels) {
-            Some(sum) if sum.is_finite() && *sum >= 0.0 => {}
-            Some(sum) => errors.push(format!(
-                "line {line}: {family}{label_desc} _sum {sum} is not finite and non-negative"
-            )),
-            None => errors.push(format!("line {line}: {family}{label_desc} missing _sum")),
+        if v_lo > v_hi {
+            errors.push(format!(
+                "line {line}: {family}_bucket{desc} cumulative values decrease \
+                 ({v_lo} then {v_hi})"
+            ));
         }
     }
-    // A `_sum`/`_count` label-set with no `_bucket` series at all is a
-    // malformed histogram too, not merely unchecked.
-    let orphans: std::collections::BTreeSet<&LabelSet> =
-        counts.keys().chain(sums.keys()).filter(|l| !buckets.contains_key(*l)).collect();
-    for labels in orphans {
-        errors.push(format!(
-            "histogram {family}{:?} has _sum/_count but no _bucket series",
-            labels.iter().map(|(k, v)| format!("{k}={v}")).collect::<Vec<_>>()
-        ));
+    if last_le != f64::INFINITY {
+        errors.push(format!("line {line}: {family}_bucket{desc} missing the le=\"+Inf\" bucket"));
     }
-    checked
+    if parts.count.is_none() {
+        errors.push(format!("line {line}: {family}{desc} missing _count"));
+    }
+    if parts.sum.is_none() {
+        errors.push(format!("line {line}: {family}{desc} missing _sum"));
+    }
+    let (Some(sum), Some(count)) = (parts.sum, parts.count) else { return None };
+    if errors.len() > before {
+        return None;
+    }
+    let buckets = parts.buckets.into_iter().map(|(_, le, value)| (le, value)).collect();
+    Some(HistogramSeries { family, labels, line, buckets, sum, count })
+}
+
+/// `{k="v",...}`, or the empty string for no labels.
+fn label_desc(labels: &[(String, String)]) -> String {
+    if labels.is_empty() {
+        return String::new();
+    }
+    let pairs: Vec<String> = labels.iter().map(|(k, v)| format!("{k}={v:?}")).collect();
+    format!("{{{}}}", pairs.join(","))
+}
+
+/// Validates Prometheus text exposition output: everything the reader
+/// enforces plus the lint rules.
+///
+/// # Errors
+///
+/// Returns every problem found, each as a `line N: ...` message.
+pub fn check_text(text: &str) -> Result<CheckSummary, Vec<String>> {
+    let mut errors = Vec::new();
+    let doc = read(text, &mut errors);
+    for s in &doc.samples {
+        if doc.families[&s.name] == "counter" && s.value < 0.0 {
+            errors.push(format!("line {}: counter {} is negative", s.line, s.name));
+        }
+    }
+    for h in &doc.histograms {
+        let (line, desc) = (h.line, format!("{}{}", h.family, label_desc(&h.labels)));
+        let inf = h.buckets.last().map_or(0.0, |&(_, value)| value);
+        if h.count != inf {
+            errors.push(format!("line {line}: {desc} _count {} != +Inf bucket {inf}", h.count));
+        }
+        if !h.sum.is_finite() || h.sum < 0.0 {
+            errors
+                .push(format!("line {line}: {desc} _sum {} is not finite and non-negative", h.sum));
+        }
+    }
+    if !errors.is_empty() {
+        return Err(errors);
+    }
+    Ok(CheckSummary {
+        lines: doc.lines,
+        samples: doc.sample_lines,
+        families: doc.families.len(),
+        histograms: doc.histograms.len(),
+    })
 }
 
 /// Parses a sample value, accepting the Prometheus special spellings.
-pub(crate) fn parse_value(v: &str) -> Option<f64> {
+fn parse_value(v: &str) -> Option<f64> {
     match v {
         "+Inf" | "Inf" => Some(f64::INFINITY),
         "-Inf" => Some(f64::NEG_INFINITY),
@@ -257,7 +308,7 @@ pub(crate) fn parse_value(v: &str) -> Option<f64> {
 }
 
 /// Parses `name{labels} value [timestamp]`.
-pub(crate) fn parse_sample(n: usize, line: &str) -> Result<Sample, String> {
+fn parse_sample(n: usize, line: &str) -> Result<Sample, String> {
     let (series, rest) = match line.find(['{', ' ', '\t']) {
         Some(pos) if line.as_bytes()[pos] == b'{' => {
             let close = line[pos..]
@@ -411,6 +462,16 @@ lat_seconds_count 3
         .is_err());
         // Missing _sum.
         assert!(check_text("# TYPE h histogram\nh_bucket{le=\"+Inf\"} 0\nh_count 0\n").is_err());
+    }
+
+    #[test]
+    fn every_problem_is_reported() {
+        let text = "# TYPE x counter\nx -1\ny 2\n# TYPE x gauge\n\
+                    # TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_sum -1\nh_count 2\n";
+        let errors = check_text(text).expect_err("four broken rules");
+        for needle in ["negative", "no `# TYPE`", "duplicate TYPE", "+Inf"] {
+            assert!(errors.iter().any(|e| e.contains(needle)), "{needle}: {errors:?}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! increment/observation is lock-free atomics on a cloned handle, so
 //! hot paths register at construction time and update without
 //! contention. [`Registry::snapshot`] reads a point-in-time copy of
-//! every metric and renders it as Prometheus text or JSON.
+//! every metric, which renders as Prometheus text.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -194,13 +194,20 @@ impl Registry {
     }
 
     /// The gauge `name` (no labels), registering it on first use.
+    pub fn gauge(&self, name: &str) -> Gauge {
+        self.gauge_with(name, &[])
+    }
+
+    /// The gauge `name{labels}`, registering it on first use.
     ///
     /// # Panics
     ///
     /// Panics if the series exists with a different metric type.
-    pub fn gauge(&self, name: &str) -> Gauge {
+    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         let mut series = self.series.lock().expect("registry poisoned");
-        match series.entry(Self::key(name, &[])).or_insert_with(|| Handle::Gauge(Gauge::default()))
+        match series
+            .entry(Self::key(name, labels))
+            .or_insert_with(|| Handle::Gauge(Gauge::default()))
         {
             Handle::Gauge(g) => g.clone(),
             _ => panic!("metric {name} already registered with a different type"),
@@ -312,15 +319,31 @@ pub struct Snapshot {
 impl Snapshot {
     /// Merges another snapshot, keeping the combined list sorted.
     ///
-    /// Series name collisions are allowed only if the label sets
-    /// differ; otherwise the later entry wins (callers should keep
-    /// registries namespace-disjoint).
+    /// When both hold the same series (name and labels), `self`'s entry
+    /// is kept and `other`'s dropped, so the receiver's series win.
     #[must_use]
     pub fn merged(mut self, other: Snapshot) -> Snapshot {
         self.metrics.extend(other.metrics);
         self.metrics.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
         self.metrics.dedup_by(|dup, keep| dup.name == keep.name && dup.labels == keep.labels);
         Snapshot { metrics: self.metrics }
+    }
+
+    /// The value of the series `name{labels}`, if the snapshot holds it.
+    /// `labels` may come in any order.
+    pub fn value(&self, name: &str, labels: &[(&str, &str)]) -> Option<&MetricValue> {
+        let mut labels = labels.to_vec();
+        labels.sort_unstable();
+        self.metrics
+            .iter()
+            .find(|m| {
+                m.name == name
+                    && m.labels
+                        .iter()
+                        .map(|(k, v)| (k.as_str(), v.as_str()))
+                        .eq(labels.iter().copied())
+            })
+            .map(|m| &m.value)
     }
 
     /// Renders the snapshot in the Prometheus text exposition format
@@ -379,68 +402,6 @@ impl Snapshot {
                 }
             }
         }
-        out
-    }
-
-    /// Renders the snapshot as a JSON document:
-    /// `{"metrics": [{"name", "labels", "type", ...value fields}]}`.
-    ///
-    /// Carries exactly the information of
-    /// [`Snapshot::to_prometheus_text`] (histogram buckets are
-    /// non-cumulative here; the text form's running sums are derived).
-    pub fn to_json_string(&self) -> String {
-        let mut out = String::from("{\"metrics\":[");
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            expo::write_json_string(&mut out, &m.name);
-            out.push_str(",\"labels\":{");
-            for (j, (k, v)) in m.labels.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                expo::write_json_string(&mut out, k);
-                out.push(':');
-                expo::write_json_string(&mut out, v);
-            }
-            out.push('}');
-            match &m.value {
-                MetricValue::Counter(v) => {
-                    out.push_str(&format!(",\"type\":\"counter\",\"value\":{v}"));
-                }
-                MetricValue::Gauge(v) => {
-                    out.push_str(&format!(
-                        ",\"type\":\"gauge\",\"value\":{}",
-                        expo::format_json_f64(*v)
-                    ));
-                }
-                MetricValue::Histogram { bounds, buckets, sum, count } => {
-                    out.push_str(",\"type\":\"histogram\",\"bounds\":[");
-                    for (j, b) in bounds.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&expo::format_json_f64(*b));
-                    }
-                    out.push_str("],\"buckets\":[");
-                    for (j, b) in buckets.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&b.to_string());
-                    }
-                    out.push_str(&format!(
-                        "],\"sum\":{},\"count\":{count}}}",
-                        expo::format_json_f64(*sum)
-                    ));
-                    continue;
-                }
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
         out
     }
 }
@@ -554,6 +515,19 @@ mod tests {
         let names: Vec<&str> = merged.metrics.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(names, vec!["a_total", "b_total"]);
         assert_eq!(merged.metrics[1].value, MetricValue::Counter(1));
+    }
+
+    #[test]
+    fn value_looks_series_up_by_name_and_labels_in_any_order() {
+        let r = Registry::new();
+        r.counter_with("hits_total", &[("a", "1"), ("b", "2")]).add(3);
+        r.gauge_with("depth", &[("tier", "hf")]).set(1.5);
+        let snap = r.snapshot();
+        let hits = snap.value("hits_total", &[("b", "2"), ("a", "1")]);
+        assert_eq!(hits, Some(&MetricValue::Counter(3)));
+        assert_eq!(snap.value("depth", &[("tier", "hf")]), Some(&MetricValue::Gauge(1.5)));
+        assert_eq!(snap.value("depth", &[]), None, "labels must match exactly");
+        assert_eq!(snap.value("missing", &[]), None);
     }
 
     #[test]

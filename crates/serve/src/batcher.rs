@@ -48,7 +48,10 @@ impl Default for BatcherConfig {
     }
 }
 
-/// Lifetime counters of the coalescer, surfaced by `/metrics`.
+/// Lifetime counters of the coalescer, as the JSON `/metrics` reports
+/// them. They are read from the two histograms the coalescer observes:
+/// `requests` is the queue-wait count, `batches` and `points` the
+/// batch-size count and sum.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CoalescerStats {
     /// Evaluate requests that entered the coalescer.
@@ -244,7 +247,6 @@ pub(crate) struct EvalJob {
 pub(crate) fn run_coalescer(
     rx: Receiver<EvalJob>,
     core: Arc<Mutex<EvalCore>>,
-    stats: Arc<Mutex<CoalescerStats>>,
     config: BatcherConfig,
     batch_points: dse_obs::Histogram,
     queue_wait: dse_obs::Histogram,
@@ -273,7 +275,7 @@ pub(crate) fn run_coalescer(
                 Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
             }
         }
-        submit_window(window, window_opened, &core, &stats, &batch_points, &queue_wait);
+        submit_window(window, window_opened, &core, &batch_points, &queue_wait);
     }
 }
 
@@ -283,42 +285,42 @@ pub(crate) fn run_coalescer(
 /// registration order — results split back to each waiting request in
 /// arrival order.
 fn submit_window(
-    window: Vec<EvalJob>,
+    mut jobs: Vec<EvalJob>,
     window_opened: Instant,
     core: &Mutex<EvalCore>,
-    stats: &Mutex<CoalescerStats>,
     batch_points: &dse_obs::Histogram,
     queue_wait: &dse_obs::Histogram,
 ) {
-    let jobs = window;
     let now = Instant::now();
     for job in &jobs {
         queue_wait.observe_duration(now.saturating_duration_since(job.enqueued_at));
     }
-    let mut jobs = jobs;
     let tier_rank = |tier: TierRequest| match tier {
         TierRequest::Fixed(f) => Fidelity::STACK.iter().position(|&s| s == f).unwrap_or(0),
         TierRequest::Auto => Fidelity::STACK.len(),
     };
-    let mut groups: Vec<(Option<usize>, TierRequest)> =
+    let mut keys: Vec<(Option<usize>, TierRequest)> =
         jobs.iter().map(|j| (j.workload, j.tier)).collect();
-    groups.sort_by_key(|&(workload, tier)| (workload.map_or(0, |i| i + 1), tier_rank(tier)));
-    groups.dedup();
-    // Account the window before any reply leaves: a client that reads
-    // `/metrics` right after its response must see itself counted.
-    {
-        let mut stats = stats.lock().expect("coalescer stats poisoned");
-        stats.requests += jobs.len() as u64;
-        stats.batches += groups.len() as u64;
-        stats.points += jobs.iter().map(|j| j.points.len() as u64).sum::<u64>();
-    }
-    for (workload, tier) in groups {
-        let group: Vec<usize> = (0..jobs.len())
-            .filter(|&i| jobs[i].tier == tier && jobs[i].workload == workload)
-            .collect();
-        let merged: Vec<DesignPoint> =
-            group.iter().flat_map(|&i| jobs[i].points.iter().cloned()).collect();
+    keys.sort_by_key(|&(workload, tier)| (workload.map_or(0, |i| i + 1), tier_rank(tier)));
+    keys.dedup();
+    // Each group: its key, its member jobs and their points, merged.
+    let groups: Vec<_> = keys
+        .into_iter()
+        .map(|(workload, tier)| {
+            let group: Vec<usize> = (0..jobs.len())
+                .filter(|&i| jobs[i].tier == tier && jobs[i].workload == workload)
+                .collect();
+            let merged: Vec<DesignPoint> =
+                group.iter().flat_map(|&i| jobs[i].points.iter().cloned()).collect();
+            (workload, tier, group, merged)
+        })
+        .collect();
+    // Account the whole window before any reply leaves: a client that
+    // reads `/metrics` right after its response must see itself counted.
+    for (_, _, _, merged) in &groups {
         batch_points.observe(merged.len() as f64);
+    }
+    for (workload, tier, group, merged) in groups {
         if trace::enabled() {
             // Hand the member request ids to the exec layer: the
             // `ledger_batch` event this group produces carries span

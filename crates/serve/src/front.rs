@@ -16,13 +16,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dse_obs::{trace, Counter, Gauge, Histogram, Registry, LATENCY_BUCKETS_S, SIZE_BUCKETS};
+use dse_obs::{trace, Counter, Gauge, Histogram, Registry, LATENCY_BUCKETS_S};
 use dse_reactor::{waker_pair, WakeRx, Waker};
 
 use crate::conn::{Timeline, PHASES};
 use crate::flight::{CompletedRequest, FlightRecorder};
 use crate::http::{BadRequest, Request, CT_JSON};
-use crate::protocol::RequestCounters;
+use crate::protocol::{ERRORS, REJECTED, REQUESTS};
 use crate::reactor::{app_worker_loop, AppJob, CompletionQueue, Engine, Reactor};
 
 /// A rendered response: status, body and content type.
@@ -174,10 +174,12 @@ pub(crate) fn wants_prometheus(request: &Request) -> Result<bool, BadRequest> {
     }
 }
 
-/// Per-instance observability handles. Every request counter flows
-/// through one per-instance [`Registry`], so `/metrics` is a single
-/// consistent snapshot of the same storage both expositions read — and
-/// tests hosting several servers in one process never share counts.
+/// The front-door series both roles update. Every request counter
+/// flows through one per-instance [`Registry`], whose snapshot both
+/// `/metrics` forms render — and tests hosting several servers in one
+/// process never share counts. Series only a server updates (the
+/// coalescer's, workload registrations) are registered by the server
+/// alone, so a router never shadows its shards' sums with zeros.
 pub(crate) struct ServerMetrics {
     pub(crate) registry: Registry,
     /// `serve_requests_total{endpoint}`, indexed by [`Endpoint`]; `None`
@@ -185,13 +187,6 @@ pub(crate) struct ServerMetrics {
     requests: [Option<Counter>; ENDPOINTS.len()],
     pub(crate) rejected: Counter,
     pub(crate) errors: Counter,
-    /// Ingested workloads successfully registered over this server's
-    /// lifetime.
-    pub(crate) workloads_registered: Counter,
-    pub(crate) coalescer_batch_points: Histogram,
-    /// Time evaluate jobs sat in the coalescer queue before a batch
-    /// picked them up.
-    pub(crate) coalescer_queue_wait: Histogram,
     /// Currently open connections on the reactor.
     pub(crate) connections_open: Gauge,
     /// Idle / never-spoke connections quietly closed by the read
@@ -208,17 +203,10 @@ impl ServerMetrics {
         let registry = Registry::new();
         Self {
             requests: ENDPOINTS.map(|row| {
-                row.counted.then(|| {
-                    registry.counter_with("serve_requests_total", &[("endpoint", row.label)])
-                })
+                row.counted.then(|| registry.counter_with(REQUESTS, &[("endpoint", row.label)]))
             }),
-            rejected: registry.counter("serve_rejected_total"),
-            errors: registry.counter("serve_errors_total"),
-            workloads_registered: registry.counter("workloads_registered"),
-            coalescer_batch_points: registry
-                .histogram("serve_coalescer_batch_points", SIZE_BUCKETS),
-            coalescer_queue_wait: registry
-                .histogram("serve_coalescer_queue_wait_seconds", LATENCY_BUCKETS_S),
+            rejected: registry.counter(REJECTED),
+            errors: registry.counter(ERRORS),
             connections_open: registry.gauge("serve_connections_open"),
             conns_reaped: registry.counter("serve_conns_reaped_total"),
             accept_errors: registry.counter("serve_accept_errors_total"),
@@ -307,24 +295,6 @@ impl Front {
     pub(crate) fn count(&self, endpoint: Endpoint) {
         if let Some(counter) = &self.metrics.requests[endpoint as usize] {
             counter.inc();
-        }
-    }
-
-    /// The `/metrics` `requests` section.
-    pub(crate) fn counters(&self) -> RequestCounters {
-        let hits = |endpoint: Endpoint| {
-            self.metrics.requests[endpoint as usize].as_ref().map_or(0, Counter::get)
-        };
-        RequestCounters {
-            healthz: hits(Endpoint::Healthz),
-            metrics: hits(Endpoint::Metrics),
-            evaluate: hits(Endpoint::Evaluate),
-            explain: hits(Endpoint::Explain),
-            explore: hits(Endpoint::Explore),
-            workloads: hits(Endpoint::Workloads),
-            jobs: hits(Endpoint::Jobs),
-            rejected: self.metrics.rejected.get(),
-            errors: self.metrics.errors.get(),
         }
     }
 

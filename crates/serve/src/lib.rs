@@ -7,7 +7,7 @@
 //! | Endpoint | What it does |
 //! |---|---|
 //! | `GET /healthz` | liveness + the served benchmarks and space size |
-//! | `GET /metrics` | request counters, coalescer stats, [`CostLedger`] summary, HF memo counters |
+//! | `GET /metrics` | one metrics snapshot: as JSON (request counters, coalescer stats, [`CostLedger`] summary, HF memo counters, job states) or, with `?format=prometheus`, as text |
 //! | `POST /v1/evaluate` | CPI of a batch of encoded design points at `"lf"` or `"hf"` fidelity |
 //! | `POST /v1/explain` | per-rule contributions behind the FNN's decision at a design point |
 //! | `POST /v1/explore` | start a background exploration job |

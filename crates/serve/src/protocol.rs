@@ -2,8 +2,9 @@
 //! `Content` tree so optional fields and precise error messages work)
 //! and the serializable response payloads.
 
-use dse_exec::{CacheStats, Fidelity, LedgerSummary};
+use dse_exec::{CacheStats, Fidelity, FidelityLedger, LedgerSummary};
 use dse_fnn::DecisionExplanation;
+use dse_obs::{MetricValue, Registry, Snapshot};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
@@ -391,6 +392,124 @@ pub struct MetricsResponse {
     pub hf_cache: CacheStats,
     /// Exploration jobs by state: `[running, done, failed]`.
     pub job_states: [u64; 3],
+}
+
+// The series the JSON `/metrics` view reads. Every name is registered
+// or made by exactly one site and read back by `from_snapshot`.
+
+/// Requests served per endpoint, labelled `endpoint`.
+pub(crate) const REQUESTS: &str = "serve_requests_total";
+/// Requests answered 503 by backpressure.
+pub(crate) const REJECTED: &str = "serve_rejected_total";
+/// Requests answered 4xx/5xx for any other reason.
+pub(crate) const ERRORS: &str = "serve_errors_total";
+/// The job states `job_states` counts, in order.
+const JOB_STATES: [&str; 3] = ["running", "done", "failed"];
+
+// Made at scrape time: per-tier ledger series labelled `tier` with the
+// fidelity key (model time is a gauge, the rest counters), then the HF
+// memo's counters and entry gauge.
+const LEDGER_EVALUATIONS: &str = "serve_ledger_evaluations_total";
+const LEDGER_HITS: &str = "serve_ledger_cache_hits_total";
+const LEDGER_MISSES: &str = "serve_ledger_cache_misses_total";
+const LEDGER_DENIED: &str = "serve_ledger_denied_total";
+const LEDGER_TIME_UNITS: &str = "serve_ledger_model_time_units";
+const HF_CACHE_HITS: &str = "serve_hf_cache_hits_total";
+const HF_CACHE_MISSES: &str = "serve_hf_cache_misses_total";
+const HF_CACHE_ENTRIES: &str = "serve_hf_cache_entries";
+/// Exploration jobs by state, labelled `state`.
+const JOBS: &str = "serve_jobs";
+/// Batch sizes the coalescer submitted: one observation per batch.
+pub(crate) const COALESCER_BATCH_POINTS: &str = "serve_coalescer_batch_points";
+/// Queue waits of evaluate jobs: one observation per request.
+pub(crate) const COALESCER_QUEUE_WAIT: &str = "serve_coalescer_queue_wait_seconds";
+
+/// The series a server makes at scrape time from state it already
+/// owns: its evaluate ledger, its HF memo and its job table.
+pub(crate) fn scrape_series(
+    ledger: &LedgerSummary,
+    hf_cache: CacheStats,
+    job_states: [u64; 3],
+) -> Snapshot {
+    let registry = Registry::new();
+    for (fidelity, section) in ledger.sections() {
+        let tier = [("tier", fidelity.key())];
+        registry.counter_with(LEDGER_EVALUATIONS, &tier).add(section.evaluations);
+        registry.counter_with(LEDGER_HITS, &tier).add(section.cache_hits);
+        registry.counter_with(LEDGER_MISSES, &tier).add(section.cache_misses);
+        registry.counter_with(LEDGER_DENIED, &tier).add(section.denied);
+        registry.gauge_with(LEDGER_TIME_UNITS, &tier).set(section.model_time_units);
+    }
+    registry.counter(HF_CACHE_HITS).add(hf_cache.hits);
+    registry.counter(HF_CACHE_MISSES).add(hf_cache.misses);
+    registry.gauge(HF_CACHE_ENTRIES).set(hf_cache.entries as f64);
+    for (state, jobs) in JOB_STATES.into_iter().zip(job_states) {
+        registry.gauge_with(JOBS, &[("state", state)]).set(jobs as f64);
+    }
+    registry.snapshot()
+}
+
+impl MetricsResponse {
+    /// The JSON view of the snapshot the Prometheus form renders, so
+    /// both `/metrics` forms carry the same numbers. A series the
+    /// snapshot lacks reads as zero. The service ledger installs no
+    /// budget, so `hf_budget` and `budget_floor` keep their defaults.
+    pub(crate) fn from_snapshot(snapshot: &Snapshot) -> Self {
+        let counter = |name: &str, labels: &[(&str, &str)]| match snapshot.value(name, labels) {
+            Some(MetricValue::Counter(v)) => *v,
+            _ => 0,
+        };
+        let gauge = |name: &str, labels: &[(&str, &str)]| match snapshot.value(name, labels) {
+            Some(MetricValue::Gauge(v)) => *v,
+            _ => 0.0,
+        };
+        let histogram = |name: &str| match snapshot.value(name, &[]) {
+            Some(MetricValue::Histogram { count, sum, .. }) => (*count, *sum),
+            _ => (0, 0.0),
+        };
+        let endpoint = |label: &str| counter(REQUESTS, &[("endpoint", label)]);
+        let tier = |fidelity: Fidelity| {
+            let tier = [("tier", fidelity.key())];
+            FidelityLedger {
+                evaluations: counter(LEDGER_EVALUATIONS, &tier),
+                cache_hits: counter(LEDGER_HITS, &tier),
+                cache_misses: counter(LEDGER_MISSES, &tier),
+                denied: counter(LEDGER_DENIED, &tier),
+                model_time_units: gauge(LEDGER_TIME_UNITS, &tier),
+            }
+        };
+        let (batches, points) = histogram(COALESCER_BATCH_POINTS);
+        MetricsResponse {
+            requests: RequestCounters {
+                healthz: endpoint("healthz"),
+                metrics: endpoint("metrics"),
+                evaluate: endpoint("evaluate"),
+                explain: endpoint("explain"),
+                explore: endpoint("explore"),
+                workloads: endpoint("workloads"),
+                jobs: endpoint("jobs"),
+                rejected: counter(REJECTED, &[]),
+                errors: counter(ERRORS, &[]),
+            },
+            coalescer: CoalescerStats {
+                requests: histogram(COALESCER_QUEUE_WAIT).0,
+                batches,
+                points: points as u64,
+            },
+            ledger: LedgerSummary {
+                low: tier(Fidelity::Low),
+                learned: tier(Fidelity::Learned),
+                high: tier(Fidelity::High),
+                ..LedgerSummary::default()
+            },
+            hf_cache: CacheStats {
+                hits: counter(HF_CACHE_HITS, &[]),
+                misses: counter(HF_CACHE_MISSES, &[]),
+                entries: gauge(HF_CACHE_ENTRIES, &[]) as usize,
+            },
+            job_states: JOB_STATES.map(|state| gauge(JOBS, &[("state", state)]) as u64),
+        }
+    }
 }
 
 /// Renders `{"error": reason}`.

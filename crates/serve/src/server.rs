@@ -20,12 +20,12 @@ use archdse::{Explorer, Fnn};
 use dse_exec::{CostLedger, Fidelity, LearnedTier, LedgerEntry, TierGate};
 use dse_fnn::{explain_decision, explain_top_action};
 use dse_mfrl::{Constraint as _, LowFidelity as _};
+use dse_obs::{Counter, Snapshot, LATENCY_BUCKETS_S, SIZE_BUCKETS};
 use dse_space::{DesignPoint, DesignSpace};
 use dse_workloads::Benchmark;
 
 use crate::batcher::{
-    run_coalescer, BatcherConfig, CoalescerStats, EvalCore, EvalJob, IngestedCore, LfCostModel,
-    ReplyFn,
+    run_coalescer, BatcherConfig, EvalCore, EvalJob, IngestedCore, LfCostModel, ReplyFn,
 };
 use crate::front::{
     job_id, json_reply, start, wants_prometheus, Answer, Endpoint, Front, Limits, Reply,
@@ -33,9 +33,9 @@ use crate::front::{
 };
 use crate::http::{BadRequest, Request, CT_JSON, CT_PROMETHEUS};
 use crate::protocol::{
-    error_body, EvaluateRequest, EvaluateResponse, EvaluatedPoint, ExplainRequest, ExplainResponse,
-    ExploreRequest, JobResult, JobStatus, MetricsResponse, WorkloadUploadRequest,
-    WorkloadUploadResponse, MAX_POINTS_PER_REQUEST,
+    error_body, scrape_series, EvaluateRequest, EvaluateResponse, EvaluatedPoint, ExplainRequest,
+    ExplainResponse, ExploreRequest, JobResult, JobStatus, MetricsResponse, WorkloadUploadRequest,
+    WorkloadUploadResponse, COALESCER_BATCH_POINTS, COALESCER_QUEUE_WAIT, MAX_POINTS_PER_REQUEST,
 };
 use crate::reactor::{Completion, CompletionQueue, Dispatch, Engine, Outcome};
 
@@ -117,7 +117,9 @@ pub(crate) struct Shared {
     lf_explain: AnalyticalLf,
     constraints: DesignConstraints,
     core: Arc<Mutex<EvalCore>>,
-    coalescer_stats: Arc<Mutex<CoalescerStats>>,
+    /// Ingested workloads successfully registered over this server's
+    /// lifetime (`workloads_registered`).
+    workloads_registered: Counter,
     eval_tx: Mutex<Option<std::sync::mpsc::SyncSender<EvalJob>>>,
     /// Registered workload names, mirrored out of the core so the
     /// reactor thread can resolve them without touching the core lock
@@ -282,17 +284,15 @@ pub fn spawn(config: ServeConfig) -> std::io::Result<ServerHandle> {
     }));
     // The coalescer thread owns the evaluation queue's receiving end.
     let (eval_tx, eval_rx) = sync_channel::<EvalJob>(config.batcher.queue_capacity);
-    let coalescer_stats = Arc::new(Mutex::new(CoalescerStats::default()));
+    let registry = &front.metrics.registry;
     let coalescer = {
         let core = Arc::clone(&core);
-        let stats = Arc::clone(&coalescer_stats);
         let batcher = config.batcher;
-        let batch_points = front.metrics.coalescer_batch_points.clone();
-        let queue_wait = front.metrics.coalescer_queue_wait.clone();
-        std::thread::spawn(move || {
-            run_coalescer(eval_rx, core, stats, batcher, batch_points, queue_wait)
-        })
+        let batch_points = registry.histogram(COALESCER_BATCH_POINTS, SIZE_BUCKETS);
+        let queue_wait = registry.histogram(COALESCER_QUEUE_WAIT, LATENCY_BUCKETS_S);
+        std::thread::spawn(move || run_coalescer(eval_rx, core, batcher, batch_points, queue_wait))
     };
+    let workloads_registered = registry.counter("workloads_registered");
 
     let shared = Arc::new(Shared {
         front,
@@ -303,7 +303,7 @@ pub fn spawn(config: ServeConfig) -> std::io::Result<ServerHandle> {
         lf_explain: lf_model,
         constraints: explorer.constraints(),
         core,
-        coalescer_stats,
+        workloads_registered,
         eval_tx: Mutex::new(Some(eval_tx)),
         workload_names: Mutex::new(Vec::new()),
         jobs: Arc::default(),
@@ -370,25 +370,15 @@ fn handle_healthz(shared: &Shared) -> (u16, String) {
     })
 }
 
-fn handle_metrics(shared: &Shared, request: &Request) -> Result<Reply, BadRequest> {
-    if wants_prometheus(request)? {
-        // The per-server registry first, then the process-global one
-        // (sim kernel, executor, MFRL series); on a name collision the
-        // server's own series wins.
-        let text = shared
-            .front
-            .metrics
-            .registry
-            .snapshot()
-            .merged(dse_obs::global().snapshot())
-            .to_prometheus_text();
-        return Ok((200, text, CT_PROMETHEUS));
-    }
+/// One snapshot behind both `/metrics` forms: the per-server registry,
+/// the series made now from the ledger, HF memo and job table, then the
+/// process-global registry (sim kernel, executor, MFRL series). On a
+/// collision the earlier source wins.
+fn metrics_snapshot(shared: &Shared) -> Snapshot {
     let (ledger, hf_cache) = {
         let core = shared.core.lock().expect("evaluation core poisoned");
         (core.ledger.summary(), core.hf.cache_stats())
     };
-    let coalescer = *shared.coalescer_stats.lock().expect("coalescer stats poisoned");
     let mut job_states = [0u64; 3];
     for state in shared.jobs.states.lock().expect("job table poisoned").values() {
         match state {
@@ -397,8 +387,22 @@ fn handle_metrics(shared: &Shared, request: &Request) -> Result<Reply, BadReques
             JobState::Failed(_) => job_states[2] += 1,
         }
     }
-    let requests = shared.front.counters();
-    Ok(json_reply(Ok(json(&MetricsResponse { requests, coalescer, ledger, hf_cache, job_states }))))
+    shared
+        .front
+        .metrics
+        .registry
+        .snapshot()
+        .merged(scrape_series(&ledger, hf_cache, job_states))
+        .merged(dse_obs::global().snapshot())
+}
+
+fn handle_metrics(shared: &Shared, request: &Request) -> Result<Reply, BadRequest> {
+    let prometheus = wants_prometheus(request)?;
+    let snapshot = metrics_snapshot(shared);
+    if prometheus {
+        return Ok((200, snapshot.to_prometheus_text(), CT_PROMETHEUS));
+    }
+    Ok(json_reply(Ok(json(&MetricsResponse::from_snapshot(&snapshot)))))
 }
 
 fn handle_explain(shared: &Shared, request: &Request) -> Answer {
@@ -476,7 +480,7 @@ fn handle_workloads(shared: &Shared, request: &Request) -> Answer {
     drop(core);
     // Mirror the registry for the reactor thread (see `workload_names`).
     *shared.workload_names.lock().expect("workload names poisoned") = registered.clone();
-    shared.front.metrics.workloads_registered.inc();
+    shared.workloads_registered.inc();
     Ok(json(&WorkloadUploadResponse { workload: parsed.name, instructions, exit_code, registered }))
 }
 

@@ -26,12 +26,13 @@
 //! * `/v1/workloads`, `/v1/shutdown`, `/debug/requests` and `/metrics`
 //!   go to every shard through one fan-out helper
 //!   ([`RouterShared::broadcast`]), which relays the first shard that
-//!   does not answer 200 and turns an unreachable one into a 502. The
-//!   JSON `/metrics` is a field-wise sum of the shards' reports; the
-//!   Prometheus form re-parses each shard's exposition
-//!   ([`dse_obs::parse_prometheus_text`]), sums series
-//!   ([`dse_obs::sum_snapshots`]) and overlays the router's own
-//!   registry (router series win collisions).
+//!   does not answer 200 and turns an unreachable one into a 502.
+//!   Either `/metrics` form takes one fan-out of the shards' Prometheus
+//!   text, reads each back ([`dse_obs::parse_prometheus_text`]), sums
+//!   series ([`dse_obs::sum_snapshots`]) and overlays the router's own
+//!   registry (its front-door series win collisions). The text form
+//!   renders that snapshot; the JSON form is the same snapshot through
+//!   the server's JSON view, plus a `shards` count.
 //!
 //! Every proxied request carries the caller's trace context.
 
@@ -49,7 +50,7 @@ use crate::front::{
 };
 use crate::http::client::{ClientResponse, Conn};
 use crate::http::{BadRequest, Request, CT_JSON, CT_PROMETHEUS};
-use crate::protocol::{error_body, MAX_POINTS_PER_REQUEST};
+use crate::protocol::{error_body, MetricsResponse, MAX_POINTS_PER_REQUEST};
 use crate::reactor::Engine;
 
 /// Socket timeout on upstream connections (generous: an upstream
@@ -452,79 +453,32 @@ fn with_job_id(body: &str, id: impl FnOnce(u64) -> u64) -> Option<String> {
 
 fn handle_metrics(router: &RouterShared, request: &Request) -> Result<Reply, BadRequest> {
     let prometheus = wants_prometheus(request)?;
-    let path = if prometheus { "/metrics?format=prometheus" } else { "/metrics?format=json" };
-    let bodies: Vec<String> = match router.broadcast("GET", path, None, None).collect() {
-        Ok(bodies) => bodies,
-        Err(refusal) => return Ok(json_reply(Ok(refusal.reply))),
-    };
-    if prometheus {
-        let snaps = bodies
-            .iter()
-            .enumerate()
-            .map(|(shard, body)| {
-                dse_obs::parse_prometheus_text(body).map_err(|e| {
-                    BadRequest::new(502, format!("shard {shard} exposition did not parse: {e}"))
-                })
+    let bodies: Vec<String> =
+        match router.broadcast("GET", "/metrics?format=prometheus", None, None).collect() {
+            Ok(bodies) => bodies,
+            Err(refusal) => return Ok(json_reply(Ok(refusal.reply))),
+        };
+    let snaps = bodies
+        .iter()
+        .enumerate()
+        .map(|(shard, body)| {
+            dse_obs::parse_prometheus_text(body).map_err(|e| {
+                BadRequest::new(502, format!("shard {shard} exposition did not parse: {e}"))
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        // Router registry first: its serve_* series (its own request
-        // counts, shard counters, reactor gauges) win collisions;
-        // shard-only series (ledger, sim kernel) pass through summed.
-        let summed = dse_obs::sum_snapshots(snaps);
-        let text = router.front.metrics.registry.snapshot().merged(summed).to_prometheus_text();
-        return Ok((200, text, CT_PROMETHEUS));
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    // Router registry first: its front-door series (request counts,
+    // shard counters, reactor gauges) win collisions; series only the
+    // shards update (coalescer, ledger, sim kernel) pass through summed.
+    let snapshot = router.front.metrics.registry.snapshot().merged(dse_obs::sum_snapshots(snaps));
+    if prometheus {
+        return Ok((200, snapshot.to_prometheus_text(), CT_PROMETHEUS));
     }
-    let mut acc: Option<Value> = None;
-    for (shard, body) in bodies.iter().enumerate() {
-        let v = serde_json::from_str::<Value>(body)
-            .map_err(|_| BadRequest::new(502, format!("shard {shard} metrics did not parse")))?;
-        match &mut acc {
-            None => acc = Some(v),
-            Some(acc) => sum_json(acc, &v),
-        }
-    }
-    let mut v = acc.unwrap_or(Value::Null);
-    // The shard-summed `requests` section counts backend work
-    // (sub-batches, fan-outs); replace it with the router's own
-    // front-door view and record the topology.
-    if v.is_object() {
-        set_field(&mut v, "requests", serde::Serialize::to_content(&router.front.counters()));
-        set_field(&mut v, "shards", Value::U64(router.shards() as u64));
-    }
+    let mut v = serde::Serialize::to_content(&MetricsResponse::from_snapshot(&snapshot));
+    set_field(&mut v, "shards", Value::U64(router.shards() as u64));
     let body = serde_json::to_string(&v)
         .map_err(|e| BadRequest::new(500, format!("metrics serialization failed: {e}")))?;
     Ok((200, body, CT_JSON))
-}
-
-/// Field-wise sum of two JSON documents: numbers add (u64 arithmetic
-/// when both sides are u64, f64 otherwise), arrays add elementwise,
-/// objects union-sum, and anything else (strings, bools, nulls, type
-/// mismatches) keeps the first value seen.
-fn sum_json(acc: &mut Value, add: &Value) {
-    match (&mut *acc, add) {
-        (Value::Map(a), Value::Map(b)) => {
-            for (key, value) in b {
-                match a.iter_mut().find(|(k, _)| k == key) {
-                    Some((_, slot)) => sum_json(slot, value),
-                    None => a.push((key.clone(), value.clone())),
-                }
-            }
-        }
-        (Value::Seq(a), Value::Seq(b)) => {
-            for (i, value) in b.iter().enumerate() {
-                match a.get_mut(i) {
-                    Some(slot) => sum_json(slot, value),
-                    None => a.push(value.clone()),
-                }
-            }
-        }
-        (Value::U64(a), Value::U64(b)) => *a = a.saturating_add(*b),
-        (number, add) if number.is_number() && add.is_number() => {
-            let summed = number.as_f64().unwrap_or(0.0) + add.as_f64().unwrap_or(0.0);
-            *number = Value::F64(summed);
-        }
-        _ => {}
-    }
 }
 
 /// Sets (or appends) one field of a JSON map; no-op on non-maps.
@@ -555,26 +509,5 @@ mod tests {
             }
             assert!(hit.iter().all(|&h| h), "{shards} shards not all hit");
         }
-    }
-
-    #[test]
-    fn sum_json_adds_numbers_and_keeps_first_on_mismatch() {
-        let mut a: Value = serde_json::from_str(
-            r#"{"requests": {"evaluate": 3, "errors": 0}, "job_states": [1, 0, 0],
-                "label": "shard", "ratio": 0.5}"#,
-        )
-        .expect("fixture parses");
-        let b: Value = serde_json::from_str(
-            r#"{"requests": {"evaluate": 4, "errors": 2, "extra": 9}, "job_states": [0, 2, 0],
-                "label": "other", "ratio": 0.25}"#,
-        )
-        .expect("fixture parses");
-        sum_json(&mut a, &b);
-        let want: Value = serde_json::from_str(
-            r#"{"requests": {"evaluate": 7, "errors": 2, "extra": 9}, "job_states": [1, 2, 0],
-                "label": "shard", "ratio": 0.75}"#,
-        )
-        .expect("fixture parses");
-        assert_eq!(a, want);
     }
 }

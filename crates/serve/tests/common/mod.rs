@@ -1,5 +1,6 @@
-//! Requests every serving role must refuse, shared by the single-server
-//! and the router suites so both hold the same list.
+//! Fixtures shared by the single-server and the router suites: the
+//! requests every serving role must refuse, so both hold the same list,
+//! and the ingestion fixture binaries.
 
 /// `(method, path, body, expected status)` of each refused request.
 pub fn error_cases() -> Vec<(&'static str, &'static str, Option<String>, u16)> {
@@ -29,4 +30,12 @@ pub fn error_cases() -> Vec<(&'static str, &'static str, Option<String>, u16)> {
     let batch = format!(r#"{{"points": [{}], "fidelity": "lf"}}"#, points.join(","));
     cases.push(("POST", "/v1/evaluate", Some(batch), 400));
     cases
+}
+
+/// A fixture ELF from the ingest crate, base64-encoded for upload.
+pub fn fixture_elf_base64(stem: &str) -> String {
+    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../ingest/tests/fixtures")
+        .join(format!("{stem}.elf"));
+    dse_ingest::base64::encode(&std::fs::read(path).expect("fixture elf"))
 }

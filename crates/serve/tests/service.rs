@@ -194,6 +194,42 @@ fn prometheus_exposition_is_valid_and_agrees_with_json() {
     server.join();
 }
 
+/// The single-server JSON `/metrics` body after [`metrics_golden_script`],
+/// byte for byte.
+const METRICS_GOLDEN: &str = concat!(
+    r#"{"requests":{"healthz":1,"metrics":1,"evaluate":3,"explain":0,"explore":0,"workloads":0,"#,
+    r#""jobs":0,"rejected":0,"errors":1},"coalescer":{"requests":2,"batches":2,"points":5},"#,
+    r#""ledger":{"low":{"evaluations":2,"cache_hits":1,"cache_misses":2,"denied":0,"#,
+    r#""model_time_units":0.002},"learned":{"evaluations":0,"cache_hits":0,"cache_misses":0,"#,
+    r#""denied":0,"model_time_units":0.0},"high":{"evaluations":2,"cache_hits":0,"cache_misses":2,"#,
+    r#""denied":0,"model_time_units":2.0},"hf_budget":null,"budget_floor":"hf"},"#,
+    r#""hf_cache":{"hits":0,"misses":2,"entries":2},"job_states":[0,0,0]}"#,
+);
+
+/// A fixed request script: a health check, an `lf` and an `hf`
+/// evaluate, and one refused request.
+fn metrics_golden_script(addr: &str) {
+    assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
+    let lf = r#"{"points": [0, 12345, 0], "fidelity": "lf"}"#;
+    assert_eq!(client::post(addr, "/v1/evaluate", lf).unwrap().status, 200);
+    let hf = r#"{"points": [7, 31], "fidelity": "hf"}"#;
+    assert_eq!(client::post(addr, "/v1/evaluate", hf).unwrap().status, 200);
+    let bad = r#"{"points": [1], "fidelity": "mid"}"#;
+    assert_eq!(client::post(addr, "/v1/evaluate", bad).unwrap().status, 400);
+}
+
+#[test]
+fn json_metrics_body_matches_the_golden_bytes() {
+    let server = spawn(quick_config()).expect("bind");
+    let addr = server.addr().to_string();
+    metrics_golden_script(&addr);
+    let metrics = client::get(&addr, "/metrics").unwrap();
+    assert_eq!(metrics.status, 200);
+    assert_eq!(metrics.body, METRICS_GOLDEN, "JSON /metrics body changed");
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn hf_evaluates_publish_live_kernel_metrics() {
     let server = spawn(quick_config()).expect("bind");
@@ -236,21 +272,16 @@ fn post_shutdown_drains_and_exits() {
 }
 
 /// The committed ingest fixture, base64-encoded for upload.
-fn fixture_elf_base64(stem: &str) -> String {
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../ingest/tests/fixtures")
-        .join(format!("{stem}.elf"));
-    dse_ingest::base64::encode(&std::fs::read(path).expect("fixture elf"))
-}
-
 #[test]
 fn uploaded_workloads_register_and_answer_lf_and_hf() {
     let server = spawn(quick_config()).expect("bind");
     let addr = server.addr().to_string();
 
     // Upload the fixture; it is ingested and registered.
-    let upload =
-        format!(r#"{{"name": "loop-sum", "elf_base64": "{}"}}"#, fixture_elf_base64("loop_sum"));
+    let upload = format!(
+        r#"{{"name": "loop-sum", "elf_base64": "{}"}}"#,
+        common::fixture_elf_base64("loop_sum")
+    );
     let response = client::post(&addr, "/v1/workloads", &upload).unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
     let registered: archdse_serve::WorkloadUploadResponse =
@@ -319,8 +350,10 @@ fn unknown_workload_ids_are_a_400_naming_the_registered_ones() {
     assert!(response.body.contains("POST /v1/workloads"), "{}", response.body);
 
     // With a workload registered, the error names it.
-    let upload =
-        format!(r#"{{"name": "stride-c", "elf_base64": "{}"}}"#, fixture_elf_base64("stride_c"));
+    let upload = format!(
+        r#"{{"name": "stride-c", "elf_base64": "{}"}}"#,
+        common::fixture_elf_base64("stride_c")
+    );
     assert_eq!(client::post(&addr, "/v1/workloads", &upload).unwrap().status, 200);
     let response = client::post(&addr, "/v1/evaluate", body).unwrap();
     assert_eq!(response.status, 400, "{}", response.body);
@@ -348,7 +381,7 @@ fn unknown_workload_ids_are_a_400_naming_the_registered_ones() {
     let cases = [
         r#"{"name": "x", "elf_base64": "!!!"}"#.to_string(),
         format!(r#"{{"name": "x", "elf_base64": "{}"}}"#, dse_ingest::base64::encode(b"hello")),
-        format!(r#"{{"name": "mm", "elf_base64": "{}"}}"#, fixture_elf_base64("loop_sum")),
+        format!(r#"{{"name": "mm", "elf_base64": "{}"}}"#, common::fixture_elf_base64("loop_sum")),
     ];
     for body in &cases {
         let response = client::post(&addr, "/v1/workloads", body).unwrap();

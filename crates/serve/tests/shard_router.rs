@@ -1,8 +1,9 @@
 //! Sharded serving over real sockets: a front router proxying to two
 //! in-process shard servers. Checks the load-bearing invariants —
 //! sharded answers bit-identical to a single server's, order-stable
-//! merges, global job ids, aggregated metrics, graceful fan-out
-//! shutdown, and the same refusals as a single server.
+//! merges, global job ids, aggregated metrics that agree in both
+//! forms, graceful fan-out shutdown, and the same refusals as a single
+//! server.
 
 mod common;
 
@@ -212,8 +213,8 @@ fn metrics_aggregate_across_shards_in_both_forms() {
     assert_eq!(client::post(&addr, "/v1/evaluate", &body).unwrap().status, 200);
     assert_eq!(client::get(&addr, "/healthz").unwrap().status, 200);
 
-    // JSON: the router overlays its own request counters on the
-    // field-wise shard sum and reports the shard count.
+    // JSON: the router's own request counters win over the summed
+    // shard series, and the shard count rides along.
     let json = client::get(&addr, "/metrics").unwrap();
     assert_eq!(json.status, 200);
     let parsed: Value = serde_json::from_str(&json.body).unwrap();
@@ -241,6 +242,109 @@ fn metrics_aggregate_across_shards_in_both_forms() {
             prom.body
         );
     }
+
+    router.shutdown();
+    router.join();
+    for shard in shards {
+        shard.shutdown();
+        shard.join();
+    }
+}
+
+/// The `name{labels}` series of a parsed exposition: a counter's value,
+/// a gauge's, or a histogram's `(count, sum)` as `count`.
+fn series(snapshot: &dse_obs::Snapshot, name: &str, labels: &[(&str, &str)]) -> f64 {
+    match snapshot.value(name, labels) {
+        Some(dse_obs::MetricValue::Counter(v)) => *v as f64,
+        Some(dse_obs::MetricValue::Gauge(v)) => *v,
+        Some(dse_obs::MetricValue::Histogram { count, .. }) => *count as f64,
+        None => panic!("series {name}{labels:?} is missing"),
+    }
+}
+
+fn histogram_sum(snapshot: &dse_obs::Snapshot, name: &str) -> f64 {
+    match snapshot.value(name, &[]) {
+        Some(dse_obs::MetricValue::Histogram { sum, .. }) => *sum,
+        other => panic!("{name} is not a histogram: {other:?}"),
+    }
+}
+
+#[test]
+fn router_sums_server_only_series_and_both_forms_agree() {
+    let (shards, router) = boot_stack();
+    let addr = router.addr().to_string();
+
+    // Traffic on both shards: a spread `lf` batch, an `hf` point and a
+    // workload upload (which every shard registers).
+    let body = format!(
+        r#"{{"points": [{}], "fidelity": "lf"}}"#,
+        (0..32).map(|i| i.to_string()).collect::<Vec<_>>().join(",")
+    );
+    assert_eq!(client::post(&addr, "/v1/evaluate", &body).unwrap().status, 200);
+    let hf = r#"{"points": [7], "fidelity": "hf"}"#;
+    assert_eq!(client::post(&addr, "/v1/evaluate", hf).unwrap().status, 200);
+    let upload = format!(
+        r#"{{"name": "loop-sum", "elf_base64": "{}"}}"#,
+        common::fixture_elf_base64("loop_sum")
+    );
+    let uploaded = client::post(&addr, "/v1/workloads", &upload).unwrap();
+    assert_eq!(uploaded.status, 200, "{}", uploaded.body);
+
+    let scrape = |addr: &str| {
+        let prom = client::get(addr, "/metrics?format=prometheus").unwrap();
+        assert_eq!(prom.status, 200);
+        dse_obs::check_text(&prom.body).unwrap_or_else(|e| panic!("invalid exposition: {e:?}"));
+        dse_obs::parse_prometheus_text(&prom.body).expect("exposition parses")
+    };
+    let routed = scrape(&addr);
+    let json = client::get(&addr, "/metrics").unwrap();
+    assert_eq!(json.status, 200);
+    let per_shard: Vec<_> = shards.iter().map(|s| scrape(&s.addr().to_string())).collect();
+
+    // Series only a server updates are the shards' sum, not a router zero.
+    for name in [
+        "serve_coalescer_batch_points",
+        "serve_coalescer_queue_wait_seconds",
+        "workloads_registered",
+    ] {
+        let summed: f64 = per_shard.iter().map(|s| series(s, name, &[])).sum();
+        assert!(summed > 0.0, "{name}: the shards saw traffic");
+        assert_eq!(series(&routed, name, &[]), summed, "{name}");
+    }
+    assert_eq!(series(&routed, "workloads_registered", &[]), 2.0, "one upload per shard");
+
+    // The JSON form carries exactly what the text form does.
+    let metrics: archdse_serve::MetricsResponse = serde_json::from_str(&json.body).unwrap();
+    let coalescer = metrics.coalescer;
+    assert_eq!(
+        (coalescer.requests, coalescer.batches, coalescer.points),
+        (
+            series(&routed, "serve_coalescer_queue_wait_seconds", &[]) as u64,
+            series(&routed, "serve_coalescer_batch_points", &[]) as u64,
+            histogram_sum(&routed, "serve_coalescer_batch_points") as u64,
+        )
+    );
+    assert_eq!(coalescer.points, 33, "32 lf points and one hf point");
+    for (fidelity, section) in metrics.ledger.sections() {
+        let tier = [("tier", fidelity.key())];
+        let carried = (
+            series(&routed, "serve_ledger_evaluations_total", &tier) as u64,
+            series(&routed, "serve_ledger_cache_hits_total", &tier) as u64,
+            series(&routed, "serve_ledger_cache_misses_total", &tier) as u64,
+            series(&routed, "serve_ledger_denied_total", &tier) as u64,
+            series(&routed, "serve_ledger_model_time_units", &tier),
+        );
+        let reported = (
+            section.evaluations,
+            section.cache_hits,
+            section.cache_misses,
+            section.denied,
+            section.model_time_units,
+        );
+        assert_eq!(reported, carried, "{fidelity} ledger");
+    }
+    assert_eq!(metrics.ledger.low.evaluations, 32);
+    assert_eq!(metrics.ledger.high.evaluations, 1);
 
     router.shutdown();
     router.join();
