@@ -1,298 +1,38 @@
-//! Subcommand implementations.
+//! Subcommand implementations. Which commands and flags exist, their
+//! defaults and their help live in the command table (`table.rs`); the
+//! handlers here only read flags through [`Args`].
 
 use std::error::Error;
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use archdse::eval::SimulatorHf;
-use archdse::experiments::{
-    ablations, fig5, fig6, fig7, table2, AblationConfig, Fig5Config, Fig6Config, Fig7Config,
-    Table2Config,
-};
 use archdse::{CostLedger, DesignSpace, Explorer, Fnn, LedgerSummary, Param};
-use archdse_serve::{
-    run_loadgen, spawn, spawn_router, LoadgenConfig, LoadgenReport, RouterConfig, ServeConfig,
-};
+use archdse_serve::{run_loadgen, LoadgenConfig, ServeConfig};
 use dse_fnn::explain_top_action;
 use dse_mfrl::{Constraint as _, LowFidelity as _};
 use dse_workloads::Benchmark;
 
-use crate::Args;
+use crate::stack::{self, Stack};
+use crate::{table, Args};
 
-/// Usage text printed by `archdse help` or on a bad invocation.
-pub const USAGE: &str = "\
-archdse — explainable FNN + multi-fidelity RL micro-architecture DSE
+/// A bad invocation: [`run`] prints the message as is and returns exit
+/// code 2.
+#[derive(Debug)]
+struct Usage(String);
 
-USAGE:
-  archdse <COMMAND> [OPTIONS]
-
-COMMANDS:
-  space                      print the Table 1 design space
-  explore                    run one DSE flow and print design + rules
-      --benchmark <name>     dijkstra|mm|fp-vvadd|quicksort|fft|ss
-      --general              optimize the six-benchmark average instead
-      --area <mm2>           area limit (default 8.0)
-      --leakage <mw>         optional static-power budget
-      --seed <n>             master seed (default 0)
-      --lf-episodes <n>      LF training episodes (default 300)
-      --hf-budget <n>        HF simulations (default 9)
-      --tiers <2|3>          fidelity tiers: 2 = LF+HF, 3 adds the
-                             online-learned mid tier with gate routing
-                             (default 2)
-      --gate-threshold <e>   learned-tier confidence gate: answer when
-                             the conformal error bound is below e
-                             (default 0.05; 3-tier runs only)
-      --trace-len <n>        trace length (default 30000)
-      --threads <n>          HF worker threads (default: DSE_THREADS env
-                             var, else all cores; results are identical)
-      --save-fnn <file>      persist the trained network as JSON
-      --trace-out <file>     write a JSONL span/event trace of the run
-      --metrics-out <file>   dump the metrics registry as Prometheus text
-  sweep                      simulate a spread of designs in one parallel
-                             batch and tabulate their CPIs
-      --benchmark <name>     workload (default mm)
-      --general              sweep the six-benchmark average instead
-      --count <n>            designs, evenly spaced over the space (default 24)
-      --trace-len <n>        trace length (default 10000)
-      --threads <n>          worker threads (default as for explore)
-      --seed <n>             trace seed (default 0)
-      --json <file>          also write { rows, ledger } as JSON
-  explain                    walk a saved network greedily, explaining
-                             each decision's top rules
-      --fnn <file>           trained network from `explore --save-fnn`
-      --benchmark <name>     workload for the CPI observations
-      --area <mm2>           area limit (default 8.0)
-      --steps <n>            decisions to explain (default 5)
-  serve                      run the HTTP evaluation service (endpoints:
-                             /healthz /metrics /v1/evaluate /v1/explain
-                             /v1/explore /v1/jobs/<id> /v1/shutdown)
-      --addr <host:port>     bind address (default 127.0.0.1:8711; port 0
-                             picks an ephemeral port)
-      --benchmark <name>     workload behind /v1/evaluate (default mm)
-      --general              serve the six-benchmark average instead
-      --area <mm2>           area limit for feasibility stamps (default 8.0)
-      --trace-len <n>        HF trace length (default 10000)
-      --seed <n>             trace seed (default 0)
-      --threads <n>          HF worker threads inside a batch
-      --workers <n>          connection workers (default 4)
-      --max-batch <n>        coalescer points per batch (default 64)
-      --max-delay-ms <n>     coalescer gather window (default 2)
-      --queue-cap <n>        queue depth before 503 (default 128)
-      --fnn <file>           serve a trained network for /v1/explain
-      --shards <n>           fork n shard worker processes (each owning
-                             a hash slice of the design space) behind a
-                             front router bound to --addr (default 1:
-                             a single server, no router)
-      --router-workers <n>   router proxy handlers; size at the peak
-                             concurrency to serve without pushback
-                             (default 256; only with --shards > 1)
-      --trace-out <file>     write a JSONL request trace; a sharded run
-                             writes the router's records here plus one
-                             <file>.shardN per worker process (merge
-                             them with trace-report --requests)
-      --trace-sample <n>     trace 1 in n requests, chosen by a
-                             deterministic trace-id hash (default 1 =
-                             every request; 0 = none)
-  loadgen                    hammer /v1/evaluate with concurrent clients
-                             and report how the coalescer batched them
-      --addr <host:port>     target server (default: self-host a quick one)
-      --clients <n>          concurrent clients (default 4)
-      --requests <n>         requests per client (default 8)
-      --concurrency <c>      closed-loop saturating mode: c clients each
-                             keep one request in flight on a keep-alive
-                             connection until --duration elapses,
-                             retrying 503s with backoff
-      --duration <s>         closed-loop run length in seconds (default
-                             2 when --concurrency is set)
-      --shards <n>           self-host n shard worker processes behind a
-                             router and hammer the router
-                             (conflicts with --addr)
-      --trend                sweep {1, --shards} shard stacks across
-                             {16, 256, 1024} clients closed-loop and
-                             record every row in
-                             results/BENCH_loadgen.json
-      --points <n>           design points per request (default 4)
-      --fidelity <name>      tier to request: lf|learned|hf, or auto to
-                             let the uncertainty gate route (default lf)
-      --seed <n>             point-choice seed (default 1)
-      --trace-len <n>        self-hosted servers' trace length
-                             (default 2000)
-      --queue-cap <n>        self-hosted servers' eval queue depth
-                             (default 128)
-      --trace                send a client-generated X-ArchDSE-Trace id
-                             with every request and report the client
-                             RTT vs server-reported-time gap from the
-                             Server-Timing response header
-      --trace-out <file>     trace the self-hosted target (router
-                             records here, one <file>.shardN per shard
-                             worker); conflicts with --addr
-      --metrics-out <file>   dump the target's (aggregated) Prometheus
-                             exposition after the run
-                             (a plain run prints its report and writes
-                             no file; only --trend records an artifact)
-  trace-report               summarize a JSONL trace from --trace-out:
-                             per-phase wall time, per-fidelity budget
-                             totals cross-checked against the ledger,
-                             and the hottest spans
-      --trace <file>         the trace to read (required); --requests
-                             mode accepts a comma-separated list
-      --top <n>              slowest spans to list (default 10)
-      --requests             per-request timeline mode: merge request
-                             records across router + shard trace files,
-                             report per-phase p50/p95/p99 and verify
-                             every proxied router span joins its shard
-                             span(s) and phase sums fit the wall time
-  check-metrics              validate a Prometheus text exposition
-                             (from --metrics-out or /metrics)
-      --file <path>          the exposition to check (required)
-  ingest <elf>               run a statically linked RV64 ELF through the
-                             functional executor and characterize it
-      --name <s>             workload name (default: the ELF file stem)
-      --max-instrs <n>       executor instruction budget
-                             (default 50000000)
-      --trace-out <file>     write the instruction stream as a compact
-                             ADTF trace file
-      --profile-out <file>   write the characterized workload profile
-                             as JSON
-  workload-diff <elf>        ingest an ELF and diff its profile against
-                             a synthetic benchmark profile; the report
-                             persists to results/workload_diff.json
-      --benchmark <name>     synthetic baseline (default mm)
-      --golden <file>        also compare against a golden profile JSON;
-                             a mismatch exits 1
-      --json <file>          also write the diff report to this path
-  table2 | fig5 | fig6 | fig7 | ablations
-                             regenerate a paper artifact
-      --full                 paper-scale budgets (default: quick)
-      --json <file>          also write the result as JSON
-  help                       show this text
-";
-
-/// Every valid subcommand, for the unknown-command error message.
-const COMMANDS: &[&str] = &[
-    "space",
-    "explore",
-    "sweep",
-    "explain",
-    "serve",
-    "loadgen",
-    "trace-report",
-    "check-metrics",
-    "ingest",
-    "workload-diff",
-    "table2",
-    "fig5",
-    "fig6",
-    "fig7",
-    "ablations",
-    "help",
-];
-
-/// The flags each subcommand accepts (misspellings are rejected, not
-/// silently ignored).
-fn allowed_flags(command: &str) -> &'static [&'static str] {
-    match command {
-        "space" | "help" => &[],
-        "explore" => &[
-            "benchmark",
-            "general",
-            "area",
-            "leakage",
-            "seed",
-            "lf-episodes",
-            "hf-budget",
-            "tiers",
-            "gate-threshold",
-            "trace-len",
-            "threads",
-            "save-fnn",
-            "trace-out",
-            "metrics-out",
-        ],
-        "sweep" => &["benchmark", "general", "count", "trace-len", "threads", "seed", "json"],
-        "explain" => &["fnn", "benchmark", "area", "steps"],
-        "serve" => &[
-            "addr",
-            "benchmark",
-            "general",
-            "area",
-            "leakage",
-            "trace-len",
-            "seed",
-            "threads",
-            "workers",
-            "max-batch",
-            "max-delay-ms",
-            "queue-cap",
-            "fnn",
-            "shards",
-            "router-workers",
-            "trace-out",
-            "trace-sample",
-            "shard-id",
-        ],
-        "loadgen" => &[
-            "addr",
-            "clients",
-            "requests",
-            "concurrency",
-            "duration",
-            "shards",
-            "trend",
-            "points",
-            "fidelity",
-            "seed",
-            "trace-len",
-            "queue-cap",
-            "trace",
-            "trace-out",
-            "metrics-out",
-        ],
-        "trace-report" => &["trace", "top", "requests"],
-        "check-metrics" => &["file"],
-        "ingest" => &["name", "max-instrs", "trace-out", "profile-out"],
-        "workload-diff" => &["benchmark", "golden", "json"],
-        _ => &["full", "json"],
+impl fmt::Display for Usage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
     }
 }
 
-/// How many positional operands (after the subcommand) a command takes.
-fn max_positionals(command: &str) -> usize {
-    match command {
-        "ingest" | "workload-diff" => 1,
-        _ => 0,
-    }
-}
+impl Error for Usage {}
 
-/// Rejects flags the command does not know; `Some(2)` means "exit 2".
-fn check_flags(command: &str, args: &Args) -> Option<i32> {
-    let allowed = allowed_flags(command);
-    let unknown: Vec<&str> = args.flag_names().filter(|f| !allowed.contains(f)).collect();
-    if unknown.is_empty() {
-        return None;
-    }
-    let rendered: Vec<String> = unknown.iter().map(|f| format!("--{f}")).collect();
-    eprintln!("unknown option(s) for `{command}`: {}", rendered.join(", "));
-    if allowed.is_empty() {
-        eprintln!("`{command}` takes no options");
-    } else {
-        let valid: Vec<String> = allowed.iter().map(|f| format!("--{f}")).collect();
-        eprintln!("valid options: {}", valid.join(", "));
-    }
-    eprintln!("run `archdse help` for details");
-    Some(2)
-}
-
-/// Rejects stray positional operands; `Some(2)` means "exit 2".
-fn check_positionals(command: &str, args: &Args) -> Option<i32> {
-    let extra = args.positionals().get(max_positionals(command)..).unwrap_or(&[]);
-    if extra.is_empty() {
-        return None;
-    }
-    let rendered: Vec<String> = extra.iter().map(|t| format!("{t:?}")).collect();
-    eprintln!("unexpected argument(s) for `{command}`: {}", rendered.join(", "));
-    eprintln!("run `archdse help` for details");
-    Some(2)
+/// Wraps a bad-invocation message for [`run`] to print with exit code 2.
+pub(crate) fn usage_error(message: impl Into<String>) -> Box<dyn Error> {
+    Box::new(Usage(message.into()))
 }
 
 fn parse_benchmark(name: &str) -> Result<Benchmark, dse_workloads::ParseBenchmarkError> {
@@ -321,84 +61,47 @@ fn maybe_write_json<T: Serialize>(args: &Args, value: &T) -> Result<(), Box<dyn 
 ///
 /// Returns any argument, IO or serialization error for `main` to print.
 pub fn run(args: &Args) -> Result<i32, Box<dyn Error>> {
-    if let Some(command) = args.command() {
-        if COMMANDS.contains(&command) {
-            if let Some(code) = check_flags(command, args) {
-                return Ok(code);
-            }
-            if let Some(code) = check_positionals(command, args) {
-                return Ok(code);
-            }
-        }
-    }
-    match args.command() {
-        Some("space") => cmd_space(),
-        Some("explore") => cmd_explore(args),
-        Some("sweep") => cmd_sweep(args),
-        Some("explain") => cmd_explain(args),
-        Some("serve") => cmd_serve(args),
-        Some("loadgen") => cmd_loadgen(args),
-        Some("trace-report") => cmd_trace_report(args),
-        Some("check-metrics") => cmd_check_metrics(args),
-        Some("ingest") => cmd_ingest(args),
-        Some("workload-diff") => cmd_workload_diff(args),
-        Some("table2") => {
-            let config =
-                if args.switch("full") { Table2Config::default() } else { Table2Config::quick() };
-            let result = table2(&config);
-            println!("{}", result.to_markdown());
-            maybe_write_json(args, &result)?;
-            Ok(0)
-        }
-        Some("fig5") => {
-            let config =
-                if args.switch("full") { Fig5Config::default() } else { Fig5Config::quick() };
-            let result = fig5(&config);
-            println!("{}", result.to_markdown());
-            maybe_write_json(args, &result)?;
-            Ok(0)
-        }
-        Some("fig6") => {
-            let config =
-                if args.switch("full") { Fig6Config::default() } else { Fig6Config::quick() };
-            let result = fig6(&config);
-            println!("{}", result.to_markdown());
-            maybe_write_json(args, &result)?;
-            Ok(0)
-        }
-        Some("fig7") => {
-            let config =
-                if args.switch("full") { Fig7Config::default() } else { Fig7Config::quick() };
-            let result = fig7(&config);
-            println!("{}", result.to_markdown());
-            maybe_write_json(args, &result)?;
-            Ok(0)
-        }
-        Some("ablations") => {
-            let config = if args.switch("full") {
-                AblationConfig::default()
-            } else {
-                AblationConfig::quick()
-            };
-            let result = ablations(&config);
-            println!("{}", result.to_markdown());
-            maybe_write_json(args, &result)?;
-            Ok(0)
-        }
-        Some("help") | None => {
-            println!("{USAGE}");
-            Ok(0)
-        }
-        Some(other) => {
-            eprintln!("unknown command {other:?}");
-            eprintln!("valid commands: {}", COMMANDS.join(", "));
-            eprintln!("run `archdse help` for details");
+    let outcome = match args.command() {
+        None => cmd_help(args),
+        Some(name) => match table::find(name) {
+            Some(command) => command.check(args).and_then(|()| (command.run)(args)),
+            None => Err(usage_error(format!(
+                "unknown command {name:?}\nvalid commands: {}\nrun `archdse help` for details",
+                table::names().join(", ")
+            ))),
+        },
+    };
+    match outcome.map_err(|e| e.downcast::<Usage>()) {
+        Err(Ok(usage)) => {
+            eprintln!("{usage}");
             Ok(2)
         }
+        Err(Err(e)) => Err(e),
+        Ok(code) => Ok(code),
     }
 }
 
-fn cmd_space() -> Result<i32, Box<dyn Error>> {
+pub(crate) fn cmd_help(_: &Args) -> Result<i32, Box<dyn Error>> {
+    println!("{}", table::usage());
+    Ok(0)
+}
+
+/// Regenerates one paper artifact: the quick configuration unless
+/// `--full`, printed as Markdown and optionally written as JSON.
+pub(crate) fn artifact<C: Default, R: Serialize>(
+    args: &Args,
+    quick: fn() -> C,
+    build: fn(&C) -> R,
+    markdown: fn(&R) -> String,
+) -> Result<i32, Box<dyn Error>> {
+    let config = if args.switch("full") { C::default() } else { quick() };
+    let result = build(&config);
+    println!("{}", markdown(&result));
+    maybe_write_json(args, &result)?;
+    Ok(0)
+}
+
+pub(crate) fn cmd_space(_: &Args) -> Result<i32, Box<dyn Error>> {
     let space = DesignSpace::boom();
     println!("{:<18} candidates", "parameter");
     for p in Param::ALL {
@@ -409,39 +112,48 @@ fn cmd_space() -> Result<i32, Box<dyn Error>> {
     Ok(0)
 }
 
-fn cmd_explore(args: &Args) -> Result<i32, Box<dyn Error>> {
+/// `--threads`, which every command that takes it requires to be >= 1.
+fn threads(args: &Args) -> Result<Option<usize>, Box<dyn Error>> {
+    match args.value_of::<usize>("threads")? {
+        Some(0) => Err(usage_error("--threads must be >= 1")),
+        threads => Ok(threads),
+    }
+}
+
+/// The explorer the workload, area, power, seed, trace and thread flags
+/// describe; `explore` and `serve` share it.
+fn explorer(args: &Args) -> Result<Explorer, Box<dyn Error>> {
     let mut explorer = if args.switch("general") {
         Explorer::general_purpose()
     } else {
-        let name = args.value_or("benchmark", "mm".to_string())?;
-        Explorer::for_benchmark(parse_benchmark(&name)?)
+        Explorer::for_benchmark(parse_benchmark(&args.value::<String>("benchmark")?)?)
     };
-    let tiers: usize = args.value_or("tiers", 2usize)?;
-    if !(2..=dse_exec::Fidelity::COUNT).contains(&tiers) {
-        eprintln!("--tiers must be 2 or {}, got {tiers}", dse_exec::Fidelity::COUNT);
-        return Ok(2);
-    }
     explorer = explorer
-        .area_limit_mm2(args.value_or("area", 8.0)?)
-        .seed(args.value_or("seed", 0)?)
-        .lf_episodes(args.value_or("lf-episodes", 300)?)
-        .hf_budget(args.value_or("hf-budget", 9)?)
-        .tiers(tiers)
-        .gate_threshold(args.value_or("gate-threshold", 0.05)?)
-        .trace_len(args.value_or("trace-len", 30_000)?);
-    if let Err(e) = explorer.check_area() {
-        eprintln!("error: {e}");
-        return Ok(2);
-    }
+        .area_limit_mm2(args.value("area")?)
+        .seed(args.value("seed")?)
+        .trace_len(args.value("trace-len")?);
     if let Some(leakage) = args.value_of::<f64>("leakage")? {
         explorer = explorer.leakage_limit_mw(leakage);
     }
-    if let Some(threads) = args.value_of::<usize>("threads")? {
-        if threads == 0 {
-            eprintln!("--threads must be >= 1");
-            return Ok(2);
-        }
+    if let Some(threads) = threads(args)? {
         explorer = explorer.threads(threads);
+    }
+    Ok(explorer)
+}
+
+pub(crate) fn cmd_explore(args: &Args) -> Result<i32, Box<dyn Error>> {
+    let tiers: usize = args.value("tiers")?;
+    if !(2..=dse_exec::Fidelity::COUNT).contains(&tiers) {
+        let count = dse_exec::Fidelity::COUNT;
+        return Err(usage_error(format!("--tiers must be 2 or {count}, got {tiers}")));
+    }
+    let explorer = explorer(args)?
+        .lf_episodes(args.value("lf-episodes")?)
+        .hf_budget(args.value("hf-budget")?)
+        .tiers(tiers)
+        .gate_threshold(args.value("gate-threshold")?);
+    if let Err(e) = explorer.check_area() {
+        return Err(usage_error(format!("error: {e}")));
     }
     let trace_out = args.value_of::<String>("trace-out")?;
     if let Some(path) = &trace_out {
@@ -453,31 +165,8 @@ fn cmd_explore(args: &Args) -> Result<i32, Box<dyn Error>> {
         // The closing event carries the run's final LedgerSummary, the
         // reference `trace-report` reconciles the per-batch deltas
         // against.
-        let summary = report.ledger.summary();
-        let mut fields: Vec<(&str, dse_obs::trace::FieldValue)> = vec![
-            ("best_cpi", report.best_cpi.into()),
-            ("hf_sims", (report.hf.evaluations as u64).into()),
-            ("lf_evaluations", summary.low.evaluations.into()),
-            ("lf_cache_hits", summary.low.cache_hits.into()),
-            ("lf_cache_misses", summary.low.cache_misses.into()),
-            ("lf_denied", summary.low.denied.into()),
-            ("lf_model_time_units", summary.low.model_time_units.into()),
-            ("learned_evaluations", summary.learned.evaluations.into()),
-            ("learned_cache_hits", summary.learned.cache_hits.into()),
-            ("learned_cache_misses", summary.learned.cache_misses.into()),
-            ("learned_denied", summary.learned.denied.into()),
-            ("learned_model_time_units", summary.learned.model_time_units.into()),
-            ("budget_floor", summary.budget_floor.key().into()),
-            ("hf_evaluations", summary.high.evaluations.into()),
-            ("hf_cache_hits", summary.high.cache_hits.into()),
-            ("hf_cache_misses", summary.high.cache_misses.into()),
-            ("hf_denied", summary.high.denied.into()),
-            ("hf_model_time_units", summary.high.model_time_units.into()),
-        ];
-        if let Some(budget) = summary.hf_budget {
-            fields.push(("hf_budget", budget.into()));
-        }
-        dse_obs::trace::event("run_summary", &fields);
+        let hf_sims = report.hf.evaluations as u64;
+        crate::trace_report::emit_run_summary(report.best_cpi, hf_sims, &report.ledger.summary());
         dse_obs::trace::shutdown()?;
         println!("(wrote trace to {path})");
     }
@@ -510,30 +199,25 @@ fn cmd_explore(args: &Args) -> Result<i32, Box<dyn Error>> {
     Ok(0)
 }
 
-fn cmd_sweep(args: &Args) -> Result<i32, Box<dyn Error>> {
+pub(crate) fn cmd_sweep(args: &Args) -> Result<i32, Box<dyn Error>> {
     let benchmarks: Vec<Benchmark> = if args.switch("general") {
         Benchmark::ALL.to_vec()
     } else {
-        vec![parse_benchmark(&args.value_or("benchmark", "mm".to_string())?)?]
+        vec![parse_benchmark(&args.value::<String>("benchmark")?)?]
     };
-    let count: u64 = args.value_or("count", 24u64)?;
+    let count: u64 = args.value("count")?;
     if count == 0 {
-        eprintln!("sweep requires --count >= 1");
-        return Ok(2);
+        return Err(usage_error("sweep requires --count >= 1"));
     }
     let space = DesignSpace::boom();
     let count = count.min(space.size());
     let mut hf = SimulatorHf::for_benchmarks(
         &benchmarks,
-        args.value_or("trace-len", 10_000)?,
-        args.value_or("seed", 0u64)?,
+        args.value("trace-len")?,
+        args.value("seed")?,
         1.0,
     );
-    if let Some(threads) = args.value_of::<usize>("threads")? {
-        if threads == 0 {
-            eprintln!("--threads must be >= 1");
-            return Ok(2);
-        }
+    if let Some(threads) = threads(args)? {
         hf = hf.with_threads(threads);
     }
 
@@ -569,16 +253,16 @@ fn cmd_sweep(args: &Args) -> Result<i32, Box<dyn Error>> {
     Ok(0)
 }
 
-fn cmd_explain(args: &Args) -> Result<i32, Box<dyn Error>> {
+pub(crate) fn cmd_explain(args: &Args) -> Result<i32, Box<dyn Error>> {
     let Some(path) = args.value_of::<String>("fnn")? else {
-        eprintln!("explain requires --fnn <file> (produce one with explore --save-fnn)");
-        return Ok(2);
+        return Err(usage_error(
+            "explain requires --fnn <file> (produce one with explore --save-fnn)",
+        ));
     };
     let fnn: Fnn = serde_json::from_str(&std::fs::read_to_string(&path)?)?;
-    let name = args.value_or("benchmark", "mm".to_string())?;
-    let benchmark = parse_benchmark(&name)?;
-    let steps: usize = args.value_or("steps", 5)?;
-    let explorer = Explorer::for_benchmark(benchmark).area_limit_mm2(args.value_or("area", 8.0)?);
+    let benchmark = parse_benchmark(&args.value::<String>("benchmark")?)?;
+    let steps: usize = args.value("steps")?;
+    let explorer = Explorer::for_benchmark(benchmark).area_limit_mm2(args.value("area")?);
     let space = explorer.space();
     let lf = explorer.lf_model();
     let area = explorer.area();
@@ -601,67 +285,43 @@ fn cmd_explain(args: &Args) -> Result<i32, Box<dyn Error>> {
     Ok(0)
 }
 
-/// Builds the serve/loadgen explorer template from shared flags.
-fn explorer_from_args(args: &Args, default_trace: usize) -> Result<Explorer, Box<dyn Error>> {
-    let mut explorer = if args.switch("general") {
-        Explorer::general_purpose()
-    } else {
-        let name = args.value_or("benchmark", "mm".to_string())?;
-        Explorer::for_benchmark(parse_benchmark(&name)?)
-    };
-    explorer = explorer
-        .area_limit_mm2(args.value_or("area", 8.0)?)
-        .seed(args.value_or("seed", 0)?)
-        .trace_len(args.value_or("trace-len", default_trace)?);
-    if let Some(leakage) = args.value_of::<f64>("leakage")? {
-        explorer = explorer.leakage_limit_mw(leakage);
-    }
-    if let Some(threads) = args.value_of::<usize>("threads")? {
-        explorer = explorer.threads(threads.max(1));
-    }
-    Ok(explorer)
-}
-
-fn serve_config_from_args(args: &Args, addr: &str) -> Result<ServeConfig, Box<dyn Error>> {
-    let mut config = ServeConfig::new(explorer_from_args(args, 10_000)?);
+fn serve_config(args: &Args, addr: &str) -> Result<ServeConfig, Box<dyn Error>> {
+    let mut config = ServeConfig::new(explorer(args)?);
     config.addr = addr.to_string();
-    config.workers = args.value_or("workers", config.workers)?;
-    config.batcher.max_batch_points = args.value_or("max-batch", 64usize)?.max(1);
-    config.batcher.max_delay = std::time::Duration::from_millis(args.value_or("max-delay-ms", 2)?);
-    config.batcher.queue_capacity = args.value_or("queue-cap", 128usize)?.max(1);
+    config.workers = args.value("workers")?;
+    config.batcher.max_batch_points = args.value::<usize>("max-batch")?.max(1);
+    config.batcher.max_delay = std::time::Duration::from_millis(args.value("max-delay-ms")?);
+    config.batcher.queue_capacity = args.value::<usize>("queue-cap")?.max(1);
     if let Some(path) = args.value_of::<String>("fnn")? {
         config.fnn = Some(serde_json::from_str(&std::fs::read_to_string(&path)?)?);
     }
     Ok(config)
 }
 
-fn cmd_serve(args: &Args) -> Result<i32, Box<dyn Error>> {
-    let shards: usize = args.value_or("shards", 1usize)?;
+pub(crate) fn cmd_serve(args: &Args) -> Result<i32, Box<dyn Error>> {
+    let shards: usize = args.value("shards")?;
     if shards == 0 {
-        eprintln!("--shards must be >= 1");
-        return Ok(2);
+        return Err(usage_error("--shards must be >= 1"));
     }
-    let addr = args.value_or("addr", "127.0.0.1:8711".to_string())?;
+    // Checked here too so a sharded parent fails before it forks.
+    threads(args)?;
+    let addr: String = args.value("addr")?;
     // A sharded parent hosts the router: its records (role "router", no
     // shard id) go to the plain --trace-out path, each worker's to a
     // derived .shardN path with the same sampling rate so a trace id gets
     // the same verdict on both sides of the proxy.
     let traced = install_serve_tracer(args)?;
     let (stack, detail) = if shards == 1 {
-        let config = serve_config_from_args(args, &addr)?;
+        let config = serve_config(args, &addr)?;
         let benchmarks: Vec<&str> = config.explorer.benchmarks().iter().map(|b| b.name()).collect();
         let detail = format!("serving benchmarks: {}", benchmarks.join(", "));
         (Stack::single(config)?, detail)
     } else {
-        let child_args = child_serve_args(args)?;
         let trace_out = args.value_of::<String>("trace-out")?;
-        let sample = args.value_or("trace-sample", 1u64)?;
-        let workers = args.value_or("router-workers", 256usize)?;
-        let stack = Stack::sharded(shards, &addr, workers, |shard| {
-            let mut shard_args = child_args.clone();
-            shard_args.extend(shard_trace_args(trace_out.as_deref(), sample, shard));
-            shard_args
-        })?;
+        let sample = args.value("trace-sample")?;
+        let trace = trace_out.as_deref().map(|path| (path, sample));
+        let workers = args.value("router-workers")?;
+        let stack = Stack::sharded(shards, &addr, workers, &stack::child_serve_args(args), trace)?;
         let shard_addrs: Vec<&str> = stack.children.iter().map(|c| c.addr.as_str()).collect();
         let detail = format!("routing {shards} shards: {}", shard_addrs.join(", "));
         (stack, detail)
@@ -691,257 +351,55 @@ fn install_serve_tracer(args: &Args) -> Result<bool, Box<dyn Error>> {
         return Ok(false);
     };
     dse_obs::trace::install_file(&path)?;
-    dse_obs::trace::set_request_sampling(args.value_or("trace-sample", 1u64)?);
+    dse_obs::trace::set_request_sampling(args.value("trace-sample")?);
     if let Some(shard) = args.value_of::<u64>("shard-id")? {
         dse_obs::trace::set_shard(shard);
     }
     Ok(true)
 }
 
-/// The per-shard trace path a sharded `--trace-out <file>` derives:
-/// `trace.jsonl` becomes `trace.shard3.jsonl` (the router keeps the
-/// plain path).
-fn shard_trace_path(path: &str, shard: usize) -> String {
-    let p = std::path::Path::new(path);
-    match (p.file_stem().and_then(|s| s.to_str()), p.extension().and_then(|e| e.to_str())) {
-        (Some(stem), Some(ext)) => {
-            p.with_file_name(format!("{stem}.shard{shard}.{ext}")).display().to_string()
+/// The loadgen client settings plain and trend runs share; the caller
+/// sets the target address and the client count.
+fn loadgen_config(args: &Args, fidelity: &str) -> Result<LoadgenConfig, Box<dyn Error>> {
+    let mut config = LoadgenConfig::new(String::new());
+    config.duration = match args.value_of::<f64>("duration")? {
+        Some(s) if s <= 0.0 => {
+            return Err(usage_error("--duration must be a positive number of seconds"))
         }
-        _ => format!("{path}.shard{shard}"),
-    }
+        seconds => seconds.map(std::time::Duration::from_secs_f64),
+    };
+    config.points_per_request = args.value::<usize>("points")?.max(1);
+    config.fidelity = fidelity.to_string();
+    config.seed = args.value("seed")?;
+    config.trace = args.switch("trace");
+    Ok(config)
 }
 
-/// The extra serve flags one traced shard worker gets: its own trace
-/// file, its shard id, and the parent's sampling rate.
-fn shard_trace_args(trace_out: Option<&str>, sample: u64, shard: usize) -> Vec<String> {
-    match trace_out {
-        Some(path) => vec![
-            "--trace-out".into(),
-            shard_trace_path(path, shard),
-            "--shard-id".into(),
-            shard.to_string(),
-            "--trace-sample".into(),
-            sample.to_string(),
-        ],
-        None => Vec::new(),
-    }
-}
-
-/// A self-hosted shard: a child `archdse serve` worker process and the
-/// ephemeral address it reported on stdout.
-struct ShardProc {
-    child: std::process::Child,
-    addr: String,
-    reaped: bool,
-}
-
-impl ShardProc {
-    /// Re-invokes the current executable as `archdse serve <args>` and
-    /// blocks until the child prints its `listening on` line.
-    fn spawn(child_args: &[String]) -> Result<ShardProc, Box<dyn Error>> {
-        use std::io::BufRead as _;
-        let exe = std::env::current_exe()?;
-        let mut child = std::process::Command::new(exe)
-            .arg("serve")
-            .args(child_args)
-            .stdin(std::process::Stdio::null())
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::inherit())
-            .spawn()?;
-        let stdout = child.stdout.take().expect("child stdout was piped");
-        let mut reader = std::io::BufReader::new(stdout);
-        let addr = loop {
-            let mut line = String::new();
-            if reader.read_line(&mut line)? == 0 {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err("shard process exited before reporting its address".into());
-            }
-            if let Some(addr) = line.trim().strip_prefix("archdse-serve listening on ") {
-                break addr.to_string();
-            }
-        };
-        // Keep draining the child's stdout so it can never block on a
-        // full pipe.
-        std::thread::spawn(move || {
-            let mut sink = String::new();
-            while matches!(reader.read_line(&mut sink), Ok(n) if n > 0) {
-                sink.clear();
-            }
-        });
-        Ok(ShardProc { child, addr, reaped: false })
-    }
-
-    /// Waits for the child to exit on its own (it does after a graceful
-    /// shutdown fan-out); kills it if the grace period runs out.
-    fn finish(&mut self, grace: std::time::Duration) {
-        let deadline = std::time::Instant::now() + grace;
-        loop {
-            match self.child.try_wait() {
-                Ok(Some(_)) => {
-                    self.reaped = true;
-                    return;
-                }
-                Ok(None) if std::time::Instant::now() < deadline => {
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                }
-                _ => break,
-            }
-        }
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-        self.reaped = true;
-    }
-}
-
-impl Drop for ShardProc {
-    fn drop(&mut self) {
-        if !self.reaped {
-            let _ = self.child.kill();
-            let _ = self.child.wait();
-        }
-    }
-}
-
-/// A self-hosted serving stack: an in-process front door (a server, or a
-/// router over worker processes) and the worker processes behind it.
-struct Stack {
-    front: Option<archdse_serve::ServerHandle>,
-    children: Vec<ShardProc>,
-    /// The front-door address clients should hit.
-    addr: String,
-}
-
-impl Stack {
-    /// One server in this process.
-    fn single(config: ServeConfig) -> std::io::Result<Self> {
-        let server = spawn(config)?;
-        Ok(Self { addr: server.addr().to_string(), front: Some(server), children: Vec::new() })
-    }
-
-    /// `shards` worker processes, each started with
-    /// `child_args_for(shard)`; with more than one, a router on `addr`
-    /// with `router_workers` app workers in front of them.
-    fn sharded(
-        shards: usize,
-        addr: &str,
-        router_workers: usize,
-        child_args_for: impl Fn(usize) -> Vec<String>,
-    ) -> Result<Self, Box<dyn Error>> {
-        let mut children = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            children.push(ShardProc::spawn(&child_args_for(shard))?);
-        }
-        if shards == 1 {
-            let addr = children[0].addr.clone();
-            return Ok(Self { front: None, children, addr });
-        }
-        let mut config = RouterConfig::new(children.iter().map(|c| c.addr.clone()).collect());
-        config.addr = addr.to_string();
-        config.workers = router_workers.max(1);
-        let router = spawn_router(config)?;
-        Ok(Self { addr: router.addr().to_string(), front: Some(router), children })
-    }
-
-    /// Waits for the front door to drain and exit, then for the worker
-    /// processes, which a router's `/v1/shutdown` fan-out stopped.
-    fn wait(mut self) {
-        if let Some(front) = self.front.take() {
-            front.join();
-        }
-        for child in &mut self.children {
-            child.finish(std::time::Duration::from_secs(30));
-        }
-    }
-
-    /// Gracefully drains the whole stack: `POST /v1/shutdown` at the
-    /// front door (a router fans it to every shard), then [`Self::wait`].
-    /// The front door is also flagged directly, so the wait ends even when
-    /// the request could not be sent.
-    fn teardown(self) {
-        let _ = archdse_serve::client::post(&self.addr, "/v1/shutdown", "");
-        if let Some(front) = &self.front {
-            front.shutdown();
-        }
-        self.wait();
-    }
-}
-
-/// The serve flags a sharded parent forwards verbatim to its worker
-/// processes (everything but the bind address and sharding topology).
-fn child_serve_args(args: &Args) -> Result<Vec<String>, Box<dyn Error>> {
-    let mut out: Vec<String> = vec!["--addr".into(), "127.0.0.1:0".into()];
-    if args.switch("general") {
-        out.push("--general".into());
-    }
-    for flag in [
-        "benchmark",
-        "area",
-        "leakage",
-        "trace-len",
-        "seed",
-        "threads",
-        "workers",
-        "max-batch",
-        "max-delay-ms",
-        "queue-cap",
-        "fnn",
-    ] {
-        if let Some(value) = args.value_of::<String>(flag)? {
-            out.push(format!("--{flag}"));
-            out.push(value);
-        }
-    }
-    Ok(out)
-}
-
-/// The serve flags `loadgen`'s self-hosted worker processes run with.
-fn loadgen_child_args(args: &Args) -> Result<Vec<String>, Box<dyn Error>> {
-    Ok(vec![
-        "--addr".into(),
-        "127.0.0.1:0".into(),
-        "--benchmark".into(),
-        "ss".into(),
-        "--trace-len".into(),
-        args.value_or("trace-len", 2_000usize)?.to_string(),
-        "--queue-cap".into(),
-        args.value_or("queue-cap", 128usize)?.to_string(),
-    ])
-}
-
-fn cmd_loadgen(args: &Args) -> Result<i32, Box<dyn Error>> {
-    let fidelity = args.value_or("fidelity", "lf".to_string())?.to_ascii_lowercase();
+pub(crate) fn cmd_loadgen(args: &Args) -> Result<i32, Box<dyn Error>> {
+    let fidelity = args.value::<String>("fidelity")?.to_ascii_lowercase();
     if fidelity != "auto" && dse_exec::Fidelity::from_key(&fidelity).is_none() {
-        eprintln!("--fidelity must be lf, learned, hf or auto, got {fidelity:?}");
-        return Ok(2);
+        return Err(usage_error(format!(
+            "--fidelity must be lf, learned, hf or auto, got {fidelity:?}"
+        )));
     }
-    let shards: usize = args.value_or("shards", 1usize)?;
+    let shards: usize = args.value("shards")?;
     if shards == 0 {
-        eprintln!("--shards must be >= 1");
-        return Ok(2);
+        return Err(usage_error("--shards must be >= 1"));
     }
     if args.switch("trend") {
         return cmd_loadgen_trend(args, &fidelity, shards.max(2));
     }
+    let mut config = loadgen_config(args, &fidelity)?;
     let concurrency = args.value_of::<usize>("concurrency")?;
-    let duration = match args.value_of::<f64>("duration")? {
-        Some(s) if s <= 0.0 => {
-            eprintln!("--duration must be a positive number of seconds");
-            return Ok(2);
-        }
-        Some(s) => Some(std::time::Duration::from_secs_f64(s)),
-        // --concurrency alone implies a short closed-loop run.
-        None => concurrency.map(|_| std::time::Duration::from_secs(2)),
-    };
     let external = args.value_of::<String>("addr")?;
     if external.is_some() && shards > 1 {
-        eprintln!("--shards self-hosts a sharded stack; it conflicts with --addr");
-        return Ok(2);
+        return Err(usage_error("--shards self-hosts a sharded stack; it conflicts with --addr"));
     }
     let trace_out = args.value_of::<String>("trace-out")?;
     if external.is_some() && trace_out.is_some() {
-        eprintln!("--trace-out traces the self-hosted target; it conflicts with --addr");
-        return Ok(2);
+        return Err(usage_error(
+            "--trace-out traces the self-hosted target; it conflicts with --addr",
+        ));
     }
     if let Some(path) = &trace_out {
         // The self-hosted single server (or the sharded stack's router)
@@ -955,35 +413,25 @@ fn cmd_loadgen(args: &Args) -> Result<i32, Box<dyn Error>> {
         None if shards == 1 => {
             // Self-host a quick in-process server for the duration.
             let explorer = Explorer::for_benchmark(Benchmark::StringSearch)
-                .trace_len(args.value_or("trace-len", 2_000usize)?);
+                .trace_len(args.value("trace-len")?);
             let mut config = ServeConfig::new(explorer);
-            config.batcher.queue_capacity =
-                args.value_or("queue-cap", config.batcher.queue_capacity)?.max(1);
+            config.batcher.queue_capacity = args.value::<usize>("queue-cap")?.max(1);
             let stack = Stack::single(config)?;
             println!("(self-hosting a quick server on {})", stack.addr);
             (stack.addr.clone(), Some(stack))
         }
         None => {
             let workers = concurrency.unwrap_or(64).max(64);
-            let base_args = loadgen_child_args(args)?;
-            let trace_out = trace_out.as_deref();
-            let stack = Stack::sharded(shards, "127.0.0.1:0", workers, |shard| {
-                let mut shard_args = base_args.clone();
-                shard_args.extend(shard_trace_args(trace_out, 1, shard));
-                shard_args
-            })?;
+            let child_args = stack::loadgen_child_args(args)?;
+            let trace = trace_out.as_deref().map(|path| (path, 1));
+            let stack = Stack::sharded(shards, "127.0.0.1:0", workers, &child_args, trace)?;
             println!("(self-hosting {shards} shard processes behind {})", stack.addr);
             (stack.addr.clone(), Some(stack))
         }
     };
-    let mut config = LoadgenConfig::new(addr.clone());
-    config.clients = concurrency.unwrap_or(args.value_or("clients", 4usize)?).max(1);
-    config.requests_per_client = args.value_or("requests", 8usize)?;
-    config.duration = duration;
-    config.points_per_request = args.value_or("points", 4usize)?.max(1);
-    config.fidelity = fidelity.clone();
-    config.seed = args.value_or("seed", 1u64)?;
-    config.trace = args.switch("trace");
+    config.addr = addr.clone();
+    config.clients = concurrency.unwrap_or(args.value("clients")?).max(1);
+    config.requests_per_client = args.value("requests")?;
     let report = run_loadgen(&config);
     if report.is_ok() {
         if let Some(path) = args.value_of::<String>("metrics-out")? {
@@ -1018,190 +466,42 @@ fn cmd_loadgen(args: &Args) -> Result<i32, Box<dyn Error>> {
 /// are comparable.
 fn cmd_loadgen_trend(args: &Args, fidelity: &str, shards_n: usize) -> Result<i32, Box<dyn Error>> {
     if args.value_of::<String>("addr")?.is_some() {
-        eprintln!("--trend self-hosts its serving stacks; it conflicts with --addr");
-        return Ok(2);
+        return Err(usage_error("--trend self-hosts its serving stacks; it conflicts with --addr"));
     }
     if args.value_of::<String>("trace-out")?.is_some() {
-        eprintln!("--trend boots many stacks; trace a single run without --trend instead");
-        return Ok(2);
+        return Err(usage_error(
+            "--trend boots many stacks; trace a single run without --trend instead",
+        ));
     }
-    let duration_s: f64 = args.value_or("duration", 3.0)?;
-    if duration_s <= 0.0 {
-        eprintln!("--duration must be a positive number of seconds");
-        return Ok(2);
-    }
-    let points = args.value_or("points", 4usize)?.max(1);
-    let seed = args.value_or("seed", 1u64)?;
-    let concurrencies: [usize; 3] = [16, 256, 1024];
-    let child_args = loadgen_child_args(args)?;
-
+    let cell = loadgen_config(args, fidelity)?;
+    let duration_s = cell.duration.map_or(0.0, |d| d.as_secs_f64());
+    let child_args = stack::loadgen_child_args(args)?;
     let mut rows = Vec::new();
     let mut all_clean = true;
     for shards in [1, shards_n] {
-        for &clients in &concurrencies {
+        for clients in [16, 256, 1024] {
             println!("== {shards} shard(s), {clients} clients, {duration_s:.1}s closed-loop ==");
-            let stack =
-                Stack::sharded(shards, "127.0.0.1:0", clients.max(64), |_| child_args.clone())?;
-            let mut config = LoadgenConfig::new(stack.addr.clone());
+            let stack = Stack::sharded(shards, "127.0.0.1:0", clients.max(64), &child_args, None)?;
+            let mut config = cell.clone();
+            config.addr = stack.addr.clone();
             config.clients = clients;
-            config.duration = Some(std::time::Duration::from_secs_f64(duration_s));
-            config.points_per_request = points;
-            config.fidelity = fidelity.to_string();
-            config.seed = seed;
-            config.trace = args.switch("trace");
             let report = run_loadgen(&config);
             stack.teardown();
             let report = report?;
             print!("{}", report.render());
             all_clean &= report.failed == 0;
-            rows.push(loadgen_row(&report, &config));
+            rows.push(stack::loadgen_row(&report, &config));
         }
     }
-
-    println!(
-        "{:<7} {:>11} {:>9} {:>8} {:>11} {:>11} {:>9}",
-        "shards", "concurrency", "requests", "failed", "offered/s", "achieved/s", "p99(ms)"
-    );
-    for row in &rows {
-        println!(
-            "{:<7} {:>11} {:>9} {:>8} {:>11.0} {:>11.0} {:>9.1}",
-            row.shards,
-            row.concurrency,
-            row.requests,
-            row.failed,
-            row.offered_rps,
-            row.achieved_rps,
-            row.latency_us.p99 as f64 / 1000.0
-        );
-    }
-    let artifact = serde_json::to_string_pretty(&LoadgenArtifact { rows })?;
-    dse_bench::write_results_artifact("BENCH_loadgen.json", &artifact);
+    stack::record_trend(rows)?;
     Ok(if all_clean { 0 } else { 1 })
 }
 
-/// Flattens a [`LoadgenReport`] into one artifact row.
-fn loadgen_row(report: &LoadgenReport, config: &LoadgenConfig) -> LoadgenRow {
-    let us = |d: std::time::Duration| d.as_micros() as u64;
-    LoadgenRow {
-        shards: report.shards,
-        concurrency: config.clients as u64,
-        duration_s: report.wall.as_secs_f64(),
-        points_per_request: config.points_per_request as u64,
-        fidelity: config.fidelity.clone(),
-        requests: report.requests,
-        ok: report.ok,
-        rejected: report.rejected,
-        failed: report.failed,
-        io_errors: report.io_errors,
-        offered_rps: report.offered_rps,
-        achieved_rps: report.achieved_rps,
-        latency_us: LatencyMicros {
-            samples: report.latency.samples,
-            p50: us(report.latency.p50),
-            p95: us(report.latency.p95),
-            p99: us(report.latency.p99),
-            max: us(report.latency.max),
-        },
-        delta_us: LatencyMicros {
-            samples: report.delta.samples,
-            p50: us(report.delta.p50),
-            p95: us(report.delta.p95),
-            p99: us(report.delta.p99),
-            max: us(report.delta.max),
-        },
-        statuses: report
-            .statuses
-            .iter()
-            .map(|s| StatusRow {
-                status: u64::from(s.status),
-                count: s.count,
-                p50_us: us(s.latency.p50),
-                p99_us: us(s.latency.p99),
-                max_us: us(s.latency.max),
-            })
-            .collect(),
-        coalescer: report.coalescer,
-        tiers: report
-            .ledger
-            .sections()
-            .iter()
-            .map(|(fidelity, section)| TierCounts {
-                tier: fidelity.key().to_string(),
-                answered: section.evaluations,
-                cached: section.cache_hits,
-            })
-            .collect(),
-        escalations: report.escalations,
-    }
-}
-
-/// Per-tier answered counts in the loadgen artifact.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct TierCounts {
-    tier: String,
-    answered: u64,
-    cached: u64,
-}
-
-/// Latency percentiles in microseconds, for the loadgen artifact.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct LatencyMicros {
-    samples: u64,
-    p50: u64,
-    p95: u64,
-    p99: u64,
-    max: u64,
-}
-
-/// Attempt counts and round-trip percentiles for one HTTP status.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct StatusRow {
-    status: u64,
-    count: u64,
-    p50_us: u64,
-    p99_us: u64,
-    max_us: u64,
-}
-
-/// One measured configuration in `results/BENCH_loadgen.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct LoadgenRow {
-    shards: u64,
-    concurrency: u64,
-    duration_s: f64,
-    points_per_request: u64,
-    fidelity: String,
-    requests: u64,
-    ok: u64,
-    rejected: u64,
-    failed: u64,
-    io_errors: u64,
-    offered_rps: f64,
-    achieved_rps: f64,
-    latency_us: LatencyMicros,
-    /// Client RTT minus server-reported time percentiles; all-zero
-    /// unless the run used `--trace`.
-    delta_us: LatencyMicros,
-    statuses: Vec<StatusRow>,
-    coalescer: archdse_serve::CoalescerStats,
-    /// Answered/cached counts per fidelity tier, cheapest first.
-    tiers: Vec<TierCounts>,
-    /// Gate escalations the server recorded during the run.
-    escalations: u64,
-}
-
-/// The `results/BENCH_loadgen.json` payload: one row per measured
-/// configuration of the 1-shard vs N-shard × concurrency matrix. Only
-/// `--trend` writes it; a plain run prints its report and nothing else.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct LoadgenArtifact {
-    rows: Vec<LoadgenRow>,
-}
-
-fn cmd_trace_report(args: &Args) -> Result<i32, Box<dyn Error>> {
+pub(crate) fn cmd_trace_report(args: &Args) -> Result<i32, Box<dyn Error>> {
     let Some(path) = args.value_of::<String>("trace")? else {
-        eprintln!("trace-report requires --trace <file> (produce one with explore --trace-out)");
-        return Ok(2);
+        return Err(usage_error(
+            "trace-report requires --trace <file> (produce one with explore --trace-out)",
+        ));
     };
     if args.switch("requests") {
         let mut files = Vec::new();
@@ -1222,7 +522,7 @@ fn cmd_trace_report(args: &Args) -> Result<i32, Box<dyn Error>> {
         print!("{}", crate::trace_report::render_requests(&report));
         return Ok(if crate::trace_report::verify_requests(&report).is_ok() { 0 } else { 1 });
     }
-    let top: usize = args.value_or("top", 10)?;
+    let top: usize = args.value("top")?;
     let text = std::fs::read_to_string(&path)?;
     let summary = match crate::trace_report::summarize(&text, top) {
         Ok(summary) => summary,
@@ -1235,10 +535,11 @@ fn cmd_trace_report(args: &Args) -> Result<i32, Box<dyn Error>> {
     Ok(if crate::trace_report::reconcile(&summary).is_ok() { 0 } else { 1 })
 }
 
-fn cmd_check_metrics(args: &Args) -> Result<i32, Box<dyn Error>> {
+pub(crate) fn cmd_check_metrics(args: &Args) -> Result<i32, Box<dyn Error>> {
     let Some(path) = args.value_of::<String>("file")? else {
-        eprintln!("check-metrics requires --file <path> (a Prometheus text exposition)");
-        return Ok(2);
+        return Err(usage_error(
+            "check-metrics requires --file <path> (a Prometheus text exposition)",
+        ));
     };
     let text = std::fs::read_to_string(&path)?;
     match dse_obs::check_text(&text) {
@@ -1256,56 +557,35 @@ fn cmd_check_metrics(args: &Args) -> Result<i32, Box<dyn Error>> {
     }
 }
 
-/// Reads the required `<elf>` positional of `ingest`/`workload-diff`;
-/// an `Err` carries the exit code after the message was printed.
-fn read_elf_positional(command: &str, args: &Args) -> Result<(String, Vec<u8>), i32> {
-    let Some(path) = args.positionals().first() else {
-        eprintln!("{command} requires an ELF path: archdse {command} <elf> [options]");
-        eprintln!("run `archdse help` for details");
-        return Err(2);
-    };
-    match std::fs::read(path) {
-        Ok(bytes) => Ok((path.clone(), bytes)),
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            eprintln!("expected a statically linked RV64 ELF executable");
-            Err(2)
-        }
-    }
-}
-
-/// Ingests the `<elf>` positional; prints the named ingestion error and
-/// maps it to exit 2 so scripted callers can distinguish "bad input"
-/// from runtime failures.
-fn ingest_from_args(
-    command: &str,
+/// Ingests the `<elf>` operand of `ingest`/`workload-diff` as `name`
+/// (default: the file stem). A missing or unreadable file and a named
+/// ingestion error are usage errors (exit 2), so scripted callers can
+/// tell bad input from runtime failures.
+fn ingest_operand(
     args: &Args,
-) -> Result<Result<dse_ingest::Ingested, i32>, Box<dyn Error>> {
-    let (path, bytes) = match read_elf_positional(command, args) {
-        Ok(read) => read,
-        Err(code) => return Ok(Err(code)),
+    name: Option<String>,
+    config: dse_ingest::ExecConfig,
+) -> Result<dse_ingest::Ingested, Box<dyn Error>> {
+    let command = args.command().unwrap_or_default();
+    let Some(path) = args.positionals().first() else {
+        return Err(usage_error(format!(
+            "{command} requires an ELF path: archdse {command} <elf> [options]\n\
+             run `archdse help` for details"
+        )));
     };
-    let stem = std::path::Path::new(&path)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("workload")
-        .to_string();
-    let name = args.value_or("name", stem)?;
-    let max_instrs = args.value_or("max-instrs", dse_ingest::ExecConfig::default().max_instrs)?;
-    match dse_ingest::ingest_elf(&name, &bytes, dse_ingest::ExecConfig { max_instrs }) {
-        Ok(ingested) => Ok(Ok(ingested)),
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            Ok(Err(2))
-        }
-    }
+    let bytes = std::fs::read(path).map_err(|e| {
+        usage_error(format!(
+            "cannot read {path}: {e}\nexpected a statically linked RV64 ELF executable"
+        ))
+    })?;
+    let stem = std::path::Path::new(path).file_stem().and_then(|s| s.to_str());
+    let name = name.unwrap_or_else(|| stem.unwrap_or("workload").to_string());
+    dse_ingest::ingest_elf(&name, &bytes, config).map_err(|e| usage_error(format!("{path}: {e}")))
 }
 
-fn cmd_ingest(args: &Args) -> Result<i32, Box<dyn Error>> {
-    let ingested = match ingest_from_args("ingest", args)? {
-        Ok(ingested) => ingested,
-        Err(code) => return Ok(code),
-    };
+pub(crate) fn cmd_ingest(args: &Args) -> Result<i32, Box<dyn Error>> {
+    let config = dse_ingest::ExecConfig { max_instrs: args.value("max-instrs")? };
+    let ingested = ingest_operand(args, args.value_of("name")?, config)?;
     let p = &ingested.profile;
     println!("workload      : {}", ingested.name);
     println!("instructions  : {}", ingested.trace.len());
@@ -1373,12 +653,9 @@ fn profile_metrics(p: &dse_workloads::WorkloadProfile) -> Vec<(&'static str, f64
     ]
 }
 
-fn cmd_workload_diff(args: &Args) -> Result<i32, Box<dyn Error>> {
-    let ingested = match ingest_from_args("workload-diff", args)? {
-        Ok(ingested) => ingested,
-        Err(code) => return Ok(code),
-    };
-    let benchmark = parse_benchmark(&args.value_or("benchmark", "mm".to_string())?)?;
+pub(crate) fn cmd_workload_diff(args: &Args) -> Result<i32, Box<dyn Error>> {
+    let ingested = ingest_operand(args, None, dse_ingest::ExecConfig::default())?;
+    let benchmark = parse_benchmark(&args.value::<String>("benchmark")?)?;
     let synthetic = benchmark.profile();
 
     let rows: Vec<DiffRow> = profile_metrics(&synthetic)
@@ -1478,16 +755,38 @@ mod tests {
 
     #[test]
     fn every_command_has_a_flag_table() {
-        for &command in COMMANDS {
-            // Reaching the table at all is the test; an unknown command
-            // would fall into the artifact default arm.
-            let _ = allowed_flags(command);
+        for name in table::names() {
+            assert!(table::find(name).is_some(), "{name}");
         }
-        assert!(allowed_flags("table2").contains(&"full"));
-        assert!(allowed_flags("serve").contains(&"max-batch"));
-        assert!(allowed_flags("serve").contains(&"shards"));
-        assert!(allowed_flags("loadgen").contains(&"concurrency"));
-        assert!(allowed_flags("loadgen").contains(&"trend"));
+        let declares =
+            |command: &str, flag: &str| table::find(command).unwrap().flag(flag).is_some();
+        assert!(declares("table2", "full"));
+        assert!(declares("serve", "max-batch"));
+        assert!(declares("serve", "shards"));
+        assert!(declares("serve", "leakage"));
+        assert!(declares("loadgen", "concurrency"));
+        assert!(declares("loadgen", "trend"));
+    }
+
+    #[test]
+    fn help_lists_every_serve_endpoint() {
+        let help = table::usage().split_whitespace().collect::<Vec<_>>().join(" ");
+        for route in archdse_serve::routes() {
+            assert!(help.contains(&route), "help omits {route}");
+        }
+    }
+
+    #[test]
+    fn table_defaults_match_the_library_defaults() {
+        let serve = args(&["serve"]);
+        let config = ServeConfig::new(Explorer::for_benchmark(Benchmark::StringSearch));
+        assert_eq!(serve.value::<usize>("workers").unwrap(), config.workers);
+        assert_eq!(serve.value::<usize>("max-batch").unwrap(), config.batcher.max_batch_points);
+        let delay = std::time::Duration::from_millis(serve.value("max-delay-ms").unwrap());
+        assert_eq!(delay, config.batcher.max_delay);
+        assert_eq!(serve.value::<usize>("queue-cap").unwrap(), config.batcher.queue_capacity);
+        let max_instrs: u64 = args(&["ingest"]).value("max-instrs").unwrap();
+        assert_eq!(max_instrs, dse_ingest::ExecConfig::default().max_instrs);
     }
 
     #[test]
@@ -1506,6 +805,10 @@ mod tests {
         // Zero shards is meaningless for both commands.
         assert_eq!(run(&args(&["loadgen", "--shards", "0"])).unwrap(), 2);
         assert_eq!(run(&args(&["serve", "--shards", "0"])).unwrap(), 2);
+        // Zero threads is an error everywhere, never silently one.
+        assert_eq!(run(&args(&["serve", "--threads", "0"])).unwrap(), 2);
+        assert_eq!(run(&args(&["explore", "--threads", "0"])).unwrap(), 2);
+        assert_eq!(run(&args(&["sweep", "--threads", "0"])).unwrap(), 2);
         // A self-hosted shard stack conflicts with an external target.
         let a = args(&["loadgen", "--addr", "127.0.0.1:1", "--shards", "2"]);
         assert_eq!(run(&a).unwrap(), 2);
@@ -1634,6 +937,10 @@ mod tests {
         assert_eq!(run(&args(&["explore", "oops"])).unwrap(), 2);
         // `ingest` takes exactly one.
         assert_eq!(run(&args(&["ingest", "a.elf", "b.elf"])).unwrap(), 2);
+        // A switch takes no value, so the word after it is a stray operand.
+        let a = args(&["trace-report", "--requests", "stray", "--trace", "f.jsonl"]);
+        assert_eq!(run(&a).unwrap(), 2);
+        assert_eq!(run(&args(&["sweep", "--general", "mm"])).unwrap(), 2);
     }
 
     #[test]

@@ -11,15 +11,40 @@
 //! archdse fig5 | fig6 | fig7 | ablations [--full] [--json FILE]
 //! ```
 //!
-//! Argument parsing is hand-rolled (see [`args`]) to stay within the
-//! workspace's dependency budget; it supports `--flag value` and bare
-//! `--switch` forms only, which is all the tool needs.
+//! Every subcommand and flag is declared once, in the command table
+//! (`table.rs`), which generates the help text, the flag checks and the
+//! defaults; [`commands`] holds the handlers and `stack.rs` the
+//! self-hosted serving stacks of `serve --shards` and `loadgen`. Parsing
+//! is hand-rolled to stay within the workspace's dependency budget.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::process::ExitCode;
+
 pub mod args;
 pub mod commands;
+mod stack;
+mod table;
 pub mod trace_report;
 
 pub use args::{ArgError, Args};
+
+/// The `archdse` entry point shared by both binaries: parses the process
+/// arguments, runs the command and maps the outcome to an exit code.
+pub fn main() -> ExitCode {
+    let args = match Args::parse(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("error: {e}\n\n{}", table::usage());
+            return ExitCode::from(2);
+        }
+    };
+    match commands::run(&args) {
+        Ok(code) => ExitCode::from(code as u8),
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}

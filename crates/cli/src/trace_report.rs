@@ -12,7 +12,12 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::time::Duration;
 
+use archdse_serve::LatencyStats;
+use dse_exec::{Fidelity, LedgerSummary};
+use dse_obs::trace::{Field, FieldValue};
+use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
 /// Totals accumulated from `ledger_batch` events for one fidelity.
@@ -47,6 +52,36 @@ pub struct RunLedger {
     pub learned: (u64, u64, u64, u64, f64),
     /// The same five counters for the HF section.
     pub hf: (u64, u64, u64, u64, f64),
+}
+
+/// The integer per-tier counters of the `run_summary` event, each
+/// written as `<tier key>_<counter>` (`lf_cache_hits`), in tuple order.
+const COUNTERS: [&str; 4] = ["evaluations", "cache_hits", "cache_misses", "denied"];
+/// The per-tier model-time field suffix of the `run_summary` event.
+const MODEL_TIME: &str = "model_time_units";
+
+/// Emits the `run_summary` event `explore --trace-out` closes its trace
+/// with: the run's result, then every tier's ledger counters, cheapest
+/// tier first, the budget floor and, when one was installed, the budget.
+/// [`summarize`] reads the counters back in the same shape.
+pub fn emit_run_summary(best_cpi: f64, hf_sims: u64, summary: &LedgerSummary) {
+    let mut fields: Vec<(String, FieldValue)> =
+        vec![("best_cpi".into(), best_cpi.into()), ("hf_sims".into(), hf_sims.into())];
+    for (fidelity, section) in summary.sections() {
+        let counts =
+            [section.evaluations, section.cache_hits, section.cache_misses, section.denied];
+        for (counter, count) in COUNTERS.into_iter().zip(counts) {
+            fields.push((format!("{}_{counter}", fidelity.key()), count.into()));
+        }
+        fields.push((format!("{}_{MODEL_TIME}", fidelity.key()), section.model_time_units.into()));
+    }
+    fields.push(("budget_floor".into(), summary.budget_floor.key().into()));
+    if let Some(budget) = summary.hf_budget {
+        fields.push(("hf_budget".into(), budget.into()));
+    }
+    let fields: Vec<Field<'_>> =
+        fields.iter().map(|(name, v)| (name.as_str(), v.clone())).collect();
+    dse_obs::trace::event("run_summary", &fields);
 }
 
 /// Everything `trace-report` extracts from one trace file.
@@ -143,29 +178,14 @@ pub fn summarize(text: &str, top: usize) -> Result<TraceSummary, String> {
                         *summary.episodes.entry(phase).or_insert(0) += 1;
                     }
                     "run_summary" => {
-                        summary.run_summary = Some(RunLedger {
-                            lf: (
-                                get_u64(&value, "lf_evaluations"),
-                                get_u64(&value, "lf_cache_hits"),
-                                get_u64(&value, "lf_cache_misses"),
-                                get_u64(&value, "lf_denied"),
-                                get_f64(&value, "lf_model_time_units"),
-                            ),
-                            learned: (
-                                get_u64(&value, "learned_evaluations"),
-                                get_u64(&value, "learned_cache_hits"),
-                                get_u64(&value, "learned_cache_misses"),
-                                get_u64(&value, "learned_denied"),
-                                get_f64(&value, "learned_model_time_units"),
-                            ),
-                            hf: (
-                                get_u64(&value, "hf_evaluations"),
-                                get_u64(&value, "hf_cache_hits"),
-                                get_u64(&value, "hf_cache_misses"),
-                                get_u64(&value, "hf_denied"),
-                                get_f64(&value, "hf_model_time_units"),
-                            ),
+                        let [lf, learned, hf] = Fidelity::STACK.map(|fidelity| {
+                            let key = |suffix: &str| format!("{}_{suffix}", fidelity.key());
+                            let [evaluations, cache_hits, cache_misses, denied] =
+                                COUNTERS.map(|counter| get_u64(&value, &key(counter)));
+                            let time = get_f64(&value, &key(MODEL_TIME));
+                            (evaluations, cache_hits, cache_misses, denied, time)
                         });
+                        summary.run_summary = Some(RunLedger { lf, learned, hf });
                     }
                     _ => {}
                 }
@@ -291,7 +311,7 @@ pub fn render(summary: &TraceSummary) -> String {
 // ---------------------------------------------------------------------------
 
 /// Nearest-rank percentiles over µs samples.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Percentiles {
     /// Samples the percentiles were taken over.
     pub samples: u64,
@@ -305,23 +325,17 @@ pub struct Percentiles {
     pub max: u64,
 }
 
-fn percentiles(mut samples: Vec<u64>) -> Percentiles {
-    if samples.is_empty() {
-        return Percentiles::default();
+impl From<&LatencyStats> for Percentiles {
+    fn from(l: &LatencyStats) -> Self {
+        let us = |d: Duration| d.as_micros() as u64;
+        Self { samples: l.samples, p50: us(l.p50), p95: us(l.p95), p99: us(l.p99), max: us(l.max) }
     }
-    samples.sort_unstable();
-    let rank = |p: f64| {
-        let n = samples.len();
-        let idx = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n) - 1;
-        samples[idx]
-    };
-    Percentiles {
-        samples: samples.len() as u64,
-        p50: rank(50.0),
-        p95: rank(95.0),
-        p99: rank(99.0),
-        max: *samples.last().expect("samples is non-empty"),
-    }
+}
+
+fn percentiles(samples: Vec<u64>) -> Percentiles {
+    Percentiles::from(&LatencyStats::from_samples(
+        samples.into_iter().map(Duration::from_micros).collect(),
+    ))
 }
 
 /// One `{"type":"request"}` record pulled out of a trace file.

@@ -140,16 +140,21 @@ impl Endpoint {
     }
 }
 
-/// The 404 reason, listing every endpoint.
-fn not_found_reason() -> String {
-    let routes: Vec<String> = ENDPOINTS
+/// Every endpoint as `METHOD /path`, with `<id>` after a prefix path, in
+/// table order.
+pub fn routes() -> Vec<String> {
+    ENDPOINTS
         .iter()
         .map(|row| {
             let id = if row.path.ends_with('/') { "<id>" } else { "" };
             format!("{} {}{id}", row.method, row.path)
         })
-        .collect();
-    format!("no such endpoint; try {}", routes.join(", "))
+        .collect()
+}
+
+/// The 404 reason, listing every endpoint.
+fn not_found_reason() -> String {
+    format!("no such endpoint; try {}", routes().join(", "))
 }
 
 /// The id of a `GET /v1/jobs/<id>` request.

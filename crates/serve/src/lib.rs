@@ -99,7 +99,7 @@ mod server;
 mod shard;
 
 pub use batcher::{BatcherConfig, CoalescerStats};
-pub use front::{Limits, ServerHandle};
+pub use front::{routes, Limits, ServerHandle};
 pub use http::client;
 pub use loadgen::{run as run_loadgen, LatencyStats, LoadgenConfig, LoadgenReport, StatusLatency};
 pub use protocol::{

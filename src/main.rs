@@ -1,23 +1,6 @@
 //! Workspace-root entry point: `cargo run --release -- <command>` from
 //! the repository root behaves exactly like the `archdse` binary.
 
-use std::process::ExitCode;
-
-use archdse_cli::{commands, Args};
-
-fn main() -> ExitCode {
-    let args = match Args::parse(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{}", commands::USAGE);
-            return ExitCode::from(2);
-        }
-    };
-    match commands::run(&args) {
-        Ok(code) => ExitCode::from(code as u8),
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    archdse_cli::main()
 }
