@@ -147,8 +147,18 @@ impl AnalyticalModel {
         space: &DesignSpace,
         point: &DesignPoint,
     ) -> [Option<f64>; Param::COUNT] {
-        let (_, grad) = self.cpi_with_gradient(space, point);
-        Param::ALL.map(|p| {
+        self.cpi_and_step_deltas(space, point).1
+    }
+
+    /// [`cpi_in`](Self::cpi_in) and [`step_deltas`](Self::step_deltas)
+    /// from one gradient pass; both bit-identical to the separate calls.
+    pub fn cpi_and_step_deltas(
+        &self,
+        space: &DesignSpace,
+        point: &DesignPoint,
+    ) -> (f64, [Option<f64>; Param::COUNT]) {
+        let (cpi, grad) = self.cpi_with_gradient(space, point);
+        let deltas = Param::ALL.map(|p| {
             let idx = point.index_of(p);
             let cands = space.candidates(p);
             if idx + 1 < cands.len() {
@@ -156,7 +166,8 @@ impl AnalyticalModel {
             } else {
                 None
             }
-        })
+        });
+        (cpi, deltas)
     }
 
     /// Parameters whose next step is predicted to *reduce* CPI — the LF

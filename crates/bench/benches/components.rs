@@ -15,10 +15,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use archdse::{
-    AnalyticalModel, CoreConfig, DesignPoint, DesignSpace, Explorer, FnnBuilder, Simulator,
+    AnalyticalModel, CoreConfig, DesignPoint, DesignSpace, Explorer, Fnn, FnnBuilder, Simulator,
 };
 use dse_baselines::GaussianProcess;
-use dse_mfrl::{rollout, train_on_episode, Constraint, LowFidelity, ReinforceConfig};
+use dse_mfrl::{rollout, train_on_episode, Constraint, LowFidelity, ReinforceConfig, StepMemo};
 use dse_sim::Cache;
 use dse_workloads::Benchmark;
 
@@ -70,9 +70,30 @@ fn bench_simulator(c: &mut Criterion) {
     group.finish();
 }
 
+/// A network in mid-training shape: every consequent nonzero and every
+/// parameter center moved. A fresh network's all-zero consequents make
+/// every firing-strength gradient exactly zero, so `backward` would skip
+/// the center-gradient work that campaigns pay for.
+fn trained_fnn(space: &DesignSpace) -> Fnn {
+    let mut fnn = FnnBuilder::for_space(space).build();
+    let mut grads = fnn.zero_gradients();
+    for (r, row) in grads.consequents.iter_mut().enumerate() {
+        for (o, g) in row.iter_mut().enumerate() {
+            *g = ((r * 11 + o) as f64 * 0.61).sin();
+        }
+    }
+    for (row, spec) in grads.centers.iter_mut().zip(fnn.inputs()) {
+        for (l, (g, m)) in row.iter_mut().zip(&spec.memberships).enumerate() {
+            *g = m.center() * if l == 0 { 0.1 } else { -0.1 };
+        }
+    }
+    fnn.apply(&grads, 1.0, 1.0);
+    fnn
+}
+
 fn bench_fnn(c: &mut Criterion) {
     let space = DesignSpace::boom();
-    let fnn = FnnBuilder::for_space(&space).build();
+    let fnn = trained_fnn(&space);
     let obs = fnn.observation(&space, &space.decode(777_777), 1.4);
     let mut group = c.benchmark_group("fnn");
     group.bench_function("forward_192_rules", |b| {
@@ -86,7 +107,8 @@ fn bench_fnn(c: &mut Criterion) {
     let lf = Explorer::general_purpose().lf_model();
     let mut rng = StdRng::seed_from_u64(0);
     let budget = IndexBudget(EPISODE_STEPS);
-    let episode = rollout(&fnn, &space, &lf, &budget, space.smallest(), false, &mut rng);
+    let mut memo = StepMemo::new(&space, &lf, &budget, false);
+    let episode = rollout(&fnn, &mut memo, space.smallest(), &mut rng);
     assert_eq!(episode.steps.len(), EPISODE_STEPS);
     let cfg = ReinforceConfig::default();
     group.bench_function("train_on_episode_27_steps", |b| {

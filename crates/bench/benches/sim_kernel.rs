@@ -3,7 +3,8 @@
 //!
 //! Every run first asserts full `SimResult` bit-equality against
 //! [`ReferenceSimulator`] — the per-benchmark runs and every measured
-//! pack, lane by lane — so CI's quick mode (`-- --test`) catches
+//! pack, lane by lane — so quick mode (`cargo bench -- --test`, and
+//! `cargo test --benches`, which passes no `--bench`) catches
 //! divergence without timing anything. A full run then measures
 //! instructions per second and records the series in
 //! `results/BENCH_sim_kernel.json`, the perf trajectory later changes
@@ -51,7 +52,10 @@ fn throughput(instructions: u64, mut run: impl FnMut() -> u64) -> f64 {
 }
 
 fn bench_sim_kernel(c: &mut Criterion) {
-    let quick = std::env::args().any(|a| a == "--test");
+    // Time only under `cargo bench` (which passes `--bench`), and not
+    // with `-- --test`; `cargo test --benches` passes no arguments.
+    let args: Vec<String> = std::env::args().collect();
+    let quick = args.iter().any(|a| a == "--test") || !args.iter().any(|a| a == "--bench");
     let space = DesignSpace::boom();
     let config = CoreConfig::from_point(&space, &space.largest());
     let traces: Vec<(Benchmark, Trace)> =

@@ -5,7 +5,7 @@
 use dse_analytical::AnalyticalModel;
 use dse_area::{Activity, AreaModel, PowerModel};
 use dse_exec::{par_map, par_map_with, CacheStats, CpiCache, Evaluation, Evaluator, Fidelity};
-use dse_mfrl::{Constraint, LowFidelity, LF_TRACE_EQUIVALENT};
+use dse_mfrl::{param_bits, Constraint, LowFidelity, LF_TRACE_EQUIVALENT};
 use dse_sim::{BatchSimulator, CoreConfig, ExpandedTrace, SimResult};
 use dse_space::{DesignPoint, DesignSpace, Param};
 use dse_workloads::{Benchmark, Trace, WorkloadProfile};
@@ -159,24 +159,71 @@ impl LowFidelity for AnalyticalLf {
     }
 
     fn beneficial_params(&self, space: &DesignSpace, point: &DesignPoint) -> Vec<Param> {
-        let mut mean_delta = [0.0f64; Param::COUNT];
-        let mut at_max = [false; Param::COUNT];
+        let mut mask = MeanStepMask::new(self.models.len());
         for model in &self.models {
-            for (i, delta) in model.step_deltas(space, point).into_iter().enumerate() {
-                match delta {
-                    Some(d) => mean_delta[i] += d / self.models.len() as f64,
-                    None => at_max[i] = true,
-                }
-            }
+            mask.add(model.step_deltas(space, point));
         }
-        Param::ALL
-            .into_iter()
-            .filter(|&p| !at_max[p.index()] && mean_delta[p.index()] < -BENEFIT_EPS)
-            .collect()
+        let bits = mask.bits();
+        Param::ALL.into_iter().filter(|p| bits >> p.index() & 1 == 1).collect()
+    }
+
+    /// One gradient pass per model yields both answers. The CPI sums the
+    /// models in the same order as [`cpi`](LowFidelity::cpi), and each
+    /// gradient pass's value is bit-identical to the plain CPI, so both
+    /// halves match the separate calls bit for bit.
+    fn cpi_and_mask(&self, space: &DesignSpace, point: &DesignPoint) -> (f64, u16) {
+        let mut mask = MeanStepMask::new(self.models.len());
+        let sum = self
+            .models
+            .iter()
+            .map(|m| {
+                let (cpi, deltas) = m.cpi_and_step_deltas(space, point);
+                mask.add(deltas);
+                cpi
+            })
+            .sum::<f64>();
+        (sum / self.models.len() as f64, mask.bits())
     }
 
     fn cost_per_eval(&self) -> f64 {
         self.models.len() as f64 * LF_TRACE_EQUIVALENT
+    }
+}
+
+/// The mean of several models' per-step ΔCPI, folded one model at a
+/// time: a parameter is endorsed when no model has it at its maximum and
+/// the mean step is a reduction of more than [`BENEFIT_EPS`].
+struct MeanStepMask {
+    models: f64,
+    mean_delta: [f64; Param::COUNT],
+    at_max: [bool; Param::COUNT],
+}
+
+impl MeanStepMask {
+    fn new(models: usize) -> Self {
+        Self {
+            models: models as f64,
+            mean_delta: [0.0; Param::COUNT],
+            at_max: [false; Param::COUNT],
+        }
+    }
+
+    fn add(&mut self, deltas: [Option<f64>; Param::COUNT]) {
+        for (i, delta) in deltas.into_iter().enumerate() {
+            match delta {
+                Some(d) => self.mean_delta[i] += d / self.models,
+                None => self.at_max[i] = true,
+            }
+        }
+    }
+
+    /// The endorsed parameters as [`param_bits`](dse_mfrl::param_bits).
+    fn bits(&self) -> u16 {
+        param_bits(
+            Param::ALL
+                .into_iter()
+                .filter(|p| !self.at_max[p.index()] && self.mean_delta[p.index()] < -BENEFIT_EPS),
+        )
     }
 }
 
@@ -708,6 +755,11 @@ mod tests {
         assert_eq!(objective.evaluate_rich(&space, &big).feasible, Some(false));
     }
 
+    /// The 2,000 points the six-model mask is pinned on.
+    fn mask_points(space: &DesignSpace) -> impl Iterator<Item = DesignPoint> + '_ {
+        (0..2_000u64).map(|i| space.decode(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % space.size()))
+    }
+
     #[test]
     fn six_model_mask_matches_the_recorded_digest() {
         // FNV-1a over the endorsed-parameter bitmask at 2,000 points,
@@ -715,13 +767,23 @@ mod tests {
         let space = DesignSpace::boom();
         let lf = AnalyticalLf::for_benchmarks(&space, &Benchmark::ALL, 1.0);
         let mut hash = 0xCBF2_9CE4_8422_2325_u64;
-        for i in 0..2_000u64 {
-            let point = space.decode(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % space.size());
+        for point in mask_points(&space) {
             let mask: u64 =
                 lf.beneficial_params(&space, &point).iter().map(|p| 1u64 << p.index()).sum();
             hash = (hash ^ mask).wrapping_mul(0x0000_0100_0000_01B3);
         }
         assert_eq!(hash, 0xad56_e325_1669_d814);
+    }
+
+    #[test]
+    fn fused_probe_matches_the_separate_calls_bit_for_bit() {
+        let space = DesignSpace::boom();
+        let lf = AnalyticalLf::for_benchmarks(&space, &Benchmark::ALL, 1.0);
+        for point in mask_points(&space) {
+            let (cpi, mask) = lf.cpi_and_mask(&space, &point);
+            assert_eq!(cpi.to_bits(), lf.cpi(&space, &point).to_bits(), "{point:?}");
+            assert_eq!(mask, param_bits(lf.beneficial_params(&space, &point)), "{point:?}");
+        }
     }
 
     #[test]

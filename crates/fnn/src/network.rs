@@ -6,6 +6,9 @@ use dse_space::{DesignPoint, DesignSpace, MergedParam};
 
 use crate::Membership;
 
+/// Most fuzzy sets any input has (a metric's *low/avg/high*).
+const MAX_SETS: usize = 3;
+
 /// Whether an FNN input is a design metric or a design parameter.
 ///
 /// Metric inputs carry three fuzzy sets (*low/avg/high*) with frozen
@@ -55,7 +58,9 @@ pub struct Observation {
 pub struct ForwardPass {
     /// Layer-5 output: one score per design parameter.
     pub scores: Vec<f64>,
-    memberships: Vec<Vec<f64>>,
+    /// Layer-1 output: per input, its fuzzy sets' memberships (unused
+    /// slots past the input's set count stay zero).
+    memberships: Vec<[f64; MAX_SETS]>,
     normalized: Vec<f64>,
     strength_sum: f64,
     observation: Observation,
@@ -228,23 +233,26 @@ impl Fnn {
     pub fn forward(&self, obs: &Observation) -> ForwardPass {
         assert_eq!(obs.values.len(), self.inputs.len(), "observation length mismatch");
         // Layer 1: fuzzification.
-        let memberships: Vec<Vec<f64>> = self
+        let memberships: Vec<[f64; MAX_SETS]> = self
             .inputs
             .iter()
             .zip(&obs.values)
-            .map(|(spec, &x)| spec.memberships.iter().map(|m| m.eval(x)).collect())
-            .collect();
-        // Layer 2: product t-norm firing strengths.
-        let firing: Vec<f64> = self
-            .rule_labels
-            .iter()
-            .map(|labels| {
-                labels.iter().enumerate().map(|(i, &l)| memberships[i][l]).product::<f64>()
+            .map(|(spec, &x)| {
+                let mut row = [0.0; MAX_SETS];
+                for (slot, m) in row.iter_mut().zip(&spec.memberships) {
+                    *slot = m.eval(x);
+                }
+                row
             })
             .collect();
-        // Layer 3: normalization.
-        let strength_sum: f64 = firing.iter().sum::<f64>().max(1e-300);
-        let normalized: Vec<f64> = firing.iter().map(|w| w / strength_sum).collect();
+        // Layer 2: product t-norm firing strengths.
+        let mut normalized = vec![0.0; self.rule_count()];
+        self.rule_products(&memberships, None, &mut normalized);
+        // Layer 3: normalization, in place.
+        let strength_sum: f64 = normalized.iter().sum::<f64>().max(1e-300);
+        for w in &mut normalized {
+            *w /= strength_sum;
+        }
         // Layers 4+5: TS defuzzification and weighted-sum output.
         let mut scores = vec![0.0; self.output_names.len()];
         for (r, &n) in normalized.iter().enumerate() {
@@ -256,6 +264,37 @@ impl Fnn {
             }
         }
         ForwardPass { scores, memberships, normalized, strength_sum, observation: obs.clone() }
+    }
+
+    /// Products of the inputs' memberships for every rule, in rule order,
+    /// written to the front of `out`. `skip` leaves one input out of every
+    /// product (and so writes a fraction of the rules).
+    ///
+    /// The products are expanded input by input from `[1.0]`: each input
+    /// multiplies every entry so far by each of its memberships (a
+    /// Kronecker product, input 0 most significant, as in
+    /// [`rule_labels`](Self::rule_labels)). Each entry is therefore the
+    /// left fold `1.0·μ₀·μ₁·…` that `Iterator::product` computes per
+    /// rule, bit for bit, at about two multiplies per rule instead of one
+    /// per input.
+    fn rule_products(&self, memberships: &[[f64; MAX_SETS]], skip: Option<usize>, out: &mut [f64]) {
+        out[0] = 1.0;
+        let mut len = 1;
+        for (i, (spec, mu)) in self.inputs.iter().zip(memberships).enumerate() {
+            if skip == Some(i) {
+                continue;
+            }
+            let n = spec.memberships.len();
+            // Back to front, so entry k is read before any write lands
+            // on it (its products go to k·n.., never below k).
+            for k in (0..len).rev() {
+                let w = out[k];
+                for (slot, &m) in out[k * n..(k + 1) * n].iter_mut().zip(mu) {
+                    *slot = w * m;
+                }
+            }
+            len *= n;
+        }
     }
 
     /// All-zero gradients shaped like this network's trainable weights.
@@ -287,8 +326,8 @@ impl Fnn {
     /// it to zeros) makes the sum bit-identical to folding separate
     /// [`backward`](Self::backward) results with
     /// [`FnnGradients::accumulate`], signed zeros included. `scratch` is
-    /// reused for the per-rule intermediates; its contents on entry do
-    /// not matter.
+    /// reused for the per-rule intermediates and the exclusive products;
+    /// its contents on entry do not matter.
     ///
     /// # Panics
     ///
@@ -330,7 +369,9 @@ impl Fnn {
         for q in scratch.iter_mut() {
             *q = (*q - q_dot_n) / pass.strength_sum;
         }
-        let d_firing = &scratch[..];
+        let rules = scratch.len();
+        scratch.resize(2 * rules, 0.0);
+        let (d_firing, excl) = scratch.split_at_mut(rules);
 
         for (i, spec) in self.inputs.iter().enumerate() {
             if spec.kind != InputKind::Parameter {
@@ -339,19 +380,23 @@ impl Fnn {
                 continue;
             }
             // Through the product t-norm to each membership value:
-            // ∂w_r/∂μ(i,l) = Π_{i'≠i} μ(i', label_{i'}) for rules using (i,l).
-            let mut d_membership = [0.0f64; 3];
-            for (labels, &dw) in self.rule_labels.iter().zip(d_firing) {
-                if dw == 0.0 {
-                    continue;
-                }
-                let mut excl = 1.0;
-                for (j, &l) in labels.iter().enumerate() {
-                    if j != i {
-                        excl *= pass.memberships[j][l];
+            // ∂w_r/∂μ(i,l) = Π_{i'≠i} μ(i', label_{i'}) for rules using
+            // (i,l). Rules run as (hi, l, lo) blocks — hi the labels of
+            // the inputs before i, lo those after — and rule (hi, l, lo)'s
+            // exclusive product is entry (hi, lo) of the products without
+            // input i. Each label's sum still folds in rule order.
+            self.rule_products(&pass.memberships, Some(i), excl);
+            let sets = spec.memberships.len();
+            let lo: usize = self.inputs[i + 1..].iter().map(|s| s.memberships.len()).product();
+            let mut d_membership = [0.0f64; MAX_SETS];
+            for (block, excl_hi) in d_firing.chunks_exact(sets * lo).zip(excl.chunks_exact(lo)) {
+                for (d, dws) in d_membership.iter_mut().zip(block.chunks_exact(lo)) {
+                    for (&dw, &e) in dws.iter().zip(excl_hi) {
+                        if dw != 0.0 {
+                            *d += dw * e;
+                        }
                     }
                 }
-                d_membership[labels[i]] += dw * excl;
             }
             // Through fuzzification to the trainable centers.
             let x = pass.observation.values[i];

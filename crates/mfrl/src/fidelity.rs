@@ -14,17 +14,41 @@ use dse_space::{DesignPoint, DesignSpace, Param};
 /// simulated trace — the paper's ~1000x LF/HF cost gap.
 pub const LF_TRACE_EQUIVALENT: f64 = 1e-3;
 
+/// Parameter sets as bitsets: bit [`Param::index`] stands for the
+/// parameter, so one `u16` holds any subset of [`Param::ALL`].
+const _: () = assert!(Param::COUNT <= 16, "parameter bitsets are u16");
+
+/// The bitset of `params` (bit [`Param::index`] set for each).
+pub fn param_bits(params: impl IntoIterator<Item = Param>) -> u16 {
+    params.into_iter().fold(0, |bits, p| bits | 1 << p.index())
+}
+
 /// The cheap, differentiable evaluation proxy (the analytical model).
 ///
 /// `beneficial_params` is the LF action mask of §3.1: the parameters
 /// whose next candidate step the model predicts to reduce CPI. The LF
 /// phase never takes an action outside this set.
+///
+/// Every answer must be a pure function of the point: the same point
+/// gets the same bits however often, and in whatever order, it is
+/// asked. The RL phases ask once per point and replay the answer (see
+/// [`StepMemo`](crate::StepMemo)).
 pub trait LowFidelity {
     /// Estimated cycles per instruction.
     fn cpi(&self, space: &DesignSpace, point: &DesignPoint) -> f64;
 
     /// Parameters whose increase the model's gradient endorses.
     fn beneficial_params(&self, space: &DesignSpace, point: &DesignPoint) -> Vec<Param>;
+
+    /// [`cpi`](Self::cpi) and the [`param_bits`] of
+    /// [`beneficial_params`](Self::beneficial_params) in one probe.
+    ///
+    /// Must equal the two separate answers bit for bit. The default makes
+    /// exactly those two calls; a model that gets both from one pass
+    /// overrides it.
+    fn cpi_and_mask(&self, space: &DesignSpace, point: &DesignPoint) -> (f64, u16) {
+        (self.cpi(space, point), param_bits(self.beneficial_params(space, point)))
+    }
 
     /// Estimated instructions per cycle.
     fn ipc(&self, space: &DesignSpace, point: &DesignPoint) -> f64 {
@@ -72,6 +96,9 @@ impl<L: LowFidelity + ?Sized> CpiModel for LfEvaluator<'_, L> {
 }
 
 /// A feasibility constraint on designs (the area limit).
+///
+/// Like [`LowFidelity`], the answer must be a pure function of the
+/// point: the RL phases ask once per point and replay the answer.
 pub trait Constraint {
     /// Whether `point` is feasible.
     fn fits(&self, space: &DesignSpace, point: &DesignPoint) -> bool;

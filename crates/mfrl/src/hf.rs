@@ -8,7 +8,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::{
-    rollout, train_on_episode, Constraint, LfOutcome, LowFidelity, ReinforceConfig, EPSILON,
+    rollout, train_on_episode, Constraint, LfOutcome, LowFidelity, ReinforceConfig, StepMemo,
+    EPSILON,
 };
 
 /// Configuration of the HF phase.
@@ -161,14 +162,15 @@ impl HfPhase {
         // consume budget, so bound the episode count as a safety valve
         // against a policy that keeps re-proposing known designs.
         let max_episodes = cfg.budget * 20;
+        // Unmasked: "the actions in the HF phase are no longer
+        // restricted by the analytical model".
+        let mut memo = StepMemo::new(space, lf, constraint, false);
         for episode_idx in 0..max_episodes {
             if ledger.hf_remaining() == Some(0) {
                 break;
             }
             let start = starts[rng.gen_range(0..starts.len())].clone();
-            // Unmasked: "the actions in the HF phase are no longer
-            // restricted by the analytical model".
-            let episode = rollout(fnn, space, lf, constraint, start, false, &mut rng);
+            let episode = rollout(fnn, &mut memo, start, &mut rng);
             let entry = hf.route(ledger, space, &episode.final_point);
             let Some(cpi) = entry.cpi() else {
                 break;
@@ -220,7 +222,7 @@ impl HfPhase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{QuadraticLf, SumConstraint, SyntheticHf};
+    use crate::testutil::{CountingLf, QuadraticLf, SumConstraint, SyntheticHf};
     use crate::{LfPhase, LfPhaseConfig};
     use dse_exec::Evaluator as _;
     use dse_fnn::FnnBuilder;
@@ -327,5 +329,29 @@ mod tests {
         assert_eq!(ledger.hf_remaining(), Some(0));
         // The single simulation is the anchor itself.
         assert!((1.0 / outcome.history[0].1 - outcome.ipc_h0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn hf_phase_probes_each_point_once_and_never_asks_for_a_mask() {
+        let space = DesignSpace::boom();
+        let mut fnn = FnnBuilder::for_space(&space).build();
+        let lf = QuadraticLf::new(&space);
+        let constraint = SumConstraint { max_index_sum: 10 };
+        let mut ledger = CostLedger::new();
+        let lf_outcome = LfPhase::new(LfPhaseConfig { episodes: 30, ..LfPhaseConfig::default() })
+            .run(&mut fnn, &space, &lf, &constraint, &mut ledger);
+        let counting = CountingLf::new(lf);
+        HfPhase::new(HfPhaseConfig { budget: 9, seed: 2, ..HfPhaseConfig::default() }).run(
+            &mut fnn,
+            &space,
+            &counting,
+            &mut SyntheticHf::new(&space),
+            &constraint,
+            &lf_outcome,
+            &mut ledger,
+        );
+        assert!(counting.mask_calls.borrow().is_empty(), "the HF phase asked for a mask");
+        assert!(!counting.cpi_calls.borrow().is_empty());
+        assert!(counting.cpi_calls_are_distinct(), "a point was asked twice");
     }
 }

@@ -11,7 +11,7 @@ use rand::SeedableRng;
 
 use crate::{
     greedy_rollout, rollout, train_on_episode, Constraint, LfEvaluator, LowFidelity,
-    ReinforceConfig, EPSILON,
+    ReinforceConfig, StepMemo, EPSILON,
 };
 
 /// Episode-reward shape (ablation knob; the paper uses
@@ -102,7 +102,8 @@ impl LfPhase {
     /// candidate set and convergence record.
     ///
     /// Per-step and per-episode CPI queries are training *observations*
-    /// and go straight to the model; what the run pays for — the
+    /// and go to the model through the phase's [`StepMemo`], once per
+    /// design point; what the run pays for — the
     /// candidate-pool ranking and the converged design — is charged to
     /// `ledger` at [`Fidelity::Low`](dse_exec::Fidelity::Low), through
     /// one batch call the LF backend can parallelize.
@@ -117,6 +118,7 @@ impl LfPhase {
         let cfg = &self.config;
         let _phase_span = trace::span("lf_phase");
         let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut memo = StepMemo::new(space, lf, constraint, cfg.gradient_mask);
         // Candidate pool of terminal designs, keyed by encoded point.
         let mut pool: HashMap<u64, DesignPoint> = HashMap::new();
         let mut best_ipc = f64::NEG_INFINITY;
@@ -125,9 +127,8 @@ impl LfPhase {
         let mut episode_designs = Vec::with_capacity(cfg.episodes);
 
         for episode_idx in 0..cfg.episodes {
-            let episode =
-                rollout(fnn, space, lf, constraint, space.smallest(), cfg.gradient_mask, &mut rng);
-            let cpi = lf.cpi(space, &episode.final_point);
+            let episode = rollout(fnn, &mut memo, space.smallest(), &mut rng);
+            let cpi = memo.cpi(&episode.final_point);
             let ipc = 1.0 / cpi;
             best_ipc = best_ipc.max(ipc);
             let reward = match cfg.reward {
@@ -158,9 +159,8 @@ impl LfPhase {
 
             pool.insert(space.encode(&episode.final_point), episode.final_point.clone());
             best_cpi_history.push(1.0 / best_ipc);
-            let greedy =
-                greedy_rollout(fnn, space, lf, constraint, space.smallest(), cfg.gradient_mask);
-            policy_cpi_history.push(lf.cpi(space, &greedy));
+            let greedy = greedy_rollout(fnn, &mut memo, space.smallest());
+            policy_cpi_history.push(memo.cpi(&greedy));
             episode_designs.push(episode.final_point);
         }
 
@@ -188,8 +188,7 @@ impl LfPhase {
             ranked.into_iter().map(|(_, point, cpi)| (point, cpi)).collect();
         best_designs.truncate(cfg.keep_best.max(1));
 
-        let converged =
-            greedy_rollout(fnn, space, lf, constraint, space.smallest(), cfg.gradient_mask);
+        let converged = greedy_rollout(fnn, &mut memo, space.smallest());
         let converged_cpi = ledger
             .evaluate(&mut LfEvaluator(lf), space, &converged)
             .cpi()
@@ -208,7 +207,7 @@ impl LfPhase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{PlateauLf, QuadraticLf, SumConstraint};
+    use crate::testutil::{CountingLf, PlateauLf, QuadraticLf, SumConstraint};
     use dse_fnn::FnnBuilder;
 
     fn run_lf(episodes: usize, seed: u64) -> (DesignSpace, LfOutcome) {
@@ -394,5 +393,43 @@ mod tests {
             let sum: usize = o.converged.indices().iter().sum();
             assert!(sum <= 10);
         }
+    }
+
+    /// Runs an LF phase against a call-counting model.
+    fn counted_run(gradient_mask: bool) -> (CountingLf<QuadraticLf>, LfOutcome) {
+        let space = DesignSpace::boom();
+        let mut fnn = FnnBuilder::for_space(&space).build();
+        let lf = CountingLf::new(QuadraticLf::new(&space));
+        let constraint = SumConstraint { max_index_sum: 10 };
+        let outcome = LfPhase::new(LfPhaseConfig {
+            episodes: 40,
+            gradient_mask,
+            seed: 13,
+            ..LfPhaseConfig::default()
+        })
+        .run(&mut fnn, &space, &lf, &constraint, &mut CostLedger::new());
+        (lf, outcome)
+    }
+
+    #[test]
+    fn masked_phase_probes_each_point_once() {
+        let (lf, outcome) = counted_run(true);
+        // Every episode and every greedy readout starts from the smallest
+        // design, yet the model is asked about it, and every other point,
+        // exactly once: one CPI and one mask per distinct point.
+        let cpi_calls = lf.cpi_calls.borrow().clone();
+        assert!(lf.cpi_calls_are_distinct(), "a point was asked twice");
+        assert_eq!(*lf.mask_calls.borrow(), cpi_calls, "one fused probe per point");
+        let steps = outcome.episode_designs.iter().map(|d| d.indices().iter().sum::<usize>());
+        let visits: usize = steps.map(|s| s + 1).sum();
+        assert!(cpi_calls.len() < visits, "{} probes for {visits} visits", cpi_calls.len());
+    }
+
+    #[test]
+    fn unmasked_phase_never_asks_for_a_mask() {
+        let (lf, _) = counted_run(false);
+        assert!(lf.mask_calls.borrow().is_empty());
+        assert!(!lf.cpi_calls.borrow().is_empty());
+        assert!(lf.cpi_calls_are_distinct(), "a point was asked twice");
     }
 }

@@ -49,8 +49,8 @@ pub use dse_exec::{
     CacheStats, CostLedger, CpiCache, Evaluation, Evaluator, Fidelity, FidelityLedger, LedgerEntry,
     LedgerSummary,
 };
-pub use episode::{greedy_rollout, rollout, Episode, EpisodeStep};
-pub use fidelity::{Constraint, LfEvaluator, LowFidelity, LF_TRACE_EQUIVALENT};
+pub use episode::{greedy_rollout, rollout, Episode, EpisodeStep, StepMemo};
+pub use fidelity::{param_bits, Constraint, LfEvaluator, LowFidelity, LF_TRACE_EQUIVALENT};
 pub use hf::{HfOutcome, HfPhase, HfPhaseConfig};
 pub use lf::{LfOutcome, LfPhase, LfPhaseConfig, RewardKind};
 pub use multi::{DseOutcome, MultiFidelityConfig, MultiFidelityDse};

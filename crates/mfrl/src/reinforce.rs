@@ -56,7 +56,7 @@ pub fn train_on_episode(fnn: &mut Fnn, episode: &Episode, reward: f64, cfg: &Rei
 mod tests {
     use super::*;
     use crate::testutil::{QuadraticLf, SumConstraint};
-    use crate::{rollout, EPSILON};
+    use crate::{rollout, StepMemo, EPSILON};
     use dse_fnn::{FnnBuilder, FnnGradients};
     use dse_space::DesignSpace;
     use rand::rngs::StdRng;
@@ -69,7 +69,8 @@ mod tests {
         let lf = QuadraticLf::new(&space);
         let constraint = SumConstraint { max_index_sum: 5 };
         let mut rng = StdRng::seed_from_u64(7);
-        let ep = rollout(&fnn, &space, &lf, &constraint, space.smallest(), false, &mut rng);
+        let mut memo = StepMemo::new(&space, &lf, &constraint, false);
+        let ep = rollout(&fnn, &mut memo, space.smallest(), &mut rng);
         assert!(!ep.steps.is_empty());
         let step0 = &ep.steps[0];
         let before = step0.probs[step0.action];
@@ -88,7 +89,8 @@ mod tests {
         let lf = QuadraticLf::new(&space);
         let constraint = SumConstraint { max_index_sum: 5 };
         let mut rng = StdRng::seed_from_u64(8);
-        let ep = rollout(&fnn, &space, &lf, &constraint, space.smallest(), false, &mut rng);
+        let mut memo = StepMemo::new(&space, &lf, &constraint, false);
+        let ep = rollout(&fnn, &mut memo, space.smallest(), &mut rng);
         let step0 = &ep.steps[0];
         let before = step0.probs[step0.action];
         train_on_episode(&mut fnn, &ep, -1.0, &ReinforceConfig::default());
@@ -171,8 +173,9 @@ mod tests {
         let constraint = SumConstraint { max_index_sum: 27 };
         let mut rng = StdRng::seed_from_u64(11);
         let rewards = [0.37, -0.21, 0.0, EPSILON, -0.0, 1.5];
+        let mut memo = StepMemo::new(&space, &lf, &constraint, false);
         for (i, (reward, golden)) in rewards.into_iter().zip(GOLDEN).enumerate() {
-            let ep = rollout(&fnn, &space, &lf, &constraint, space.smallest(), false, &mut rng);
+            let ep = rollout(&fnn, &mut memo, space.smallest(), &mut rng);
             assert_eq!(ep.steps.len(), 27);
             let reference = reference_fold(&fnn, &ep, reward);
             let summed = in_place_sum(&fnn, &ep, reward);

@@ -1,6 +1,8 @@
 //! Synthetic fidelity models for unit-testing the RL machinery without
 //! the real analytical model or simulator.
 
+use std::cell::RefCell;
+
 use dse_exec::{CacheStats, CpiCache, Evaluation, Evaluator, Fidelity};
 use dse_space::{DesignPoint, DesignSpace, Param};
 
@@ -107,6 +109,51 @@ impl LowFidelity for PlateauLf {
 
     fn beneficial_params(&self, space: &DesignSpace, point: &DesignPoint) -> Vec<Param> {
         Param::ALL.into_iter().filter(|&p| !point.is_max(space, p)).collect()
+    }
+}
+
+/// Wraps an LF model and logs the encoded point of every `cpi` and
+/// `beneficial_params` call, to count how often the phases ask.
+///
+/// Batched estimates are the ledger-metered ranking, not rollout
+/// probes: they go to the inner model unlogged.
+#[derive(Debug)]
+pub struct CountingLf<L> {
+    inner: L,
+    /// Points asked for a CPI, in call order.
+    pub cpi_calls: RefCell<Vec<u64>>,
+    /// Points asked for a gradient mask, in call order.
+    pub mask_calls: RefCell<Vec<u64>>,
+}
+
+impl<L> CountingLf<L> {
+    /// Wraps `inner` with empty logs.
+    pub fn new(inner: L) -> Self {
+        Self { inner, cpi_calls: RefCell::default(), mask_calls: RefCell::default() }
+    }
+
+    /// Whether no point was asked for a CPI twice.
+    pub fn cpi_calls_are_distinct(&self) -> bool {
+        let mut codes = self.cpi_calls.borrow().clone();
+        codes.sort_unstable();
+        codes.dedup();
+        codes.len() == self.cpi_calls.borrow().len()
+    }
+}
+
+impl<L: LowFidelity> LowFidelity for CountingLf<L> {
+    fn cpi(&self, space: &DesignSpace, point: &DesignPoint) -> f64 {
+        self.cpi_calls.borrow_mut().push(space.encode(point));
+        self.inner.cpi(space, point)
+    }
+
+    fn beneficial_params(&self, space: &DesignSpace, point: &DesignPoint) -> Vec<Param> {
+        self.mask_calls.borrow_mut().push(space.encode(point));
+        self.inner.beneficial_params(space, point)
+    }
+
+    fn cpi_batch(&self, space: &DesignSpace, points: &[DesignPoint]) -> Vec<f64> {
+        self.inner.cpi_batch(space, points)
     }
 }
 

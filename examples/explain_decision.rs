@@ -8,7 +8,7 @@
 
 use archdse::{Explorer, Param};
 use dse_fnn::explain_top_action;
-use dse_mfrl::{greedy_rollout, Constraint as _, LowFidelity as _};
+use dse_mfrl::{greedy_rollout, Constraint as _, LowFidelity as _, StepMemo};
 use dse_workloads::Benchmark;
 
 fn main() {
@@ -39,6 +39,7 @@ fn main() {
         }
     }
 
-    let converged = greedy_rollout(&report.fnn, space, &lf, &area, space.smallest(), true);
+    let mut memo = StepMemo::new(space, &lf, &area, true);
+    let converged = greedy_rollout(&report.fnn, &mut memo, space.smallest());
     println!("greedy policy converges to: {}", converged.describe(space));
 }
