@@ -17,11 +17,15 @@
 //!   Thompson sampling \[Eriksson & Poloczek, AISTATS'21\];
 //! * [`RandomSearchOptimizer`] — the sanity floor.
 //!
-//! All optimizers speak the same [`Optimizer`]/[`Objective`] interface,
+//! All optimizers speak the same [`Optimizer`] interface: they drive the
+//! workspace's one cost-model interface, an [`Evaluator`], through a
+//! [`CostLedger`] — the same accounting FNN-MFRL runs under — and ask
+//! the same [`Constraint`] the RL phases use for feasibility. They
 //! evaluate only feasible candidates (the paper assigns constraint
 //! violators "a low reward and \[they\] do not go through simulation",
-//! except SCBO which may spend budget on them), and are deterministic
-//! given a seed.
+//! except SCBO which may spend budget on them), stop early when the
+//! space holds fewer feasible designs than the budget, and are
+//! deterministic given a seed.
 //!
 //! The supporting model zoo ([`RegressionTree`], [`RandomForest`],
 //! [`Gbrt`], [`AdaBoostR2`], [`GaussianProcess`], [`mod@kmeans`]) is public
@@ -41,13 +45,11 @@ pub mod stats;
 mod tree;
 
 pub use boost::{AdaBoostR2, Gbrt};
-pub use dse_exec::{CostLedger, Evaluation, Evaluator, Fidelity, LedgerSummary};
+pub use dse_exec::{Constraint, CostLedger, Evaluation, Evaluator, Fidelity, LedgerSummary};
 pub use forest::RandomForest;
 pub use gp::GaussianProcess;
 pub use kmeans::{kmeans, Clustering};
-pub use optimizer::{
-    sample_feasible, Objective, OptimizationResult, Optimizer, SampleFeasibleError,
-};
+pub use optimizer::{sample_feasible, OptimizationResult, Optimizer, SampleFeasibleError};
 pub use optimizers::{
     ActBoostOptimizer, BagGbrtOptimizer, BoomExplorerOptimizer, RandomForestOptimizer,
     RandomSearchOptimizer, ScboOptimizer,

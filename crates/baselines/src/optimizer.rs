@@ -1,64 +1,14 @@
-//! The common optimizer/objective interface and evaluation bookkeeping.
+//! The common optimizer interface and evaluation bookkeeping.
 
 use std::collections::HashSet;
 
-use dse_exec::{CostLedger, CpiModel, Evaluation, Fidelity, LedgerEntry, LedgerSummary};
+use dse_exec::{Constraint, CostLedger, Evaluator, Fidelity, LedgerEntry, LedgerSummary};
 use dse_space::{DesignPoint, DesignSpace};
 use rand::rngs::StdRng;
 
-/// The expensive black-box objective a baseline optimizes: HF CPI under
-/// an area-feasibility predicate.
-///
-/// This trait is the optimizer-facing *adapter* over the workspace's
-/// [`Evaluator`](dse_exec::Evaluator) layer: every call an optimizer
-/// makes is routed through
-/// the shared [`CostLedger`] inside the crate's evaluation log, so the
-/// Fig. 5 baselines and FNN-MFRL share bit-identical budget accounting.
-pub trait Objective {
-    /// Runs the high-fidelity evaluation (counts against the budget).
-    fn evaluate(&mut self, space: &DesignSpace, point: &DesignPoint) -> f64;
-
-    /// Cheap feasibility check (the area model).
-    fn is_feasible(&self, space: &DesignSpace, point: &DesignPoint) -> bool;
-
-    /// The evaluation with full provenance. The default wraps
-    /// [`Objective::evaluate`] and stamps the feasibility predicate;
-    /// objectives backed by a real [`Evaluator`](dse_exec::Evaluator)
-    /// override this to forward its provenance (memo hits, area
-    /// figures) unchanged.
-    fn evaluate_rich(&mut self, space: &DesignSpace, point: &DesignPoint) -> Evaluation {
-        let mut ev = Evaluation::new(self.evaluate(space, point), Fidelity::High);
-        ev.feasible = Some(self.is_feasible(space, point));
-        ev
-    }
-
-    /// Model-time units one fresh evaluation costs (see
-    /// [`Evaluator::cost_per_eval`](dse_exec::Evaluator::cost_per_eval)).
-    fn cost_per_eval(&self) -> f64 {
-        1.0
-    }
-}
-
-/// The internal [`Evaluator`](dse_exec::Evaluator) view of an
-/// [`Objective`] — via the [`CpiModel`] blanket adapter — so
-/// [`EvalLog`] can drive it through a [`CostLedger`].
-struct ObjectiveEvaluator<'a> {
-    objective: &'a mut dyn Objective,
-}
-
-impl CpiModel for ObjectiveEvaluator<'_> {
-    fn fidelity(&self) -> Fidelity {
-        Fidelity::High
-    }
-
-    fn evaluations(&mut self, space: &DesignSpace, points: &[DesignPoint]) -> Vec<Evaluation> {
-        points.iter().map(|p| self.objective.evaluate_rich(space, p)).collect()
-    }
-
-    fn cost_per_eval(&self) -> f64 {
-        self.objective.cost_per_eval()
-    }
-}
+/// Random draws [`EvalLog::random_unseen`] makes before concluding that
+/// no feasible unseen design is left.
+const MAX_UNSEEN_DRAWS: usize = 10_000;
 
 /// Outcome of one optimization run.
 #[derive(Debug, Clone)]
@@ -79,11 +29,15 @@ pub trait Optimizer {
     /// Display name used in the experiment tables.
     fn name(&self) -> &'static str;
 
-    /// Runs the optimizer for exactly `budget` objective evaluations.
+    /// Runs the optimizer for `budget` evaluations of `hf`, proposing
+    /// only designs that `constraint` accepts (SCBO excepted). The run
+    /// ends early when the space holds fewer feasible designs than the
+    /// budget.
     fn optimize(
         &mut self,
         space: &DesignSpace,
-        objective: &mut dyn Objective,
+        hf: &mut dyn Evaluator,
+        constraint: &dyn Constraint,
         budget: usize,
         seed: u64,
     ) -> OptimizationResult;
@@ -124,7 +78,7 @@ impl std::error::Error for SampleFeasibleError {}
 /// limits feasibility is plentiful and sampling always succeeds.
 pub fn sample_feasible(
     space: &DesignSpace,
-    objective: &dyn Objective,
+    constraint: &dyn Constraint,
     n: usize,
     rng: &mut StdRng,
 ) -> Result<Vec<DesignPoint>, SampleFeasibleError> {
@@ -138,7 +92,7 @@ pub fn sample_feasible(
         }
         attempts += 1;
         let p = space.random_point(rng);
-        if !objective.is_feasible(space, &p) {
+        if !constraint.fits(space, &p) {
             continue;
         }
         if seen.insert(space.encode(&p)) {
@@ -148,19 +102,30 @@ pub fn sample_feasible(
     Ok(out)
 }
 
-/// Shared evaluation bookkeeping for every baseline: best-feasible
-/// tracking over a [`CostLedger`], which owns the budget, the per-run
-/// dedup and all counters — the same accounting FNN-MFRL runs under.
-#[derive(Debug)]
-pub(crate) struct EvalLog {
+/// Shared evaluation bookkeeping for every baseline: the run's
+/// simulator and constraint, and best-feasible tracking over a
+/// [`CostLedger`], which owns the budget, the per-run dedup and all
+/// counters — the same accounting FNN-MFRL runs under.
+pub(crate) struct EvalLog<'a> {
+    space: &'a DesignSpace,
+    hf: &'a mut dyn Evaluator,
+    constraint: &'a dyn Constraint,
     pub history: Vec<(DesignPoint, f64)>,
     pub feasible: Vec<bool>,
     ledger: CostLedger,
 }
 
-impl EvalLog {
-    pub fn new(budget: usize) -> Self {
+impl<'a> EvalLog<'a> {
+    pub fn new(
+        space: &'a DesignSpace,
+        hf: &'a mut dyn Evaluator,
+        constraint: &'a dyn Constraint,
+        budget: usize,
+    ) -> Self {
         Self {
+            space,
+            hf,
+            constraint,
             history: Vec::new(),
             feasible: Vec::new(),
             ledger: CostLedger::new().with_hf_budget(budget),
@@ -171,25 +136,23 @@ impl EvalLog {
         self.ledger.hf_remaining().expect("EvalLog always installs a budget")
     }
 
-    pub fn contains(&self, space: &DesignSpace, point: &DesignPoint) -> bool {
-        self.ledger.knows(Fidelity::High, space.encode(point))
+    pub fn contains(&self, point: &DesignPoint) -> bool {
+        self.ledger.knows(Fidelity::High, self.space.encode(point))
+    }
+
+    /// Whether `point` is feasible and not yet evaluated.
+    fn is_open(&self, point: &DesignPoint) -> bool {
+        self.constraint.fits(self.space, point) && !self.contains(point)
     }
 
     /// Evaluates `point` if budget remains and it is unseen; returns the
     /// value when a charged evaluation happened (replays and denials
     /// both return `None`, as the optimizers expect).
-    pub fn evaluate(
-        &mut self,
-        space: &DesignSpace,
-        objective: &mut dyn Objective,
-        point: &DesignPoint,
-    ) -> Option<f64> {
-        let entry = self.ledger.evaluate(&mut ObjectiveEvaluator { objective }, space, point);
-        match entry {
+    pub fn evaluate(&mut self, point: &DesignPoint) -> Option<f64> {
+        match self.ledger.evaluate(&mut *self.hf, self.space, point) {
             LedgerEntry::Charged(ev) => {
                 self.history.push((point.clone(), ev.cpi));
-                self.feasible
-                    .push(ev.feasible.unwrap_or_else(|| objective.is_feasible(space, point)));
+                self.feasible.push(self.constraint.fits(self.space, point));
                 Some(ev.cpi)
             }
             LedgerEntry::Replayed(_) | LedgerEntry::Denied => None,
@@ -197,8 +160,8 @@ impl EvalLog {
     }
 
     /// Training data for surrogates: normalized features and values.
-    pub fn training_data(&self, space: &DesignSpace) -> (Vec<Vec<f64>>, Vec<f64>) {
-        let x = self.history.iter().map(|(p, _)| p.feature_vector(space)).collect();
+    pub fn training_data(&self) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let x = self.history.iter().map(|(p, _)| p.feature_vector(self.space)).collect();
         let y = self.history.iter().map(|(_, v)| *v).collect();
         (x, y)
     }
@@ -211,6 +174,28 @@ impl EvalLog {
             .filter(|(_, &f)| f)
             .map(|((_, v), _)| *v)
             .fold(f64::INFINITY, f64::min)
+    }
+
+    /// Draws `n` random feasible candidates for acquisition ranking,
+    /// excluding already-evaluated designs.
+    pub fn candidate_pool(&self, n: usize, rng: &mut StdRng) -> Vec<DesignPoint> {
+        let mut out = Vec::with_capacity(n);
+        let mut attempts = 0;
+        while out.len() < n && attempts < 50 * n {
+            attempts += 1;
+            let p = self.space.random_point(rng);
+            if self.is_open(&p) {
+                out.push(p);
+            }
+        }
+        out
+    }
+
+    /// Draws one uniform feasible unseen point (fallback exploration),
+    /// or `None` when [`MAX_UNSEEN_DRAWS`] draws find none — the space
+    /// is used up.
+    pub fn random_unseen(&self, rng: &mut StdRng) -> Option<DesignPoint> {
+        (0..MAX_UNSEEN_DRAWS).map(|_| self.space.random_point(rng)).find(|p| self.is_open(p))
     }
 
     pub fn into_result(self) -> OptimizationResult {
@@ -233,101 +218,71 @@ impl EvalLog {
     }
 }
 
-/// Draws `n` random feasible candidates for acquisition ranking,
-/// excluding already-evaluated designs.
-pub(crate) fn candidate_pool(
-    space: &DesignSpace,
-    objective: &dyn Objective,
-    log: &EvalLog,
-    n: usize,
-    rng: &mut StdRng,
-) -> Vec<DesignPoint> {
-    let mut out = Vec::with_capacity(n);
-    let mut attempts = 0;
-    while out.len() < n && attempts < 50 * n {
-        attempts += 1;
-        let p = space.random_point(rng);
-        if objective.is_feasible(space, &p) && !log.contains(space, &p) {
-            out.push(p);
-        }
-    }
-    out
-}
-
-/// Draws one uniform feasible unseen point (fallback exploration).
-pub(crate) fn random_unseen(
-    space: &DesignSpace,
-    objective: &dyn Objective,
-    log: &EvalLog,
-    rng: &mut StdRng,
-) -> DesignPoint {
-    loop {
-        let p = space.random_point(rng);
-        if objective.is_feasible(space, &p) && !log.contains(space, &p) {
-            return p;
-        }
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod testutil {
-    use super::*;
+    use dse_exec::{Evaluation, Evaluator, Fidelity};
+    use dse_space::{DesignPoint, DesignSpace};
 
-    /// A synthetic smooth objective with a known optimum at the largest
-    /// feasible design.
+    /// A synthetic smooth HF model with a known optimum at the largest
+    /// design; [`small_designs`] caps the reachable region.
     #[derive(Debug, Default)]
-    pub struct SphereObjective {
+    pub struct Sphere {
         pub evals: usize,
     }
 
-    impl Objective for SphereObjective {
-        fn evaluate(&mut self, space: &DesignSpace, point: &DesignPoint) -> f64 {
-            self.evals += 1;
-            let f = point.feature_vector(space);
-            // Minimum at all-ones, i.e. the largest design; feasibility
-            // caps the reachable region.
-            3.0 - f.iter().sum::<f64>() / f.len() as f64
-                + 0.3 * f.iter().map(|v| (v - 0.7) * (v - 0.7)).sum::<f64>()
+    impl Evaluator for Sphere {
+        fn fidelity(&self) -> Fidelity {
+            Fidelity::High
         }
 
-        fn is_feasible(&self, _space: &DesignSpace, point: &DesignPoint) -> bool {
-            point.indices().iter().sum::<usize>() <= 20
+        fn evaluate_batch(
+            &mut self,
+            space: &DesignSpace,
+            points: &[DesignPoint],
+        ) -> Vec<Evaluation> {
+            self.evals += points.len();
+            points
+                .iter()
+                .map(|point| {
+                    let f = point.feature_vector(space);
+                    let cpi = 3.0 - f.iter().sum::<f64>() / f.len() as f64
+                        + 0.3 * f.iter().map(|v| (v - 0.7) * (v - 0.7)).sum::<f64>();
+                    Evaluation::new(cpi, Fidelity::High)
+                })
+                .collect()
         }
+    }
+
+    /// The feasibility limit paired with [`Sphere`].
+    pub fn small_designs(_space: &DesignSpace, point: &DesignPoint) -> bool {
+        point.indices().iter().sum::<usize>() <= 20
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::testutil::SphereObjective;
+    use super::testutil::{small_designs, Sphere};
     use super::*;
     use rand::SeedableRng;
 
     #[test]
     fn sample_feasible_respects_the_predicate() {
         let space = DesignSpace::boom();
-        let obj = SphereObjective::default();
         let mut rng = StdRng::seed_from_u64(0);
-        let samples = sample_feasible(&space, &obj, 20, &mut rng).expect("feasibility plentiful");
+        let samples =
+            sample_feasible(&space, &small_designs, 20, &mut rng).expect("feasibility plentiful");
         assert_eq!(samples.len(), 20);
         for p in samples {
-            assert!(obj.is_feasible(&space, &p));
+            assert!(small_designs(&space, &p));
         }
     }
 
     #[test]
     fn sample_feasible_reports_an_impossible_constraint_gracefully() {
-        struct Impossible;
-        impl Objective for Impossible {
-            fn evaluate(&mut self, _space: &DesignSpace, _point: &DesignPoint) -> f64 {
-                unreachable!("infeasible designs are never evaluated")
-            }
-            fn is_feasible(&self, _space: &DesignSpace, _point: &DesignPoint) -> bool {
-                false
-            }
-        }
         let space = DesignSpace::boom();
         let mut rng = StdRng::seed_from_u64(1);
-        let err = sample_feasible(&space, &Impossible, 3, &mut rng).unwrap_err();
+        let impossible = |_: &DesignSpace, _: &DesignPoint| false;
+        let err = sample_feasible(&space, &impossible, 3, &mut rng).unwrap_err();
         assert_eq!(err, SampleFeasibleError { requested: 3, found: 0, attempts: 30_000 });
         let msg = err.to_string();
         assert!(msg.contains("0 of 3") && msg.contains("30000 random draws"), "{msg}");
@@ -336,29 +291,30 @@ mod tests {
     #[test]
     fn eval_log_enforces_budget_and_dedup() {
         let space = DesignSpace::boom();
-        let mut obj = SphereObjective::default();
-        let mut log = EvalLog::new(3);
+        let mut hf = Sphere::default();
+        let mut log = EvalLog::new(&space, &mut hf, &small_designs, 3);
         let p = space.smallest();
-        assert!(log.evaluate(&space, &mut obj, &p).is_some());
-        assert!(log.evaluate(&space, &mut obj, &p).is_none(), "duplicate rejected");
-        assert_eq!(obj.evals, 1);
+        assert!(log.evaluate(&p).is_some());
+        assert!(log.evaluate(&p).is_none(), "duplicate rejected");
         let q = p.increased(&space, dse_space::Param::IntFu).unwrap();
         let r = q.increased(&space, dse_space::Param::IntFu).unwrap();
-        assert!(log.evaluate(&space, &mut obj, &q).is_some());
-        assert!(log.evaluate(&space, &mut obj, &r).is_some());
+        assert!(log.evaluate(&q).is_some());
+        assert!(log.evaluate(&r).is_some());
         assert_eq!(log.remaining(), 0);
         let s = r.increased(&space, dse_space::Param::IntFu).unwrap();
-        assert!(log.evaluate(&space, &mut obj, &s).is_none(), "budget exhausted");
+        assert!(log.evaluate(&s).is_none(), "budget exhausted");
+        drop(log);
+        assert_eq!(hf.evals, 3, "only charged evaluations reach the model");
     }
 
     #[test]
     fn into_result_prefers_feasible_designs() {
         let space = DesignSpace::boom();
-        let mut obj = SphereObjective::default();
-        let mut log = EvalLog::new(2);
+        let mut hf = Sphere::default();
+        let mut log = EvalLog::new(&space, &mut hf, &small_designs, 2);
         // The largest design is infeasible but has the lowest objective.
-        log.evaluate(&space, &mut obj, &space.largest());
-        log.evaluate(&space, &mut obj, &space.smallest());
+        log.evaluate(&space.largest());
+        log.evaluate(&space.smallest());
         let result = log.into_result();
         assert_eq!(result.best_point, space.smallest());
     }

@@ -5,27 +5,22 @@ use dse_space::{DesignPoint, DesignSpace, Param};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::optimizer::{candidate_pool, random_unseen, EvalLog};
+use dse_exec::{Constraint, Evaluator};
+
+use crate::optimizer::EvalLog;
 use crate::stats::expected_improvement;
-use crate::{
-    AdaBoostR2, GaussianProcess, Gbrt, Objective, OptimizationResult, Optimizer, RandomForest,
-};
+use crate::{AdaBoostR2, GaussianProcess, Gbrt, OptimizationResult, Optimizer, RandomForest};
 
 /// Size of the random candidate pool ranked by each acquisition step.
 const POOL: usize = 512;
 /// Random feasible evaluations before the surrogate takes over.
 const N_INIT: usize = 3;
 
-fn init_phase(
-    space: &DesignSpace,
-    objective: &mut dyn Objective,
-    log: &mut EvalLog,
-    n: usize,
-    rng: &mut StdRng,
-) {
+/// Evaluates up to `n` random feasible unseen designs.
+fn init_phase(log: &mut EvalLog, n: usize, rng: &mut StdRng) {
     for _ in 0..n.min(log.remaining()) {
-        let p = random_unseen(space, objective, log, rng);
-        log.evaluate(space, objective, &p);
+        let Some(p) = log.random_unseen(rng) else { return };
+        log.evaluate(&p);
     }
 }
 
@@ -41,15 +36,16 @@ impl Optimizer for RandomSearchOptimizer {
     fn optimize(
         &mut self,
         space: &DesignSpace,
-        objective: &mut dyn Objective,
+        hf: &mut dyn Evaluator,
+        constraint: &dyn Constraint,
         budget: usize,
         seed: u64,
     ) -> OptimizationResult {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut log = EvalLog::new(budget);
+        let mut log = EvalLog::new(space, hf, constraint, budget);
         while log.remaining() > 0 {
-            let p = random_unseen(space, objective, &log, &mut rng);
-            log.evaluate(space, objective, &p);
+            let Some(p) = log.random_unseen(&mut rng) else { break };
+            log.evaluate(&p);
         }
         log.into_result()
     }
@@ -68,17 +64,18 @@ impl Optimizer for RandomForestOptimizer {
     fn optimize(
         &mut self,
         space: &DesignSpace,
-        objective: &mut dyn Objective,
+        hf: &mut dyn Evaluator,
+        constraint: &dyn Constraint,
         budget: usize,
         seed: u64,
     ) -> OptimizationResult {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut log = EvalLog::new(budget);
-        init_phase(space, objective, &mut log, N_INIT, &mut rng);
+        let mut log = EvalLog::new(space, hf, constraint, budget);
+        init_phase(&mut log, N_INIT, &mut rng);
         while log.remaining() > 0 {
-            let (x, y) = log.training_data(space);
+            let (x, y) = log.training_data();
             let rf = RandomForest::fit(&x, &y, 30, 6, seed ^ log.history.len() as u64);
-            let pool = candidate_pool(space, objective, &log, POOL, &mut rng);
+            let pool = log.candidate_pool(POOL, &mut rng);
             let pick = pool
                 .into_iter()
                 .min_by(|a, b| {
@@ -86,8 +83,9 @@ impl Optimizer for RandomForestOptimizer {
                     let sb = lcb(&rf.predict(&b.feature_vector(space)));
                     sa.total_cmp(&sb)
                 })
-                .unwrap_or_else(|| random_unseen(space, objective, &log, &mut rng));
-            log.evaluate(space, objective, &pick);
+                .or_else(|| log.random_unseen(&mut rng));
+            let Some(pick) = pick else { break };
+            log.evaluate(&pick);
         }
         log.into_result()
     }
@@ -112,18 +110,19 @@ impl Optimizer for ActBoostOptimizer {
     fn optimize(
         &mut self,
         space: &DesignSpace,
-        objective: &mut dyn Objective,
+        hf: &mut dyn Evaluator,
+        constraint: &dyn Constraint,
         budget: usize,
         seed: u64,
     ) -> OptimizationResult {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut log = EvalLog::new(budget);
-        init_phase(space, objective, &mut log, N_INIT, &mut rng);
+        let mut log = EvalLog::new(space, hf, constraint, budget);
+        init_phase(&mut log, N_INIT, &mut rng);
         let mut round = 0usize;
         while log.remaining() > 0 {
-            let (x, y) = log.training_data(space);
+            let (x, y) = log.training_data();
             let model = AdaBoostR2::fit(&x, &y, 25, 3, seed ^ round as u64);
-            let pool = candidate_pool(space, objective, &log, POOL, &mut rng);
+            let pool = log.candidate_pool(POOL, &mut rng);
             let explore = round % 3 == 2; // every third pick is active learning
             let pick = pool
                 .into_iter()
@@ -137,8 +136,9 @@ impl Optimizer for ActBoostOptimizer {
                     };
                     sa.total_cmp(&sb)
                 })
-                .unwrap_or_else(|| random_unseen(space, objective, &log, &mut rng));
-            log.evaluate(space, objective, &pick);
+                .or_else(|| log.random_unseen(&mut rng));
+            let Some(pick) = pick else { break };
+            log.evaluate(&pick);
             round += 1;
         }
         log.into_result()
@@ -158,17 +158,18 @@ impl Optimizer for BagGbrtOptimizer {
     fn optimize(
         &mut self,
         space: &DesignSpace,
-        objective: &mut dyn Objective,
+        hf: &mut dyn Evaluator,
+        constraint: &dyn Constraint,
         budget: usize,
         seed: u64,
     ) -> OptimizationResult {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut log = EvalLog::new(budget);
-        init_phase(space, objective, &mut log, N_INIT, &mut rng);
+        let mut log = EvalLog::new(space, hf, constraint, budget);
+        init_phase(&mut log, N_INIT, &mut rng);
         while log.remaining() > 0 {
-            let (x, y) = log.training_data(space);
+            let (x, y) = log.training_data();
             let bag = fit_bag(&x, &y, 8, &mut rng);
-            let pool = candidate_pool(space, objective, &log, POOL, &mut rng);
+            let pool = log.candidate_pool(POOL, &mut rng);
             let pick = pool
                 .into_iter()
                 .min_by(|a, b| {
@@ -176,8 +177,9 @@ impl Optimizer for BagGbrtOptimizer {
                     let sb = lcb(&bag_predict(&bag, &b.feature_vector(space)));
                     sa.total_cmp(&sb)
                 })
-                .unwrap_or_else(|| random_unseen(space, objective, &log, &mut rng));
-            log.evaluate(space, objective, &pick);
+                .or_else(|| log.random_unseen(&mut rng));
+            let Some(pick) = pick else { break };
+            log.evaluate(&pick);
         }
         log.into_result()
     }
@@ -214,26 +216,27 @@ impl Optimizer for BoomExplorerOptimizer {
     fn optimize(
         &mut self,
         space: &DesignSpace,
-        objective: &mut dyn Objective,
+        hf: &mut dyn Evaluator,
+        constraint: &dyn Constraint,
         budget: usize,
         seed: u64,
     ) -> OptimizationResult {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut log = EvalLog::new(budget);
+        let mut log = EvalLog::new(space, hf, constraint, budget);
         // MicroAL-style diversity init: cluster the feasible pool and
         // simulate the representative of each cluster.
-        let pool = candidate_pool(space, objective, &log, POOL, &mut rng);
+        let pool = log.candidate_pool(POOL, &mut rng);
         if !pool.is_empty() {
             let feats: Vec<Vec<f64>> = pool.iter().map(|p| p.feature_vector(space)).collect();
             let clustering = crate::kmeans(&feats, N_INIT.min(pool.len()), 25, &mut rng);
             for c in 0..clustering.centroids.len() {
                 let member = clustering.nearest_member(&feats, c);
-                log.evaluate(space, objective, &pool[member]);
+                log.evaluate(&pool[member]);
             }
         }
         while log.remaining() > 0 {
-            let (x, y) = log.training_data(space);
-            let pool = candidate_pool(space, objective, &log, POOL, &mut rng);
+            let (x, y) = log.training_data();
+            let pool = log.candidate_pool(POOL, &mut rng);
             let pick = match GaussianProcess::fit(&x, &y, true, seed) {
                 Ok(gp) => {
                     let best = log.best_feasible_value();
@@ -244,11 +247,12 @@ impl Optimizer for BoomExplorerOptimizer {
                             expected_improvement(ma, sa, best)
                                 .total_cmp(&expected_improvement(mb, sb, best))
                         })
-                        .unwrap_or_else(|| random_unseen(space, objective, &log, &mut rng))
+                        .or_else(|| log.random_unseen(&mut rng))
                 }
-                Err(_) => random_unseen(space, objective, &log, &mut rng),
+                Err(_) => log.random_unseen(&mut rng),
             };
-            log.evaluate(space, objective, &pick);
+            let Some(pick) = pick else { break };
+            log.evaluate(&pick);
         }
         log.into_result()
     }
@@ -279,13 +283,14 @@ impl Optimizer for ScboOptimizer {
     fn optimize(
         &mut self,
         space: &DesignSpace,
-        objective: &mut dyn Objective,
+        hf: &mut dyn Evaluator,
+        constraint: &dyn Constraint,
         budget: usize,
         seed: u64,
     ) -> OptimizationResult {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut log = EvalLog::new(budget);
-        init_phase(space, objective, &mut log, N_INIT, &mut rng);
+        let mut log = EvalLog::new(space, hf, constraint, budget);
+        init_phase(&mut log, N_INIT, &mut rng);
         let mut radius = self.initial_radius.max(1);
         let mut failures = 0usize;
         while log.remaining() > 0 {
@@ -304,20 +309,21 @@ impl Optimizer for ScboOptimizer {
             // (no feasibility filter — SCBO learns from violations).
             let candidates: Vec<DesignPoint> = (0..POOL)
                 .map(|_| perturb(space, &incumbent, radius, &mut rng))
-                .filter(|p| !log.contains(space, p))
+                .filter(|p| !log.contains(p))
                 .collect();
-            let (x, y) = log.training_data(space);
+            let (x, y) = log.training_data();
             let pick = match GaussianProcess::fit(&x, &y, false, seed) {
                 Ok(gp) if !candidates.is_empty() => {
                     let feats: Vec<Vec<f64>> =
                         candidates.iter().map(|p| p.feature_vector(space)).collect();
                     let draws = gp.sample_at(&feats, &mut rng);
                     let idx = vector::argmin(&draws).expect("non-empty candidate set");
-                    candidates[idx].clone()
+                    Some(candidates[idx].clone())
                 }
-                _ => random_unseen(space, objective, &log, &mut rng),
+                _ => log.random_unseen(&mut rng),
             };
-            log.evaluate(space, objective, &pick);
+            let Some(pick) = pick else { break };
+            log.evaluate(&pick);
 
             // Trust-region schedule.
             if log.best_feasible_value() < best_before - 1e-12 {
@@ -364,7 +370,7 @@ fn perturb(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::testutil::SphereObjective;
+    use crate::optimizer::testutil::{small_designs, Sphere};
 
     fn all_optimizers() -> Vec<Box<dyn Optimizer>> {
         vec![
@@ -381,10 +387,10 @@ mod tests {
     fn every_optimizer_respects_the_budget() {
         let space = DesignSpace::boom();
         for mut opt in all_optimizers() {
-            let mut obj = SphereObjective::default();
-            let result = opt.optimize(&space, &mut obj, 10, 7);
+            let mut hf = Sphere::default();
+            let result = opt.optimize(&space, &mut hf, &small_designs, 10, 7);
             assert_eq!(result.history.len(), 10, "{} made wrong eval count", opt.name());
-            assert_eq!(obj.evals, 10, "{} bypassed the objective", opt.name());
+            assert_eq!(hf.evals, 10, "{} bypassed the evaluator", opt.name());
             // The ledger is the budget's single source of truth: every
             // charged evaluation appears there, none beyond the budget.
             assert_eq!(result.ledger.high.evaluations, 10, "{}", opt.name());
@@ -397,12 +403,11 @@ mod tests {
     fn every_optimizer_returns_its_history_minimum() {
         let space = DesignSpace::boom();
         for mut opt in all_optimizers() {
-            let mut obj = SphereObjective::default();
-            let result = opt.optimize(&space, &mut obj, 8, 3);
+            let result = opt.optimize(&space, &mut Sphere::default(), &small_designs, 8, 3);
             let min_feasible = result
                 .history
                 .iter()
-                .filter(|(p, _)| obj.is_feasible(&space, p))
+                .filter(|(p, _)| small_designs(&space, p))
                 .map(|(_, v)| *v)
                 .fold(f64::INFINITY, f64::min);
             assert_eq!(result.best_value, min_feasible, "{}", opt.name());
@@ -416,10 +421,9 @@ mod tests {
             if opt.name() == "SCBO" {
                 continue;
             }
-            let mut obj = SphereObjective::default();
-            let result = opt.optimize(&space, &mut obj, 8, 11);
+            let result = opt.optimize(&space, &mut Sphere::default(), &small_designs, 8, 11);
             for (p, _) in &result.history {
-                assert!(obj.is_feasible(&space, p), "{} evaluated an infeasible point", opt.name());
+                assert!(small_designs(&space, p), "{} evaluated an infeasible point", opt.name());
             }
         }
     }
@@ -428,9 +432,8 @@ mod tests {
     fn scbo_best_is_always_feasible() {
         let space = DesignSpace::boom();
         let mut opt = ScboOptimizer::default();
-        let mut obj = SphereObjective::default();
-        let result = opt.optimize(&space, &mut obj, 12, 5);
-        assert!(obj.is_feasible(&space, &result.best_point));
+        let result = opt.optimize(&space, &mut Sphere::default(), &small_designs, 12, 5);
+        assert!(small_designs(&space, &result.best_point));
     }
 
     #[test]
@@ -446,8 +449,7 @@ mod tests {
             seeds
                 .iter()
                 .map(|&s| {
-                    let mut obj = SphereObjective::default();
-                    opt.optimize(&space, &mut obj, 12, s).best_value
+                    opt.optimize(&space, &mut Sphere::default(), &small_designs, 12, s).best_value
                 })
                 .sum::<f64>()
                 / seeds.len() as f64
@@ -463,12 +465,35 @@ mod tests {
     fn optimizers_are_deterministic_given_seed() {
         let space = DesignSpace::boom();
         for mut opt in all_optimizers() {
-            let mut a = SphereObjective::default();
-            let mut b = SphereObjective::default();
-            let ra = opt.optimize(&space, &mut a, 6, 42);
-            let rb = opt.optimize(&space, &mut b, 6, 42);
+            let ra = opt.optimize(&space, &mut Sphere::default(), &small_designs, 6, 42);
+            let rb = opt.optimize(&space, &mut Sphere::default(), &small_designs, 6, 42);
             assert_eq!(ra.best_point, rb.best_point, "{}", opt.name());
             assert_eq!(ra.best_value, rb.best_value, "{}", opt.name());
+        }
+    }
+
+    #[test]
+    fn every_optimizer_stops_once_the_space_is_used_up() {
+        // Two parameters with two candidates each, every other one
+        // fixed: four designs, all feasible, against a budget of six.
+        let boom = DesignSpace::boom();
+        let space = DesignSpace::new(
+            Param::ALL
+                .iter()
+                .map(|&p| {
+                    let n = if matches!(p, Param::DecodeWidth | Param::IntFu) { 2 } else { 1 };
+                    boom.candidates(p)[..n].to_vec()
+                })
+                .collect(),
+        );
+        assert_eq!(space.size(), 4);
+        let anything = |_: &DesignSpace, _: &DesignPoint| true;
+        for mut opt in all_optimizers() {
+            let mut hf = Sphere::default();
+            let result = opt.optimize(&space, &mut hf, &anything, 6, 1);
+            assert_eq!(result.history.len(), 4, "{}", opt.name());
+            assert_eq!(result.ledger.high.evaluations, 4, "{}", opt.name());
+            assert_eq!(hf.evals, 4, "{}", opt.name());
         }
     }
 }

@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use archdse::eval::{AreaLimit, HfObjective, SimulatorHf};
+use archdse::eval::{AreaLimit, SimulatorHf};
 use archdse::experiments::{fig5, Fig5Config};
 use archdse::DesignSpace;
 use dse_baselines::{
@@ -37,11 +37,9 @@ fn bench_fig5(c: &mut Criterion) {
         let name = opt.name().replace(' ', "_").to_lowercase();
         group.bench_function(format!("{name}_budget4"), |b| {
             b.iter(|| {
-                let mut obj = HfObjective::new(
-                    SimulatorHf::for_benchmark(Benchmark::Quicksort, 1_000, 3, 1.0),
-                    AreaLimit::new(8.0),
-                );
-                std::hint::black_box(opt.optimize(&space, &mut obj, 4, 1).best_value)
+                let mut hf = SimulatorHf::for_benchmark(Benchmark::Quicksort, 1_000, 3, 1.0);
+                let area = AreaLimit::new(8.0);
+                std::hint::black_box(opt.optimize(&space, &mut hf, &area, 4, 1).best_value)
             })
         });
     }

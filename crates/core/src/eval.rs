@@ -1,6 +1,6 @@
-//! Fidelity plumbing: adapters wiring the analytical model, the
-//! cycle-level simulator and the area model into the workspace-wide
-//! [`Evaluator`] layer and the baseline-optimizer interface.
+//! Fidelity plumbing: the analytical model as the RL's [`LowFidelity`]
+//! proxy, the cycle-level simulator as an [`Evaluator`], and the area
+//! and power limits as [`Constraint`]s.
 
 use dse_analytical::AnalyticalModel;
 use dse_area::{Activity, AreaModel, PowerModel};
@@ -252,13 +252,13 @@ pub struct SimulatorHf {
     expanded: Vec<ExpandedTrace>,
     cache: CpiCache,
     threads: usize,
-    pack_size: usize,
 }
 
-/// Default designs per lockstep pack: enough to amortize each trace
-/// window across several cores' worth of state without the lanes' own
-/// cache models evicting the shared window.
-const DEFAULT_PACK_SIZE: usize = 8;
+/// Designs per lockstep pack: enough to amortize each trace window
+/// across several cores' worth of state without the lanes' own cache
+/// models evicting the shared window. Any pack size yields
+/// bit-identical CPIs.
+const PACK_SIZE: usize = 8;
 
 impl SimulatorHf {
     /// Builds the HF evaluator for one benchmark.
@@ -292,13 +292,7 @@ impl SimulatorHf {
         let traces: Vec<Trace> =
             benchmarks.iter().map(|&b| b.trace_scaled(trace_len, seed, data_scale)).collect();
         let expanded = traces.iter().map(ExpandedTrace::expand).collect();
-        Self {
-            traces,
-            expanded,
-            cache: CpiCache::new(),
-            threads: dse_exec::default_threads(),
-            pack_size: DEFAULT_PACK_SIZE,
-        }
+        Self { traces, expanded, cache: CpiCache::new(), threads: dse_exec::default_threads() }
     }
 
     /// Builds the HF evaluator over explicit pre-built traces — the
@@ -313,13 +307,7 @@ impl SimulatorHf {
         assert!(!traces.is_empty(), "need at least one trace");
         assert!(traces.iter().all(|t| !t.is_empty()), "traces must be non-empty");
         let expanded = traces.iter().map(ExpandedTrace::expand).collect();
-        Self {
-            traces,
-            expanded,
-            cache: CpiCache::new(),
-            threads: dse_exec::default_threads(),
-            pack_size: DEFAULT_PACK_SIZE,
-        }
+        Self { traces, expanded, cache: CpiCache::new(), threads: dse_exec::default_threads() }
     }
 
     /// Overrides the worker-thread count (1 = fully sequential).
@@ -338,24 +326,9 @@ impl SimulatorHf {
         self.threads
     }
 
-    /// Overrides how many designs share one lockstep pack.
-    ///
-    /// Any pack size yields bit-identical CPIs; the size only tunes
-    /// how far each trace window is amortized against how much lane
-    /// state competes for cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pack_size` is zero.
-    pub fn with_pack_size(mut self, pack_size: usize) -> Self {
-        assert!(pack_size > 0, "need at least one design per pack");
-        self.pack_size = pack_size;
-        self
-    }
-
     /// Designs per lockstep pack in batched simulation.
     pub fn pack_size(&self) -> usize {
-        self.pack_size
+        PACK_SIZE
     }
 
     /// Counters of the memoized CPI cache.
@@ -442,9 +415,8 @@ impl Evaluator for SimulatorHf {
         // grouping, thread count or worker reuse.
         let n_traces = self.traces.len();
         let configs: Vec<CoreConfig> = to_run.iter().map(|(_, c)| c.clone()).collect();
-        let pack_size = self.pack_size;
         let jobs: Vec<(usize, usize)> = (0..n_traces)
-            .flat_map(|t| (0..configs.len()).step_by(pack_size).map(move |d0| (t, d0)))
+            .flat_map(|t| (0..configs.len()).step_by(PACK_SIZE).map(move |d0| (t, d0)))
             .collect();
         let (configs, expanded) = (&configs, &self.expanded);
         let per_job = par_map_with(
@@ -453,7 +425,7 @@ impl Evaluator for SimulatorHf {
             || None::<BatchSimulator>,
             |slot, _, &(t, d0)| {
                 let batch = slot.get_or_insert_with(BatchSimulator::new);
-                let pack = &configs[d0..(d0 + pack_size).min(configs.len())];
+                let pack = &configs[d0..(d0 + PACK_SIZE).min(configs.len())];
                 let results = batch.run_pack(pack, &expanded[t]);
                 results.iter().map(SimResult::cpi).collect::<Vec<f64>>()
             },
@@ -591,59 +563,6 @@ impl Constraint for DesignConstraints {
     }
 }
 
-/// The baseline-optimizer view of the same stack: HF CPI as the
-/// objective, the area limit as feasibility.
-///
-/// The `Objective` adapter inside `dse-baselines` routes every proposal
-/// through a [`CostLedger`](dse_exec::CostLedger), so baselines and our
-/// method share bit-identical accounting; this type's
-/// [`Objective::evaluate_rich`](dse_baselines::Objective::evaluate_rich)
-/// forwards the simulator's provenance and stamps area/feasibility on
-/// top.
-#[derive(Debug)]
-pub struct HfObjective {
-    hf: SimulatorHf,
-    area: AreaLimit,
-}
-
-impl HfObjective {
-    /// Wraps an HF evaluator and an area limit.
-    pub fn new(hf: SimulatorHf, area: AreaLimit) -> Self {
-        Self { hf, area }
-    }
-
-    /// Unique HF simulations performed over the evaluator's lifetime.
-    pub fn evaluations(&self) -> usize {
-        self.hf.evaluations()
-    }
-
-    /// Recovers the HF evaluator (and its memo).
-    pub fn into_inner(self) -> (SimulatorHf, AreaLimit) {
-        (self.hf, self.area)
-    }
-}
-
-impl dse_baselines::Objective for HfObjective {
-    fn evaluate(&mut self, space: &DesignSpace, point: &DesignPoint) -> f64 {
-        self.hf.cpi(space, point)
-    }
-
-    fn is_feasible(&self, space: &DesignSpace, point: &DesignPoint) -> bool {
-        self.area.fits(space, point)
-    }
-
-    fn evaluate_rich(&mut self, space: &DesignSpace, point: &DesignPoint) -> Evaluation {
-        let mut ev = Evaluator::evaluate(&mut self.hf, space, point);
-        ev.area_mm2 = Some(self.area.area_mm2(space, point));
-        ev.feasible = Some(self.area.fits(space, point));
-        ev
-    }
-
-    fn cost_per_eval(&self) -> f64 {
-        Evaluator::cost_per_eval(&self.hf)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -736,23 +655,6 @@ mod tests {
         assert!(limit.fits(&space, &space.smallest()));
         assert!(!limit.fits(&space, &space.largest()));
         assert!(limit.area_mm2(&space, &space.smallest()) < 8.0);
-    }
-
-    #[test]
-    fn hf_objective_reports_rich_provenance() {
-        use dse_baselines::Objective as _;
-        let space = DesignSpace::boom();
-        let hf = SimulatorHf::for_benchmark(Benchmark::StringSearch, 2_000, 1, 1.0);
-        let area = AreaLimit::new(8.0);
-        let mut objective = HfObjective::new(hf, area.clone());
-        let p = space.smallest();
-        let ev = objective.evaluate_rich(&space, &p);
-        assert_eq!(ev.fidelity, Fidelity::High);
-        assert_eq!(ev.feasible, Some(true));
-        assert_eq!(ev.area_mm2, Some(area.area_mm2(&space, &p)));
-        assert_eq!(ev.cpi, objective.evaluate(&space, &p));
-        let big = space.largest();
-        assert_eq!(objective.evaluate_rich(&space, &big).feasible, Some(false));
     }
 
     /// The 2,000 points the six-model mask is pinned on.

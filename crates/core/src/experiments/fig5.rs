@@ -11,7 +11,7 @@ use dse_baselines::{
 use dse_exec::{LearnedTier, LedgerSummary};
 use dse_workloads::Benchmark;
 
-use crate::eval::{AreaLimit, HfObjective, SimulatorHf};
+use crate::eval::{AreaLimit, SimulatorHf};
 use crate::Explorer;
 
 /// Configuration of the Fig. 5 reproduction.
@@ -219,9 +219,9 @@ pub fn fig5(config: &Fig5Config) -> Fig5Result {
     let space = dse_space::DesignSpace::boom();
     let mut rows = Vec::new();
 
-    // Baselines first, through the Objective adapter.
-    let hf = SimulatorHf::for_benchmarks(&Benchmark::ALL, config.trace_len, 0x51, 1.0);
-    let mut objective = HfObjective::new(hf, AreaLimit::new(config.area_limit_mm2));
+    // Baselines first, on the same simulator and area limit.
+    let mut hf = SimulatorHf::for_benchmarks(&Benchmark::ALL, config.trace_len, 0x51, 1.0);
+    let area = AreaLimit::new(config.area_limit_mm2);
     let mut baselines: Vec<Box<dyn Optimizer>> = vec![
         Box::new(BoomExplorerOptimizer),
         Box::new(BagGbrtOptimizer),
@@ -234,7 +234,7 @@ pub fn fig5(config: &Fig5Config) -> Fig5Result {
         let mut per_seed = Vec::new();
         let mut ledger = LedgerSummary::default();
         for &seed in &config.seeds {
-            let result = opt.optimize(&space, &mut objective, config.baseline_budget, seed);
+            let result = opt.optimize(&space, &mut hf, &area, config.baseline_budget, seed);
             per_seed.push(result.best_value);
             ledger.absorb(result.ledger);
         }
@@ -284,7 +284,6 @@ pub fn fig5(config: &Fig5Config) -> Fig5Result {
             ledger,
         }
     };
-    let (mut hf, _) = objective.into_inner();
     rows.push(run_ours("FNN-MFRL (ours)", 2, 0.0, &mut hf, None));
 
     // The tier-stack ablation runs each arm on its own *fresh* simulator

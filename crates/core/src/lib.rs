@@ -14,8 +14,8 @@
 //!   [`eval::SimulatorHf`] adapts the cycle-level simulator to the
 //!   workspace-wide batch-first [`Evaluator`] interface (memoized;
 //!   budgets and counts live in the run's [`CostLedger`]),
-//!   [`eval::AreaLimit`] the area constraint, and [`eval::HfObjective`]
-//!   the baseline-optimizer view of the same stack;
+//!   and [`eval::AreaLimit`] the area constraint — the same simulator
+//!   and constraint the baseline optimizers run against;
 //! * [`regret`] — the sampled reference optimum and regret metric of
 //!   §4.1 (eq. 5/6);
 //! * [`experiments`] — drivers regenerating every table and figure of

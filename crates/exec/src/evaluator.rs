@@ -1,14 +1,14 @@
-//! The unified batch-first evaluation interface.
+//! The one cost-model interface, and the one feasibility interface.
 //!
-//! Every cost model in the workspace — the analytical LF proxy, the
-//! cycle-level HF simulator, and the baseline objectives — speaks the
-//! same [`Evaluator`] trait: hand it a batch of design points, get back
-//! one [`Evaluation`] per point carrying the CPI plus its provenance
-//! (fidelity tag, whether the evaluator's own memo answered it, and any
-//! area/power/feasibility figures the backend knows). Search code never
-//! talks to an evaluator directly; it goes through a
+//! Every cost model in the workspace — the analytical LF proxy (through
+//! `dse_mfrl::LfEvaluator`), the learned mid tier and the cycle-level HF
+//! simulator — implements [`Evaluator`] directly: hand it a batch of
+//! design points, get back one [`Evaluation`] per point carrying the CPI,
+//! the fidelity tag and whether the evaluator's own memo answered it.
+//! Search code never talks to an evaluator directly; it goes through a
 //! [`CostLedger`](crate::CostLedger), which is the single source of
-//! budget truth.
+//! budget truth. The RL phases and the baseline optimizers ask
+//! feasibility questions of the same [`Constraint`].
 
 use dse_space::{DesignPoint, DesignSpace};
 
@@ -108,30 +108,18 @@ pub struct Evaluation {
     /// Whether the evaluator answered from its own persistent memo
     /// (`true` means no model run happened for this point).
     pub cached: bool,
-    /// Estimated die area, when the backend carries an area model.
-    pub area_mm2: Option<f64>,
-    /// Estimated leakage power, when the backend carries a power model.
-    pub leakage_mw: Option<f64>,
-    /// Whether the design satisfies the backend's constraints, when the
-    /// backend carries any.
-    pub feasible: Option<bool>,
 }
 
 impl Evaluation {
-    /// A bare evaluation with no provenance beyond the fidelity tag.
+    /// A fresh (non-memoized) evaluation at `fidelity`.
     pub fn new(cpi: f64, fidelity: Fidelity) -> Self {
-        Self { cpi, fidelity, cached: false, area_mm2: None, leakage_mw: None, feasible: None }
+        Self { cpi, fidelity, cached: false }
     }
 
     /// Marks the evaluation as answered from the evaluator's memo.
     pub fn cached(mut self, cached: bool) -> Self {
         self.cached = cached;
         self
-    }
-
-    /// Instructions per cycle.
-    pub fn ipc(&self) -> f64 {
-        1.0 / self.cpi
     }
 
     /// Wraps a batch of bare CPI figures, stamping each with `fidelity`.
@@ -180,48 +168,19 @@ pub trait Evaluator {
     }
 }
 
-/// A cost model expressed as plain batch evaluations at a fixed tier.
+/// A feasibility constraint on designs (the area limit, optionally a
+/// leakage budget).
 ///
-/// This is the one adapter every proxy in the workspace shares: instead
-/// of each crate hand-rolling an [`Evaluator`] impl that forwards
-/// `fidelity`/`cost_per_eval` and maps CPIs into [`Evaluation`]s, a
-/// proxy implements `CpiModel` (usually three one-line methods) and the
-/// blanket impl below makes it an [`Evaluator`] wherever one is needed.
-pub trait CpiModel {
-    /// The tier this model answers at.
-    fn fidelity(&self) -> Fidelity;
-
-    /// Evaluates every design in `points`, in input order (see
-    /// [`Evaluation::batch`] for the common bare-CPI case).
-    fn evaluations(&mut self, space: &DesignSpace, points: &[DesignPoint]) -> Vec<Evaluation>;
-
-    /// Model-time units one fresh evaluation costs
-    /// (see [`Evaluator::cost_per_eval`]).
-    fn cost_per_eval(&self) -> f64 {
-        1.0
-    }
-
-    /// Counters of the model's own persistent memo, when it has one.
-    fn cache_stats(&self) -> CacheStats {
-        CacheStats::default()
-    }
+/// The answer must be a pure function of the point: the RL phases ask
+/// once per point and replay the answer.
+pub trait Constraint {
+    /// Whether `point` is feasible.
+    fn fits(&self, space: &DesignSpace, point: &DesignPoint) -> bool;
 }
 
-impl<M: CpiModel + ?Sized> Evaluator for M {
-    fn fidelity(&self) -> Fidelity {
-        CpiModel::fidelity(self)
-    }
-
-    fn evaluate_batch(&mut self, space: &DesignSpace, points: &[DesignPoint]) -> Vec<Evaluation> {
-        self.evaluations(space, points)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        CpiModel::cache_stats(self)
-    }
-
-    fn cost_per_eval(&self) -> f64 {
-        CpiModel::cost_per_eval(self)
+impl<F: Fn(&DesignSpace, &DesignPoint) -> bool> Constraint for F {
+    fn fits(&self, space: &DesignSpace, point: &DesignPoint) -> bool {
+        self(space, point)
     }
 }
 
@@ -248,40 +207,11 @@ mod tests {
     }
 
     #[test]
-    fn cpi_model_blanket_impl_is_a_full_evaluator() {
-        struct Flat;
-        impl CpiModel for Flat {
-            fn fidelity(&self) -> Fidelity {
-                Fidelity::Learned
-            }
-            fn evaluations(
-                &mut self,
-                _space: &DesignSpace,
-                points: &[DesignPoint],
-            ) -> Vec<Evaluation> {
-                Evaluation::batch(vec![2.5; points.len()], Fidelity::Learned)
-            }
-            fn cost_per_eval(&self) -> f64 {
-                0.25
-            }
-        }
-        let space = DesignSpace::boom();
-        let mut flat = Flat;
-        let evaluator: &mut dyn Evaluator = &mut flat;
-        assert_eq!(evaluator.fidelity(), Fidelity::Learned);
-        assert_eq!(evaluator.cost_per_eval(), 0.25);
-        let ev = evaluator.evaluate(&space, &space.decode(3));
-        assert_eq!((ev.cpi, ev.fidelity), (2.5, Fidelity::Learned));
-    }
-
-    #[test]
     fn evaluation_carries_provenance() {
-        let ev = Evaluation::new(2.0, Fidelity::High).cached(true);
-        assert_eq!(ev.ipc(), 0.5);
-        assert!(ev.cached);
-        assert_eq!(ev.area_mm2, None);
-        assert_eq!(ev.feasible, None);
+        let ev = Evaluation::new(2.0, Fidelity::High);
+        assert!(!ev.cached);
         assert_eq!(format!("{}", ev.fidelity), "HF");
+        assert!(ev.cached(true).cached);
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //!   observability.
 //!
 //! On top of the backend sit the workspace's unified evaluation types:
-//! [`Evaluator`] (the batch-first cost-model interface every fidelity
-//! and every baseline objective implements, returning [`Evaluation`]s
-//! tagged with a [`Fidelity`]) and [`CostLedger`] (the per-run,
+//! [`Evaluator`] (the one batch-first cost-model interface — every
+//! fidelity implements it directly, and the baselines drive the same
+//! simulator through it — returning [`Evaluation`]s tagged with a
+//! [`Fidelity`]), [`Constraint`] (the one feasibility interface shared
+//! by the RL phases and the baselines) and [`CostLedger`] (the per-run,
 //! per-fidelity accounting of evaluations, cache hits/misses, denied
 //! proposals and model-time units — the single source of budget truth).
 //!
@@ -38,7 +40,7 @@ mod learned;
 mod ledger;
 mod tiered;
 
-pub use evaluator::{CpiModel, Evaluation, Evaluator, Fidelity};
+pub use evaluator::{Constraint, Evaluation, Evaluator, Fidelity};
 pub use learned::{FeatureFn, LearnedConfig, LearnedTier};
 pub use ledger::{CostLedger, FidelityLedger, LedgerEntry, LedgerSummary};
 pub use tiered::{LedgerRouter, TierGate, TieredEvaluator};

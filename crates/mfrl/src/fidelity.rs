@@ -1,13 +1,14 @@
-//! Fidelity and constraint abstractions.
+//! The low-fidelity proxy.
 //!
-//! The expensive (simulator) side of the flow speaks the workspace-wide
-//! batch-first [`Evaluator`] interface from `dse-exec`; this module
-//! keeps the cheap side: the [`LowFidelity`] proxy trait the RL phases
-//! interrogate for gradients and training observations, plus the
-//! [`LfEvaluator`] adapter that lets the same proxy be metered through a
+//! Every cost model speaks the workspace-wide batch-first [`Evaluator`]
+//! interface from `dse-exec`, and feasibility is `dse-exec`'s
+//! [`Constraint`](dse_exec::Constraint). This module keeps what only the
+//! RL phases need: the [`LowFidelity`] proxy trait they interrogate for
+//! gradients and training observations, plus [`LfEvaluator`], the
+//! [`Evaluator`] view of the same proxy for metering it through a
 //! [`CostLedger`](dse_exec::CostLedger) when its answers count.
 
-use dse_exec::{CpiModel, Evaluation, Fidelity};
+use dse_exec::{Evaluation, Evaluator, Fidelity};
 use dse_space::{DesignPoint, DesignSpace, Param};
 
 /// Model-time units one analytical evaluation costs, in units of one
@@ -50,11 +51,6 @@ pub trait LowFidelity {
         (self.cpi(space, point), param_bits(self.beneficial_params(space, point)))
     }
 
-    /// Estimated instructions per cycle.
-    fn ipc(&self, space: &DesignSpace, point: &DesignPoint) -> f64 {
-        1.0 / self.cpi(space, point)
-    }
-
     /// Estimated CPI of every design in `points`, in input order.
     ///
     /// Must equal calling [`LowFidelity::cpi`] on each point — backends
@@ -70,42 +66,25 @@ pub trait LowFidelity {
     }
 }
 
-/// Adapts a [`LowFidelity`] proxy (by shared reference) to the
-/// batch-first [`Evaluator`](dse_exec::Evaluator) interface, so LF work
-/// can be metered through the same [`CostLedger`](dse_exec::CostLedger)
-/// as HF work.
+/// The [`Evaluator`] view of a [`LowFidelity`] proxy (by shared
+/// reference), so LF work can be metered through the same
+/// [`CostLedger`](dse_exec::CostLedger) as HF work. Long-lived owners
+/// keep the proxy itself and wrap it for each ledger call.
 ///
-/// The proxy is pure (`&self`), so the adapter never memoizes: every
-/// batch is computed fresh and reported uncached. The adapter is a
-/// [`CpiModel`], so `exec`'s blanket impl supplies the full `Evaluator`
-/// surface.
+/// The proxy is pure (`&self`), so the evaluator never memoizes: every
+/// batch is computed fresh and reported uncached.
 pub struct LfEvaluator<'a, L: LowFidelity + ?Sized>(pub &'a L);
 
-impl<L: LowFidelity + ?Sized> CpiModel for LfEvaluator<'_, L> {
+impl<L: LowFidelity + ?Sized> Evaluator for LfEvaluator<'_, L> {
     fn fidelity(&self) -> Fidelity {
         Fidelity::Low
     }
 
-    fn evaluations(&mut self, space: &DesignSpace, points: &[DesignPoint]) -> Vec<Evaluation> {
+    fn evaluate_batch(&mut self, space: &DesignSpace, points: &[DesignPoint]) -> Vec<Evaluation> {
         Evaluation::batch(self.0.cpi_batch(space, points), Fidelity::Low)
     }
 
     fn cost_per_eval(&self) -> f64 {
         self.0.cost_per_eval()
-    }
-}
-
-/// A feasibility constraint on designs (the area limit).
-///
-/// Like [`LowFidelity`], the answer must be a pure function of the
-/// point: the RL phases ask once per point and replay the answer.
-pub trait Constraint {
-    /// Whether `point` is feasible.
-    fn fits(&self, space: &DesignSpace, point: &DesignPoint) -> bool;
-}
-
-impl<F: Fn(&DesignSpace, &DesignPoint) -> bool> Constraint for F {
-    fn fits(&self, space: &DesignSpace, point: &DesignPoint) -> bool {
-        self(space, point)
     }
 }

@@ -46,11 +46,11 @@ mod reinforce;
 mod testutil;
 
 pub use dse_exec::{
-    CacheStats, CostLedger, CpiCache, Evaluation, Evaluator, Fidelity, FidelityLedger, LedgerEntry,
-    LedgerSummary,
+    CacheStats, Constraint, CostLedger, CpiCache, Evaluation, Evaluator, Fidelity, FidelityLedger,
+    LedgerEntry, LedgerSummary,
 };
 pub use episode::{greedy_rollout, rollout, Episode, EpisodeStep, StepMemo};
-pub use fidelity::{param_bits, Constraint, LfEvaluator, LowFidelity, LF_TRACE_EQUIVALENT};
+pub use fidelity::{param_bits, LfEvaluator, LowFidelity, LF_TRACE_EQUIVALENT};
 pub use hf::{HfOutcome, HfPhase, HfPhaseConfig};
 pub use lf::{LfOutcome, LfPhase, LfPhaseConfig, RewardKind};
 pub use multi::{DseOutcome, MultiFidelityConfig, MultiFidelityDse};

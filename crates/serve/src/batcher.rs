@@ -10,6 +10,9 @@
 //! router). The batch inherits `exec::par_map` parallelism inside the
 //! simulator while the ledger keeps the accounting counter-exact with a
 //! sequential walk, so coalescing changes throughput — never results.
+//! Every tier the ledger drives is an `Evaluator`: the simulator and the
+//! learned tier directly, the analytical model through a
+//! [`LfEvaluator`] borrowed for each ledger call.
 //! Every HF charge trains the server's learned tier at the window
 //! boundary, on the coalescer thread holding the core lock, so training
 //! order is the ledger's commit order regardless of client concurrency.
@@ -23,10 +26,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use archdse::eval::{AnalyticalLf, SimulatorHf};
-use dse_exec::{
-    CostLedger, CpiModel, Evaluation, Fidelity, LearnedTier, LedgerEntry, TierGate, TieredEvaluator,
-};
-use dse_mfrl::LowFidelity;
+use dse_exec::{CostLedger, Fidelity, LearnedTier, LedgerEntry, TierGate, TieredEvaluator};
+use dse_mfrl::LfEvaluator;
 use dse_obs::trace;
 use dse_space::{DesignPoint, DesignSpace};
 use serde::{Deserialize, Serialize};
@@ -73,25 +74,6 @@ impl CoalescerStats {
     }
 }
 
-/// The owned low-fidelity cost model behind the service (the borrowing
-/// `dse_mfrl::LfEvaluator` adapter cannot live in long-lived state).
-#[derive(Debug)]
-pub(crate) struct LfCostModel(pub AnalyticalLf);
-
-impl CpiModel for LfCostModel {
-    fn fidelity(&self) -> Fidelity {
-        Fidelity::Low
-    }
-
-    fn evaluations(&mut self, space: &DesignSpace, points: &[DesignPoint]) -> Vec<Evaluation> {
-        Evaluation::batch(self.0.cpi_batch(space, points), Fidelity::Low)
-    }
-
-    fn cost_per_eval(&self) -> f64 {
-        LowFidelity::cost_per_eval(&self.0)
-    }
-}
-
 /// One registered ingested workload's private evaluation stack.
 ///
 /// Each upload gets its own LF model (built from the *ingested*
@@ -111,7 +93,7 @@ pub(crate) struct IngestedCore {
     /// The full dynamic trace (kept for `/v1/explore` jobs).
     pub trace: Arc<dse_workloads::Trace>,
     pub hf: SimulatorHf,
-    pub lf: LfCostModel,
+    pub lf: AnalyticalLf,
     /// Per-workload ledger: replay/charge accounting scoped to this
     /// binary alone.
     pub ledger: CostLedger,
@@ -127,7 +109,7 @@ pub(crate) struct IngestedCore {
 pub(crate) struct EvalCore {
     pub space: DesignSpace,
     pub hf: SimulatorHf,
-    pub lf: LfCostModel,
+    pub lf: AnalyticalLf,
     /// The online mid tier, trained from every HF charge the ledger
     /// commits through this core.
     pub learned: LearnedTier,
@@ -144,7 +126,7 @@ impl EvalCore {
     /// the ledger.
     fn evaluate(&mut self, fidelity: Fidelity, points: &[DesignPoint]) -> Vec<LedgerEntry> {
         if fidelity == Fidelity::Low {
-            return self.ledger.evaluate_batch(&mut self.lf, &self.space, points);
+            return self.ledger.evaluate_batch(&mut LfEvaluator(&self.lf), &self.space, points);
         }
         if fidelity == Fidelity::Learned {
             // Fold any pending HF observations in before answering.
@@ -187,7 +169,7 @@ impl EvalCore {
     ) -> Vec<LedgerEntry> {
         let w = &mut self.ingested[workload];
         if fidelity == Fidelity::Low {
-            w.ledger.evaluate_batch(&mut w.lf, &self.space, points)
+            w.ledger.evaluate_batch(&mut LfEvaluator(&w.lf), &self.space, points)
         } else if fidelity == Fidelity::High {
             w.ledger.evaluate_batch(&mut w.hf, &self.space, points)
         } else {

@@ -2,8 +2,7 @@
 //!
 //! One reactor thread owns the listener, every connection state machine
 //! ([`Conn`]), a [`TimerWheel`] of read/write deadlines, and a [`Poller`]
-//! (epoll on Linux, `poll` fallback — selectable with
-//! `ARCHDSE_REACTOR_BACKEND=poll` for testing). Connections therefore cost
+//! (epoll on Linux, `poll(2)` on other Unix). Connections therefore cost
 //! one fd each, not one thread each; at rest the reactor blocks in the
 //! kernel with zero CPU.
 //!
@@ -34,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use dse_exec::{Fidelity, LedgerEntry};
 use dse_obs::trace;
-use dse_reactor::{Backend, Event, Interest, Poller, TimerWheel, WakeRx, Waker, WAKE_TOKEN};
+use dse_reactor::{Event, Interest, Poller, TimerWheel, WakeRx, Waker, WAKE_TOKEN};
 
 use crate::batcher::EvalTiming;
 use crate::conn::{trace_id_hash, Conn, ConnState, ReadEvent};
@@ -168,15 +167,6 @@ pub(crate) fn app_worker_loop(
     }
 }
 
-/// Picks the poller backend: platform default, unless
-/// `ARCHDSE_REACTOR_BACKEND=poll` forces the portable fallback.
-fn make_poller() -> std::io::Result<Poller> {
-    match std::env::var("ARCHDSE_REACTOR_BACKEND").as_deref() {
-        Ok("poll") => Poller::with_backend(Backend::Poll),
-        _ => Poller::new(),
-    }
-}
-
 pub(crate) struct Reactor {
     engine: Arc<dyn Engine>,
     poller: Poller,
@@ -200,7 +190,7 @@ impl Reactor {
         completions: Arc<CompletionQueue>,
         app_tx: SyncSender<AppJob>,
     ) {
-        let Ok(poller) = make_poller() else { return };
+        let Ok(poller) = Poller::new() else { return };
         if listener.set_nonblocking(true).is_err() {
             return;
         }

@@ -24,9 +24,7 @@ use dse_obs::{Counter, Snapshot, LATENCY_BUCKETS_S, SIZE_BUCKETS};
 use dse_space::{DesignPoint, DesignSpace};
 use dse_workloads::Benchmark;
 
-use crate::batcher::{
-    run_coalescer, BatcherConfig, EvalCore, EvalJob, IngestedCore, LfCostModel, ReplyFn,
-};
+use crate::batcher::{run_coalescer, BatcherConfig, EvalCore, EvalJob, IngestedCore, ReplyFn};
 use crate::front::{
     job_id, json_reply, start, wants_prometheus, Answer, Endpoint, Front, Limits, Reply,
     ServerHandle,
@@ -276,7 +274,7 @@ pub fn spawn(config: ServeConfig) -> std::io::Result<ServerHandle> {
     let core = Arc::new(Mutex::new(EvalCore {
         space: space.clone(),
         hf: explorer.hf_evaluator(),
-        lf: LfCostModel(lf_model.clone()),
+        lf: lf_model.clone(),
         learned: LearnedTier::new(LearnedTier::point_features()),
         gate: TierGate::enabled(0.05),
         ledger: CostLedger::new(),
@@ -464,10 +462,7 @@ fn handle_workloads(shared: &Shared, request: &Request) -> Answer {
         )));
     }
     let hf = SimulatorHf::for_traces(vec![ingested.trace.clone()]);
-    let lf = LfCostModel(AnalyticalLf::for_profiles(
-        &core.space,
-        std::slice::from_ref(&ingested.profile),
-    ));
+    let lf = AnalyticalLf::for_profiles(&core.space, std::slice::from_ref(&ingested.profile));
     core.ingested.push(IngestedCore {
         name: parsed.name.clone(),
         profile: ingested.profile,

@@ -8,7 +8,7 @@
 //! recorded before the baselines were moved onto the shared evaluator
 //! interface.
 
-use archdse::eval::{AreaLimit, HfObjective, SimulatorHf};
+use archdse::eval::{AreaLimit, SimulatorHf};
 use archdse::DesignSpace;
 use dse_baselines::{
     ActBoostOptimizer, BagGbrtOptimizer, BoomExplorerOptimizer, Optimizer, RandomForestOptimizer,
@@ -45,11 +45,8 @@ fn digest_ledger(hash: &mut u64, ledger: &LedgerSummary) {
 /// Runs `opt` for `seed` on a cold simulator and digests the outcome.
 fn run_digest(opt: &mut dyn Optimizer, seed: u64) -> u64 {
     let space = DesignSpace::boom();
-    let mut objective = HfObjective::new(
-        SimulatorHf::for_benchmark(Benchmark::Quicksort, 2_000, 3, 1.0),
-        AreaLimit::new(8.0),
-    );
-    let result = opt.optimize(&space, &mut objective, BUDGET, seed);
+    let mut hf = SimulatorHf::for_benchmark(Benchmark::Quicksort, 2_000, 3, 1.0);
+    let result = opt.optimize(&space, &mut hf, &AreaLimit::new(8.0), BUDGET, seed);
     assert_eq!(result.history.len(), BUDGET, "{}", opt.name());
 
     let mut hash = 0xCBF2_9CE4_8422_2325_u64;

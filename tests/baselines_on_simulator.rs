@@ -1,19 +1,16 @@
-//! Integration of the baseline optimizers with the real HF objective
+//! Integration of the baseline optimizers with the real HF stack
 //! (cycle-level simulator + area model), as used by Fig. 5.
 
-use archdse::eval::{AreaLimit, HfObjective, SimulatorHf};
+use archdse::eval::{AreaLimit, SimulatorHf};
 use archdse::DesignSpace;
 use dse_baselines::{
-    ActBoostOptimizer, BagGbrtOptimizer, BoomExplorerOptimizer, Objective as _, Optimizer,
+    ActBoostOptimizer, BagGbrtOptimizer, BoomExplorerOptimizer, Constraint as _, Optimizer,
     RandomForestOptimizer, RandomSearchOptimizer, ScboOptimizer,
 };
 use dse_workloads::Benchmark;
 
-fn objective() -> HfObjective {
-    HfObjective::new(
-        SimulatorHf::for_benchmark(Benchmark::Quicksort, 2_000, 3, 1.0),
-        AreaLimit::new(8.0),
-    )
+fn simulator() -> SimulatorHf {
+    SimulatorHf::for_benchmark(Benchmark::Quicksort, 2_000, 3, 1.0)
 }
 
 #[test]
@@ -28,12 +25,12 @@ fn every_baseline_runs_on_the_real_stack() {
         Box::new(ScboOptimizer::default()),
     ];
     for opt in &mut optimizers {
-        let mut obj = objective();
-        let result = opt.optimize(&space, &mut obj, 6, 1);
+        let area = AreaLimit::new(8.0);
+        let result = opt.optimize(&space, &mut simulator(), &area, 6, 1);
         assert_eq!(result.history.len(), 6, "{}", opt.name());
         assert!(result.best_value > 0.0 && result.best_value.is_finite(), "{}", opt.name());
         assert!(
-            obj.is_feasible(&space, &result.best_point),
+            area.fits(&space, &result.best_point),
             "{} returned an infeasible design",
             opt.name()
         );
@@ -45,9 +42,9 @@ fn memoized_objective_keeps_methods_comparable() {
     // Two different optimizers sharing the same memoized simulator must
     // see identical values for identical designs.
     let space = DesignSpace::boom();
-    let mut obj = objective();
-    let a = RandomSearchOptimizer.optimize(&space, &mut obj, 4, 9);
-    let b = RandomSearchOptimizer.optimize(&space, &mut obj, 4, 9);
+    let (mut hf, area) = (simulator(), AreaLimit::new(8.0));
+    let a = RandomSearchOptimizer.optimize(&space, &mut hf, &area, 4, 9);
+    let b = RandomSearchOptimizer.optimize(&space, &mut hf, &area, 4, 9);
     assert_eq!(a.history, b.history, "same seed + shared cache = same trajectory");
 }
 
@@ -59,15 +56,14 @@ fn parallel_batch_prewarm_is_invisible_to_optimizers() {
     // same designs must see exactly the trajectory it would have seen
     // against a cold evaluator.
     let space = DesignSpace::boom();
-    let mut cold = objective();
-    let baseline = RandomSearchOptimizer.optimize(&space, &mut cold, 5, 2);
+    let area = AreaLimit::new(8.0);
+    let baseline = RandomSearchOptimizer.optimize(&space, &mut simulator(), &area, 5, 2);
 
     let mut hf = SimulatorHf::for_benchmark(Benchmark::Quicksort, 2_000, 3, 1.0).with_threads(4);
     let warm_points: Vec<_> = (0..8u64).map(|i| space.decode(i * (space.size() - 1) / 7)).collect();
     let warm_cpis = hf.cpi_batch(&space, &warm_points);
     assert!(warm_cpis.iter().all(|c| c.is_finite() && *c > 0.0));
-    let mut warmed = HfObjective::new(hf, AreaLimit::new(8.0));
-    let again = RandomSearchOptimizer.optimize(&space, &mut warmed, 5, 2);
+    let again = RandomSearchOptimizer.optimize(&space, &mut hf, &area, 5, 2);
 
     assert_eq!(baseline.history, again.history, "pre-warmed cache changed observed values");
     assert_eq!(baseline.best_point, again.best_point);

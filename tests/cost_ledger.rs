@@ -4,7 +4,7 @@
 //! ledger is the single source of budget truth; these tests pin that
 //! claim against the real simulator stack.
 
-use archdse::eval::{AreaLimit, HfObjective, SimulatorHf};
+use archdse::eval::{AreaLimit, SimulatorHf};
 use archdse::{DesignSpace, Evaluator, Explorer, Fidelity};
 use dse_baselines::{
     ActBoostOptimizer, BagGbrtOptimizer, BoomExplorerOptimizer, Optimizer, RandomForestOptimizer,
@@ -89,11 +89,8 @@ fn every_baseline_ledger_matches_its_objective_at_the_same_budget() {
         Box::new(ScboOptimizer::default()),
     ];
     for opt in &mut optimizers {
-        let mut obj = HfObjective::new(
-            SimulatorHf::for_benchmark(Benchmark::Quicksort, 2_000, 3, 1.0),
-            AreaLimit::new(8.0),
-        );
-        let result = opt.optimize(&space, &mut obj, budget, 3);
+        let mut hf = SimulatorHf::for_benchmark(Benchmark::Quicksort, 2_000, 3, 1.0);
+        let result = opt.optimize(&space, &mut hf, &AreaLimit::new(8.0), budget, 3);
         let name = opt.name();
 
         // Identical accounting across methods: the budget is installed
@@ -104,7 +101,7 @@ fn every_baseline_ledger_matches_its_objective_at_the_same_budget() {
 
         // The ledger's charge count is exactly what reached the cold
         // memoized simulator underneath the objective.
-        assert_eq!(result.ledger.high.evaluations as usize, obj.evaluations(), "{name}");
+        assert_eq!(result.ledger.high.evaluations as usize, hf.evaluations(), "{name}");
         assert_eq!(
             result.ledger.high.cache_misses,
             result.ledger.high.evaluations + result.ledger.high.denied,
