@@ -222,7 +222,8 @@ static TABLE: &[Command] = &[
         BENCHMARK, GENERAL, AREA, LEAKAGE, TRACE_LEN.default("10000"), SEED, THREADS,
         Flag::value("workers", "<n>", "connection workers").default("4"),
         Flag::value("max-batch", "<n>", "coalescer points per batch").default("64"),
-        Flag::value("max-delay-ms", "<n>", "coalescer gather window").default("2"),
+        Flag::value("max-delay-ms", "<n>", "shortest coalescer window; 0 submits what is queued \
+            at once, and batches form behind a running one").default("0"),
         Flag::value("queue-cap", "<n>", "queue depth before 503").default("128"),
         Flag::value("fnn", "<file>", "serve a trained network for /v1/explain"),
         Flag::value("shards", "<n>", "fork n shard worker processes (each owning a hash slice of \

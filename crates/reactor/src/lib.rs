@@ -16,8 +16,13 @@
 //!   starvation bugs are impossible by construction.
 //! - **One registration per fd.** Matches both epoll's natural model and the
 //!   rebuilt-array `poll` fallback.
-//! - **Lazy timer cancellation.** Deadline entries carry a generation; the
-//!   owner bumps its generation instead of searching the wheel.
+//! - **One timer entry per owner.** Each connection keeps its current
+//!   deadline and the generation it guards in a [`Deadline`] beside it.
+//!   Re-arming later rewrites that record and never touches the wheel; a
+//!   fired entry is re-queued, dropped as stale or reported due by
+//!   [`TimerWheel::settle`]. Cancelling is a generation bump, never a
+//!   search, and [`TimerWheel::next_deadline`] reads a slot bitmap, never
+//!   the entries.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -26,4 +31,4 @@ mod sys;
 mod timer;
 
 pub use poller::{waker_pair, Backend, Event, Interest, Poller, WakeRx, Waker, WAKE_TOKEN};
-pub use timer::TimerWheel;
+pub use timer::{Deadline, Fired, TimerWheel};

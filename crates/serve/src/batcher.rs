@@ -1,15 +1,17 @@
 //! The cross-request micro-batcher.
 //!
 //! Concurrent `/v1/evaluate` requests do not each pay for their own
-//! trip through the evaluation stack. Connection workers enqueue an
-//! [`EvalJob`] per request and block on its reply; a single coalescer
-//! thread gathers jobs up to a points budget ([`max_batch_points`]) or
-//! a delay window ([`max_delay`]), then submits **one**
-//! [`CostLedger::evaluate_batch`] per fidelity tier present in the
-//! window (auto-routed jobs form their own group, split per tier by the
-//! router). The batch inherits `exec::par_map` parallelism inside the
-//! simulator while the ledger keeps the accounting counter-exact with a
-//! sequential walk, so coalescing changes throughput — never results.
+//! trip through the evaluation stack. The reactor enqueues an [`EvalJob`]
+//! per request; one coalescer thread takes the first job plus whatever
+//! is queued behind it, up to [`max_batch_points`], and submits **one**
+//! [`CostLedger::evaluate_batch`] per fidelity tier in the window
+//! (auto-routed jobs form their own group, split per tier by the router).
+//! An idle server never waits; under load, jobs queue behind the running
+//! batch and form the next window. [`max_delay`] is an opt-in floor on
+//! the window, zero by default. The batch inherits `exec::par_map`
+//! parallelism in the simulator while the ledger keeps the accounting
+//! counter-exact with a sequential walk, so coalescing changes
+//! throughput — never results.
 //! Every tier the ledger drives is an `Evaluator`: the simulator and the
 //! learned tier directly, the analytical model through a
 //! [`LfEvaluator`] borrowed for each ledger call.
@@ -21,7 +23,7 @@
 //! [`max_delay`]: BatcherConfig::max_delay
 //! [`CostLedger::evaluate_batch`]: dse_exec::CostLedger::evaluate_batch
 
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -37,7 +39,8 @@ use serde::{Deserialize, Serialize};
 pub struct BatcherConfig {
     /// Most design points gathered into one submitted batch.
     pub max_batch_points: usize,
-    /// Longest a request waits for companions before the window closes.
+    /// Shortest window: how long the coalescer keeps gathering after the
+    /// first job. Zero (the default) submits as soon as the queue is empty.
     pub max_delay: Duration,
     /// Pending-request capacity; a full queue answers 503.
     pub queue_capacity: usize,
@@ -45,7 +48,7 @@ pub struct BatcherConfig {
 
 impl Default for BatcherConfig {
     fn default() -> Self {
-        Self { max_batch_points: 64, max_delay: Duration::from_millis(2), queue_capacity: 128 }
+        Self { max_batch_points: 64, max_delay: Duration::ZERO, queue_capacity: 128 }
     }
 }
 
@@ -193,8 +196,8 @@ pub(crate) struct EvalTiming {
     /// Enqueue → this job's window opening (queueing behind earlier
     /// windows), µs.
     pub queue_us: u64,
-    /// Window opening → this job's batch starting to execute (the
-    /// coalescer's gather delay, plus earlier groups in the window), µs.
+    /// Window opening → this job's batch starting to execute (the queue
+    /// drain, any `max_delay` floor, earlier groups in the window), µs.
     pub coalesce_us: u64,
     /// The ledger batch execution this job rode, µs (shared by every
     /// member of the batch — the batch ran once for all of them).
@@ -213,8 +216,8 @@ pub(crate) struct EvalJob {
     /// `Some(i)` evaluates registered ingested workload `i`.
     pub workload: Option<usize>,
     pub points: Vec<DesignPoint>,
-    /// When the job entered the queue; the coalescer observes the queue
-    /// wait (enqueue → window submit) per request.
+    /// When the request was dispatched; the coalescer observes the queue
+    /// wait (dispatch → window submit) per request.
     pub enqueued_at: Instant,
     /// The request's trace id, when it has one — batch span links.
     pub trace: Option<String>,
@@ -241,21 +244,17 @@ pub(crate) fn run_coalescer(
             Err(_) => return,
         };
         let window_opened = Instant::now();
+        let floor = window_opened + config.max_delay;
+        let mut gathered = first.points.len();
         let mut window = vec![first];
-        let mut gathered = window[0].points.len();
-        let deadline = window_opened + config.max_delay;
+        // Take what is already queued; wait for more only until the
+        // opt-in floor has passed.
         while gathered < config.max_batch_points {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(job) => {
-                    gathered += job.points.len();
-                    window.push(job);
-                }
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
-            }
+            let wait = floor.saturating_duration_since(Instant::now());
+            let next = if wait.is_zero() { rx.try_recv().ok() } else { rx.recv_timeout(wait).ok() };
+            let Some(job) = next else { break };
+            gathered += job.points.len();
+            window.push(job);
         }
         submit_window(window, window_opened, &core, &batch_points, &queue_wait);
     }
@@ -360,5 +359,95 @@ fn submit_window(
             let reply: ReplyFn = std::mem::replace(&mut jobs[i].reply, Box::new(|_, _| {}));
             reply(slice, timing);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc::{channel, sync_channel, Sender};
+
+    use archdse::Explorer;
+    use dse_obs::{Histogram, Registry, LATENCY_BUCKETS_S, SIZE_BUCKETS};
+    use dse_workloads::Benchmark;
+
+    use super::*;
+
+    fn core() -> Arc<Mutex<EvalCore>> {
+        let explorer = Explorer::for_benchmark(Benchmark::StringSearch).trace_len(500);
+        Arc::new(Mutex::new(EvalCore {
+            space: explorer.space().clone(),
+            hf: explorer.hf_evaluator(),
+            lf: explorer.lf_model(),
+            learned: LearnedTier::new(LearnedTier::point_features()),
+            gate: TierGate::enabled(0.05),
+            ledger: CostLedger::new(),
+            ingested: Vec::new(),
+        }))
+    }
+
+    /// An `lf` job for one design code that reports its timing on `done`.
+    fn lf_job(core: &Mutex<EvalCore>, code: u64, done: Sender<EvalTiming>) -> EvalJob {
+        EvalJob {
+            tier: TierRequest::Fixed(Fidelity::Low),
+            workload: None,
+            points: vec![core.lock().unwrap().space.decode(code)],
+            enqueued_at: Instant::now(),
+            trace: None,
+            reply: Box::new(move |_, timing| {
+                let _ = done.send(timing);
+            }),
+        }
+    }
+
+    /// The coalescer's two histograms: batch sizes and queue waits.
+    fn histograms() -> (Histogram, Histogram) {
+        let registry = Registry::new();
+        (registry.histogram("points", SIZE_BUCKETS), registry.histogram("wait", LATENCY_BUCKETS_S))
+    }
+
+    /// Queues one single-point job per code, closes the queue, runs the
+    /// coalescer until it drains, and returns how many batches it sent.
+    fn batches_for(config: BatcherConfig, codes: &[u64]) -> u64 {
+        let core = core();
+        let (tx, rx) = sync_channel(codes.len());
+        let (done, replies) = channel();
+        for &code in codes {
+            tx.send(lf_job(&core, code, done.clone())).unwrap();
+        }
+        drop(tx);
+        let (batch_points, queue_wait) = histograms();
+        run_coalescer(rx, core, config, batch_points.clone(), queue_wait);
+        assert_eq!(replies.try_iter().count(), codes.len(), "every job is answered");
+        batch_points.count()
+    }
+
+    #[test]
+    fn a_lone_job_on_an_idle_server_does_not_wait() {
+        let core = core();
+        let (tx, rx) = sync_channel(4);
+        let (batch_points, queue_wait) = histograms();
+        let coalescer = {
+            let core = Arc::clone(&core);
+            let config = BatcherConfig::default();
+            std::thread::spawn(move || run_coalescer(rx, core, config, batch_points, queue_wait))
+        };
+        let (done, replies) = channel();
+        tx.send(lf_job(&core, 42, done)).unwrap();
+        let timing = replies.recv().unwrap();
+        drop(tx);
+        coalescer.join().unwrap();
+        assert!(timing.coalesce_us < 1_500, "a lone job waited {} µs", timing.coalesce_us);
+    }
+
+    #[test]
+    fn jobs_already_queued_go_out_as_one_batch() {
+        let config = BatcherConfig { max_delay: Duration::ZERO, ..BatcherConfig::default() };
+        assert_eq!(batches_for(config, &[1, 2, 3]), 1);
+    }
+
+    #[test]
+    fn the_points_budget_still_closes_a_window() {
+        let config = BatcherConfig { max_batch_points: 2, ..BatcherConfig::default() };
+        assert_eq!(batches_for(config, &[1, 2, 3, 4, 5]), 3);
     }
 }

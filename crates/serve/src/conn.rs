@@ -15,12 +15,16 @@
 //! ```
 //!
 //! Timers use a per-connection `generation`: every phase change bumps it, so
-//! a deadline armed for an earlier phase is recognisably stale when it pops
-//! out of the timer wheel.
+//! a deadline armed for an earlier phase is recognisably stale when its
+//! wheel entry fires. The connection keeps its current deadline in a
+//! [`Deadline`]; re-arming it later (the next request's read deadline, the
+//! response's write deadline) adds no wheel entry.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
+
+use dse_reactor::Deadline;
 
 use crate::http::{Parsed, RequestParser};
 
@@ -143,6 +147,8 @@ pub(crate) struct Conn {
     pub stream: TcpStream,
     /// Phase-change counter guarding timers and completions.
     pub generation: u64,
+    /// The read or write deadline of the current phase.
+    pub deadline: Deadline,
     pub state: ConnState,
     parser: RequestParser,
     /// Pending response bytes and the write cursor into them.
@@ -170,6 +176,7 @@ impl Conn {
         Conn {
             stream,
             generation: 0,
+            deadline: Deadline::default(),
             state: ConnState::Reading,
             parser: RequestParser::new(max_body_bytes),
             out: Vec::new(),

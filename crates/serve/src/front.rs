@@ -201,6 +201,9 @@ pub(crate) struct ServerMetrics {
     pub(crate) accept_errors: Counter,
     /// Reactor poll returns — the loop's heartbeat.
     pub(crate) reactor_wakeups: Counter,
+    /// Entries in the reactor's timer wheel, about one per open
+    /// connection (Prometheus form only).
+    pub(crate) timer_entries: Gauge,
 }
 
 impl ServerMetrics {
@@ -216,6 +219,7 @@ impl ServerMetrics {
             conns_reaped: registry.counter("serve_conns_reaped_total"),
             accept_errors: registry.counter("serve_accept_errors_total"),
             reactor_wakeups: registry.counter("serve_reactor_wakeups_total"),
+            timer_entries: registry.gauge("serve_reactor_timer_entries"),
             registry,
         }
     }

@@ -39,15 +39,18 @@
 //! ## The cross-request micro-batcher
 //!
 //! The server's core mechanism is the coalescer thread:
-//! concurrent `/v1/evaluate` requests are gathered — up to
-//! [`BatcherConfig::max_batch_points`] points or for at most
-//! [`BatcherConfig::max_delay`] — and submitted as **one**
-//! `CostLedger::evaluate_batch` per fidelity through the shared
+//! concurrent `/v1/evaluate` requests are gathered — the first one
+//! plus every one queued behind it, up to
+//! [`BatcherConfig::max_batch_points`] points — and submitted at once
+//! as **one** `CostLedger::evaluate_batch` per fidelity through the shared
 //! [`CpiCache`](dse_exec::CpiCache)-backed evaluator. Because the
 //! batch-first evaluator contract guarantees bit-identical results and
 //! counters versus a sequential walk, coalescing changes throughput but
 //! never answers: N concurrent clients observe exactly the CPIs and
-//! ledger totals one sequential client would.
+//! ledger totals one sequential client would. An idle server never
+//! waits for companions; batches form from the requests that arrive
+//! while one is running. [`BatcherConfig::max_delay`] adds an opt-in
+//! minimum window (zero by default).
 //!
 //! ## Robustness policy
 //!

@@ -22,7 +22,10 @@
 //! wake the poller; the reactor then renders/loads the response and drives
 //! the nonblocking write. A `generation` counter per connection makes stale
 //! timers and stale completions (from a connection that died or moved on)
-//! recognisable.
+//! recognisable. Each connection keeps its deadline in a
+//! [`Deadline`](dse_reactor::Deadline) and holds about one timer-wheel
+//! entry however many requests it serves; `serve_reactor_timer_entries`
+//! reports the wheel's size.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::TcpListener;
@@ -33,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use dse_exec::{Fidelity, LedgerEntry};
 use dse_obs::trace;
-use dse_reactor::{Event, Interest, Poller, TimerWheel, WakeRx, Waker, WAKE_TOKEN};
+use dse_reactor::{Event, Fired, Interest, Poller, TimerWheel, WakeRx, Waker, WAKE_TOKEN};
 
 use crate::batcher::EvalTiming;
 use crate::conn::{trace_id_hash, Conn, ConnState, ReadEvent};
@@ -55,13 +58,15 @@ pub(crate) trait Engine: Send + Sync + 'static {
     fn front(&self) -> &Front;
 
     /// Serves `endpoint` on the reactor thread when this role can do so
-    /// without blocking; `None` hands the request to the app pool.
+    /// without blocking; `None` hands the request to the app pool. Work
+    /// it queues starts its `queue` phase at `dispatched_at`.
     fn inline(
         &self,
         _endpoint: Endpoint,
         _request: &Request,
         _token: u64,
         _generation: u64,
+        _dispatched_at: Instant,
         _completions: &Arc<CompletionQueue>,
     ) -> Option<Dispatch> {
         None
@@ -133,7 +138,7 @@ pub(crate) struct AppJob {
     pub generation: u64,
     pub endpoint: Endpoint,
     pub request: Request,
-    /// When the job was queued (timeline `queue` phase).
+    /// When the request was dispatched (timeline `queue` phase start).
     pub enqueued_at: Instant,
 }
 
@@ -218,7 +223,7 @@ impl Reactor {
 
     fn event_loop(&mut self) {
         let mut events: Vec<Event> = Vec::new();
-        let mut fired: Vec<(u64, u64)> = Vec::new();
+        let mut fired: Vec<Fired> = Vec::new();
         loop {
             let timeout = self
                 .wheel
@@ -248,13 +253,14 @@ impl Reactor {
                 self.apply_completion(completion);
             }
 
-            let now = Instant::now();
-            self.wheel.expire(now, &mut fired);
-            let due = std::mem::take(&mut fired);
-            for &(token, generation) in &due {
-                self.on_deadline(token, generation);
+            self.wheel.expire(Instant::now(), &mut fired);
+            for &fire in &fired {
+                let Some(conn) = self.conns.get_mut(&fire.token) else { continue };
+                if self.wheel.settle(&mut conn.deadline, fire, conn.generation) {
+                    self.on_deadline(fire.token);
+                }
             }
-            fired = due;
+            self.engine.front().metrics.timer_entries.set(self.wheel.len() as f64);
 
             if self.engine.front().is_shutting_down() && self.shutdown_sweep() {
                 return;
@@ -296,17 +302,12 @@ impl Reactor {
                     let _ = stream.set_nodelay(true);
                     let token = self.next_token;
                     self.next_token += 1;
-                    let conn = Conn::new(stream, self.limits.max_body_bytes);
+                    let mut conn = Conn::new(stream, self.limits.max_body_bytes);
                     if self.poller.register(conn.stream.as_raw_fd(), token, Interest::Read).is_err()
                     {
                         continue;
                     }
-                    self.wheel.insert(
-                        Instant::now(),
-                        self.limits.read_timeout,
-                        token,
-                        conn.generation,
-                    );
+                    arm(&mut self.wheel, &mut conn, self.limits.read_timeout, token);
                     self.conns.insert(token, conn);
                     self.engine.front().metrics.connections_open.set(self.conns.len() as f64);
                 }
@@ -404,7 +405,7 @@ impl Reactor {
         let _ = self.poller.modify(fd, token, Interest::None);
 
         let dispatch = match endpoint {
-            Ok(endpoint) => self.dispatch(endpoint, request, token, generation),
+            Ok(endpoint) => self.dispatch(endpoint, request, token, generation, now),
             Err(bad) => Dispatch::Immediate(json_reply(Err(bad))),
         };
         match dispatch {
@@ -417,22 +418,24 @@ impl Reactor {
 
     /// Serves a resolved request inline when the role can, and otherwise
     /// queues it on the app pool. Only work that is cheap and nonblocking
-    /// may run here.
+    /// may run here. The `queue` phase starts at `now`, where `parse`
+    /// ended, so the phases tile the request.
     fn dispatch(
         &self,
         endpoint: Endpoint,
         request: Request,
         token: u64,
         generation: u64,
+        now: Instant,
     ) -> Dispatch {
         let front = self.engine.front();
         if let Some(done) =
-            self.engine.inline(endpoint, &request, token, generation, &self.completions)
+            self.engine.inline(endpoint, &request, token, generation, now, &self.completions)
         {
             front.count(endpoint);
             return done;
         }
-        let job = AppJob { token, generation, endpoint, request, enqueued_at: Instant::now() };
+        let job = AppJob { token, generation, endpoint, request, enqueued_at: now };
         let refused = match self.app_tx.try_send(job) {
             Ok(()) => return Dispatch::Queued,
             Err(TrySendError::Full(_)) => {
@@ -507,8 +510,8 @@ impl Reactor {
             .map(|_| ("Server-Timing", conn.timeline.server_timing_value()));
         let response = build_response(status, content_type, body, keep, timing.as_slice());
         conn.set_response(response);
-        let generation = conn.bump_generation();
-        self.wheel.insert(Instant::now(), self.limits.write_timeout, token, generation);
+        conn.bump_generation();
+        arm(&mut self.wheel, conn, self.limits.write_timeout, token);
         self.continue_write(token)
     }
 
@@ -543,10 +546,9 @@ impl Reactor {
                 self.engine.front().record_request(&timeline, endpoint, status, total_us);
                 let Some(conn) = self.conns.get_mut(&token) else { return false };
                 if conn.keep_alive_after && conn.reset_for_next_request() {
-                    let generation = conn.generation;
                     let fd = conn.stream.as_raw_fd();
                     let _ = self.poller.modify(fd, token, Interest::Read);
-                    self.wheel.insert(Instant::now(), self.limits.read_timeout, token, generation);
+                    arm(&mut self.wheel, conn, self.limits.read_timeout, token);
                     // A pipelined request may already be buffered; the
                     // caller (pump) keeps going. When called from a
                     // completion path, pump explicitly.
@@ -593,11 +595,9 @@ impl Reactor {
         }
     }
 
-    fn on_deadline(&mut self, token: u64, generation: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else { return };
-        if conn.generation != generation {
-            return; // stale deadline from an earlier phase
-        }
+    /// Acts on a connection whose deadline for its current phase passed.
+    fn on_deadline(&mut self, token: u64) {
+        let Some(conn) = self.conns.get(&token) else { return };
         match conn.state {
             ConnState::Reading => {
                 if conn.got_bytes {
@@ -622,4 +622,9 @@ impl Reactor {
             self.engine.front().metrics.connections_open.set(self.conns.len() as f64);
         }
     }
+}
+
+/// Arms `conn`'s deadline `after` from now for its current generation.
+fn arm(wheel: &mut TimerWheel, conn: &mut Conn, after: Duration, token: u64) {
+    wheel.arm(&mut conn.deadline, Instant::now(), after, token, conn.generation);
 }

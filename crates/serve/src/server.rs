@@ -140,11 +140,12 @@ impl Engine for Shared {
         request: &Request,
         token: u64,
         generation: u64,
+        dispatched_at: Instant,
         completions: &Arc<CompletionQueue>,
     ) -> Option<Dispatch> {
         match endpoint {
             Endpoint::Evaluate => Some(
-                self.dispatch_evaluate(request, token, generation, completions)
+                self.dispatch_evaluate(request, token, generation, dispatched_at, completions)
                     .unwrap_or_else(|bad| Dispatch::Immediate(json_reply(Err(bad)))),
             ),
             Endpoint::Shutdown => {
@@ -212,6 +213,7 @@ impl Shared {
         request: &Request,
         token: u64,
         generation: u64,
+        dispatched_at: Instant,
         completions: &Arc<CompletionQueue>,
     ) -> Result<Dispatch, BadRequest> {
         let body = request.body_utf8()?;
@@ -242,7 +244,7 @@ impl Shared {
             tier: parsed.fidelity,
             workload,
             points,
-            enqueued_at: Instant::now(),
+            enqueued_at: dispatched_at,
             trace: request.trace.clone(),
             reply,
         };

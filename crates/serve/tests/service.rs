@@ -230,6 +230,39 @@ fn json_metrics_body_matches_the_golden_bytes() {
     server.join();
 }
 
+/// The value of an unlabelled gauge in a Prometheus exposition.
+fn prometheus_gauge(text: &str, name: &str) -> f64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no {name} sample in:\n{text}"))
+        .parse()
+        .unwrap()
+}
+
+#[test]
+fn keep_alive_traffic_holds_about_one_timer_entry_per_connection() {
+    let server = spawn(quick_config()).expect("bind");
+    let addr = server.addr().to_string();
+    let mut conns: Vec<client::Conn> =
+        (0..2).map(|_| client::Conn::connect(&addr).unwrap()).collect();
+    let body = r#"{"points": [5, 77], "fidelity": "lf"}"#;
+    for _ in 0..1_000 {
+        for conn in &mut conns {
+            let response = conn.request("POST", "/v1/evaluate", Some(body)).unwrap();
+            assert_eq!(response.status, 200, "{}", response.body);
+        }
+    }
+    // Each request re-armed a read and a write deadline; none of them may
+    // have left a wheel entry behind.
+    let prom = conns[0].request("GET", "/metrics?format=prometheus", None).unwrap();
+    assert_eq!(prom.status, 200);
+    let entries = prometheus_gauge(&prom.body, "serve_reactor_timer_entries");
+    assert!(entries <= 8.0, "{entries} timer entries after 2,000 keep-alive requests");
+    drop(conns);
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn hf_evaluates_publish_live_kernel_metrics() {
     let server = spawn(quick_config()).expect("bind");

@@ -97,3 +97,76 @@ fn unknown_tier_names_are_a_400_naming_the_valid_ones() {
 
     server.shutdown();
 }
+
+/// A fixed `"auto"`/`"learned"` request sequence, interleaved with the
+/// `"hf"` charges that train the learned tier, as request bodies. Each
+/// `"auto"` request repeats two designs a `"learned"` request already
+/// asked for, which the router replays at the learned tier.
+fn auto_sequence() -> Vec<String> {
+    let mut code = 17u64;
+    let mut fresh = |n: usize| -> Vec<u64> {
+        (0..n)
+            .map(|_| {
+                code = code
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (code >> 33) % 1_000_000
+            })
+            .collect()
+    };
+    let body = |points: &[u64], fidelity: &str| {
+        let points: Vec<String> = points.iter().map(u64::to_string).collect();
+        format!(r#"{{"points": [{}], "fidelity": "{fidelity}"}}"#, points.join(","))
+    };
+    let mut bodies = Vec::new();
+    for _ in 0..4 {
+        bodies.push(body(&fresh(12), "hf"));
+        let learned = fresh(4);
+        bodies.push(body(&learned, "learned"));
+        let auto = [fresh(4), learned[..2].to_vec()].concat();
+        bodies.push(body(&auto, "auto"));
+    }
+    bodies
+}
+
+/// Sends `bodies` one at a time, in order, to a fresh server and
+/// returns the response bodies.
+fn answers(bodies: &[String]) -> Vec<String> {
+    let server = quick_server();
+    let addr = server.addr().to_string();
+    let answered = bodies
+        .iter()
+        .map(|body| {
+            let response = client::post(&addr, "/v1/evaluate", body).unwrap();
+            assert_eq!(response.status, 200, "{body}: {}", response.body);
+            response.body
+        })
+        .collect();
+    server.shutdown();
+    server.join();
+    answered
+}
+
+#[test]
+fn auto_answers_repeat_exactly_for_one_sequential_client() {
+    // `"auto"` and `"learned"` depend on the tier's training history, so
+    // they are deterministic for one request sequence on one server:
+    // two fresh servers fed the same sequence answer byte for byte alike,
+    // tier stamps included.
+    let bodies = auto_sequence();
+    let first = answers(&bodies);
+    let second = answers(&bodies);
+    for (i, (a, b)) in first.iter().zip(&second).enumerate() {
+        assert_eq!(a, b, "request {i} ({}) answered differently", bodies[i]);
+    }
+    // Some auto answers come from the learned tier, so they depend on
+    // what the tier was asked and trained on before.
+    let routed_to_learned = bodies
+        .iter()
+        .zip(&first)
+        .filter(|(body, _)| body.contains("\"auto\""))
+        .flat_map(|(_, answer)| serde_json::from_str::<EvaluateResponse>(answer).unwrap().results)
+        .filter(|point| point.fidelity == "learned")
+        .count();
+    assert!(routed_to_learned > 0, "no auto point was answered by the learned tier");
+}
