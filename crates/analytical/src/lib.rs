@@ -60,7 +60,8 @@ const BENEFIT_EPS: f64 = 1e-6;
 /// Construction pre-fits the workload's reuse curve; evaluation is then
 /// a handful of arithmetic operations (~µs on `f64`, matching the
 /// paper's "about 0.1 ms per design" claim within an order of
-/// magnitude — see the `analytical_throughput` bench).
+/// magnitude — see the `analytical/*` rows of the `components` bench in
+/// `dse-bench`).
 #[derive(Debug, Clone)]
 pub struct AnalyticalModel {
     profile: WorkloadProfile,

@@ -44,6 +44,7 @@ impl<const N: usize> Dual<N> {
     /// # Panics
     ///
     /// Panics if `index >= N`.
+    #[inline]
     pub fn variable(value: f64, index: usize) -> Self {
         assert!(index < N, "variable index {index} out of range {N}");
         let mut d = [0.0; N];
@@ -52,16 +53,19 @@ impl<const N: usize> Dual<N> {
     }
 
     /// A constant: zero derivative with respect to every variable.
+    #[inline]
     pub(crate) fn constant(value: f64) -> Self {
         Self { v: value, d: [0.0; N], seeded: false }
     }
 
     /// The numeric value.
+    #[inline]
     pub fn value(&self) -> f64 {
         self.v
     }
 
     /// The gradient: all `N` partials, or empty for a constant.
+    #[inline]
     pub fn gradient(&self) -> &[f64] {
         if self.seeded {
             &self.d
@@ -72,6 +76,7 @@ impl<const N: usize> Dual<N> {
 
     /// Applies a unary differentiable function given its value map and
     /// derivative at the current value (chain rule).
+    #[inline]
     pub(crate) fn map(&self, f: impl Fn(f64) -> f64, df: impl Fn(f64) -> f64) -> Self {
         let scale = df(self.v);
         let v = f(self.v);
@@ -84,6 +89,7 @@ impl<const N: usize> Dual<N> {
 
     /// Multiplicative inverse, provided inherently so doc examples don't
     /// need the [`Scalar`](crate::Scalar) trait in scope.
+    #[inline]
     pub fn recip_dual(&self) -> Self {
         self.map(|v| 1.0 / v, |v| -1.0 / (v * v))
     }
@@ -92,6 +98,7 @@ impl<const N: usize> Dual<N> {
     /// the operation with respect to each operand. A constant operand
     /// contributes no term, so each partial is computed by the same f64
     /// operations whether or not the other side is seeded.
+    #[inline]
     fn zip(&self, rhs: &Self, v: f64, df: impl Fn(f64, f64) -> (f64, f64)) -> Self {
         let (da, db) = df(self.v, rhs.v);
         let d = match (self.seeded, rhs.seeded) {
@@ -107,6 +114,7 @@ impl<const N: usize> Dual<N> {
 impl<const N: usize> Add for Dual<N> {
     type Output = Self;
 
+    #[inline]
     fn add(self, rhs: Self) -> Self {
         self.zip(&rhs, self.v + rhs.v, |_, _| (1.0, 1.0))
     }
@@ -115,6 +123,7 @@ impl<const N: usize> Add for Dual<N> {
 impl<const N: usize> Sub for Dual<N> {
     type Output = Self;
 
+    #[inline]
     fn sub(self, rhs: Self) -> Self {
         self.zip(&rhs, self.v - rhs.v, |_, _| (1.0, -1.0))
     }
@@ -123,6 +132,7 @@ impl<const N: usize> Sub for Dual<N> {
 impl<const N: usize> Mul for Dual<N> {
     type Output = Self;
 
+    #[inline]
     fn mul(self, rhs: Self) -> Self {
         self.zip(&rhs, self.v * rhs.v, |a, b| (b, a))
     }
@@ -133,6 +143,7 @@ impl<const N: usize> Div for Dual<N> {
 
     // The quotient rule genuinely multiplies inside a Div impl.
     #[allow(clippy::suspicious_arithmetic_impl)]
+    #[inline]
     fn div(self, rhs: Self) -> Self {
         self.zip(&rhs, self.v / rhs.v, |a, b| (1.0 / b, -a / (b * b)))
     }
@@ -141,6 +152,7 @@ impl<const N: usize> Div for Dual<N> {
 impl<const N: usize> Neg for Dual<N> {
     type Output = Self;
 
+    #[inline]
     fn neg(self) -> Self {
         Self { v: -self.v, d: self.d.map(|g| -g), seeded: self.seeded }
     }

@@ -57,11 +57,13 @@ pub trait Scalar:
     fn powf(&self, p: f64) -> Self;
 
     /// Multiplicative inverse.
+    #[inline]
     fn recip(&self) -> Self {
         Self::constant(1.0) / self.clone()
     }
 
     /// Smooth maximum via log-sum-exp with sharpness `beta`.
+    #[inline]
     fn smooth_max(&self, other: &Self, beta: f64) -> Self {
         // max(a,b) ≈ (1/β)·ln(e^{βa} + e^{βb}); shift by the hard max for
         // numerical stability.
@@ -72,63 +74,91 @@ pub trait Scalar:
     }
 
     /// Smooth minimum via log-sum-exp with sharpness `beta`.
+    #[inline]
     fn smooth_min(&self, other: &Self, beta: f64) -> Self {
         -((-self.clone()).smooth_max(&(-other.clone()), beta))
     }
 
     /// Logistic sigmoid `1 / (1 + e^{-x})`.
+    #[inline]
     fn sigmoid(&self) -> Self {
         (Self::constant(1.0) + (-self.clone()).exp()).recip()
     }
 }
 
+/// `e^x`, answering `x = 0` without the call: a smooth max or min always
+/// takes the exponential of its larger operand's offset, which is exactly
+/// zero. `exp(±0)` is exactly 1, so the shortcut changes no bit. Only
+/// dual numbers take it: on plain `f64` the extra branch cost more than
+/// the call it saved.
+#[inline]
+fn exp(x: f64) -> f64 {
+    if x == 0.0 {
+        1.0
+    } else {
+        x.exp()
+    }
+}
+
 impl Scalar for f64 {
+    #[inline]
     fn constant(v: f64) -> Self {
         v
     }
 
+    #[inline]
     fn value(&self) -> f64 {
         *self
     }
 
+    #[inline]
     fn exp(&self) -> Self {
         f64::exp(*self)
     }
 
+    #[inline]
     fn ln(&self) -> Self {
         f64::ln(*self)
     }
 
+    #[inline]
     fn sqrt(&self) -> Self {
         f64::sqrt(*self)
     }
 
+    #[inline]
     fn powf(&self, p: f64) -> Self {
         f64::powf(*self, p)
     }
 }
 
 impl<const N: usize> Scalar for Dual<N> {
+    #[inline]
     fn constant(v: f64) -> Self {
         Dual::constant(v)
     }
 
+    #[inline]
     fn value(&self) -> f64 {
         Dual::value(self)
     }
 
+    #[inline]
     fn exp(&self) -> Self {
-        self.map(f64::exp, |v| v.exp())
+        self.map(exp, exp)
     }
 
+    #[inline]
     fn ln(&self) -> Self {
         self.map(f64::ln, |v| 1.0 / v)
     }
 
+    #[inline]
     fn sqrt(&self) -> Self {
         self.map(f64::sqrt, |v| 0.5 / v.sqrt())
     }
 
+    #[inline]
     fn powf(&self, p: f64) -> Self {
         self.map(|v| v.powf(p), |v| p * v.powf(p - 1.0))
     }

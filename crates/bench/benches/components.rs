@@ -18,7 +18,9 @@ use archdse::{
     AnalyticalModel, CoreConfig, DesignPoint, DesignSpace, Explorer, Fnn, FnnBuilder, Simulator,
 };
 use dse_baselines::GaussianProcess;
-use dse_mfrl::{rollout, train_on_episode, Constraint, LowFidelity, ReinforceConfig, StepMemo};
+use dse_mfrl::{
+    rollout, train_on_episode, Constraint, Episode, LowFidelity, ReinforceConfig, StepMemo,
+};
 use dse_sim::Cache;
 use dse_workloads::Benchmark;
 
@@ -77,7 +79,7 @@ fn bench_simulator(c: &mut Criterion) {
 fn trained_fnn(space: &DesignSpace) -> Fnn {
     let mut fnn = FnnBuilder::for_space(space).build();
     let mut grads = fnn.zero_gradients();
-    for (r, row) in grads.consequents.iter_mut().enumerate() {
+    for (r, row) in grads.consequents.chunks_exact_mut(fnn.output_count()).enumerate() {
         for (o, g) in row.iter_mut().enumerate() {
             *g = ((r * 11 + o) as f64 * 0.61).sin();
         }
@@ -102,14 +104,15 @@ fn bench_fnn(c: &mut Criterion) {
     let pass = fnn.forward(&obs);
     let d_scores = vec![0.1; fnn.output_count()];
     group.bench_function("backward_192_rules", |b| {
-        b.iter(|| std::hint::black_box(fnn.backward(&pass, &d_scores).consequents[0][0]))
+        b.iter(|| std::hint::black_box(fnn.backward(&pass, &d_scores).consequents[0]))
     });
     let lf = Explorer::general_purpose().lf_model();
     let mut rng = StdRng::seed_from_u64(0);
     let budget = IndexBudget(EPISODE_STEPS);
     let mut memo = StepMemo::new(&space, &lf, &budget, false);
-    let episode = rollout(&fnn, &mut memo, space.smallest(), &mut rng);
-    assert_eq!(episode.steps.len(), EPISODE_STEPS);
+    let mut episode = Episode::new();
+    rollout(&fnn, &mut memo, space.smallest(), &mut rng, &mut episode);
+    assert_eq!(episode.len(), EPISODE_STEPS);
     let cfg = ReinforceConfig::default();
     group.bench_function("train_on_episode_27_steps", |b| {
         b.iter_batched(

@@ -4,7 +4,10 @@ use std::error::Error;
 use std::fmt;
 
 use dse_area::AreaModel;
-use dse_exec::{CostLedger, FeatureFn, Fidelity, LearnedTier, TierGate, TieredEvaluator};
+use dse_exec::{
+    CostLedger, FeatureFn, Fidelity, LearnedTier, LedgerEntry, LedgerRouter, TierGate,
+    TieredEvaluator,
+};
 use dse_fnn::{extract_rules, Fnn, FnnBuilder, Rule, RuleExtractionConfig};
 use dse_mfrl::{
     HfOutcome, HfPhaseConfig, LfOutcome, LfPhaseConfig, LowFidelity as _, MultiFidelityConfig,
@@ -384,11 +387,31 @@ impl Explorer {
     }
 
     /// Runs the full LF→HF flow and extracts the rule base.
+    ///
+    /// The LF phase never touches the simulator, so with two tiers and
+    /// more than one worker thread the simulator's traces are generated
+    /// on another thread while the LF phase runs, and the HF phase's first
+    /// proposal waits for them. The report is the same either way.
     pub fn run(&self) -> ExplorationReport {
-        let mut hf = self.hf_evaluator();
-        let report = self.run_with_hf(&mut hf);
-        drop(hf);
-        report
+        let threads = self.threads.unwrap_or_else(dse_exec::default_threads);
+        if self.tiers >= 3 || threads < 2 {
+            let mut hf = self.hf_evaluator();
+            return self.run_with_hf(&mut hf);
+        }
+        std::thread::scope(|scope| {
+            // The flow runs on the new thread and the simulator is built
+            // on this one, so its traces come from this thread's allocator
+            // arena as they do when it is built first. Built on the new
+            // thread, they raised a campaign's peak RSS by 60%.
+            let (simulator, built) = std::sync::mpsc::sync_channel(1);
+            let flow = scope.spawn(move || {
+                let mut hf = Deferred::new(|| built.recv().expect("the simulator is built"));
+                self.run_two_tier(&mut hf)
+            });
+            // The flow can end, by panicking, before it needs the simulator.
+            let _ = simulator.send(self.hf_evaluator());
+            flow.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        })
     }
 
     /// Builds the learned mid tier's feature map: a bias, the LF
@@ -434,22 +457,11 @@ impl Explorer {
         }
     }
 
-    /// Wraps a finished flow into the report, re-simulating the winner
-    /// when tiered routing may have tracked it at a learned answer —
-    /// offline and memoized, no ledger — so the reported CPI is always
-    /// the simulator's.
-    fn finish(
-        &self,
-        outcome: dse_mfrl::DseOutcome,
-        fnn: Fnn,
-        hf: &mut SimulatorHf,
-        tiered: bool,
-    ) -> ExplorationReport {
+    /// The report of a finished flow whose winner simulated at `best_cpi`.
+    fn report(&self, outcome: dse_mfrl::DseOutcome, fnn: Fnn, best_cpi: f64) -> ExplorationReport {
         let rules = extract_rules(&fnn, &RuleExtractionConfig::default());
-        let best_point = outcome.hf.best_point.clone();
-        let best_cpi = if tiered { hf.cpi(&self.space, &best_point) } else { outcome.hf.best_cpi };
         ExplorationReport {
-            best_point,
+            best_point: outcome.hf.best_point.clone(),
             best_cpi,
             lf: outcome.lf,
             hf: outcome.hf,
@@ -457,6 +469,17 @@ impl Explorer {
             rules,
             ledger: outcome.ledger,
         }
+    }
+
+    /// The two-tier flow against `hf`.
+    fn run_two_tier(&self, hf: &mut impl LedgerRouter) -> ExplorationReport {
+        let lf = self.lf_model();
+        let constraints = self.constraints();
+        let mut fnn = self.build_fnn();
+        let dse = MultiFidelityDse::new(self.flow_config(false));
+        let outcome = dse.run(&mut fnn, &self.space, &lf, hf, &constraints);
+        let best_cpi = outcome.hf.best_cpi;
+        self.report(outcome, fnn, best_cpi)
     }
 
     /// Runs the flow against a caller-supplied HF evaluator (so
@@ -468,12 +491,7 @@ impl Explorer {
             let mut learned = LearnedTier::new(self.learned_features());
             return self.run_with_hf_and_tier(hf, &mut learned);
         }
-        let lf = self.lf_model();
-        let constraints = self.constraints();
-        let mut fnn = self.build_fnn();
-        let dse = MultiFidelityDse::new(self.flow_config(false));
-        let outcome = dse.run(&mut fnn, &self.space, &lf, hf, &constraints);
-        self.finish(outcome, fnn, hf, false)
+        self.run_two_tier(hf)
     }
 
     /// Runs the three-tier flow against a caller-owned learned tier as
@@ -497,7 +515,49 @@ impl Explorer {
                 TieredEvaluator::new(learned, hf, TierGate::enabled(self.gate_threshold));
             dse.run(&mut fnn, &self.space, &lf, &mut router, &constraints)
         };
-        self.finish(outcome, fnn, hf, true)
+        // Tiered routing may have tracked the winner at a learned answer;
+        // re-simulate it, offline and memoized with no ledger, so the
+        // reported CPI is always the simulator's.
+        let best_cpi = hf.cpi(&self.space, &outcome.hf.best_point);
+        self.report(outcome, fnn, best_cpi)
+    }
+}
+
+/// A router built on its first proposal: the HF phase's first proposal
+/// waits for it, and the LF phase before it does not.
+struct Deferred<F, E> {
+    build: Option<F>,
+    router: Option<E>,
+}
+
+impl<F: FnOnce() -> E, E> Deferred<F, E> {
+    fn new(build: F) -> Self {
+        Self { build: Some(build), router: None }
+    }
+
+    fn get(&mut self) -> &mut E {
+        let Self { build, router } = self;
+        router.get_or_insert_with(|| build.take().expect("a router is built once")())
+    }
+}
+
+impl<F: FnOnce() -> E, E: LedgerRouter> LedgerRouter for Deferred<F, E> {
+    fn route_batch(
+        &mut self,
+        ledger: &mut CostLedger,
+        space: &DesignSpace,
+        points: &[DesignPoint],
+    ) -> Vec<LedgerEntry> {
+        self.get().route_batch(ledger, space, points)
+    }
+
+    fn route(
+        &mut self,
+        ledger: &mut CostLedger,
+        space: &DesignSpace,
+        point: &DesignPoint,
+    ) -> LedgerEntry {
+        self.get().route(ledger, space, point)
     }
 }
 

@@ -43,13 +43,18 @@ pub struct ReferenceOptimum {
 
 /// Samples the promising area (feasible designs whose area uses at least
 /// `promising_area_fraction` of the limit) and simulates every sample,
-/// returning the best as õpt.
+/// returning the best as õpt (the first sampled, on a tie).
 ///
-/// Simulations use [`SimulatorHf::cpi`] outside any
-/// [`CostLedger`](dse_exec::CostLedger), so the pass never consumes DSE
-/// budget — it defines the measuring stick, exactly like the paper's
-/// offline reference sweep (it may warm the evaluator's memo, which is
-/// fine: a later metered run is still charged for every proposal).
+/// Which designs are drawn does not depend on any CPI, so every sample
+/// is drawn first and all of them are simulated in one
+/// [`SimulatorHf::cpi_batch`]: the batch packs designs into lockstep
+/// simulation and spreads the packs over the worker threads, with
+/// answers bit-identical to one [`SimulatorHf::cpi`] per sample.
+/// Simulations run outside any [`CostLedger`](dse_exec::CostLedger), so
+/// the pass never consumes DSE budget — it defines the measuring stick,
+/// exactly like the paper's offline reference sweep (it may warm the
+/// evaluator's memo, which is fine: a later metered run is still charged
+/// for every proposal).
 ///
 /// # Panics
 ///
@@ -62,11 +67,10 @@ pub fn reference_optimum(
     config: &ReferenceConfig,
 ) -> ReferenceOptimum {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut best: Option<(DesignPoint, f64)> = None;
-    let mut sampled = 0usize;
+    let mut points = Vec::with_capacity(config.samples);
     let mut attempts = 0usize;
     let floor = area.limit_mm2() * config.promising_area_fraction;
-    while sampled < config.samples {
+    while points.len() < config.samples {
         attempts += 1;
         assert!(
             attempts < 1_000 * config.samples.max(1),
@@ -76,14 +80,18 @@ pub fn reference_optimum(
         if !area.fits(space, &p) || area.area_mm2(space, &p) < floor {
             continue;
         }
-        let cpi = hf.cpi(space, &p);
-        if best.as_ref().is_none_or(|(_, b)| cpi < *b) {
-            best = Some((p, cpi));
-        }
-        sampled += 1;
+        points.push(p);
     }
-    let (point, cpi) = best.expect("samples > 0");
-    ReferenceOptimum { point, cpi, samples: sampled }
+    let cpis = hf.cpi_batch(space, &points);
+    let mut best: Option<(usize, f64)> = None;
+    for (i, &cpi) in cpis.iter().enumerate() {
+        if best.is_none_or(|(_, b)| cpi < b) {
+            best = Some((i, cpi));
+        }
+    }
+    let (i, cpi) = best.expect("samples > 0");
+    let samples = points.len();
+    ReferenceOptimum { point: points.swap_remove(i), cpi, samples }
 }
 
 /// Regret (eq. 5): how far a DSE result's CPI sits above õpt. Clamped at

@@ -13,7 +13,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Fnn, Observation};
+use crate::{Fnn, ForwardPass, Observation};
 
 /// One rule's share of a decision.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -106,33 +106,7 @@ pub fn explain_decision(
     k: usize,
 ) -> DecisionExplanation {
     assert!(output < fnn.output_count(), "output index out of range");
-    let pass = fnn.forward(obs);
-    let score = pass.scores[output];
-    let mut contributions: Vec<RuleContribution> = pass
-        .normalized_strengths()
-        .iter()
-        .enumerate()
-        .map(|(r, &firing)| {
-            let consequent = fnn.consequents()[r][output];
-            RuleContribution {
-                rule: r,
-                antecedent_text: antecedent_text(fnn, r),
-                firing,
-                consequent,
-                contribution: firing * consequent,
-            }
-        })
-        .collect();
-    contributions.sort_by(|a, b| b.contribution.abs().total_cmp(&a.contribution.abs()));
-    let residual: f64 = contributions.iter().skip(k).map(|c| c.contribution).sum();
-    contributions.truncate(k);
-    DecisionExplanation {
-        output,
-        output_name: fnn.output_names()[output].clone(),
-        score,
-        contributions,
-        residual,
-    }
+    explain_pass(fnn, &fnn.forward(obs), output, k)
 }
 
 /// Explains the *winning* output at an observation: the parameter the
@@ -146,7 +120,41 @@ pub fn explain_top_action(fnn: &Fnn, obs: &Observation, k: usize) -> DecisionExp
         .max_by(|(_, a), (_, b)| a.total_cmp(b))
         .map(|(i, _)| i)
         .expect("network has outputs");
-    explain_decision(fnn, obs, best, k)
+    explain_pass(fnn, &pass, best, k)
+}
+
+/// [`explain_decision`] on a pass already run. Only the reported top-`k`
+/// rules have their antecedent text rendered.
+fn explain_pass(fnn: &Fnn, pass: &ForwardPass, output: usize, k: usize) -> DecisionExplanation {
+    let outputs = fnn.output_count();
+    let mut contributions: Vec<RuleContribution> = pass
+        .normalized_strengths()
+        .iter()
+        .enumerate()
+        .map(|(r, &firing)| {
+            let consequent = fnn.consequents()[r * outputs + output];
+            RuleContribution {
+                rule: r,
+                antecedent_text: String::new(),
+                firing,
+                consequent,
+                contribution: firing * consequent,
+            }
+        })
+        .collect();
+    contributions.sort_by(|a, b| b.contribution.abs().total_cmp(&a.contribution.abs()));
+    let residual: f64 = contributions.iter().skip(k).map(|c| c.contribution).sum();
+    contributions.truncate(k);
+    for c in &mut contributions {
+        c.antecedent_text = antecedent_text(fnn, c.rule);
+    }
+    DecisionExplanation {
+        output,
+        output_name: fnn.output_names()[output].clone(),
+        score: pass.scores[output],
+        contributions,
+        residual,
+    }
 }
 
 /// Renders rule `r`'s antecedent as text ("CPI is high AND L1 is low …").

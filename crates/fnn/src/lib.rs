@@ -58,6 +58,8 @@ pub mod rules;
 pub use builder::FnnBuilder;
 pub use explain::{explain_decision, explain_top_action, DecisionExplanation, RuleContribution};
 pub use mf::{Membership, MembershipKind};
-pub use network::{Fnn, FnnGradients, ForwardPass, InputKind, InputSpec, Observation};
+pub use network::{
+    Fnn, FnnGradients, ForwardPass, InputKind, InputSpec, Observation, PassArena, PassRef,
+};
 pub use parse::{apply_rule, parse_rule, seed_rule, ParseRuleError, ParsedRule};
 pub use rules::{extract_rules, Rule, RuleExtractionConfig};

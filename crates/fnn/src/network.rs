@@ -1,8 +1,8 @@
 //! The five-layer fuzzy neural network and its manual backpropagation.
 
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 
-use dse_space::{DesignPoint, DesignSpace, MergedParam};
+use dse_space::{DesignPoint, DesignSpace, MergedParam, Param};
 
 use crate::Membership;
 
@@ -63,7 +63,7 @@ pub struct ForwardPass {
     memberships: Vec<[f64; MAX_SETS]>,
     normalized: Vec<f64>,
     strength_sum: f64,
-    observation: Observation,
+    values: Vec<f64>,
 }
 
 impl ForwardPass {
@@ -73,11 +73,141 @@ impl ForwardPass {
     }
 }
 
+/// One forward pass, borrowed from a [`ForwardPass`] or a [`PassArena`]:
+/// what [`Fnn::backward_into`] reads.
+#[derive(Debug, Clone, Copy)]
+pub struct PassRef<'a> {
+    scores: &'a [f64],
+    memberships: &'a [[f64; MAX_SETS]],
+    normalized: &'a [f64],
+    strength_sum: f64,
+    values: &'a [f64],
+}
+
+impl<'a> PassRef<'a> {
+    /// Layer-5 output: one score per design parameter.
+    pub fn scores(&self) -> &'a [f64] {
+        self.scores
+    }
+
+    /// Normalized rule firing strengths (layer 3 output), summing to 1.
+    pub fn normalized_strengths(&self) -> &'a [f64] {
+        self.normalized
+    }
+}
+
+impl<'a> From<&'a ForwardPass> for PassRef<'a> {
+    fn from(pass: &'a ForwardPass) -> Self {
+        Self {
+            scores: &pass.scores,
+            memberships: &pass.memberships,
+            normalized: &pass.normalized,
+            strength_sum: pass.strength_sum,
+            values: &pass.values,
+        }
+    }
+}
+
+/// The forward passes of a sequence of steps, in flat buffers that are
+/// cleared and refilled rather than reallocated.
+///
+/// An episode keeps every step's pass until its REINFORCE update; held
+/// in one arena that lives across episodes, a step allocates nothing
+/// once the buffers have grown to the longest episode.
+#[derive(Debug, Clone, Default)]
+pub struct PassArena {
+    /// `(inputs, rules, outputs)` of the stored passes' network.
+    shape: (usize, usize, usize),
+    values: Vec<f64>,
+    memberships: Vec<[f64; MAX_SETS]>,
+    normalized: Vec<f64>,
+    strength_sums: Vec<f64>,
+    scores: Vec<f64>,
+}
+
+impl PassArena {
+    /// An empty arena.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Drops every stored pass, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.values.clear();
+        self.memberships.clear();
+        self.normalized.clear();
+        self.strength_sums.clear();
+        self.scores.clear();
+    }
+
+    /// Number of stored passes.
+    pub fn len(&self) -> usize {
+        self.strength_sums.len()
+    }
+
+    /// Whether no pass is stored.
+    pub fn is_empty(&self) -> bool {
+        self.strength_sums.is_empty()
+    }
+
+    /// The `step`-th stored pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step >= self.len()`.
+    pub fn get(&self, step: usize) -> PassRef<'_> {
+        let (inputs, rules, outputs) = self.shape;
+        PassRef {
+            scores: &self.scores[step * outputs..][..outputs],
+            memberships: &self.memberships[step * inputs..][..inputs],
+            normalized: &self.normalized[step * rules..][..rules],
+            strength_sum: self.strength_sums[step],
+            values: &self.values[step * inputs..][..inputs],
+        }
+    }
+
+    /// Runs `fnn` on the canonical observation of `point` (see
+    /// [`Fnn::observation`]) and appends the pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network lacks the canonical layout, or if the arena
+    /// holds passes of a differently shaped network.
+    pub fn push_observed(
+        &mut self,
+        fnn: &Fnn,
+        space: &DesignSpace,
+        point: &DesignPoint,
+        cpi: f64,
+    ) -> PassRef<'_> {
+        let shape = (fnn.inputs.len(), fnn.rule_count(), fnn.output_count());
+        if self.is_empty() {
+            self.shape = shape;
+        }
+        assert_eq!(self.shape, shape, "the arena holds passes of another network");
+        let (inputs, rules, outputs) = shape;
+        fnn.observation_into(space, point, cpi, &mut self.values);
+        let step = self.len();
+        self.memberships.resize(self.memberships.len() + inputs, [0.0; MAX_SETS]);
+        self.normalized.resize(self.normalized.len() + rules, 0.0);
+        self.scores.resize(self.scores.len() + outputs, 0.0);
+        let sum = fnn.forward_into(
+            &self.values[step * inputs..],
+            &mut self.memberships[step * inputs..],
+            &mut self.normalized[step * rules..],
+            &mut self.scores[step * outputs..],
+        );
+        self.strength_sums.push(sum);
+        self.get(step)
+    }
+}
+
 /// Gradients of a scalar loss with respect to the trainable weights.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FnnGradients {
-    /// `∂L/∂consequent[rule][output]`.
-    pub consequents: Vec<Vec<f64>>,
+    /// `∂L/∂consequent`, flat and rule-major like [`Fnn::consequents`]:
+    /// entry `rule · outputs + output`.
+    pub consequents: Vec<f64>,
     /// `∂L/∂center[input][fuzzy set]` (zero for metric inputs).
     pub centers: Vec<Vec<f64>>,
 }
@@ -91,10 +221,8 @@ impl FnnGradients {
     /// Panics if the shapes differ.
     pub fn accumulate(&mut self, other: &FnnGradients) {
         assert_eq!(self.consequents.len(), other.consequents.len(), "gradient shape mismatch");
-        for (a, b) in self.consequents.iter_mut().zip(&other.consequents) {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
+        for (x, y) in self.consequents.iter_mut().zip(&other.consequents) {
+            *x += y;
         }
         for (a, b) in self.centers.iter_mut().zip(&other.centers) {
             for (x, y) in a.iter_mut().zip(b) {
@@ -102,19 +230,36 @@ impl FnnGradients {
             }
         }
     }
+}
 
-    /// Scales every gradient entry by `s`.
-    pub fn scale(&mut self, s: f64) {
-        for row in &mut self.consequents {
-            for x in row {
-                *x *= s;
-            }
+/// The consequent matrix, flat and rule-major, saved as one array per
+/// rule (the format saved networks have always had).
+#[derive(Debug, Clone, PartialEq)]
+struct Consequents {
+    values: Vec<f64>,
+    outputs: usize,
+}
+
+impl Consequents {
+    fn rows(&self) -> std::slice::ChunksExact<'_, f64> {
+        self.values.chunks_exact(self.outputs)
+    }
+}
+
+impl Serialize for Consequents {
+    fn to_content(&self) -> Content {
+        Content::Seq(self.rows().map(|row| row.to_content()).collect())
+    }
+}
+
+impl Deserialize for Consequents {
+    fn from_content(c: &Content) -> Result<Self, DeError> {
+        let rows = Vec::<Vec<f64>>::from_content(c)?;
+        let outputs = rows.first().map_or(0, Vec::len);
+        if outputs == 0 || rows.iter().any(|row| row.len() != outputs) {
+            return Err(DeError::new("consequents must be rows of equal, nonzero length"));
         }
-        for row in &mut self.centers {
-            for x in row {
-                *x *= s;
-            }
-        }
+        Ok(Self { values: rows.concat(), outputs })
     }
 }
 
@@ -128,8 +273,8 @@ impl FnnGradients {
 pub struct Fnn {
     inputs: Vec<InputSpec>,
     output_names: Vec<String>,
-    /// `consequents[rule][output]` — the trainable TS crisp values.
-    consequents: Vec<Vec<f64>>,
+    /// The trainable TS crisp values, `rules × outputs`.
+    consequents: Consequents,
     /// `rule_labels[rule][input]` — which fuzzy set of each input the
     /// rule's antecedent uses (mixed-radix decomposition, precomputed).
     rule_labels: Vec<Vec<usize>>,
@@ -159,6 +304,13 @@ impl Fnn {
             );
         }
         let n_rules: usize = inputs.iter().map(|s| s.memberships.len()).product();
+        // The consequent block comes before the per-rule label vectors so
+        // that it is not the newest allocation: freed last, a large block
+        // at the top of the heap let glibc hand the heap back and fault
+        // it in again whenever a network is rebuilt after the simulator's
+        // traces (8x the minor faults in a repeated explore set-up).
+        let outputs = output_names.len();
+        let consequents = Consequents { values: vec![0.0; n_rules * outputs], outputs };
         let mut rule_labels = Vec::with_capacity(n_rules);
         for r in 0..n_rules {
             let mut rest = r;
@@ -170,7 +322,6 @@ impl Fnn {
             }
             rule_labels.push(labels);
         }
-        let consequents = vec![vec![0.0; output_names.len()]; n_rules];
         Self { inputs, output_names, consequents, rule_labels }
     }
 
@@ -194,9 +345,10 @@ impl Fnn {
         &self.output_names
     }
 
-    /// The consequent matrix (`rules × outputs`).
-    pub fn consequents(&self) -> &[Vec<f64>] {
-        &self.consequents
+    /// The consequent matrix (`rules × outputs`), flat and rule-major:
+    /// entry `rule · outputs + output`.
+    pub fn consequents(&self) -> &[f64] {
+        &self.consequents.values
     }
 
     /// The fuzzy-set labels each rule's antecedent uses, per input.
@@ -213,16 +365,27 @@ impl Fnn {
     /// metric followed by the [`MergedParam::ALL`] groups (networks from
     /// [`FnnBuilder::for_space`](crate::FnnBuilder::for_space) do).
     pub fn observation(&self, space: &DesignSpace, point: &DesignPoint, cpi: f64) -> Observation {
+        let mut values = Vec::with_capacity(self.inputs.len());
+        self.observation_into(space, point, cpi, &mut values);
+        Observation { values }
+    }
+
+    /// [`observation`](Self::observation)'s values, appended to `out`.
+    fn observation_into(
+        &self,
+        space: &DesignSpace,
+        point: &DesignPoint,
+        cpi: f64,
+        out: &mut Vec<f64>,
+    ) {
         assert_eq!(
             self.inputs.len(),
             1 + MergedParam::COUNT,
             "observation() requires the canonical 1-metric + merged-param layout"
         );
         assert_eq!(self.inputs[0].kind, InputKind::Metric);
-        let mut values = Vec::with_capacity(self.inputs.len());
-        values.push(cpi);
-        values.extend(MergedParam::ALL.iter().map(|g| g.value(space, point)));
-        Observation { values }
+        out.push(cpi);
+        out.extend(MergedParam::ALL.iter().map(|g| g.value(space, point)));
     }
 
     /// Runs the five layers on an observation.
@@ -232,38 +395,55 @@ impl Fnn {
     /// Panics if the observation length does not match the input count.
     pub fn forward(&self, obs: &Observation) -> ForwardPass {
         assert_eq!(obs.values.len(), self.inputs.len(), "observation length mismatch");
-        // Layer 1: fuzzification.
-        let memberships: Vec<[f64; MAX_SETS]> = self
-            .inputs
-            .iter()
-            .zip(&obs.values)
-            .map(|(spec, &x)| {
-                let mut row = [0.0; MAX_SETS];
-                for (slot, m) in row.iter_mut().zip(&spec.memberships) {
-                    *slot = m.eval(x);
-                }
-                row
-            })
-            .collect();
-        // Layer 2: product t-norm firing strengths.
+        let mut memberships = vec![[0.0; MAX_SETS]; self.inputs.len()];
         let mut normalized = vec![0.0; self.rule_count()];
-        self.rule_products(&memberships, None, &mut normalized);
+        let mut scores = vec![0.0; self.output_count()];
+        let strength_sum =
+            self.forward_into(&obs.values, &mut memberships, &mut normalized, &mut scores);
+        ForwardPass { scores, memberships, normalized, strength_sum, values: obs.values.clone() }
+    }
+
+    /// The five layers on `values`, written to the front of the other
+    /// slices; returns the strength sum.
+    fn forward_into(
+        &self,
+        values: &[f64],
+        memberships: &mut [[f64; MAX_SETS]],
+        normalized: &mut [f64],
+        scores: &mut [f64],
+    ) -> f64 {
+        // Layer 1: fuzzification.
+        for ((row, spec), &x) in memberships.iter_mut().zip(&self.inputs).zip(values) {
+            *row = [0.0; MAX_SETS];
+            for (slot, m) in row.iter_mut().zip(&spec.memberships) {
+                *slot = m.eval(x);
+            }
+        }
+        // Layer 2: product t-norm firing strengths.
+        let normalized = &mut normalized[..self.rule_count()];
+        self.rule_products(memberships, None, normalized);
         // Layer 3: normalization, in place.
         let strength_sum: f64 = normalized.iter().sum::<f64>().max(1e-300);
-        for w in &mut normalized {
+        for w in normalized.iter_mut() {
             *w /= strength_sum;
         }
-        // Layers 4+5: TS defuzzification and weighted-sum output.
-        let mut scores = vec![0.0; self.output_names.len()];
-        for (r, &n) in normalized.iter().enumerate() {
-            if n == 0.0 {
-                continue;
-            }
-            for (o, s) in scores.iter_mut().enumerate() {
-                *s += n * self.consequents[r][o];
+        // Layers 4+5: TS defuzzification and weighted-sum output, one
+        // rule row at a time.
+        let scores = &mut scores[..self.output_count()];
+        if let Ok(scores) = <&mut [f64; Param::COUNT]>::try_from(&mut *scores) {
+            *scores = weighted_rows(normalized, &self.consequents.values);
+        } else {
+            scores.fill(0.0);
+            for (&n, weights) in normalized.iter().zip(self.consequents.rows()) {
+                if n == 0.0 {
+                    continue;
+                }
+                for (s, &w) in scores.iter_mut().zip(weights) {
+                    *s += n * w;
+                }
             }
         }
-        ForwardPass { scores, memberships, normalized, strength_sum, observation: obs.clone() }
+        strength_sum
     }
 
     /// Products of the inputs' memberships for every rule, in rule order,
@@ -287,10 +467,20 @@ impl Fnn {
             let n = spec.memberships.len();
             // Back to front, so entry k is read before any write lands
             // on it (its products go to k·n.., never below k).
-            for k in (0..len).rev() {
-                let w = out[k];
-                for (slot, &m) in out[k * n..(k + 1) * n].iter_mut().zip(mu) {
-                    *slot = w * m;
+            let out = &mut out[..len * n];
+            if n == 2 {
+                let [m0, m1, _] = *mu;
+                for k in (0..len).rev() {
+                    let w = out[k];
+                    out[2 * k] = w * m0;
+                    out[2 * k + 1] = w * m1;
+                }
+            } else {
+                for k in (0..len).rev() {
+                    let w = out[k];
+                    for (slot, &m) in out[k * n..(k + 1) * n].iter_mut().zip(mu) {
+                        *slot = w * m;
+                    }
                 }
             }
             len *= n;
@@ -300,7 +490,7 @@ impl Fnn {
     /// All-zero gradients shaped like this network's trainable weights.
     pub fn zero_gradients(&self) -> FnnGradients {
         FnnGradients {
-            consequents: vec![vec![0.0; self.output_count()]; self.rule_count()],
+            consequents: vec![0.0; self.consequents.values.len()],
             centers: self.inputs.iter().map(|s| vec![0.0; s.memberships.len()]).collect(),
         }
     }
@@ -312,7 +502,7 @@ impl Fnn {
     /// # Panics
     ///
     /// Panics if `d_scores.len()` does not match the output count.
-    pub fn backward(&self, pass: &ForwardPass, d_scores: &[f64]) -> FnnGradients {
+    pub fn backward<'a>(&self, pass: impl Into<PassRef<'a>>, d_scores: &[f64]) -> FnnGradients {
         let mut grads = self.zero_gradients();
         self.backward_into(pass, d_scores, &mut grads, true, &mut Vec::new());
         grads
@@ -333,16 +523,18 @@ impl Fnn {
     ///
     /// Panics if `d_scores.len()` does not match the output count or
     /// `sum` is not shaped like [`zero_gradients`](Self::zero_gradients).
-    pub fn backward_into(
+    pub fn backward_into<'a>(
         &self,
-        pass: &ForwardPass,
+        pass: impl Into<PassRef<'a>>,
         d_scores: &[f64],
         sum: &mut FnnGradients,
         first: bool,
         scratch: &mut Vec<f64>,
     ) {
-        assert_eq!(d_scores.len(), self.output_names.len(), "d_scores length mismatch");
-        assert_eq!(sum.consequents.len(), self.rule_count(), "gradient shape mismatch");
+        let pass = pass.into();
+        let outputs = self.output_count();
+        assert_eq!(d_scores.len(), outputs, "d_scores length mismatch");
+        assert_eq!(sum.consequents.len(), self.consequents.values.len(), "gradient shape mismatch");
         assert_eq!(sum.centers.len(), self.inputs.len(), "gradient shape mismatch");
         let fold = |slot: &mut f64, v: f64| {
             if first {
@@ -352,20 +544,35 @@ impl Fnn {
             }
         };
 
-        // ∂L/∂consequent, and ∂L/∂normalized-strength (q) into scratch.
+        // ∂L/∂consequent, and ∂L/∂normalized-strength (q) into scratch,
+        // one rule row at a time.
         scratch.clear();
-        for ((row, weights), &n) in
-            sum.consequents.iter_mut().zip(&self.consequents).zip(&pass.normalized)
-        {
-            let mut q = 0.0;
-            for ((slot, &w), &g) in row.iter_mut().zip(weights).zip(d_scores) {
-                fold(slot, n * g);
-                q += w * g;
+        if let Ok(g) = <&[f64; Param::COUNT]>::try_from(d_scores) {
+            consequent_rows(
+                pass.normalized,
+                &self.consequents.values,
+                g,
+                &mut sum.consequents,
+                first,
+                scratch,
+            );
+        } else {
+            for ((row, weights), &n) in sum
+                .consequents
+                .chunks_exact_mut(outputs)
+                .zip(self.consequents.rows())
+                .zip(pass.normalized)
+            {
+                let mut q = 0.0;
+                for ((slot, &w), &g) in row.iter_mut().zip(weights).zip(d_scores) {
+                    fold(slot, n * g);
+                    q += w * g;
+                }
+                scratch.push(q);
             }
-            scratch.push(q);
         }
         // Through normalization, in place: ∂L/∂w_r = (q_r − Σ_j q_j·n_j) / S.
-        let q_dot_n: f64 = scratch.iter().zip(&pass.normalized).map(|(a, b)| a * b).sum();
+        let q_dot_n: f64 = scratch.iter().zip(pass.normalized).map(|(a, b)| a * b).sum();
         for q in scratch.iter_mut() {
             *q = (*q - q_dot_n) / pass.strength_sum;
         }
@@ -373,36 +580,122 @@ impl Fnn {
         scratch.resize(2 * rules, 0.0);
         let (d_firing, excl) = scratch.split_at_mut(rules);
 
+        // Through the product t-norm to each membership value:
+        // ∂w_r/∂μ(i,l) = Π_{i'≠i} μ(i', label_{i'}) for rules using (i,l).
+        // Two-set inputs are taken two at a time, so the four label sums
+        // advance together instead of one input's after another's.
+        let mut pending = None;
         for (i, spec) in self.inputs.iter().enumerate() {
-            if spec.kind != InputKind::Parameter {
+            match (spec.kind, spec.memberships.len()) {
                 // Metric centers are frozen.
-                sum.centers[i].iter_mut().for_each(|slot| fold(slot, 0.0));
-                continue;
-            }
-            // Through the product t-norm to each membership value:
-            // ∂w_r/∂μ(i,l) = Π_{i'≠i} μ(i', label_{i'}) for rules using
-            // (i,l). Rules run as (hi, l, lo) blocks — hi the labels of
-            // the inputs before i, lo those after — and rule (hi, l, lo)'s
-            // exclusive product is entry (hi, lo) of the products without
-            // input i. Each label's sum still folds in rule order.
-            self.rule_products(&pass.memberships, Some(i), excl);
-            let sets = spec.memberships.len();
-            let lo: usize = self.inputs[i + 1..].iter().map(|s| s.memberships.len()).product();
-            let mut d_membership = [0.0f64; MAX_SETS];
-            for (block, excl_hi) in d_firing.chunks_exact(sets * lo).zip(excl.chunks_exact(lo)) {
-                for (d, dws) in d_membership.iter_mut().zip(block.chunks_exact(lo)) {
-                    for (&dw, &e) in dws.iter().zip(excl_hi) {
-                        if dw != 0.0 {
-                            *d += dw * e;
+                (InputKind::Metric, _) => {
+                    sum.centers[i].iter_mut().for_each(|slot| fold(slot, 0.0));
+                }
+                (InputKind::Parameter, 2) => match pending.take() {
+                    None => pending = Some(i),
+                    Some(a) => {
+                        let d = self.two_set_membership_grads([a, i], &pass, d_firing, excl);
+                        self.fold_center_grads(a, &d[0], &pass, sum, first);
+                        self.fold_center_grads(i, &d[1], &pass, sum, first);
+                    }
+                },
+                (InputKind::Parameter, sets) => {
+                    // Rules run as (hi, l, lo) blocks — hi the labels of
+                    // the inputs before i, lo those after — and rule
+                    // (hi, l, lo)'s exclusive product is entry (hi, lo) of
+                    // the products without input i. Each label's sum
+                    // folds in rule order.
+                    self.rule_products(pass.memberships, Some(i), excl);
+                    let lo = self.rules_after(i);
+                    let mut d_membership = [0.0f64; MAX_SETS];
+                    for (block, excl_hi) in
+                        d_firing.chunks_exact(sets * lo).zip(excl.chunks_exact(lo))
+                    {
+                        for (d, dws) in d_membership.iter_mut().zip(block.chunks_exact(lo)) {
+                            for (&dw, &e) in dws.iter().zip(excl_hi) {
+                                if dw != 0.0 {
+                                    *d += dw * e;
+                                }
+                            }
                         }
                     }
+                    self.fold_center_grads(i, &d_membership[..sets], &pass, sum, first);
                 }
             }
-            // Through fuzzification to the trainable centers.
-            let x = pass.observation.values[i];
-            for ((slot, m), d) in sum.centers[i].iter_mut().zip(&spec.memberships).zip(d_membership)
-            {
-                fold(slot, d * m.d_center(x));
+        }
+        if let Some(a) = pending {
+            let [d] = self.two_set_membership_grads([a], &pass, d_firing, excl);
+            self.fold_center_grads(a, &d, &pass, sum, first);
+        }
+    }
+
+    /// Rules spanned by the labels of the inputs after input `i`.
+    fn rules_after(&self, i: usize) -> usize {
+        self.inputs[i + 1..].iter().map(|s| s.memberships.len()).product()
+    }
+
+    /// `∂L/∂μ(i, l)` for `N` two-set inputs `i` and both their labels `l`,
+    /// from the firing-strength gradients `d_firing`; `excl` is scratch
+    /// for the inputs' exclusive products.
+    ///
+    /// Input `i`'s exclusive products run in (hi, lo) order — hi the
+    /// labels of the inputs before it, lo those after — and entry
+    /// (hi, lo) belongs to rules (hi, 0, lo) and (hi, 1, lo), so each
+    /// label's sum folds in rule order. Every term is added, even one with
+    /// a zero gradient: the products are finite (memberships lie in
+    /// [0, 1]) unless a membership is NaN, which makes every gradient NaN,
+    /// so such a term is ±0, and a sum that starts at +0.0 is never -0.0.
+    fn two_set_membership_grads<const N: usize>(
+        &self,
+        inputs: [usize; N],
+        pass: &PassRef<'_>,
+        d_firing: &[f64],
+        excl: &mut [f64],
+    ) -> [[f64; 2]; N] {
+        let half = d_firing.len() / 2;
+        for (&i, products) in inputs.iter().zip(excl.chunks_exact_mut(half)) {
+            self.rule_products(pass.memberships, Some(i), products);
+        }
+        let lo = inputs.map(|i| self.rules_after(i));
+        // Per input, the rule of label 0 at the current entry: `base` the
+        // start of its (hi, ·, ·) block, `j` its lo offset.
+        let mut base = [0usize; N];
+        let mut j = [0usize; N];
+        let mut d = [[0.0f64; 2]; N];
+        for entry in 0..half {
+            for k in 0..N {
+                let e = excl[k * half + entry];
+                let r = base[k] + j[k];
+                d[k][0] += d_firing[r] * e;
+                d[k][1] += d_firing[r + lo[k]] * e;
+                j[k] += 1;
+                if j[k] == lo[k] {
+                    j[k] = 0;
+                    base[k] += 2 * lo[k];
+                }
+            }
+        }
+        d
+    }
+
+    /// Folds `∂L/∂μ(i, ·)` through fuzzification into input `i`'s center
+    /// gradients.
+    fn fold_center_grads(
+        &self,
+        i: usize,
+        d_membership: &[f64],
+        pass: &PassRef<'_>,
+        sum: &mut FnnGradients,
+        first: bool,
+    ) {
+        let x = pass.values[i];
+        let memberships = &self.inputs[i].memberships;
+        for ((slot, m), &d) in sum.centers[i].iter_mut().zip(memberships).zip(d_membership) {
+            let v = d * m.d_center(x);
+            if first {
+                *slot = v;
+            } else {
+                *slot += v;
             }
         }
     }
@@ -414,11 +707,10 @@ impl Fnn {
     ///
     /// Panics if the gradient shapes do not match this network.
     pub fn apply(&mut self, grads: &FnnGradients, lr_consequent: f64, lr_center: f64) {
-        assert_eq!(grads.consequents.len(), self.rule_count(), "gradient shape mismatch");
-        for (row, grow) in self.consequents.iter_mut().zip(&grads.consequents) {
-            for (w, g) in row.iter_mut().zip(grow) {
-                *w -= lr_consequent * g;
-            }
+        let weights = &mut self.consequents.values;
+        assert_eq!(grads.consequents.len(), weights.len(), "gradient shape mismatch");
+        for (w, g) in weights.iter_mut().zip(&grads.consequents) {
+            *w -= lr_consequent * g;
         }
         for (i, spec) in self.inputs.iter_mut().enumerate() {
             if spec.kind != InputKind::Parameter {
@@ -452,13 +744,65 @@ impl Fnn {
         for m in &mut spec.memberships {
             m.set_center(threshold);
         }
+        let outputs = self.output_count();
         for (r, labels) in self.rule_labels.iter().enumerate() {
             if labels[input] == 0 {
                 // Antecedent "<input> is low" → consequent "<output> can
                 // increase".
-                self.consequents[r][output] += boost;
+                self.consequents.values[r * outputs + output] += boost;
             }
         }
+    }
+}
+
+// The row loops of the forward and backward passes at a width known when
+// compiling: the canonical network's one output per design parameter.
+// The same operations as the loops over a runtime width, in the same
+// order, but with the row's accumulators or gradients held in registers
+// rather than reloaded for every rule.
+
+/// `Σ_r n_r · weights[r]` over rule rows of `N` weights, rules with zero
+/// strength skipped.
+fn weighted_rows<const N: usize>(normalized: &[f64], weights: &[f64]) -> [f64; N] {
+    let mut scores = [0.0; N];
+    for (&n, row) in normalized.iter().zip(weights.chunks_exact(N)) {
+        if n == 0.0 {
+            continue;
+        }
+        for (s, &w) in scores.iter_mut().zip(row) {
+            *s += n * w;
+        }
+    }
+    scores
+}
+
+/// The consequent gradients `n_r · g` of every rule row, assigned when
+/// `first` and added otherwise, and each row's `q_r = Σ_o w_ro · g_o`
+/// pushed to `q`.
+fn consequent_rows<const N: usize>(
+    normalized: &[f64],
+    weights: &[f64],
+    g: &[f64; N],
+    sum: &mut [f64],
+    first: bool,
+    q: &mut Vec<f64>,
+) {
+    for ((row, weights), &n) in sum.chunks_exact_mut(N).zip(weights.chunks_exact(N)).zip(normalized)
+    {
+        if first {
+            for (slot, &g) in row.iter_mut().zip(g) {
+                *slot = n * g;
+            }
+        } else {
+            for (slot, &g) in row.iter_mut().zip(g) {
+                *slot += n * g;
+            }
+        }
+        let mut q_r = 0.0;
+        for (&w, &g) in weights.iter().zip(g) {
+            q_r += w * g;
+        }
+        q.push(q_r);
     }
 }
 
@@ -529,7 +873,7 @@ mod tests {
     fn scores_bounded_by_consequent_extremes() {
         let mut f = tiny();
         // Set consequents to known range [-2, 3].
-        for (r, row) in f.consequents.iter_mut().enumerate() {
+        for (r, row) in f.consequents.values.chunks_exact_mut(2).enumerate() {
             row[0] = if r % 2 == 0 { -2.0 } else { 3.0 };
             row[1] = 1.0;
         }
@@ -541,7 +885,7 @@ mod tests {
     #[test]
     fn backward_matches_finite_difference_on_consequents() {
         let mut f = tiny();
-        for (r, row) in f.consequents.iter_mut().enumerate() {
+        for (r, row) in f.consequents.values.chunks_exact_mut(2).enumerate() {
             row[0] = (r as f64) * 0.1 - 0.5;
             row[1] = 0.3 - (r as f64) * 0.05;
         }
@@ -552,16 +896,16 @@ mod tests {
         let h = 1e-6;
         for r in [0usize, 5, 11] {
             let mut fp = f.clone();
-            fp.consequents[r][0] += h;
+            fp.consequents.values[r * 2] += h;
             let up = fp.forward(&obs).scores[0];
             let mut fm = f.clone();
-            fm.consequents[r][0] -= h;
+            fm.consequents.values[r * 2] -= h;
             let down = fm.forward(&obs).scores[0];
             let fd = (up - down) / (2.0 * h);
             assert!(
-                (grads.consequents[r][0] - fd).abs() < 1e-6,
+                (grads.consequents[r * 2] - fd).abs() < 1e-6,
                 "rule {r}: analytic {} vs fd {fd}",
-                grads.consequents[r][0]
+                grads.consequents[r * 2]
             );
         }
     }
@@ -569,7 +913,7 @@ mod tests {
     #[test]
     fn backward_matches_finite_difference_on_centers() {
         let mut f = tiny();
-        for (r, row) in f.consequents.iter_mut().enumerate() {
+        for (r, row) in f.consequents.values.chunks_exact_mut(2).enumerate() {
             row[0] = ((r * 7) % 5) as f64 * 0.2 - 0.4;
         }
         let obs = Observation { values: vec![2.2, 4.5, 11.0] };
@@ -605,7 +949,7 @@ mod tests {
     #[test]
     fn apply_descends_the_loss() {
         let mut f = tiny();
-        for row in f.consequents.iter_mut() {
+        for row in f.consequents.values.chunks_exact_mut(2) {
             row[0] = 0.5;
         }
         let obs = Observation { values: vec![2.0, 5.0, 10.0] };
@@ -627,6 +971,33 @@ mod tests {
         // Input A clearly enough (value 8 >> 3.5).
         let high = f.forward(&Observation { values: vec![2.0, 8.0, 10.0] }).scores[0];
         assert!(low > high + 1.0, "low {low} should exceed enough {high}");
+    }
+
+    #[test]
+    fn arena_passes_match_forward_bit_for_bit() {
+        let space = DesignSpace::boom();
+        let mut f = FnnBuilder::for_space(&space).build();
+        f.embed_preference(3, 3.5, 5, 1.5);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let points = [space.smallest(), space.decode(777_777), space.largest()];
+        let mut arena = PassArena::new();
+        for round in 0..2 {
+            // The second round refills buffers the first one grew.
+            arena.clear();
+            for (i, point) in points.iter().enumerate() {
+                arena.push_observed(&f, &space, point, 0.5 + i as f64 + round as f64);
+            }
+            assert_eq!(arena.len(), points.len());
+            for (i, point) in points.iter().enumerate() {
+                let obs = f.observation(&space, point, 0.5 + i as f64 + round as f64);
+                let pass = f.forward(&obs);
+                let stored = arena.get(i);
+                assert_eq!(bits(stored.scores()), bits(&pass.scores));
+                assert_eq!(bits(stored.normalized_strengths()), bits(pass.normalized_strengths()));
+                let d_scores: Vec<f64> = (0..f.output_count()).map(|o| o as f64 - 5.0).collect();
+                assert_eq!(f.backward(stored, &d_scores), f.backward(&pass, &d_scores));
+            }
+        }
     }
 
     #[test]

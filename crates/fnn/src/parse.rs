@@ -158,9 +158,10 @@ pub fn apply_rule(fnn: &mut Fnn, rule: &ParsedRule, boost: f64) -> usize {
         .collect();
     // Route the seed through the gradient interface so the network's
     // internals stay encapsulated.
+    let outputs = fnn.output_count();
     let mut grads = fnn.zero_gradients();
     for &r in &matching {
-        grads.consequents[r][rule.output] = -boost;
+        grads.consequents[r * outputs + rule.output] = -boost;
     }
     fnn.apply(&grads, 1.0, 0.0);
     matching.len()

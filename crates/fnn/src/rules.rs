@@ -79,8 +79,9 @@ impl fmt::Display for Rule {
 /// (all-zero consequents) yields no rules.
 pub fn extract_rules(fnn: &Fnn, cfg: &RuleExtractionConfig) -> Vec<Rule> {
     let mut rules = Vec::new();
+    let outputs = fnn.output_count();
     for (o, output_name) in fnn.output_names().iter().enumerate() {
-        let column: Vec<f64> = fnn.consequents().iter().map(|row| row[o]).collect();
+        let column: Vec<f64> = fnn.consequents().iter().skip(o).step_by(outputs).copied().collect();
         let norm: f64 = column.iter().map(|v| v.abs()).sum();
         if norm < cfg.column_norm_threshold {
             continue; // paper criterion 1: redundant column
@@ -261,7 +262,7 @@ mod tests {
         // Test-only poke through the gradient interface: descend from 0
         // by -value with lr 1.
         let mut grads = f.zero_gradients();
-        grads.consequents[rule][output] = -value;
+        grads.consequents[rule * f.output_count() + output] = -value;
         f.apply(&grads, 1.0, 0.0);
     }
 }

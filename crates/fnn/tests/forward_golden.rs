@@ -48,7 +48,7 @@ fn fnv1a(hash: &mut u64, word: f64) {
 fn trained(space: &DesignSpace, stream: &mut Stream) -> Fnn {
     let mut fnn = FnnBuilder::for_space(space).build();
     let mut grads = fnn.zero_gradients();
-    for row in &mut grads.consequents {
+    for row in grads.consequents.chunks_exact_mut(fnn.output_count()) {
         for g in row {
             *g = stream.uniform(-1.0, 1.0);
         }
@@ -93,7 +93,7 @@ fn digests() -> [u64; 3] {
         let d_scores: Vec<f64> =
             (0..fnn.output_count()).map(|_| stream.uniform(-1.0, 1.0)).collect();
         let grads = fnn.backward(&pass, &d_scores);
-        grads.consequents.iter().chain(&grads.centers).flatten().for_each(|&g| {
+        grads.consequents.iter().chain(grads.centers.iter().flatten()).for_each(|&g| {
             fnv1a(&mut hashes[2], g);
         });
     }

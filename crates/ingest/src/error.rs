@@ -39,6 +39,11 @@ pub enum IngestError {
     /// The program ran past the configured instruction budget without
     /// exiting.
     InstructionLimit(u64),
+    /// A store needed a new memory page beyond the executor's cap.
+    MemoryLimit {
+        /// The cap, in distinct 4 KiB pages.
+        pages: usize,
+    },
     /// The executed stream could not be folded into a valid
     /// [`WorkloadProfile`](dse_workloads::WorkloadProfile).
     Characterize(String),
@@ -86,6 +91,14 @@ impl fmt::Display for IngestError {
             }
             IngestError::InstructionLimit(n) => {
                 write!(f, "program exceeded the {n}-instruction budget without exiting")
+            }
+            IngestError::MemoryLimit { pages } => {
+                write!(
+                    f,
+                    "program stored to more than {pages} distinct 4 KiB pages; at most \
+                           {pages} pages ({} MiB) of memory are accepted",
+                    pages * 4 / 1024
+                )
             }
             IngestError::Characterize(msg) => write!(f, "characterization failed: {msg}"),
         }

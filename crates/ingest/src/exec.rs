@@ -9,8 +9,11 @@
 //!
 //! Memory is a sparse page map: any address is writable, untouched
 //! bytes read as zero. That keeps multi-megabyte BSS/stack regions free
-//! and means fixtures need no `PT_LOAD` segment for their data.
+//! and means fixtures need no `PT_LOAD` segment for their data. Stores
+//! may touch at most [`MAX_PAGES`] distinct pages, so an uploaded
+//! program cannot make the executor allocate without bound.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -37,6 +40,11 @@ impl Default for ExecConfig {
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+/// Most distinct 4 KiB pages a program's memory may hold once a store
+/// needs a new one: 64 MiB. The committed fixtures touch two pages
+/// each, so the cap leaves wide headroom for real programs while
+/// bounding what one upload can make the server allocate.
+pub const MAX_PAGES: usize = 16_384;
 /// Initial stack pointer: high, page-aligned, far from any fixture text.
 const STACK_TOP: u64 = 0x7fff_f000;
 /// Retired-instruction counter flush granularity.
@@ -72,10 +80,26 @@ impl Memory {
         }
     }
 
-    fn write_u8(&mut self, addr: u64, value: u8) {
+    /// Writes one byte of the loaded image. Loading is bounded by the
+    /// image's own size, so it is not capped.
+    fn load_u8(&mut self, addr: u64, value: u8) {
         let page =
             self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
         page[(addr as usize) & (PAGE_SIZE - 1)] = value;
+    }
+
+    /// Stores one byte, failing rather than growing past [`MAX_PAGES`].
+    fn store_u8(&mut self, addr: u64, value: u8) -> Result<(), IngestError> {
+        let pages = self.pages.len();
+        let page = match self.pages.entry(addr >> PAGE_SHIFT) {
+            Entry::Occupied(page) => page.into_mut(),
+            Entry::Vacant(_) if pages >= MAX_PAGES => {
+                return Err(IngestError::MemoryLimit { pages: MAX_PAGES });
+            }
+            Entry::Vacant(slot) => slot.insert(Box::new([0u8; PAGE_SIZE])),
+        };
+        page[(addr as usize) & (PAGE_SIZE - 1)] = value;
+        Ok(())
     }
 
     fn read(&self, addr: u64, width: u64) -> u64 {
@@ -86,10 +110,11 @@ impl Memory {
         value
     }
 
-    fn write(&mut self, addr: u64, width: u64, value: u64) {
+    fn store(&mut self, addr: u64, width: u64, value: u64) -> Result<(), IngestError> {
         for i in 0..width {
-            self.write_u8(addr.wrapping_add(i), (value >> (8 * i)) as u8);
+            self.store_u8(addr.wrapping_add(i), (value >> (8 * i)) as u8)?;
         }
+        Ok(())
     }
 }
 
@@ -153,7 +178,7 @@ impl Executor {
         for segment in &image.segments {
             for (i, &byte) in segment.data.iter().enumerate() {
                 if byte != 0 {
-                    mem.write_u8(segment.vaddr.wrapping_add(i as u64), byte);
+                    mem.load_u8(segment.vaddr.wrapping_add(i as u64), byte);
                 }
             }
             // The BSS tail (memsz beyond filesz) reads as zero already.
@@ -296,7 +321,7 @@ impl Executor {
             Decoded::Store { op, rs1, rs2, offset } => {
                 let deps = [self.dep(rs1), self.dep(rs2)];
                 let addr = self.reg(rs1).wrapping_add(offset as u64);
-                self.mem.write(addr, op.width(), self.reg(rs2));
+                self.mem.store(addr, op.width(), self.reg(rs2))?;
                 Instr { op: Op::Store, deps, addr: Some(addr), branch: None }
             }
             Decoded::AluImm { op, rd, rs1, imm, word } => {
@@ -486,6 +511,38 @@ mod tests {
             enc_i(0x13, 17, 0, 0, 93),   // addi a7, x0, 93 (exit)
             0x0000_0073,                 // ecall
         ]
+    }
+
+    #[test]
+    fn stores_to_ever_new_pages_hit_the_memory_limit() {
+        // lui t0, 0x10000; lui t1, 0x1; loop: sd t1, 0(t0); add t0, t0, t1;
+        // beq x0, x0, loop — one fresh page per iteration, forever.
+        let words = [
+            crate::rv64::enc_u(0x37, 5, 0x1000_0000),
+            crate::rv64::enc_u(0x37, 6, 0x1000),
+            enc_s(0x23, 3, 5, 6, 0),
+            enc_r(0x33, 5, 0, 5, 6, 0),
+            enc_b(0x63, 0, 0, 0, -8),
+        ];
+        let mut exec = Executor::with_config(&image(&words), ExecConfig { max_instrs: 1_000_000 });
+        let err = exec.by_ref().find_map(Result::err).expect("the loop never exits");
+        assert!(matches!(err, IngestError::MemoryLimit { pages: MAX_PAGES }), "{err}");
+        assert!(err.to_string().contains("at most 16384 pages (64 MiB)"), "{err}");
+        assert_eq!(exec.mem.pages.len(), MAX_PAGES);
+        assert!(exec.retired() < 4 * MAX_PAGES as u64, "stopped at the cap, not the budget");
+    }
+
+    #[test]
+    fn fixtures_stay_far_below_the_memory_limit() {
+        for name in ["loop_sum", "stride_c"] {
+            let path = format!("{}/tests/fixtures/{name}.elf", env!("CARGO_MANIFEST_DIR"));
+            let bytes = std::fs::read(&path).expect("fixture exists");
+            let mut exec = Executor::new(&ElfImage::parse(&bytes).expect("fixture parses"));
+            for event in exec.by_ref() {
+                event.expect("fixture runs to exit");
+            }
+            assert!(exec.mem.pages.len() * 100 < MAX_PAGES, "{name}");
+        }
     }
 
     #[test]

@@ -2,30 +2,69 @@
 
 use std::collections::HashMap;
 
-use dse_fnn::{Fnn, ForwardPass};
+use dse_fnn::{Fnn, PassArena, PassRef};
 use dse_space::{DesignPoint, DesignSpace, Param};
 use rand::Rng;
 
 use crate::{param_bits, policy, Constraint, LowFidelity};
 
 /// One decision of an episode, retained for the policy-gradient update.
-#[derive(Debug, Clone)]
-pub struct EpisodeStep {
+#[derive(Debug, Clone, Copy)]
+pub struct EpisodeStep<'a> {
     /// Cached FNN activations at the decision state.
-    pub pass: ForwardPass,
+    pub pass: PassRef<'a>,
     /// Action probabilities the step was sampled from.
-    pub probs: Vec<f64>,
+    pub probs: &'a [f64],
     /// The chosen action (index into [`Param::ALL`]).
     pub action: usize,
 }
 
-/// A complete episode: the decision trajectory and the terminal design.
-#[derive(Debug, Clone)]
+/// The decision trajectory of one rollout, in flat buffers.
+///
+/// [`rollout`] clears and refills an episode, so a phase that rolls
+/// every episode into the same one allocates nothing per step once the
+/// buffers have grown to the longest episode.
+#[derive(Debug, Clone, Default)]
 pub struct Episode {
-    /// Decisions in order.
-    pub steps: Vec<EpisodeStep>,
-    /// The design reached when no legal action remained.
-    pub final_point: DesignPoint,
+    passes: PassArena,
+    /// [`Param::COUNT`] action probabilities per step.
+    probs: Vec<f64>,
+    actions: Vec<usize>,
+}
+
+impl Episode {
+    /// An empty episode.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of decisions.
+    pub fn len(&self) -> usize {
+        self.actions.len()
+    }
+
+    /// Whether the episode took no decision.
+    pub fn is_empty(&self) -> bool {
+        self.actions.is_empty()
+    }
+
+    /// The `t`-th decision.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t >= self.len()`.
+    pub fn step(&self, t: usize) -> EpisodeStep<'_> {
+        EpisodeStep {
+            pass: self.passes.get(t),
+            probs: &self.probs[t * Param::COUNT..][..Param::COUNT],
+            action: self.actions[t],
+        }
+    }
+
+    /// The decisions in order.
+    pub fn steps(&self) -> impl ExactSizeIterator<Item = EpisodeStep<'_>> {
+        (0..self.len()).map(|t| self.step(t))
+    }
 }
 
 /// What a rollout asks about one design point, answered once.
@@ -85,25 +124,27 @@ impl<'a, L: LowFidelity, C: Constraint> StepMemo<'a, L, C> {
         })
     }
 
-    /// The FNN pass and the legal-action mask at `point`, or `None` when
-    /// no action is legal (the episode ends there).
-    fn decision(
+    /// The FNN pass at `point`, appended to `passes`, and the
+    /// legal-action mask; `None` when no action is legal (the episode
+    /// ends there).
+    fn decision<'p>(
         &mut self,
         fnn: &Fnn,
         point: &DesignPoint,
-    ) -> Option<(ForwardPass, [bool; Param::COUNT])> {
+        passes: &'p mut PassArena,
+    ) -> Option<(PassRef<'p>, [bool; Param::COUNT])> {
         let probe = self.probe(point);
         if probe.legal == 0 {
             return None;
         }
-        let pass = fnn.forward(&fnn.observation(self.space, point, probe.cpi));
+        let pass = passes.push_observed(fnn, self.space, point, probe.cpi);
         Some((pass, std::array::from_fn(|i| probe.legal >> i & 1 == 1)))
     }
 }
 
-/// Rolls out one stochastic episode (§3): starting from `start`, sample
-/// one parameter to grow per step from the FNN's masked softmax until no
-/// legal action remains.
+/// Rolls out one stochastic episode (§3) into `episode`: starting from
+/// `start`, sample one parameter to grow per step from the FNN's masked
+/// softmax until no legal action remains. Returns the design reached.
 ///
 /// In the LF phase the memo is masked and only gradient-endorsed actions
 /// are legal; the HF phase's memo is not ("the actions in the HF phase
@@ -117,17 +158,21 @@ pub fn rollout<L: LowFidelity, C: Constraint>(
     memo: &mut StepMemo<'_, L, C>,
     start: DesignPoint,
     rng: &mut impl Rng,
-) -> Episode {
+    episode: &mut Episode,
+) -> DesignPoint {
+    let Episode { passes, probs, actions } = episode;
+    passes.clear();
+    probs.clear();
+    actions.clear();
     let mut point = start;
-    let mut steps = Vec::new();
-    while let Some((pass, legal)) = memo.decision(fnn, &point) {
-        let probs = policy::softmax_masked(&pass.scores, &legal);
-        let action = policy::sample(&probs, rng);
+    while let Some((pass, legal)) = memo.decision(fnn, &point, passes) {
+        let step_probs = policy::softmax_masked_into(pass.scores(), &legal, probs);
+        let action = policy::sample(step_probs, rng);
         let param = Param::from_index(action).expect("action indexes Param::ALL");
         point = point.increased(memo.space, param).expect("legal actions are in range");
-        steps.push(EpisodeStep { pass, probs, action });
+        actions.push(action);
     }
-    Episode { steps, final_point: point }
+    point
 }
 
 /// Deterministic greedy rollout ("the parameter with the highest score
@@ -139,8 +184,14 @@ pub fn greedy_rollout<L: LowFidelity, C: Constraint>(
     start: DesignPoint,
 ) -> DesignPoint {
     let mut point = start;
-    while let Some((pass, legal)) = memo.decision(fnn, &point) {
-        let action = policy::argmax_masked(&pass.scores, &legal);
+    // Only the current step's pass is needed; clearing keeps the buffers.
+    let mut passes = PassArena::new();
+    loop {
+        passes.clear();
+        let Some((pass, legal)) = memo.decision(fnn, &point, &mut passes) else {
+            break;
+        };
+        let action = policy::argmax_masked(pass.scores(), &legal);
         let param = Param::from_index(action).expect("action indexes Param::ALL");
         point = point.increased(memo.space, param).expect("legal actions are in range");
     }
@@ -163,10 +214,11 @@ mod tests {
         let constraint = SumConstraint { max_index_sum: 12 };
         let mut rng = StdRng::seed_from_u64(1);
         let mut memo = StepMemo::new(&space, &lf, &constraint, false);
-        let ep = rollout(&fnn, &mut memo, space.smallest(), &mut rng);
-        let sum: usize = ep.final_point.indices().iter().sum();
+        let mut ep = Episode::new();
+        let final_point = rollout(&fnn, &mut memo, space.smallest(), &mut rng, &mut ep);
+        let sum: usize = final_point.indices().iter().sum();
         assert!(sum <= 12, "constraint violated: {sum}");
-        assert_eq!(ep.steps.len(), sum, "one index bump per step");
+        assert_eq!(ep.len(), sum, "one index bump per step");
     }
 
     #[test]
@@ -177,8 +229,8 @@ mod tests {
         let constraint = SumConstraint { max_index_sum: 40 };
         let mut rng = StdRng::seed_from_u64(2);
         let mut memo = StepMemo::new(&space, &lf, &constraint, true);
-        let ep = rollout(&fnn, &mut memo, space.smallest(), &mut rng);
-        for (i, &idx) in ep.final_point.indices().iter().enumerate() {
+        let final_point = rollout(&fnn, &mut memo, space.smallest(), &mut rng, &mut Episode::new());
+        for (i, &idx) in final_point.indices().iter().enumerate() {
             if !QuadraticLf::ENDORSED.contains(&i) {
                 assert_eq!(idx, 0, "param {i} was grown despite not being endorsed");
             }
@@ -208,8 +260,9 @@ mod tests {
         let constraint = SumConstraint { max_index_sum: 0 };
         let mut rng = StdRng::seed_from_u64(3);
         let mut memo = StepMemo::new(&space, &lf, &constraint, false);
-        let ep = rollout(&fnn, &mut memo, space.smallest(), &mut rng);
-        assert!(ep.steps.is_empty());
-        assert_eq!(ep.final_point, space.smallest());
+        let mut ep = Episode::new();
+        let final_point = rollout(&fnn, &mut memo, space.smallest(), &mut rng, &mut ep);
+        assert!(ep.is_empty());
+        assert_eq!(final_point, space.smallest());
     }
 }

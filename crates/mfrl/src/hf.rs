@@ -8,8 +8,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::{
-    rollout, train_on_episode, Constraint, LfOutcome, LowFidelity, ReinforceConfig, StepMemo,
-    EPSILON,
+    rollout, train_on_episode, Constraint, Episode, LfOutcome, LowFidelity, ReinforceConfig,
+    StepMemo, EPSILON,
 };
 
 /// Configuration of the HF phase.
@@ -165,32 +165,33 @@ impl HfPhase {
         // Unmasked: "the actions in the HF phase are no longer
         // restricted by the analytical model".
         let mut memo = StepMemo::new(space, lf, constraint, false);
+        let mut episode = Episode::new();
         for episode_idx in 0..max_episodes {
             if ledger.hf_remaining() == Some(0) {
                 break;
             }
             let start = starts[rng.gen_range(0..starts.len())].clone();
-            let episode = rollout(fnn, &mut memo, start, &mut rng);
-            let entry = hf.route(ledger, space, &episode.final_point);
+            let final_point = rollout(fnn, &mut memo, start, &mut rng, &mut episode);
+            let entry = hf.route(ledger, space, &final_point);
             let Some(cpi) = entry.cpi() else {
                 break;
             };
             if let LedgerEntry::Charged(_) = entry {
-                history.push((episode.final_point.clone(), cpi));
+                history.push((final_point.clone(), cpi));
             }
             // eq. 4: reward = IPC − IPC_h0 + ε.
             let reward = 1.0 / cpi - ipc_h0 + EPSILON;
             train_on_episode(fnn, &episode, reward, &cfg.reinforce);
             if trace::enabled() {
                 let best_cpi = history.iter().map(|(_, c)| *c).fold(f64::INFINITY, f64::min);
-                let obs = fnn.observation(space, &episode.final_point, cpi);
+                let obs = fnn.observation(space, &final_point, cpi);
                 let top = explain_top_action(fnn, &obs, 3);
                 trace::event(
                     "episode",
                     &[
                         ("phase", "hf".into()),
                         ("episode", episode_idx.into()),
-                        ("steps", episode.steps.len().into()),
+                        ("steps", episode.len().into()),
                         ("cpi", cpi.into()),
                         ("reward", reward.into()),
                         ("best_cpi", best_cpi.into()),

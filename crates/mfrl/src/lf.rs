@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::{
-    greedy_rollout, rollout, train_on_episode, Constraint, LfEvaluator, LowFidelity,
+    greedy_rollout, rollout, train_on_episode, Constraint, Episode, LfEvaluator, LowFidelity,
     ReinforceConfig, StepMemo, EPSILON,
 };
 
@@ -126,9 +126,10 @@ impl LfPhase {
         let mut policy_cpi_history = Vec::with_capacity(cfg.episodes);
         let mut episode_designs = Vec::with_capacity(cfg.episodes);
 
+        let mut episode = Episode::new();
         for episode_idx in 0..cfg.episodes {
-            let episode = rollout(fnn, &mut memo, space.smallest(), &mut rng);
-            let cpi = memo.cpi(&episode.final_point);
+            let final_point = rollout(fnn, &mut memo, space.smallest(), &mut rng, &mut episode);
+            let cpi = memo.cpi(&final_point);
             let ipc = 1.0 / cpi;
             best_ipc = best_ipc.max(ipc);
             let reward = match cfg.reward {
@@ -141,14 +142,14 @@ impl LfPhase {
             if trace::enabled() {
                 // The decomposition is trace-only: the extra forward
                 // pass never runs when tracing is off.
-                let obs = fnn.observation(space, &episode.final_point, cpi);
+                let obs = fnn.observation(space, &final_point, cpi);
                 let top = explain_top_action(fnn, &obs, 3);
                 trace::event(
                     "episode",
                     &[
                         ("phase", "lf".into()),
                         ("episode", episode_idx.into()),
-                        ("steps", episode.steps.len().into()),
+                        ("steps", episode.len().into()),
                         ("cpi", cpi.into()),
                         ("reward", reward.into()),
                         ("best_cpi", (1.0 / best_ipc).into()),
@@ -157,11 +158,11 @@ impl LfPhase {
                 );
             }
 
-            pool.insert(space.encode(&episode.final_point), episode.final_point.clone());
+            pool.insert(space.encode(&final_point), final_point.clone());
             best_cpi_history.push(1.0 / best_ipc);
             let greedy = greedy_rollout(fnn, &mut memo, space.smallest());
             policy_cpi_history.push(memo.cpi(&greedy));
-            episode_designs.push(episode.final_point);
+            episode_designs.push(final_point);
         }
 
         // Rank the pool through the ledger in one batch call: the batch

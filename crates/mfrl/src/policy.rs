@@ -25,6 +25,18 @@ use rand::Rng;
 /// assert!(p[2] > p[0]);
 /// ```
 pub fn softmax_masked(scores: &[f64], legal: &[bool]) -> Vec<f64> {
+    let mut probs = Vec::with_capacity(scores.len());
+    softmax_masked_into(scores, legal, &mut probs);
+    probs
+}
+
+/// [`softmax_masked`], appended to `out`; returns the appended
+/// probabilities.
+///
+/// # Panics
+///
+/// Panics if the lengths differ or no action is legal.
+pub fn softmax_masked_into<'a>(scores: &[f64], legal: &[bool], out: &'a mut Vec<f64>) -> &'a [f64] {
     assert_eq!(scores.len(), legal.len(), "mask length mismatch");
     assert!(legal.iter().any(|&l| l), "no legal action");
     let max = scores
@@ -33,10 +45,11 @@ pub fn softmax_masked(scores: &[f64], legal: &[bool]) -> Vec<f64> {
         .filter(|(_, &l)| l)
         .map(|(&s, _)| s)
         .fold(f64::NEG_INFINITY, f64::max);
-    let mut probs: Vec<f64> =
-        scores.iter().zip(legal).map(|(&s, &l)| if l { (s - max).exp() } else { 0.0 }).collect();
+    let start = out.len();
+    out.extend(scores.iter().zip(legal).map(|(&s, &l)| if l { (s - max).exp() } else { 0.0 }));
+    let probs = &mut out[start..];
     let sum: f64 = probs.iter().sum();
-    for p in &mut probs {
+    for p in probs.iter_mut() {
         *p /= sum;
     }
     probs

@@ -38,16 +38,16 @@ impl Default for ReinforceConfig {
 ///
 /// Does nothing for an empty episode.
 pub fn train_on_episode(fnn: &mut Fnn, episode: &Episode, reward: f64, cfg: &ReinforceConfig) {
-    if episode.steps.is_empty() {
+    if episode.is_empty() {
         return;
     }
     let mut total = fnn.zero_gradients();
     let mut d_scores = Vec::with_capacity(fnn.output_count());
-    let mut scratch = Vec::with_capacity(fnn.rule_count());
-    for (t, step) in episode.steps.iter().enumerate() {
+    let mut scratch = Vec::with_capacity(2 * fnn.rule_count());
+    for (t, step) in episode.steps().enumerate() {
         d_scores.clear();
-        d_scores.extend(policy::d_log_prob(&step.probs, step.action).map(|g| -reward * g));
-        fnn.backward_into(&step.pass, &d_scores, &mut total, t == 0, &mut scratch);
+        d_scores.extend(policy::d_log_prob(step.probs, step.action).map(|g| -reward * g));
+        fnn.backward_into(step.pass, &d_scores, &mut total, t == 0, &mut scratch);
     }
     fnn.apply(&total, cfg.lr_consequent, cfg.lr_center);
 }
@@ -70,9 +70,10 @@ mod tests {
         let constraint = SumConstraint { max_index_sum: 5 };
         let mut rng = StdRng::seed_from_u64(7);
         let mut memo = StepMemo::new(&space, &lf, &constraint, false);
-        let ep = rollout(&fnn, &mut memo, space.smallest(), &mut rng);
-        assert!(!ep.steps.is_empty());
-        let step0 = &ep.steps[0];
+        let mut ep = Episode::new();
+        rollout(&fnn, &mut memo, space.smallest(), &mut rng, &mut ep);
+        assert!(!ep.is_empty());
+        let step0 = ep.step(0);
         let before = step0.probs[step0.action];
         train_on_episode(&mut fnn, &ep, 1.0, &ReinforceConfig::default());
         // Re-evaluate the policy at the same first state.
@@ -90,8 +91,9 @@ mod tests {
         let constraint = SumConstraint { max_index_sum: 5 };
         let mut rng = StdRng::seed_from_u64(8);
         let mut memo = StepMemo::new(&space, &lf, &constraint, false);
-        let ep = rollout(&fnn, &mut memo, space.smallest(), &mut rng);
-        let step0 = &ep.steps[0];
+        let mut ep = Episode::new();
+        rollout(&fnn, &mut memo, space.smallest(), &mut rng, &mut ep);
+        let step0 = ep.step(0);
         let before = step0.probs[step0.action];
         train_on_episode(&mut fnn, &ep, -1.0, &ReinforceConfig::default());
         let pass = fnn.forward(&obs_of(&fnn, &space, &lf));
@@ -105,8 +107,7 @@ mod tests {
         let space = DesignSpace::boom();
         let mut fnn = FnnBuilder::for_space(&space).build();
         let before = fnn.clone();
-        let ep = Episode { steps: Vec::new(), final_point: space.smallest() };
-        train_on_episode(&mut fnn, &ep, EPSILON, &ReinforceConfig::default());
+        train_on_episode(&mut fnn, &Episode::new(), EPSILON, &ReinforceConfig::default());
         assert_eq!(fnn, before);
     }
 
@@ -122,17 +123,17 @@ mod tests {
     }
 
     fn grads_digest(g: &FnnGradients) -> u64 {
-        digest(g.consequents.iter().chain(&g.centers).flatten().copied())
+        digest(g.consequents.iter().chain(g.centers.iter().flatten()).copied())
     }
 
     /// The per-step fold `train_on_episode` used before the in-place sum:
     /// a fresh `backward` per step, folded with `accumulate`.
     fn reference_fold(fnn: &Fnn, episode: &Episode, reward: f64) -> FnnGradients {
         let mut total: Option<FnnGradients> = None;
-        for step in &episode.steps {
+        for step in episode.steps() {
             let d_scores: Vec<f64> =
-                policy::d_log_prob(&step.probs, step.action).map(|g| -reward * g).collect();
-            let grads = fnn.backward(&step.pass, &d_scores);
+                policy::d_log_prob(step.probs, step.action).map(|g| -reward * g).collect();
+            let grads = fnn.backward(step.pass, &d_scores);
             match &mut total {
                 None => total = Some(grads),
                 Some(t) => t.accumulate(&grads),
@@ -145,10 +146,10 @@ mod tests {
     fn in_place_sum(fnn: &Fnn, episode: &Episode, reward: f64) -> FnnGradients {
         let mut total = fnn.zero_gradients();
         let mut scratch = vec![f64::NAN; 3]; // stale contents must not leak in
-        for (t, step) in episode.steps.iter().enumerate() {
+        for (t, step) in episode.steps().enumerate() {
             let d_scores: Vec<f64> =
-                policy::d_log_prob(&step.probs, step.action).map(|g| -reward * g).collect();
-            fnn.backward_into(&step.pass, &d_scores, &mut total, t == 0, &mut scratch);
+                policy::d_log_prob(step.probs, step.action).map(|g| -reward * g).collect();
+            fnn.backward_into(step.pass, &d_scores, &mut total, t == 0, &mut scratch);
         }
         total
     }
@@ -174,9 +175,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let rewards = [0.37, -0.21, 0.0, EPSILON, -0.0, 1.5];
         let mut memo = StepMemo::new(&space, &lf, &constraint, false);
+        let mut ep = Episode::new();
         for (i, (reward, golden)) in rewards.into_iter().zip(GOLDEN).enumerate() {
-            let ep = rollout(&fnn, &mut memo, space.smallest(), &mut rng);
-            assert_eq!(ep.steps.len(), 27);
+            rollout(&fnn, &mut memo, space.smallest(), &mut rng, &mut ep);
+            assert_eq!(ep.len(), 27);
             let reference = reference_fold(&fnn, &ep, reward);
             let summed = in_place_sum(&fnn, &ep, reward);
             assert_eq!(grads_digest(&reference), golden, "episode {i}: reference fold moved");
@@ -186,7 +188,6 @@ mod tests {
         let weights = fnn
             .consequents()
             .iter()
-            .flatten()
             .copied()
             .chain(fnn.inputs().iter().flat_map(|s| s.memberships.iter().map(|m| m.center())));
         assert_eq!(digest(weights), TRAINED, "trained network moved");

@@ -49,7 +49,7 @@ fn lf_phase_digest(seed: u64) -> u64 {
         fnv1a(&mut hash, space.encode(design));
         fnv1a(&mut hash, cpi.to_bits());
     }
-    for &w in fnn.consequents().iter().flatten() {
+    for &w in fnn.consequents() {
         fnv1a(&mut hash, w.to_bits());
     }
     for spec in fnn.inputs() {
