@@ -1,19 +1,12 @@
-//! Ablation-study regeneration + timing of the knocked-out variants.
+//! Timing of the ablation study's knocked-out variants.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use archdse::experiments::{ablations, AblationConfig};
 use archdse::Explorer;
 use dse_mfrl::RewardKind;
 use dse_workloads::Benchmark;
 
 fn bench_ablations(c: &mut Criterion) {
-    let result = ablations(&AblationConfig::quick());
-    dse_bench::print_artifact(
-        "Ablations: design-choice knock-outs (quick scale)",
-        &result.to_markdown(),
-    );
-
     let mut group = c.benchmark_group("ablations");
     group.sample_size(10);
     type Tweak = fn(Explorer) -> Explorer;

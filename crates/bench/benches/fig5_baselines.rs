@@ -1,13 +1,9 @@
-//! Fig. 5 regeneration + per-optimizer timing.
-//!
-//! Prints the reproduced baseline comparison (mean best CPI per method),
-//! then times each baseline optimizer for one budgeted run against the
-//! real simulator objective.
+//! Fig. 5 per-optimizer timing: each baseline optimizer for one
+//! budgeted run against the real simulator objective.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use archdse::eval::{AreaLimit, SimulatorHf};
-use archdse::experiments::{fig5, Fig5Config};
 use archdse::DesignSpace;
 use dse_baselines::{
     ActBoostOptimizer, BagGbrtOptimizer, BoomExplorerOptimizer, Optimizer, RandomForestOptimizer,
@@ -16,12 +12,6 @@ use dse_baselines::{
 use dse_workloads::Benchmark;
 
 fn bench_fig5(c: &mut Criterion) {
-    let result = fig5(&Fig5Config::quick());
-    dse_bench::print_artifact(
-        "Fig. 5: comparison with baselines (quick scale)",
-        &result.to_markdown(),
-    );
-
     let space = DesignSpace::boom();
     let mut group = c.benchmark_group("fig5");
     group.sample_size(10);

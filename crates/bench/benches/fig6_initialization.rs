@@ -1,21 +1,14 @@
-//! Fig. 6 regeneration + timing of the LF training phase.
-//!
-//! Prints the reproduced initialization study (convergence speed per
-//! membership-center setting), then times a block of LF episodes — the
-//! dominant cost of the initialization experiments.
+//! Timing of the LF training phase: a block of LF episodes, the
+//! dominant cost of the Fig. 6 initialization experiments.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use archdse::eval::{AnalyticalLf, AreaLimit};
-use archdse::experiments::{fig6, Fig6Config};
 use archdse::{DesignSpace, FnnBuilder};
 use dse_mfrl::{LfPhase, LfPhaseConfig};
 use dse_workloads::Benchmark;
 
 fn bench_fig6(c: &mut Criterion) {
-    let result = fig6(&Fig6Config::quick());
-    dse_bench::print_artifact("Fig. 6: initialization study (quick scale)", &result.to_markdown());
-
     let space = DesignSpace::boom();
     let lf = AnalyticalLf::for_benchmark(&space, Benchmark::Dijkstra, 8.0);
     let area = AreaLimit::new(10.0);

@@ -1,24 +1,14 @@
-//! Fig. 7 regeneration + timing of preference-seeded training.
-//!
-//! Prints the reproduced preference-embedding outcome (converged decode
-//! width with and without the preference), then times the embedding +
-//! a short training run.
+//! Timing of Fig. 7's preference-seeded training: the embedding plus a
+//! short training run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use archdse::eval::{AnalyticalLf, AreaLimit};
-use archdse::experiments::{fig7, Fig7Config};
 use archdse::{DesignSpace, FnnBuilder, MergedParam, Param};
 use dse_mfrl::{LfPhase, LfPhaseConfig};
 use dse_workloads::Benchmark;
 
 fn bench_fig7(c: &mut Criterion) {
-    let result = fig7(&Fig7Config::quick());
-    dse_bench::print_artifact(
-        "Fig. 7: embedding preference into FNN (quick scale)",
-        &result.to_markdown(),
-    );
-
     let space = DesignSpace::boom();
     let lf = AnalyticalLf::for_benchmark(&space, Benchmark::FpVvadd, 1.0);
     let area = AreaLimit::new(6.0);

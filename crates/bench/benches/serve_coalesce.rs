@@ -10,7 +10,6 @@
 use archdse::Explorer;
 use archdse_serve::{run_loadgen, spawn, BatcherConfig, LoadgenConfig, ServeConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
-use dse_bench::print_artifact;
 use dse_workloads::Benchmark;
 
 const CLIENTS: usize = 4;
@@ -77,9 +76,9 @@ fn bench_serve_coalesce(c: &mut Criterion) {
     }
     group.finish();
 
-    print_artifact(
-        &format!("serve: {CLIENTS} clients x {REQUESTS_PER_CLIENT} requests x {POINTS_PER_REQUEST} points"),
-        &artifact,
+    eprintln!(
+        "serve: {CLIENTS} clients x {REQUESTS_PER_CLIENT} requests x {POINTS_PER_REQUEST} points\n\
+         {artifact}"
     );
 }
 

@@ -23,7 +23,7 @@
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dse_bench::{print_artifact, write_results_artifact};
+use dse_bench::write_results_artifact;
 use dse_sim::{BatchSimulator, CoreConfig, ExpandedTrace, ReferenceSimulator, Simulator};
 use dse_space::DesignSpace;
 use dse_workloads::{Benchmark, Trace};
@@ -193,12 +193,10 @@ fn record_throughput(
     }
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    print_artifact(
-        &format!(
-            "sim_kernel: {TRACE_LEN} instr x {} benchmarks, largest design, {cores} cores",
-            traces.len()
-        ),
-        &rows.join("\n"),
+    eprintln!(
+        "sim_kernel: {TRACE_LEN} instr x {} benchmarks, largest design, {cores} cores\n{}",
+        traces.len(),
+        rows.join("\n")
     );
     write_results_artifact(
         "BENCH_sim_kernel.json",

@@ -9,7 +9,6 @@
 use archdse::eval::SimulatorHf;
 use archdse::DesignSpace;
 use criterion::{criterion_group, criterion_main, Criterion};
-use dse_bench::print_artifact;
 use dse_space::DesignPoint;
 use dse_workloads::Benchmark;
 
@@ -40,9 +39,10 @@ fn bench_sweep(c: &mut Criterion) {
         .zip(&sequential)
         .map(|(p, cpi)| format!("{:<12} {cpi:.4}", space.encode(p)))
         .collect();
-    print_artifact(
-        &format!("sweep: {DESIGNS} designs x {} traces, {all_cores} core(s)", Benchmark::ALL.len()),
-        &rows.join("\n"),
+    let traces = Benchmark::ALL.len();
+    eprintln!(
+        "sweep: {DESIGNS} designs x {traces} traces, {all_cores} core(s)\n{}",
+        rows.join("\n")
     );
 
     let mut group = c.benchmark_group("sweep");

@@ -1,23 +1,12 @@
-//! Table 2 regeneration + timing of the application-specific flow.
-//!
-//! Prints the reproduced Table 2 rows (LF regret, HF regret, improvement
-//! ratio per benchmark), then times one full LF→HF exploration as the
-//! representative kernel.
+//! Timing of the Table 2 application-specific flow: one full LF→HF
+//! exploration as the representative kernel.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use archdse::experiments::{table2, Table2Config};
 use archdse::Explorer;
 use dse_workloads::Benchmark;
 
 fn bench_table2(c: &mut Criterion) {
-    // Regenerate the table once at bench-quick scale.
-    let result = table2(&Table2Config::quick());
-    dse_bench::print_artifact(
-        "Table 2: application-specific DSE (quick scale)",
-        &result.to_markdown(),
-    );
-
     // Representative kernel: one benchmark's full flow.
     let mut group = c.benchmark_group("table2");
     group.sample_size(10);

@@ -1,28 +1,17 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! Each Criterion bench target regenerates one of the paper's evaluation
-//! artifacts (printing the same rows/series the paper reports) and then
-//! times a representative kernel of that experiment, so `cargo bench`
-//! doubles as both the reproduction driver and a performance regression
-//! net.
+//! The Criterion bench targets only time kernels; the paper's tables
+//! and figures are rendered by `archdse <artifact> --full` alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Prints a titled experiment artifact to stderr (Criterion owns
-/// stdout), so bench logs contain the regenerated tables.
-pub fn print_artifact(title: &str, body: &str) {
-    eprintln!("\n================ {title} ================");
-    eprintln!("{body}");
-    eprintln!("==========================================\n");
-}
-
 /// Writes a machine-readable artifact into the repository's `results/`
 /// directory (creating it if needed) and returns the path written.
 ///
-/// Bench targets use this for the JSON series later PRs compare against
-/// (e.g. `results/BENCH_sim_kernel.json`), alongside the human-readable
-/// [`print_artifact`] tables on stderr.
+/// Bench targets, `archdse loadgen --trend` and `archdse workload-diff`
+/// use this for the JSON records later changes compare against (e.g.
+/// `results/BENCH_sim_kernel.json`).
 ///
 /// # Panics
 ///

@@ -189,8 +189,8 @@ pub(crate) fn cmd_explore(args: &Args) -> Result<i32, Box<dyn Error>> {
         println!("  {line}");
     }
     println!("\nlearned rules:");
-    for rule in report.rules.iter().take(12) {
-        println!("  {rule}");
+    for rule in &report.rules {
+        println!("  {rule}   [strength {:.2}]", rule.strength);
     }
     if let Some(path) = args.value_of::<String>("save-fnn")? {
         std::fs::write(&path, serde_json::to_string_pretty(&report.fnn)?)?;

@@ -159,9 +159,10 @@ pub struct Fig5Result {
 
 impl Fig5Result {
     /// Renders the comparison as a markdown table with per-tier spend
-    /// columns, including each baseline's one-sided paired-bootstrap
-    /// p-value against our method (small p ⇒ our win is unlikely to be
-    /// seed luck), followed by the tier-stack ablation summary.
+    /// columns, including each baseline's exact one-sided paired
+    /// sign-flip p-value against our method (small p ⇒ our win is
+    /// unlikely to be seed luck), followed by the tier-stack ablation
+    /// summary.
     pub fn to_markdown(&self) -> String {
         let ours = self.row("FNN-MFRL (ours)");
         let mut s = String::new();
@@ -178,10 +179,7 @@ impl Fig5Result {
         for r in &self.rows {
             let p = match ours {
                 Some(o) if o.method != r.method && o.per_seed.len() == r.per_seed.len() => {
-                    format!(
-                        "{:.3}",
-                        crate::stats::paired_bootstrap_p(&o.per_seed, &r.per_seed, 5_000, 7)
-                    )
+                    format!("{:.3}", crate::stats::paired_sign_flip_p(&o.per_seed, &r.per_seed))
                 }
                 _ => "—".to_string(),
             };

@@ -82,7 +82,8 @@ pub struct Fig6Result {
 }
 
 impl Fig6Result {
-    /// Renders the study as a markdown table.
+    /// Renders the study as a markdown table followed by every curve,
+    /// sampled every 5th episode.
     pub fn to_markdown(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(
@@ -104,6 +105,12 @@ impl Fig6Result {
                 last,
                 c.episodes_to_converge(last * 0.01)
             );
+        }
+        let _ = writeln!(s, "\nConvergence curves (greedy-policy LF CPI, every 5th episode):");
+        for c in &self.curves {
+            let samples: Vec<String> =
+                c.history.iter().step_by(5).map(|v| format!("{v:.3}")).collect();
+            let _ = writeln!(s, "  {:<22} {}", c.label, samples.join(" "));
         }
         s
     }
@@ -187,6 +194,7 @@ mod tests {
                 c.label
             );
         }
+        assert!(result.to_markdown().contains("Convergence curves"));
         // LF-only study: every charge lands on the LF side.
         assert!(result.ledger.low.evaluations > 0);
         assert_eq!(result.ledger.high.evaluations, 0);

@@ -75,13 +75,20 @@ pub struct Fig7Result {
 }
 
 impl Fig7Result {
-    /// Renders the outcome summary.
+    /// Renders the outcome summary followed by every parameter's
+    /// trajectory, sampled every 5th episode.
     pub fn to_markdown(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "| setting | converged decode width |");
         let _ = writeln!(s, "|---------|-----------------------:|");
         let _ = writeln!(s, "| without preference | {} |", self.baseline_final_decode);
         let _ = writeln!(s, "| with preference (target 4) | {} |", self.final_decode);
+        let _ = writeln!(s, "\nParameter trajectories over training (every 5th episode):");
+        for t in &self.trajectories {
+            let marker = if t.param == Param::DecodeWidth { " <-- preferred" } else { "" };
+            let samples: Vec<String> = t.values.iter().step_by(5).map(|v| format!("{v}")).collect();
+            let _ = writeln!(s, "  {:<18} {}{marker}", t.param.name(), samples.join(" "));
+        }
         s
     }
 }
@@ -135,6 +142,7 @@ mod tests {
         for t in &result.trajectories {
             assert_eq!(t.values.len(), 40);
         }
+        assert!(result.to_markdown().contains("Parameter trajectories"));
         // The headline claim: the embedded preference drives decode at
         // least as high as the plain run, reaching the target of 4.
         assert!(

@@ -3,18 +3,18 @@
 //!
 //! Each experiment has a `Config` with two constructors — `Default`
 //! (paper-scale) and `quick()` (seconds-scale, for CI and smoke tests) —
-//! and returns a serializable result type with a `to_markdown` renderer,
-//! so the bench harness and the examples print the same rows the paper
-//! reports.
+//! and returns a serializable result type whose `to_markdown` renders
+//! the whole artifact. `archdse <artifact> --full` prints exactly that
+//! text, and `results/<artifact>_full.txt` is its redirected stdout.
 //!
-//! | Paper artifact | Driver |
-//! |----------------|--------|
-//! | Table 2 (application-specific LF/HF regrets) | [`table2`] |
-//! | Fig. 5 (baseline comparison) | [`fig5`] |
-//! | Fig. 6 (initialization study) | [`fig6`] |
-//! | Fig. 7 (preference embedding) | [`fig7`] |
-//! | §4.3 rule listing | [`ExplorationReport::rules`](crate::ExplorationReport) |
-//! | design-choice ablations (this repo's addition) | [`ablations`] |
+//! | Paper artifact | Driver | Command |
+//! |----------------|--------|---------|
+//! | Table 2 (application-specific LF/HF regrets) | [`table2`] | `archdse table2 --full` |
+//! | Fig. 5 (baseline comparison) | [`fig5`] | `archdse fig5 --full` |
+//! | Fig. 6 (initialization study) | [`fig6`] | `archdse fig6 --full` |
+//! | Fig. 7 (preference embedding) | [`fig7`] | `archdse fig7 --full` |
+//! | §4.3 rule listing | [`ExplorationReport::rules`](crate::ExplorationReport) | `archdse explore --general --lf-episodes 400 --hf-budget 9 --trace-len 30000 --seed 7` |
+//! | design-choice ablations (this repo's addition) | [`ablations`] | `archdse ablations --full` |
 
 mod ablations;
 mod fig5;

@@ -4,9 +4,6 @@
 //! reproduction should also report spread and whether the win is more
 //! than seed luck. These helpers keep that analysis dependency-free.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 /// Arithmetic mean (0 for an empty slice).
 pub fn mean(v: &[f64]) -> f64 {
     if v.is_empty() {
@@ -26,41 +23,49 @@ pub fn std_dev(v: &[f64]) -> f64 {
     (v.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (v.len() - 1) as f64).sqrt()
 }
 
-/// Paired bootstrap test that `a` is smaller than `b` (both are
-/// per-seed results of two methods run on the *same* seeds).
+/// Exact one-sided paired sign-flip test that `a` is smaller than `b`
+/// (both are per-seed results of two methods run on the *same* seeds).
 ///
-/// Returns the estimated probability that the mean paired difference
-/// `a − b` is ≥ 0, i.e. a one-sided p-value for "method a is better
-/// (lower)". Values near 0 mean a convincingly wins.
+/// If the two methods were interchangeable, each paired difference
+/// `a − b` would be equally likely to carry either sign. The p-value is
+/// the share of all 2ⁿ sign assignments whose summed difference is at
+/// most the observed one, so values near 0 mean a convincingly wins.
+/// The smallest p it can return is 2⁻ⁿ (1/32 at five seeds).
 ///
 /// # Panics
 ///
-/// Panics if the slices are empty or have different lengths.
+/// Panics if the slices are empty, have different lengths or hold more
+/// than 20 pairs (the enumeration is exhaustive).
 ///
 /// # Examples
 ///
 /// ```
-/// use archdse::stats::paired_bootstrap_p;
+/// use archdse::stats::paired_sign_flip_p;
 ///
 /// let ours = [1.0, 1.1, 0.9, 1.0, 1.05];
 /// let theirs = [1.5, 1.6, 1.4, 1.55, 1.45];
-/// assert!(paired_bootstrap_p(&ours, &theirs, 2_000, 0) < 0.05);
+/// assert_eq!(paired_sign_flip_p(&ours, &theirs), 1.0 / 32.0);
 /// ```
-pub fn paired_bootstrap_p(a: &[f64], b: &[f64], resamples: usize, seed: u64) -> f64 {
+pub fn paired_sign_flip_p(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "paired test needs equal-length samples");
     assert!(!a.is_empty(), "paired test needs data");
+    assert!(a.len() <= 20, "exact sign-flip test takes at most 20 pairs, got {}", a.len());
     let diffs: Vec<f64> = a.iter().zip(b).map(|(x, y)| x - y).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut at_least_zero = 0usize;
-    for _ in 0..resamples {
-        let resampled_mean =
-            (0..diffs.len()).map(|_| diffs[rng.gen_range(0..diffs.len())]).sum::<f64>()
-                / diffs.len() as f64;
-        if resampled_mean >= 0.0 {
-            at_least_zero += 1;
-        }
-    }
-    at_least_zero as f64 / resamples as f64
+    let observed: f64 = diffs.iter().sum();
+    // Sums that tie in exact arithmetic may round apart; count them as ties.
+    let tolerance = 1e-12 * diffs.iter().map(|d| d.abs()).sum::<f64>();
+    let flips = 1u32 << diffs.len();
+    let at_most = (0..flips)
+        .filter(|mask| {
+            let sum: f64 = diffs
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| if mask >> i & 1 == 1 { -d } else { d })
+                .sum();
+            sum <= observed + tolerance
+        })
+        .count();
+    at_most as f64 / f64::from(flips)
 }
 
 #[cfg(test)]
@@ -78,35 +83,48 @@ mod tests {
 
     #[test]
     fn clear_winner_gets_small_p() {
+        // Five negative differences: only the observed signs reach the
+        // observed sum, so p is 2^-5, the floor of an exact test at n = 5.
         let a = [1.0, 1.0, 1.0, 1.0, 1.0];
         let b = [2.0, 2.1, 1.9, 2.0, 2.05];
-        assert!(paired_bootstrap_p(&a, &b, 2_000, 1) < 0.01);
+        assert_eq!(paired_sign_flip_p(&a, &b), 1.0 / 32.0);
     }
 
     #[test]
     fn identical_methods_get_p_about_one() {
-        // a - b is exactly 0 everywhere → every resample mean is ≥ 0.
+        // a - b is exactly 0 everywhere → every flipped sum ties at 0.
         let a = [1.0, 2.0, 3.0];
-        assert_eq!(paired_bootstrap_p(&a, &a, 500, 2), 1.0);
+        assert_eq!(paired_sign_flip_p(&a, &a), 1.0);
     }
 
     #[test]
     fn clear_loser_gets_large_p() {
         let a = [2.0, 2.1, 1.9];
         let b = [1.0, 1.0, 1.0];
-        assert!(paired_bootstrap_p(&a, &b, 1_000, 3) > 0.99);
+        assert_eq!(paired_sign_flip_p(&a, &b), 1.0);
+    }
+
+    #[test]
+    fn mixed_signs_match_a_hand_count() {
+        // Differences (-0.1, -0.2, 0.3) sum to 0. Of the eight sums
+        // ±0.1 ±0.2 ±0.3, five are at most 0: -0.6, -0.4, -0.2 and the
+        // two ways to make 0. In floating point those two round to
+        // -5.6e-17 and +5.6e-17, and both must still count.
+        let a = [0.0, 0.0, 0.3];
+        let b = [0.1, 0.2, 0.0];
+        assert_eq!(paired_sign_flip_p(&a, &b), 5.0 / 8.0);
     }
 
     proptest! {
         #[test]
         fn p_is_a_probability(
             pairs in proptest::collection::vec((-5.0_f64..5.0, -5.0_f64..5.0), 2..20),
-            seed in 0u64..10,
         ) {
             let a: Vec<f64> = pairs.iter().map(|p| p.0).collect();
             let b: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-            let p = paired_bootstrap_p(&a, &b, 200, seed);
-            prop_assert!((0.0..=1.0).contains(&p));
+            let p = paired_sign_flip_p(&a, &b);
+            // The observed signs always count, so p never drops below 2^-n.
+            prop_assert!((0.5f64.powi(a.len() as i32)..=1.0).contains(&p));
         }
 
         #[test]

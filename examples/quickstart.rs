@@ -1,23 +1,16 @@
 //! Quickstart: explore the BOOM design space for one benchmark and
-//! print the best design plus the learned fuzzy rules.
+//! print the best design plus the learned fuzzy rules. `archdse space`
+//! prints the design space itself (Table 1).
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
-use archdse::{DesignSpace, Explorer, Param};
+use archdse::Explorer;
 use dse_workloads::Benchmark;
 
 fn main() {
-    let space = DesignSpace::boom();
-    println!("== Design space (Table 1) ==");
-    for p in Param::ALL {
-        let cands: Vec<String> = space.candidates(p).iter().map(|v| format!("{v}")).collect();
-        println!("  {:<18} {}", p.name(), cands.join(", "));
-    }
-    println!("  total designs: {}", space.size());
-
-    println!("\n== DSE: matrix multiplication, 7.5 mm2 budget ==");
+    println!("== DSE: matrix multiplication, 7.5 mm2 budget ==");
     let explorer = Explorer::for_benchmark(Benchmark::Mm)
         .area_limit_mm2(7.5)
         .lf_episodes(120)
