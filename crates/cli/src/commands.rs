@@ -9,13 +9,12 @@ use serde::{Deserialize, Serialize};
 
 use archdse::eval::SimulatorHf;
 use archdse::{CostLedger, DesignSpace, Explorer, Fnn, LedgerSummary, Param};
-use archdse_serve::{run_loadgen, LoadgenConfig, ServeConfig};
+use archdse_serve::{run_loadgen, spawn, BatcherConfig, LoadgenConfig, ServeConfig, ServerHandle};
 use dse_fnn::explain_top_action;
 use dse_mfrl::{Constraint as _, LowFidelity as _};
 use dse_workloads::Benchmark;
 
-use crate::stack::{self, Stack};
-use crate::{table, Args};
+use crate::{table, trend, Args};
 
 /// A bad invocation: [`run`] prints the message as is and returns exit
 /// code 2.
@@ -299,41 +298,19 @@ fn serve_config(args: &Args, addr: &str) -> Result<ServeConfig, Box<dyn Error>> 
 }
 
 pub(crate) fn cmd_serve(args: &Args) -> Result<i32, Box<dyn Error>> {
-    let shards: usize = args.value("shards")?;
-    if shards == 0 {
-        return Err(usage_error("--shards must be >= 1"));
-    }
-    // Checked here too so a sharded parent fails before it forks.
-    threads(args)?;
-    let addr: String = args.value("addr")?;
-    // A sharded parent hosts the router: its records (role "router", no
-    // shard id) go to the plain --trace-out path, each worker's to a
-    // derived .shardN path with the same sampling rate so a trace id gets
-    // the same verdict on both sides of the proxy.
     let traced = install_serve_tracer(args)?;
-    let (stack, detail) = if shards == 1 {
-        let config = serve_config(args, &addr)?;
-        let benchmarks: Vec<&str> = config.explorer.benchmarks().iter().map(|b| b.name()).collect();
-        let detail = format!("serving benchmarks: {}", benchmarks.join(", "));
-        (Stack::single(config)?, detail)
-    } else {
-        let trace_out = args.value_of::<String>("trace-out")?;
-        let sample = args.value("trace-sample")?;
-        let trace = trace_out.as_deref().map(|path| (path, sample));
-        let workers = args.value("router-workers")?;
-        let stack = Stack::sharded(shards, &addr, workers, &stack::child_serve_args(args), trace)?;
-        let shard_addrs: Vec<&str> = stack.children.iter().map(|c| c.addr.as_str()).collect();
-        let detail = format!("routing {shards} shards: {}", shard_addrs.join(", "));
-        (stack, detail)
-    };
+    let config = serve_config(args, &args.value::<String>("addr")?)?;
+    let benchmarks: Vec<&str> = config.explorer.benchmarks().iter().map(|b| b.name()).collect();
+    let benchmarks = benchmarks.join(", ");
+    let server = spawn(config)?;
     // The smoke harness parses this line for the ephemeral port; keep
     // the format stable and flush it before blocking.
-    println!("archdse-serve listening on {}", stack.addr);
-    println!("{detail}");
+    println!("archdse-serve listening on {}", server.addr());
+    println!("serving benchmarks: {benchmarks}");
     println!("POST /v1/shutdown to stop");
     use std::io::Write as _;
     std::io::stdout().flush()?;
-    stack.wait();
+    server.join();
     if traced {
         dse_obs::trace::shutdown()?;
     }
@@ -342,20 +319,27 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<i32, Box<dyn Error>> {
 }
 
 /// Installs the JSONL tracer from serve's `--trace-out` /
-/// `--trace-sample` / `--shard-id` flags; returns whether one was
-/// installed (so the caller flushes it on shutdown). Shard worker
-/// processes are spawned with `--shard-id`, which stamps every record
-/// with the shard number and pid for multi-process merging.
+/// `--trace-sample` flags; returns whether one was installed (so the
+/// caller flushes it on shutdown).
 fn install_serve_tracer(args: &Args) -> Result<bool, Box<dyn Error>> {
     let Some(path) = args.value_of::<String>("trace-out")? else {
         return Ok(false);
     };
     dse_obs::trace::install_file(&path)?;
     dse_obs::trace::set_request_sampling(args.value("trace-sample")?);
-    if let Some(shard) = args.value_of::<u64>("shard-id")? {
-        dse_obs::trace::set_shard(shard);
-    }
     Ok(true)
+}
+
+/// The quick server `loadgen` hosts in its own process for `clients`
+/// concurrent clients. Its evaluation queue holds at least one request
+/// per client, so admission never pushes back on a closed loop the
+/// server can keep up with.
+fn self_hosted(args: &Args, clients: usize) -> Result<ServerHandle, Box<dyn Error>> {
+    let explorer =
+        Explorer::for_benchmark(Benchmark::StringSearch).trace_len(args.value("trace-len")?);
+    let mut config = ServeConfig::new(explorer);
+    config.batcher.queue_capacity = clients.max(BatcherConfig::default().queue_capacity);
+    Ok(spawn(config)?)
 }
 
 /// The loadgen client settings plain and trend runs share; the caller
@@ -382,19 +366,14 @@ pub(crate) fn cmd_loadgen(args: &Args) -> Result<i32, Box<dyn Error>> {
             "--fidelity must be lf, learned, hf or auto, got {fidelity:?}"
         )));
     }
-    let shards: usize = args.value("shards")?;
-    if shards == 0 {
-        return Err(usage_error("--shards must be >= 1"));
-    }
     if args.switch("trend") {
-        return cmd_loadgen_trend(args, &fidelity, shards.max(2));
+        return cmd_loadgen_trend(args, &fidelity);
     }
     let mut config = loadgen_config(args, &fidelity)?;
-    let concurrency = args.value_of::<usize>("concurrency")?;
+    config.clients =
+        args.value_of::<usize>("concurrency")?.unwrap_or(args.value("clients")?).max(1);
+    config.requests_per_client = args.value("requests")?;
     let external = args.value_of::<String>("addr")?;
-    if external.is_some() && shards > 1 {
-        return Err(usage_error("--shards self-hosts a sharded stack; it conflicts with --addr"));
-    }
     let trace_out = args.value_of::<String>("trace-out")?;
     if external.is_some() && trace_out.is_some() {
         return Err(usage_error(
@@ -402,40 +381,26 @@ pub(crate) fn cmd_loadgen(args: &Args) -> Result<i32, Box<dyn Error>> {
         ));
     }
     if let Some(path) = &trace_out {
-        // The self-hosted single server (or the sharded stack's router)
-        // runs in this process; its records land here, shard workers
-        // write derived .shardN files.
+        // The self-hosted server runs in this process; its records land here.
         dse_obs::trace::install_file(path)?;
     }
     // The self-hosted target, torn down after the run; none with --addr.
-    let (addr, stack) = match external {
-        Some(addr) => (addr, None),
-        None if shards == 1 => {
-            // Self-host a quick in-process server for the duration.
-            let explorer = Explorer::for_benchmark(Benchmark::StringSearch)
-                .trace_len(args.value("trace-len")?);
-            let mut config = ServeConfig::new(explorer);
-            config.batcher.queue_capacity = args.value::<usize>("queue-cap")?.max(1);
-            let stack = Stack::single(config)?;
-            println!("(self-hosting a quick server on {})", stack.addr);
-            (stack.addr.clone(), Some(stack))
+    let server = match external {
+        Some(addr) => {
+            config.addr = addr;
+            None
         }
         None => {
-            let workers = concurrency.unwrap_or(64).max(64);
-            let child_args = stack::loadgen_child_args(args)?;
-            let trace = trace_out.as_deref().map(|path| (path, 1));
-            let stack = Stack::sharded(shards, "127.0.0.1:0", workers, &child_args, trace)?;
-            println!("(self-hosting {shards} shard processes behind {})", stack.addr);
-            (stack.addr.clone(), Some(stack))
+            let server = self_hosted(args, config.clients)?;
+            config.addr = server.addr().to_string();
+            println!("(self-hosting a quick server on {})", config.addr);
+            Some(server)
         }
     };
-    config.addr = addr.clone();
-    config.clients = concurrency.unwrap_or(args.value("clients")?).max(1);
-    config.requests_per_client = args.value("requests")?;
     let report = run_loadgen(&config);
     if report.is_ok() {
         if let Some(path) = args.value_of::<String>("metrics-out")? {
-            match archdse_serve::client::get(&addr, "/metrics?format=prometheus") {
+            match archdse_serve::client::get(&config.addr, "/metrics?format=prometheus") {
                 Ok(response) => {
                     std::fs::write(&path, response.body)?;
                     println!("(wrote metrics to {path})");
@@ -444,8 +409,9 @@ pub(crate) fn cmd_loadgen(args: &Args) -> Result<i32, Box<dyn Error>> {
             }
         }
     }
-    if let Some(stack) = stack {
-        stack.teardown();
+    if let Some(server) = server {
+        server.shutdown();
+        server.join();
     }
     if trace_out.is_some() {
         dse_obs::trace::shutdown()?;
@@ -461,39 +427,37 @@ pub(crate) fn cmd_loadgen(args: &Args) -> Result<i32, Box<dyn Error>> {
     Ok(if report.failed == 0 { 0 } else { 1 })
 }
 
-/// The trend matrix: {1, N} shard stacks × a fixed concurrency ladder,
-/// every cell on a freshly booted stack so caches start cold and rows
-/// are comparable.
-fn cmd_loadgen_trend(args: &Args, fidelity: &str, shards_n: usize) -> Result<i32, Box<dyn Error>> {
+/// The trend ladder: one self-hosted server per client count, every cell
+/// on a freshly booted server so caches start cold and rows are
+/// comparable.
+fn cmd_loadgen_trend(args: &Args, fidelity: &str) -> Result<i32, Box<dyn Error>> {
     if args.value_of::<String>("addr")?.is_some() {
-        return Err(usage_error("--trend self-hosts its serving stacks; it conflicts with --addr"));
+        return Err(usage_error("--trend self-hosts its servers; it conflicts with --addr"));
     }
     if args.value_of::<String>("trace-out")?.is_some() {
         return Err(usage_error(
-            "--trend boots many stacks; trace a single run without --trend instead",
+            "--trend boots many servers; trace a single run without --trend instead",
         ));
     }
     let cell = loadgen_config(args, fidelity)?;
     let duration_s = cell.duration.map_or(0.0, |d| d.as_secs_f64());
-    let child_args = stack::loadgen_child_args(args)?;
     let mut rows = Vec::new();
     let mut all_clean = true;
-    for shards in [1, shards_n] {
-        for clients in [16, 256, 1024] {
-            println!("== {shards} shard(s), {clients} clients, {duration_s:.1}s closed-loop ==");
-            let stack = Stack::sharded(shards, "127.0.0.1:0", clients.max(64), &child_args, None)?;
-            let mut config = cell.clone();
-            config.addr = stack.addr.clone();
-            config.clients = clients;
-            let report = run_loadgen(&config);
-            stack.teardown();
-            let report = report?;
-            print!("{}", report.render());
-            all_clean &= report.failed == 0;
-            rows.push(stack::loadgen_row(&report, &config));
-        }
+    for clients in [16, 256, 1024] {
+        println!("== {clients} clients, {duration_s:.1}s closed-loop ==");
+        let server = self_hosted(args, clients)?;
+        let mut config = cell.clone();
+        config.addr = server.addr().to_string();
+        config.clients = clients;
+        let report = run_loadgen(&config);
+        server.shutdown();
+        server.join();
+        let report = report?;
+        print!("{}", report.render());
+        all_clean &= report.failed == 0;
+        rows.push(trend::loadgen_row(&report, &config));
     }
-    stack::record_trend(rows)?;
+    trend::record_trend(rows)?;
     Ok(if all_clean { 0 } else { 1 })
 }
 
@@ -504,18 +468,11 @@ pub(crate) fn cmd_trace_report(args: &Args) -> Result<i32, Box<dyn Error>> {
         ));
     };
     if args.switch("requests") {
-        let mut files = Vec::new();
-        for part in path.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            files.push((part.to_string(), std::fs::read_to_string(part)?));
-        }
-        let report = match crate::trace_report::summarize_requests(&files) {
+        let text = std::fs::read_to_string(&path)?;
+        let report = match crate::trace_report::summarize_requests(&text) {
             Ok(report) => report,
             Err(e) => {
-                eprintln!("{e}");
+                eprintln!("{path}:{e}");
                 return Ok(1);
             }
         };
@@ -762,7 +719,7 @@ mod tests {
             |command: &str, flag: &str| table::find(command).unwrap().flag(flag).is_some();
         assert!(declares("table2", "full"));
         assert!(declares("serve", "max-batch"));
-        assert!(declares("serve", "shards"));
+        assert!(declares("serve", "trace-sample"));
         assert!(declares("serve", "leakage"));
         assert!(declares("loadgen", "concurrency"));
         assert!(declares("loadgen", "trend"));
@@ -801,16 +758,13 @@ mod tests {
     }
 
     #[test]
-    fn loadgen_rejects_contradictory_sharding_flags() {
-        // Zero shards is meaningless for both commands.
-        assert_eq!(run(&args(&["loadgen", "--shards", "0"])).unwrap(), 2);
-        assert_eq!(run(&args(&["serve", "--shards", "0"])).unwrap(), 2);
+    fn loadgen_and_serve_reject_contradictory_flags() {
         // Zero threads is an error everywhere, never silently one.
         assert_eq!(run(&args(&["serve", "--threads", "0"])).unwrap(), 2);
         assert_eq!(run(&args(&["explore", "--threads", "0"])).unwrap(), 2);
         assert_eq!(run(&args(&["sweep", "--threads", "0"])).unwrap(), 2);
-        // A self-hosted shard stack conflicts with an external target.
-        let a = args(&["loadgen", "--addr", "127.0.0.1:1", "--shards", "2"]);
+        // A self-hosted target conflicts with an external one.
+        let a = args(&["loadgen", "--addr", "127.0.0.1:1", "--trace-out", "t.jsonl"]);
         assert_eq!(run(&a).unwrap(), 2);
         let a = args(&["loadgen", "--trend", "--addr", "127.0.0.1:1"]);
         assert_eq!(run(&a).unwrap(), 2);

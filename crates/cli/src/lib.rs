@@ -13,9 +13,9 @@
 //!
 //! Every subcommand and flag is declared once, in the command table
 //! (`table.rs`), which generates the help text, the flag checks and the
-//! defaults; [`commands`] holds the handlers and `stack.rs` the
-//! self-hosted serving stacks of `serve --shards` and `loadgen`. Parsing
-//! is hand-rolled to stay within the workspace's dependency budget.
+//! defaults; [`commands`] holds the handlers and `trend.rs` the rows
+//! `loadgen --trend` records. Parsing is hand-rolled to stay within the
+//! workspace's dependency budget.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,9 +24,9 @@ use std::process::ExitCode;
 
 pub mod args;
 pub mod commands;
-mod stack;
 mod table;
 pub mod trace_report;
+mod trend;
 
 pub use args::{ArgError, Args};
 

@@ -226,18 +226,10 @@ static TABLE: &[Command] = &[
             at once, and batches form behind a running one").default("0"),
         Flag::value("queue-cap", "<n>", "queue depth before 503").default("128"),
         Flag::value("fnn", "<file>", "serve a trained network for /v1/explain"),
-        Flag::value("shards", "<n>", "fork n shard worker processes (each owning a hash slice of \
-            the design space) behind a front router bound to --addr; 1 is a single server, no \
-            router").default("1"),
-        Flag::value("router-workers", "<n>", "router proxy handlers; size at the peak concurrency \
-            to serve without pushback (only with --shards > 1)").default("256"),
-        Flag::value("trace-out", "<file>", "write a JSONL request trace; a sharded run writes the \
-            router's records here plus one <file>.shardN per worker process (merge them with \
+        Flag::value("trace-out", "<file>", "write a JSONL request trace (summarize it with \
             trace-report --requests)"),
         Flag::value("trace-sample", "<n>", "trace 1 in n requests, chosen by a deterministic \
             trace-id hash (1 = every request; 0 = none)").default("1"),
-        Flag::value("shard-id", "<n>", "stamp trace records with this shard number; set by a \
-            sharded parent on its worker processes"),
     ], cmd::cmd_serve),
     Command::new("loadgen", "hammer /v1/evaluate with concurrent clients and report how the \
         coalescer batched them; a plain run prints its report and writes no file", &[
@@ -249,32 +241,27 @@ static TABLE: &[Command] = &[
             503s with backoff"),
         Flag { default_with: &[("trend", "3"), ("concurrency", "2")],
             ..Flag::value("duration", "<s>", "closed-loop run length in seconds") },
-        Flag::value("shards", "<n>", "self-host n shard worker processes behind a router and \
-            hammer the router (conflicts with --addr)").default("1"),
-        Flag::switch("trend", "sweep {1, --shards} shard stacks across {16, 256, 1024} clients \
-            closed-loop and record every row in results/BENCH_loadgen.json"),
+        Flag::switch("trend", "sweep {16, 256, 1024} clients closed-loop, each against a fresh \
+            self-hosted server, and record every row in results/BENCH_loadgen.json"),
         Flag::value("points", "<n>", "design points per request").default("4"),
         Flag::value("fidelity", "<name>", "tier to request: lf|learned|hf, or auto to let the \
             uncertainty gate route").default("lf"),
         Flag::value("seed", "<n>", "point-choice seed").default("1"),
-        Flag::value("trace-len", "<n>", "self-hosted servers' trace length").default("2000"),
-        Flag::value("queue-cap", "<n>", "self-hosted servers' eval queue depth").default("128"),
+        Flag::value("trace-len", "<n>", "self-hosted servers' trace length; their eval queue holds \
+            at least one request per client").default("2000"),
         Flag::switch("trace", "send a client-generated X-ArchDSE-Trace id with every request and \
             report the client RTT vs server-reported-time gap from the Server-Timing response \
             header"),
-        Flag::value("trace-out", "<file>", "trace the self-hosted target (router records here, \
-            one <file>.shardN per shard worker); conflicts with --addr"),
-        Flag::value("metrics-out", "<file>", "dump the target's (aggregated) Prometheus \
-            exposition after the run"),
+        Flag::value("trace-out", "<file>", "trace the self-hosted target; conflicts with --addr"),
+        Flag::value("metrics-out", "<file>", "dump the target's Prometheus exposition after the \
+            run"),
     ], cmd::cmd_loadgen),
     Command::new("trace-report", "summarize a JSONL trace from --trace-out: per-phase wall time, \
         per-fidelity budget totals cross-checked against the ledger, and the hottest spans", &[
-        Flag::value("trace", "<file>", "the trace to read (required); --requests mode accepts a \
-            comma-separated list"),
+        Flag::value("trace", "<file>", "the trace to read (required)"),
         Flag::value("top", "<n>", "slowest spans to list").default("10"),
-        Flag::switch("requests", "per-request timeline mode: merge request records across router \
-            + shard trace files, report per-phase p50/p95/p99 and verify every proxied router \
-            span joins its shard span(s) and phase sums fit the wall time"),
+        Flag::switch("requests", "per-request timeline mode: read a traced server's request \
+            records, report per-phase p50/p95/p99 and verify phase sums fit the wall time"),
     ], cmd::cmd_trace_report),
     Command::new("check-metrics", "validate a Prometheus text exposition (from --metrics-out or \
         /metrics)", &[

@@ -307,7 +307,7 @@ pub fn render(summary: &TraceSummary) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// `--requests` mode: merged per-request timelines across shard traces.
+// `--requests` mode: per-request timelines of a traced server.
 // ---------------------------------------------------------------------------
 
 /// Nearest-rank percentiles over µs samples.
@@ -341,18 +341,12 @@ fn percentiles(samples: Vec<u64>) -> Percentiles {
 /// One `{"type":"request"}` record pulled out of a trace file.
 #[derive(Debug, Clone)]
 pub struct RequestRow {
-    /// The propagated trace id.
+    /// The request's trace id.
     pub trace: String,
-    /// `"router"` or `"server"`.
-    pub role: String,
     /// Low-cardinality endpoint label.
     pub endpoint: String,
     /// Answering HTTP status.
     pub status: u64,
-    /// Shard id, when the record came from a shard worker process.
-    pub shard: Option<u64>,
-    /// Record timestamp (µs from that process's tracer epoch).
-    pub ts_us: u64,
     /// End-to-end wall time, µs.
     pub dur_us: u64,
     /// Named phase durations (`("parse", µs)`, …), record order.
@@ -366,35 +360,11 @@ impl RequestRow {
     }
 }
 
-/// Router endpoints that proxy to shard workers with the trace id
-/// attached; a 200 from one of these must join at least one shard-side
-/// request record. (`healthz` is answered locally; `metrics` and
-/// `shutdown` fan out without trace context by design.)
-const PROXIED_ENDPOINTS: [&str; 6] =
-    ["evaluate", "explain", "explore", "workloads", "jobs", "debug"];
-
-/// What `trace-report --requests` extracts from a merged trace set.
+/// What `trace-report --requests` extracts from a trace.
 #[derive(Debug, Default)]
 pub struct RequestsReport {
-    /// Trace files merged.
-    pub files: usize,
-    /// All request rows, causally grouped: router span first, then its
-    /// shard spans by timestamp; single-process rows in file order.
+    /// Every request row, in file order.
     pub rows: Vec<RequestRow>,
-    /// Rows by role.
-    pub router_rows: u64,
-    /// Rows recorded shard/server-side.
-    pub server_rows: u64,
-    /// Router rows on proxied endpoints that joined ≥ 1 shard row.
-    pub joined: u64,
-    /// Of those, rows that joined more than one shard leg (an evaluate
-    /// batch spanning several shard owners).
-    pub multi_leg: u64,
-    /// Trace ids of router rows on proxied 200s with no shard-side row.
-    pub unjoined: Vec<String>,
-    /// Trace ids recorded shard-side whose id the router never saw
-    /// (only meaningful when router rows exist at all).
-    pub orphaned: Vec<String>,
     /// Trace ids whose phase sum exceeds the recorded wall time.
     pub overruns: Vec<String>,
     /// Smallest phase-attribution fraction across rows (1.0 = every µs
@@ -402,11 +372,10 @@ pub struct RequestsReport {
     pub attribution_min: f64,
     /// Mean phase-attribution fraction across rows.
     pub attribution_mean: f64,
-    /// Per-phase percentiles across server-side rows (router rows when
-    /// no server rows exist).
+    /// Per-phase percentiles across rows.
     pub phase_pcts: BTreeMap<String, Percentiles>,
-    /// End-to-end wall-time percentiles per role.
-    pub total_pcts: BTreeMap<String, Percentiles>,
+    /// End-to-end wall-time percentiles.
+    pub total_pcts: Percentiles,
 }
 
 fn parse_request_row(value: &Value) -> Option<RequestRow> {
@@ -421,90 +390,40 @@ fn parse_request_row(value: &Value) -> Option<RequestRow> {
     }
     Some(RequestRow {
         trace: value.get("trace")?.as_str()?.to_string(),
-        role: value.get("role").and_then(Value::as_str).unwrap_or("server").to_string(),
         endpoint: value.get("endpoint").and_then(Value::as_str).unwrap_or("other").to_string(),
         status: get_u64(value, "status"),
-        shard: value.get("shard").and_then(Value::as_u64),
-        ts_us: get_u64(value, "ts_us"),
         dur_us: get_u64(value, "dur_us"),
         phases,
     })
 }
 
-/// Merges `request` records from several trace files (typically the
-/// router's plus one per shard) into one joined report.
+/// Collects the `request` records of one trace into a report.
 ///
 /// # Errors
 ///
-/// Returns a message naming the first malformed line; non-`request`
-/// record types are skipped, so span/event traces mix in freely.
-pub fn summarize_requests(files: &[(String, String)]) -> Result<RequestsReport, String> {
-    let mut report = RequestsReport { files: files.len(), ..Default::default() };
-    let mut rows: Vec<RequestRow> = Vec::new();
-    for (label, text) in files {
-        for (idx, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let value: Value =
-                serde_json::from_str(line).map_err(|e| format!("{label}:{}: {e}", idx + 1))?;
-            if value.get("type").and_then(Value::as_str) != Some("request") {
-                continue;
-            }
-            let row = parse_request_row(&value)
-                .ok_or_else(|| format!("{label}:{}: request record without a trace id", idx + 1))?;
-            rows.push(row);
+/// Returns a `line N: ...` message naming the first malformed line;
+/// non-`request` record types are skipped, so span/event traces mix in
+/// freely.
+pub fn summarize_requests(text: &str) -> Result<RequestsReport, String> {
+    let mut report = RequestsReport::default();
+    for (idx, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
         }
-    }
-
-    // Join: group shard-side rows under the router row carrying the
-    // same trace id.
-    let mut server_by_trace: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    let mut router_traces: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-    for (idx, row) in rows.iter().enumerate() {
-        if row.role == "router" {
-            router_traces.insert(&row.trace);
-        } else {
-            server_by_trace.entry(&row.trace).or_default().push(idx);
+        let value: Value =
+            serde_json::from_str(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
+        if value.get("type").and_then(Value::as_str) != Some("request") {
+            continue;
         }
-    }
-    for row in &rows {
-        match row.role.as_str() {
-            "router" => {
-                report.router_rows += 1;
-                if !PROXIED_ENDPOINTS.contains(&row.endpoint.as_str()) || row.status != 200 {
-                    continue;
-                }
-                match server_by_trace.get(row.trace.as_str()).map_or(0, Vec::len) {
-                    0 => report.unjoined.push(row.trace.clone()),
-                    legs => {
-                        report.joined += 1;
-                        if legs > 1 {
-                            report.multi_leg += 1;
-                        }
-                    }
-                }
-            }
-            _ => {
-                report.server_rows += 1;
-                if report.files > 1
-                    && row.trace.starts_with('r')
-                    && !router_traces.contains(row.trace.as_str())
-                {
-                    // A router-assigned id ("r…") the router never
-                    // recorded finishing: a lost front-door span.
-                    report.orphaned.push(row.trace.clone());
-                }
-            }
-        }
+        let row = parse_request_row(&value)
+            .ok_or_else(|| format!("line {}: request record without a trace id", idx + 1))?;
+        report.rows.push(row);
     }
 
     // Phase attribution and percentiles.
     let mut fractions: Vec<f64> = Vec::new();
     let mut phase_samples: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-    let mut total_samples: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-    let phase_role = if rows.iter().any(|r| r.role != "router") { "server" } else { "router" };
-    for row in &rows {
+    for row in &report.rows {
         let sum = row.phase_sum();
         if sum > row.dur_us {
             report.overruns.push(row.trace.clone());
@@ -512,73 +431,31 @@ pub fn summarize_requests(files: &[(String, String)]) -> Result<RequestsReport, 
         if row.dur_us > 0 {
             fractions.push((sum as f64 / row.dur_us as f64).min(1.0));
         }
-        if row.role == phase_role {
-            for (name, us) in &row.phases {
-                phase_samples.entry(name.clone()).or_default().push(*us);
-            }
+        for (name, us) in &row.phases {
+            phase_samples.entry(name.clone()).or_default().push(*us);
         }
-        total_samples.entry(row.role.clone()).or_default().push(row.dur_us);
     }
-    report.attribution_min = fractions.iter().copied().fold(f64::INFINITY, f64::min);
     if !fractions.is_empty() {
+        report.attribution_min = fractions.iter().copied().fold(f64::INFINITY, f64::min);
         report.attribution_mean = fractions.iter().sum::<f64>() / fractions.len() as f64;
-    } else {
-        report.attribution_min = 0.0;
     }
     report.phase_pcts =
         phase_samples.into_iter().map(|(name, samples)| (name, percentiles(samples))).collect();
-    report.total_pcts =
-        total_samples.into_iter().map(|(role, samples)| (role, percentiles(samples))).collect();
-
-    // Causal ordering: router span first, then its shard legs by
-    // timestamp, then everything that never crossed the router.
-    let mut ordered: Vec<RequestRow> = Vec::with_capacity(rows.len());
-    let mut placed = vec![false; rows.len()];
-    let index_of: BTreeMap<(String, u64), usize> = rows
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.role == "router")
-        .map(|(i, r)| ((r.trace.clone(), r.ts_us), i))
-        .collect();
-    for &ri in index_of.values() {
-        ordered.push(rows[ri].clone());
-        placed[ri] = true;
-        if let Some(legs) = server_by_trace.get(rows[ri].trace.as_str()) {
-            let mut legs: Vec<usize> = legs.iter().copied().filter(|&i| !placed[i]).collect();
-            legs.sort_by_key(|&i| rows[i].ts_us);
-            for i in legs {
-                ordered.push(rows[i].clone());
-                placed[i] = true;
-            }
-        }
-    }
-    for (i, row) in rows.iter().enumerate() {
-        if !placed[i] {
-            ordered.push(row.clone());
-        }
-    }
-    report.rows = ordered;
+    report.total_pcts = percentiles(report.rows.iter().map(|r| r.dur_us).collect());
     Ok(report)
 }
 
-/// Hard verification of a merged request trace, the `--requests` exit
+/// Hard verification of a request trace, the `--requests` exit
 /// criterion.
 ///
 /// # Errors
 ///
-/// One message per failed check: an unjoined router span, a shard span
-/// orphaned from its router, or a row whose phase sums exceed its wall
-/// time.
+/// One message per failed check: a trace without request records, or a
+/// row whose phase sums exceed its wall time.
 pub fn verify_requests(report: &RequestsReport) -> Result<(), Vec<String>> {
     let mut errors = Vec::new();
     if report.rows.is_empty() {
         errors.push("no request records found (was the run traced?)".into());
-    }
-    for trace in &report.unjoined {
-        errors.push(format!("router span {trace} joined no shard request span"));
-    }
-    for trace in &report.orphaned {
-        errors.push(format!("shard span {trace} has no matching router span"));
     }
     for trace in &report.overruns {
         errors.push(format!("request {trace}: phase sums exceed its wall time"));
@@ -593,27 +470,7 @@ pub fn verify_requests(report: &RequestsReport) -> Result<(), Vec<String>> {
 /// Renders the `--requests` report the CLI prints.
 pub fn render_requests(report: &RequestsReport) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "request trace report: {} file(s), {} request record(s) \
-         ({} router, {} server)",
-        report.files,
-        report.rows.len(),
-        report.router_rows,
-        report.server_rows
-    );
-    if report.router_rows > 0 {
-        let _ = writeln!(
-            out,
-            "joins: {} of {} proxied router spans joined ({} multi-leg), {} unjoined, \
-             {} orphaned shard spans",
-            report.joined,
-            report.joined + report.unjoined.len() as u64,
-            report.multi_leg,
-            report.unjoined.len(),
-            report.orphaned.len()
-        );
-    }
+    let _ = writeln!(out, "request trace report: {} request record(s)", report.rows.len());
     if !report.rows.is_empty() {
         let _ = writeln!(
             out,
@@ -638,15 +495,13 @@ pub fn render_requests(report: &RequestsReport) -> String {
             );
         }
     }
-    if !report.total_pcts.is_empty() {
-        let _ = writeln!(out, "\nend-to-end wall time (µs):");
-        for (role, p) in &report.total_pcts {
-            let _ = writeln!(
-                out,
-                "  {role:<12} {:>8} samples  p50 {:>8}  p95 {:>8}  p99 {:>8}  max {:>8}",
-                p.samples, p.p50, p.p95, p.p99, p.max
-            );
-        }
+    if !report.rows.is_empty() {
+        let p = &report.total_pcts;
+        let _ = writeln!(
+            out,
+            "\nend-to-end wall time (µs): {} samples  p50 {}  p95 {}  p99 {}  max {}",
+            p.samples, p.p50, p.p95, p.p99, p.max
+        );
     }
     match verify_requests(report) {
         Ok(()) => {
@@ -728,63 +583,33 @@ mod tests {
         assert!(err.contains("line 1") || err.contains("line 2"), "{err}");
     }
 
-    fn req_line(trace: &str, role: &str, endpoint: &str, status: u64, extra: &str) -> String {
-        format!(
-            r#"{{"type":"request","trace":"{trace}","role":"{role}","endpoint":"{endpoint}","status":{status},"ts_us":10,"dur_us":1000,"parse_us":50,"queue_us":200,"coalesce_us":100,"exec_us":600,"serialize_us":20,"write_us":30{extra}}}"#
-        )
-    }
-
     #[test]
-    fn requests_mode_joins_router_and_shard_spans() {
-        let router = format!(
+    fn requests_mode_reads_request_records_in_file_order() {
+        let line = |trace: &str, endpoint: &str| {
+            format!(
+                r#"{{"type":"request","trace":"{trace}","role":"server","endpoint":"{endpoint}","status":200,"ts_us":10,"dur_us":1000,"parse_us":50,"queue_us":200,"coalesce_us":100,"exec_us":600,"serialize_us":20,"write_us":30}}"#
+            )
+        };
+        let text = format!(
             "{}\n{}\n{}\n",
-            req_line("a", "router", "evaluate", 200, ""),
-            req_line("b", "router", "evaluate", 200, ""),
-            req_line("h", "router", "healthz", 200, ""), // local: no join needed
+            line("s00000001", "evaluate"),
+            r#"{"type":"span_begin","id":1,"parent":null,"name":"x","ts_us":0}"#,
+            line("s00000002", "healthz"),
         );
-        let shard0 = format!("{}\n", req_line("a", "server", "evaluate", 200, r#","shard":0"#));
-        let shard1 = format!(
-            "{}\n{}\n",
-            req_line("a", "server", "evaluate", 200, r#","shard":1"#),
-            req_line("b", "server", "evaluate", 200, r#","shard":1"#),
-        );
-        let report = summarize_requests(&[
-            ("router".into(), router),
-            ("s0".into(), shard0),
-            ("s1".into(), shard1),
-        ])
-        .unwrap();
-        assert_eq!((report.router_rows, report.server_rows), (3, 3));
-        assert_eq!((report.joined, report.multi_leg), (2, 1));
-        assert!(report.unjoined.is_empty() && report.orphaned.is_empty());
-        assert!(verify_requests(&report).is_ok());
-        // Causal ordering: each router span is directly followed by its
-        // shard legs.
+        let report = summarize_requests(&text).unwrap();
         let order: Vec<(&str, &str)> =
-            report.rows.iter().map(|r| (r.trace.as_str(), r.role.as_str())).collect();
-        let a_router = order.iter().position(|&(t, r)| t == "a" && r == "router").unwrap();
-        assert_eq!(order[a_router + 1], ("a", "server"));
-        assert_eq!(order[a_router + 2], ("a", "server"));
-    }
-
-    #[test]
-    fn requests_mode_flags_unjoined_and_orphaned_spans() {
-        let router = format!("{}\n", req_line("lost", "router", "evaluate", 200, ""));
-        let shard = format!("{}\n", req_line("r0000002a", "server", "evaluate", 200, ""));
-        let report =
-            summarize_requests(&[("router".into(), router), ("s0".into(), shard)]).unwrap();
-        assert_eq!(report.unjoined, vec!["lost".to_string()]);
-        assert_eq!(report.orphaned, vec!["r0000002a".to_string()]);
-        let errors = verify_requests(&report).unwrap_err();
-        assert!(errors.iter().any(|e| e.contains("joined no shard")), "{errors:?}");
-        assert!(errors.iter().any(|e| e.contains("no matching router")), "{errors:?}");
+            report.rows.iter().map(|r| (r.trace.as_str(), r.endpoint.as_str())).collect();
+        assert_eq!(order, [("s00000001", "evaluate"), ("s00000002", "healthz")]);
+        assert_eq!(report.rows[0].phase_sum(), 1000);
+        assert_eq!(report.total_pcts.samples, 2);
+        assert!(verify_requests(&report).is_ok());
     }
 
     #[test]
     fn requests_mode_catches_phase_overruns() {
         // dur_us 1000 but phases sum to 1500: impossible attribution.
         let line = r#"{"type":"request","trace":"x","role":"server","endpoint":"evaluate","status":200,"ts_us":1,"dur_us":1000,"parse_us":500,"exec_us":1000}"#;
-        let report = summarize_requests(&[("t".into(), format!("{line}\n"))]).unwrap();
+        let report = summarize_requests(&format!("{line}\n")).unwrap();
         assert_eq!(report.overruns, vec!["x".to_string()]);
         assert!(verify_requests(&report).is_err());
     }
@@ -800,13 +625,13 @@ mod tests {
             ));
             text.push('\n');
         }
-        let report = summarize_requests(&[("t".into(), text)]).unwrap();
+        let report = summarize_requests(&text).unwrap();
         let exec = &report.phase_pcts["exec"];
         assert_eq!(
             (exec.samples, exec.p50, exec.p95, exec.p99, exec.max),
             (100, 500, 950, 990, 1000)
         );
-        assert_eq!(report.total_pcts["server"].p99, 990);
+        assert_eq!(report.total_pcts.p99, 990);
         assert!((report.attribution_min - 1.0).abs() < 1e-9);
         let rendered = render_requests(&report);
         assert!(rendered.contains("per-phase percentiles"), "{rendered}");
@@ -815,8 +640,9 @@ mod tests {
 
     #[test]
     fn requests_mode_errors_on_malformed_lines() {
-        let err = summarize_requests(&[("bad.jsonl".into(), "not json\n".into())]).unwrap_err();
-        assert!(err.contains("bad.jsonl:1"), "{err}");
+        let err =
+            summarize_requests("{\"type\":\"request\",\"trace\":\"a\"}\nnot json\n").unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! End-to-end request tracing over a real 2-shard stack: boot
-//! `archdse serve --shards 2 --trace-out`, drive traced evaluates and a
-//! traced explore job through the router, and verify the acceptance
-//! criteria of the tracing layer — 100% of router request spans join shard-side
-//! spans, ≥95% of wall time is attributed to named phases, every
-//! coalesced batch span links back to its member requests, and
-//! `trace-report --requests` agrees with all of it.
+//! End-to-end request tracing over one real server: boot
+//! `archdse serve --trace-out`, drive traced evaluates and a traced
+//! explore job, and verify the acceptance criteria of the tracing layer
+//! — every traced request is recorded under its client id, ≥95% of wall
+//! time is attributed to named phases, every coalesced batch span links
+//! back to its member requests, the flight recorder saw the requests,
+//! and `trace-report --requests` agrees with all of it.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -41,12 +41,10 @@ fn raw_request(
     (status, headers.to_string(), body.to_string())
 }
 
-fn boot_traced_stack(trace_path: &std::path::Path) -> (Child, String) {
+fn boot_traced_server(trace_path: &std::path::Path) -> (Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_archdse"))
         .args([
             "serve",
-            "--shards",
-            "2",
             "--addr",
             "127.0.0.1:0",
             "--benchmark",
@@ -63,7 +61,7 @@ fn boot_traced_stack(trace_path: &std::path::Path) -> (Child, String) {
     let mut stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
     let addr = loop {
         let mut line = String::new();
-        assert!(stdout.read_line(&mut line).expect("announce") > 0, "stack died while booting");
+        assert!(stdout.read_line(&mut line).expect("announce") > 0, "server died while booting");
         if let Some(addr) = line.trim().strip_prefix("archdse-serve listening on ") {
             break addr.to_string();
         }
@@ -83,12 +81,12 @@ fn wait_exit(mut child: Child) {
     loop {
         match child.try_wait().expect("wait") {
             Some(exit) => {
-                assert!(exit.success(), "stack exited with {exit:?}");
+                assert!(exit.success(), "server exited with {exit:?}");
                 return;
             }
             None if Instant::now() > deadline => {
                 let _ = child.kill();
-                panic!("stack did not exit within 60s of shutdown");
+                panic!("server did not exit within 60s of shutdown");
             }
             None => std::thread::sleep(Duration::from_millis(50)),
         }
@@ -122,14 +120,14 @@ fn phase_sum(record: &Value) -> u64 {
 }
 
 #[test]
-fn traced_two_shard_run_reconciles_end_to_end() {
+fn traced_server_run_reconciles_end_to_end() {
     let dir = std::env::temp_dir().join(format!("archdse_req_trace_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let trace_path = dir.join("trace.jsonl");
-    let (child, addr) = boot_traced_stack(&trace_path);
+    let (child, addr) = boot_traced_server(&trace_path);
 
-    // Drive traced evaluates with client-chosen ids; spread the points
-    // so single requests fan out to both shard owners.
+    // Drive traced evaluates with client-chosen ids, spread over the
+    // space.
     let ids: Vec<String> = (0..8).map(|i| format!("req{i}")).collect();
     for (i, id) in ids.iter().enumerate() {
         let body = format!(
@@ -154,14 +152,10 @@ fn traced_two_shard_run_reconciles_end_to_end() {
     let (status, _, debug) = raw_request(&addr, "GET", "/debug/requests", "", &[]);
     assert_eq!(status, 200, "{debug}");
     let debug: Value = serde_json::from_str(&debug).expect("debug JSON");
-    assert!(debug.get("router").is_some() && debug.get("shards").is_some());
-    let shard_dumps = debug["shards"].as_array().expect("per-shard dumps");
-    assert_eq!(shard_dumps.len(), 2);
-    let recorded: u64 = shard_dumps.iter().map(|s| s["recorded"].as_u64().unwrap_or(0)).sum();
-    assert!(recorded >= ids.len() as u64, "flight recorders saw {recorded} requests");
+    let recorded = debug["recorded"].as_u64().expect("recorded count");
+    assert!(recorded >= ids.len() as u64, "flight recorder saw {recorded} requests");
 
-    // An explore job started and polled through the router under client
-    // ids: each poll must reach its shard with the same id.
+    // An explore job started and polled under client ids.
     let spec = r#"{"benchmark": "ss", "lf_episodes": 5, "hf_budget": 1, "trace_len": 500}"#;
     let (status, _, started) =
         raw_request(&addr, "POST", "/v1/explore", spec, &[("X-ArchDSE-Trace", "job-start")]);
@@ -186,64 +180,43 @@ fn traced_two_shard_run_reconciles_end_to_end() {
     assert_eq!(status, 200);
     wait_exit(child);
 
-    let router_records = read_trace(&trace_path);
-    let shard_paths = [dir.join("trace.shard0.jsonl"), dir.join("trace.shard1.jsonl")];
-    let shard_records: Vec<Vec<Value>> = shard_paths.iter().map(|p| read_trace(p)).collect();
+    let records = read_trace(&trace_path);
+    let requests = requests_of(&records);
 
-    // Router request spans: role "router", no shard stamp, one per
-    // traced client request.
-    let router_requests = requests_of(&router_records);
+    // Every traced client request is recorded under its own id.
     for id in &ids {
-        let row = router_requests
+        let row = requests
             .iter()
             .find(|r| r["trace"].as_str() == Some(id))
-            .unwrap_or_else(|| panic!("router never recorded {id}"));
-        assert_eq!(row["role"].as_str(), Some("router"));
+            .unwrap_or_else(|| panic!("server never recorded {id}"));
+        assert_eq!(row["role"].as_str(), Some("server"));
         assert_eq!(row["endpoint"].as_str(), Some("evaluate"));
-        assert!(row.get("shard").is_none(), "router records carry no shard stamp");
+    }
+    for id in ["job-start", "job-poll"] {
+        assert!(requests.iter().any(|r| r["trace"].as_str() == Some(id)), "{id} not recorded");
     }
 
-    // 100% join: every router evaluate span has at least one shard-side
-    // span with the same trace id, stamped with shard + pid.
-    let mut shard_ids_seen: Vec<&str> = Vec::new();
-    for (shard, records) in shard_records.iter().enumerate() {
-        for row in requests_of(records) {
-            assert_eq!(row["shard"].as_u64(), Some(shard as u64), "shard stamp");
-            assert!(row["pid"].as_u64().is_some(), "pid stamp");
-            if let Some(id) = row["trace"].as_str() {
-                shard_ids_seen.push(id);
-            }
-        }
-    }
-    for id in ids.iter().map(String::as_str).chain(["job-start", "job-poll"]) {
-        assert!(shard_ids_seen.contains(&id), "{id} joined no shard request span");
-    }
-
-    // ≥95% of each traced request's wall time is attributed to named
+    // ≥95% of each traced evaluate's wall time is attributed to named
     // phases, and no record claims more than its wall time.
-    for records in std::iter::once(&router_records).chain(shard_records.iter()) {
-        for row in requests_of(records) {
-            let dur = row["dur_us"].as_u64().expect("dur_us");
-            let attributed = phase_sum(row);
-            assert!(attributed <= dur, "phase sums exceed wall time: {row:?}");
-            if row["endpoint"].as_str() == Some("evaluate") && dur > 0 {
-                assert!(
-                    attributed as f64 >= 0.95 * dur as f64,
-                    "only {attributed} of {dur} µs attributed: {row:?}"
-                );
-            }
+    for row in &requests {
+        let dur = row["dur_us"].as_u64().expect("dur_us");
+        let attributed = phase_sum(row);
+        assert!(attributed <= dur, "phase sums exceed wall time: {row:?}");
+        if row["endpoint"].as_str() == Some("evaluate") && dur > 0 {
+            assert!(
+                attributed as f64 >= 0.95 * dur as f64,
+                "only {attributed} of {dur} µs attributed: {row:?}"
+            );
         }
     }
 
     // Every coalesced batch span links to all of its member requests:
-    // each traced evaluate id shows up in some shard batch's links.
+    // each traced evaluate id shows up in some batch's links.
     let mut linked: Vec<String> = Vec::new();
-    for records in &shard_records {
-        for record in records.iter() {
-            if record.get("name").and_then(Value::as_str) == Some("ledger_batch") {
-                if let Some(links) = record.get("links").and_then(Value::as_array) {
-                    linked.extend(links.iter().filter_map(Value::as_str).map(str::to_string));
-                }
+    for record in &records {
+        if record.get("name").and_then(Value::as_str) == Some("ledger_batch") {
+            if let Some(links) = record.get("links").and_then(Value::as_array) {
+                linked.extend(links.iter().filter_map(Value::as_str).map(str::to_string));
             }
         }
     }
@@ -251,16 +224,9 @@ fn traced_two_shard_run_reconciles_end_to_end() {
         assert!(linked.iter().any(|l| l == id), "{id} missing from every batch's span links");
     }
 
-    // The offline report agrees: merging the three files joins every
-    // proxied router span and passes verification (exit 0).
-    let merged = format!(
-        "{},{},{}",
-        trace_path.display(),
-        shard_paths[0].display(),
-        shard_paths[1].display()
-    );
+    // The offline report agrees and passes verification (exit 0).
     let out = Command::new(env!("CARGO_BIN_EXE_archdse"))
-        .args(["trace-report", "--requests", "--trace", &merged])
+        .args(["trace-report", "--requests", "--trace", trace_path.to_str().unwrap()])
         .output()
         .expect("trace-report runs");
     let report = String::from_utf8_lossy(&out.stdout);

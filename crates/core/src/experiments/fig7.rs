@@ -1,5 +1,5 @@
-//! Fig. 7: embedding a designer preference (decode width → 4) into the
-//! rule base on fp-vvadd.
+//! Fig. 7: embedding a designer preference (by default decode width → 4)
+//! into the rule base on fp-vvadd.
 
 use std::fmt::Write as _;
 
@@ -63,13 +63,20 @@ pub struct ParamTrajectory {
 /// The study result.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Fig7Result {
+    /// The preference embedded into the rule base.
+    pub preference: Preference,
+    /// The value the preference aims its target at: the least candidate
+    /// of `preference.target` above the low/enough threshold.
+    pub goal: f64,
     /// Per-parameter trajectories with the preference embedded.
     pub trajectories: Vec<ParamTrajectory>,
-    /// Decode width of the converged design *with* the preference.
-    pub final_decode: f64,
-    /// Decode width of the converged design *without* the preference
-    /// (the paper observes fp-vvadd originally converges to 3).
-    pub baseline_final_decode: f64,
+    /// The target parameter's value in the converged design *with* the
+    /// preference.
+    pub final_value: f64,
+    /// The target parameter's value in the converged design *without*
+    /// the preference (the paper observes fp-vvadd's decode width
+    /// originally converges to 3).
+    pub baseline_final_value: f64,
     /// The study's aggregated cost ledger across both training runs.
     pub ledger: LedgerSummary,
 }
@@ -79,13 +86,15 @@ impl Fig7Result {
     /// trajectory, sampled every 5th episode.
     pub fn to_markdown(&self) -> String {
         let mut s = String::new();
-        let _ = writeln!(s, "| setting | converged decode width |");
-        let _ = writeln!(s, "|---------|-----------------------:|");
-        let _ = writeln!(s, "| without preference | {} |", self.baseline_final_decode);
-        let _ = writeln!(s, "| with preference (target 4) | {} |", self.final_decode);
+        let target = self.preference.target;
+        let column = format!(" converged {} ", target.name().to_lowercase());
+        let _ = writeln!(s, "| setting |{column}|");
+        let _ = writeln!(s, "|---------|{}:|", "-".repeat(column.len() - 1));
+        let _ = writeln!(s, "| without preference | {} |", self.baseline_final_value);
+        let _ = writeln!(s, "| with preference (target {}) | {} |", self.goal, self.final_value);
         let _ = writeln!(s, "\nParameter trajectories over training (every 5th episode):");
         for t in &self.trajectories {
-            let marker = if t.param == Param::DecodeWidth { " <-- preferred" } else { "" };
+            let marker = if t.param == target { " <-- preferred" } else { "" };
             let samples: Vec<String> = t.values.iter().step_by(5).map(|v| format!("{v}")).collect();
             let _ = writeln!(s, "  {:<18} {}{marker}", t.param.name(), samples.join(" "));
         }
@@ -94,7 +103,7 @@ impl Fig7Result {
 }
 
 /// Runs the Fig. 7 experiment: train on fp-vvadd twice — once plain,
-/// once with the decode-width preference embedded — and record every
+/// once with the configured preference embedded — and record every
 /// parameter's trajectory under the preference.
 pub fn fig7(config: &Fig7Config) -> Fig7Result {
     let space = DesignSpace::boom();
@@ -108,15 +117,15 @@ pub fn fig7(config: &Fig7Config) -> Fig7Result {
     let mut baseline_ledger = CostLedger::new();
     let baseline =
         LfPhase::new(phase_cfg).run(&mut plain, &space, &lf, &area, &mut baseline_ledger);
-    let baseline_final_decode = baseline.converged.value(&space, Param::DecodeWidth);
+    let p = config.preference;
+    let baseline_final_value = baseline.converged.value(&space, p.target);
 
     // With the preference embedded into the rule base.
     let mut fnn = FnnBuilder::for_space(&space).build();
-    let p = config.preference;
     fnn.embed_preference(1 + p.group.index(), p.threshold, p.target.index(), p.boost);
     let mut ledger = CostLedger::new();
     let outcome = LfPhase::new(phase_cfg).run(&mut fnn, &space, &lf, &area, &mut ledger);
-    let final_decode = outcome.converged.value(&space, Param::DecodeWidth);
+    let final_value = outcome.converged.value(&space, p.target);
     let mut total = baseline_ledger.summary();
     total.absorb(ledger.summary());
 
@@ -128,7 +137,16 @@ pub fn fig7(config: &Fig7Config) -> Fig7Result {
         })
         .collect();
 
-    Fig7Result { trajectories, final_decode, baseline_final_decode, ledger: total }
+    let candidates = space.candidates(p.target);
+    let goal = candidates.iter().copied().find(|&v| v > p.threshold);
+    Fig7Result {
+        preference: p,
+        goal: goal.unwrap_or(candidates[candidates.len() - 1]),
+        trajectories,
+        final_value,
+        baseline_final_value,
+        ledger: total,
+    }
 }
 
 #[cfg(test)]
@@ -146,15 +164,32 @@ mod tests {
         // The headline claim: the embedded preference drives decode at
         // least as high as the plain run, reaching the target of 4.
         assert!(
-            result.final_decode >= result.baseline_final_decode,
+            result.final_value >= result.baseline_final_value,
             "preference must not lower decode: {} vs {}",
-            result.final_decode,
-            result.baseline_final_decode
+            result.final_value,
+            result.baseline_final_value
         );
         assert!(
-            result.final_decode >= 4.0,
+            result.final_value >= 4.0,
             "decode should reach the preferred width, got {}",
-            result.final_decode
+            result.final_value
         );
+    }
+
+    #[test]
+    fn quick_fig7_labels_follow_the_configured_preference() {
+        let preference = Preference {
+            group: MergedParam::Rob,
+            threshold: 100.0,
+            target: Param::RobEntry,
+            boost: 2.0,
+        };
+        let config = Fig7Config { episodes: 10, preference, ..Fig7Config::default() };
+        let text = fig7(&config).to_markdown();
+        assert!(text.starts_with("| setting | converged rob entry |\n"), "{text}");
+        assert!(text.contains("| with preference (target 128) |"), "{text}");
+        let preferred: Vec<&str> = text.lines().filter(|l| l.ends_with("<-- preferred")).collect();
+        assert_eq!(preferred.len(), 1, "{text}");
+        assert!(preferred[0].trim_start().starts_with("ROB Entry"), "{text}");
     }
 }

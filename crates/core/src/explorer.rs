@@ -15,13 +15,14 @@ use dse_mfrl::{
 };
 use dse_space::{DesignPoint, DesignSpace, MergedParam, Param};
 use dse_workloads::Benchmark;
+use serde::{Deserialize, Serialize};
 
 use crate::eval::{AnalyticalLf, AreaLimit, DesignConstraints, IngestedWorkload, SimulatorHf};
 
 /// A designer preference to embed into the rule base before training
 /// (§2.3, Fig. 7): drive `target` upward whenever its merged `group`
 /// value is below `threshold`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Preference {
     /// The merged antecedent group carrying the preference.
     pub group: MergedParam,

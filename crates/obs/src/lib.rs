@@ -3,7 +3,7 @@
 //! The paper's pitch is an *explainable* DSE flow; this crate extends
 //! that explainability from the FNN's answers to the run itself: where
 //! wall-clock went, how the multi-fidelity budget was spent, and what
-//! every episode decided. Four pieces, all dependency-free:
+//! every episode decided. Three pieces, all dependency-free:
 //!
 //! * [`Registry`] — named counters, gauges and fixed-bucket histograms
 //!   over atomic storage. Registration takes a mutex once; updates are
@@ -16,13 +16,10 @@
 //!   it records spans with ids/parent links and flat key-value events.
 //!   Emission is driver-thread-only by convention, which keeps traces
 //!   bit-deterministic (modulo timestamps) under worker parallelism.
-//! * [`promcheck`] — the one reader of the text exposition format and
-//!   a promtool-style validator on top of it, shared by the golden
-//!   tests and the CLI's `check-metrics` subcommand so CI needs no
-//!   external tooling.
-//! * [`aggregate`] — read a text exposition back into a [`Snapshot`]
-//!   (through the same reader) and sum snapshots series-by-series, so a
-//!   shard router renders one `/metrics` for N worker processes.
+//! * [`promcheck`] — a reader of the text exposition format and a
+//!   promtool-style validator on top of it, shared by the golden tests
+//!   and the CLI's `check-metrics` subcommand so CI needs no external
+//!   tooling.
 //!
 //! ## Example
 //!
@@ -45,13 +42,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aggregate;
 mod expo;
 pub mod promcheck;
 mod registry;
 pub mod trace;
 
-pub use aggregate::{parse_prometheus_text, sum_snapshots};
 pub use promcheck::{check_text, CheckSummary};
 pub use registry::{
     global, Counter, Gauge, Histogram, MetricSnapshot, MetricValue, Registry, Snapshot,

@@ -1,10 +1,9 @@
-//! The one reader of the Prometheus text exposition format, and a
+//! A reader of the Prometheus text exposition format, and a
 //! promtool-style validator built on it — pure string processing so CI
 //! can lint `/metrics` output with no network dependencies.
 //!
-//! The (crate-private) reader takes a document apart once for two consumers:
-//! [`check_text`] lints with it and [`crate::parse_prometheus_text`]
-//! rebuilds a [`crate::Snapshot`] from it. The reader enforces:
+//! The (crate-private) reader takes a document apart once and
+//! [`check_text`] lints what it found. The reader enforces:
 //!
 //! * comment grammar (`# TYPE name kind` with a valid name and a known
 //!   kind, declared at most once per metric);

@@ -24,14 +24,7 @@
 //! counters are order-free. That split is what keeps traces
 //! deterministic under `par_map` parallelism.
 //!
-//! ## Multi-process traces
-//!
-//! A sharded service runs one tracer per process, each writing its own
-//! file. [`set_shard`] stamps every subsequent record with
-//! `"shard":N,"pid":P` so the per-shard files can be merged offline
-//! (`trace-report --requests`) without losing which process said what.
-//! Single-process traces never carry the two keys, so pre-shard trace
-//! files and their consumers are unaffected.
+//! ## Request records
 //!
 //! Request-level records (`{"type":"request", ...}`, see [`request`])
 //! capture one completed HTTP request with its phase breakdown.
@@ -53,8 +46,6 @@ use crate::expo;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static TRACER: Mutex<Option<Tracer>> = Mutex::new(None);
-/// Shard id stamped into records, or `u64::MAX` when unset.
-static SHARD: AtomicU64 = AtomicU64::new(u64::MAX);
 /// Request-sampling divisor: a request id is traced when
 /// `splitmix64(id) % divisor == 0`. 1 = every request, 0 = none.
 static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(1);
@@ -81,16 +72,6 @@ impl Tracer {
     }
 }
 
-/// Appends `,"shard":N,"pid":P` when a shard context is set. Called
-/// just before a record's closing brace, so single-process traces stay
-/// byte-identical to the pre-shard format.
-fn write_process_suffix(line: &mut String) {
-    let shard = SHARD.load(Ordering::Relaxed);
-    if shard != u64::MAX {
-        let _ = write!(line, ",\"shard\":{shard},\"pid\":{}", std::process::id());
-    }
-}
-
 /// The finalizer of the splitmix64 generator: a cheap, well-mixed
 /// 64-bit hash. Used for deterministic request sampling.
 fn splitmix64(mut x: u64) -> u64 {
@@ -98,20 +79,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// Declares this process to be shard `shard` of a multi-process
-/// service: every record emitted from now on carries
-/// `"shard":shard,"pid":<pid>`. Survives [`install_file`] reinstalls —
-/// it is process identity, not sink state.
-pub fn set_shard(shard: u64) {
-    assert_ne!(shard, u64::MAX, "shard id u64::MAX is reserved for 'unset'");
-    SHARD.store(shard, Ordering::Relaxed);
-}
-
-/// Removes the shard context; records stop carrying `shard`/`pid`.
-pub fn clear_shard() {
-    SHARD.store(u64::MAX, Ordering::Relaxed);
 }
 
 /// Sets the request-sampling divisor: a request id is traced when
@@ -313,7 +280,6 @@ pub fn event(name: &str, fields: &[Field<'_>]) {
         line.push(':');
         write_field_value(&mut line, value);
     }
-    write_process_suffix(&mut line);
     line.push('}');
     t.write_line(&line);
 }
@@ -323,7 +289,7 @@ pub fn event(name: &str, fields: &[Field<'_>]) {
 pub struct RequestRecord<'a> {
     /// The request's trace id (hex, client-supplied or server-assigned).
     pub trace: &'a str,
-    /// Which process role observed it: `"server"` or `"router"`.
+    /// Which role observed it (the server writes `"server"`).
     pub role: &'a str,
     /// The endpoint label the server accounted the request under.
     pub endpoint: &'a str,
@@ -357,7 +323,6 @@ pub fn request(rec: &RequestRecord<'_>) {
     for (name, us) in rec.phases {
         let _ = write!(line, ",\"{name}_us\":{us}");
     }
-    write_process_suffix(&mut line);
     line.push('}');
     t.write_line(&line);
 }
@@ -387,7 +352,6 @@ pub fn span(name: &'static str) -> SpanGuard {
     line.push_str(",\"name\":");
     expo::write_json_string(&mut line, name);
     let _ = write!(line, ",\"ts_us\":{begin_us}");
-    write_process_suffix(&mut line);
     line.push('}');
     t.write_line(&line);
     SPAN_STACK.with(|s| s.borrow_mut().push(id));
@@ -423,7 +387,6 @@ impl Drop for SpanGuard {
         line.push_str(",\"name\":");
         expo::write_json_string(&mut line, self.name);
         let _ = write!(line, ",\"ts_us\":{now},\"dur_us\":{}", now.saturating_sub(self.begin_us));
-        write_process_suffix(&mut line);
         line.push('}');
         t.write_line(&line);
     }
@@ -497,8 +460,8 @@ mod tests {
         let text2 = String::from_utf8(buf2.0.lock().unwrap().clone()).unwrap();
         assert!(text2.starts_with("{\"type\":\"span_begin\",\"id\":1,"), "{text2}");
 
-        // Request records carry trace id, phases as `_us` keys, and —
-        // once a shard context is set — shard + pid on every record.
+        // Request records carry trace id and phases as `_us` keys; event
+        // fields render in order, links as a JSON array.
         let buf3 = SharedBuf::default();
         install_writer(Box::new(buf3.clone()));
         request(&RequestRecord {
@@ -509,28 +472,15 @@ mod tests {
             dur_us: 1234,
             phases: &[("parse", 5), ("queue", 40)],
         });
-        set_shard(3);
-        event("with_shard", &[("links", vec!["a1".to_string(), "b2".to_string()].into())]);
-        {
-            let _s = span("sharded_span");
-        }
-        clear_shard();
-        event("without_shard", &[]);
+        event("linked", &[("links", vec!["a1".to_string(), "b2".to_string()].into())]);
         shutdown().unwrap();
         let text3 = String::from_utf8(buf3.0.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text3.lines().collect();
-        assert_eq!(lines.len(), 5, "{text3}");
+        assert_eq!(lines.len(), 2, "{text3}");
         assert!(lines[0].starts_with("{\"type\":\"request\",\"trace\":\"00000000deadbeef\""));
         assert!(lines[0].contains("\"endpoint\":\"/v1/evaluate\",\"status\":200"));
-        assert!(lines[0].contains("\"parse_us\":5,\"queue_us\":40"));
-        assert!(!lines[0].contains("\"shard\""), "{}", lines[0]);
-        let pid = std::process::id();
-        let suffix = format!(",\"shard\":3,\"pid\":{pid}}}");
-        assert!(lines[1].contains("\"links\":[\"a1\",\"b2\"]"), "{}", lines[1]);
-        for sharded in &lines[1..4] {
-            assert!(sharded.ends_with(&suffix), "{sharded}");
-        }
-        assert!(!lines[4].contains("\"pid\""), "{}", lines[4]);
+        assert!(lines[0].ends_with("\"parse_us\":5,\"queue_us\":40}"), "{}", lines[0]);
+        assert!(lines[1].ends_with("\"links\":[\"a1\",\"b2\"]}"), "{}", lines[1]);
 
         // Sampling is a pure function of the id: divisor 1 keeps all,
         // 0 drops all, and any other divisor is deterministic.

@@ -1,19 +1,11 @@
-//! The front door both serving roles share.
-//!
-//! A single server and a shard router differ only in what they do with a
-//! request once it is parsed. Everything before that is here, once: the
-//! endpoint table every request is resolved against, the per-connection
-//! [`Limits`], the [`Front`] state the reactor reads (address, shutdown
-//! flag, metrics, flight recorder, trace-id sequence) and the start-up
-//! that puts a role behind a reactor, an app-handler pool and a
-//! supervisor.
+//! The server's front door: everything a request meets before a handler
+//! runs. The endpoint table every request is resolved against, the
+//! per-connection [`Limits`], and the [`Front`] state the reactor reads
+//! (address, shutdown flag, metrics, flight recorder, trace-id sequence).
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::sync_channel;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dse_obs::{trace, Counter, Gauge, Histogram, Registry, LATENCY_BUCKETS_S};
@@ -23,7 +15,6 @@ use crate::conn::{Timeline, PHASES};
 use crate::flight::{CompletedRequest, FlightRecorder};
 use crate::http::{BadRequest, Request, CT_JSON};
 use crate::protocol::{ERRORS, REJECTED, REQUESTS};
-use crate::reactor::{app_worker_loop, AppJob, CompletionQueue, Engine, Reactor};
 
 /// A rendered response: status, body and content type.
 pub(crate) type Reply = (u16, String, &'static str);
@@ -37,7 +28,7 @@ pub(crate) fn json_reply(answer: Answer) -> Reply {
     (status, body, CT_JSON)
 }
 
-/// Per-connection limits, the same in both roles.
+/// Per-connection limits.
 #[derive(Debug, Clone, Copy)]
 pub struct Limits {
     /// Per-connection read deadline (slow clients get a 408).
@@ -59,7 +50,7 @@ impl Default for Limits {
     }
 }
 
-/// Every endpoint either role serves. The discriminant indexes
+/// Every endpoint the server serves. The discriminant indexes
 /// [`ENDPOINTS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Endpoint {
@@ -179,12 +170,11 @@ pub(crate) fn wants_prometheus(request: &Request) -> Result<bool, BadRequest> {
     }
 }
 
-/// The front-door series both roles update. Every request counter
-/// flows through one per-instance [`Registry`], whose snapshot both
-/// `/metrics` forms render — and tests hosting several servers in one
-/// process never share counts. Series only a server updates (the
-/// coalescer's, workload registrations) are registered by the server
-/// alone, so a router never shadows its shards' sums with zeros.
+/// The front-door series. Every request counter flows through one
+/// per-instance [`Registry`], whose snapshot both `/metrics` forms
+/// render — and tests hosting several servers in one process never
+/// share counts. The coalescer's series and workload registrations are
+/// registered in the same registry by [`crate::spawn`].
 pub(crate) struct ServerMetrics {
     pub(crate) registry: Registry,
     /// `serve_requests_total{endpoint}`, indexed by [`Endpoint`]; `None`
@@ -241,17 +231,17 @@ impl ServerMetrics {
     }
 }
 
-/// The state the reactor needs from either role.
+/// The role stamped on request records. Its initial prefixes the trace
+/// ids the server mints (`s00000001`).
+const ROLE: &str = "server";
+
+/// The state the reactor needs besides the handlers.
 pub(crate) struct Front {
-    addr: SocketAddr,
-    /// `"server"` or `"router"`, stamped on request records. Its initial
-    /// prefixes the trace ids this front mints, so router- and
-    /// shard-assigned ids never collide in a merged trace.
-    role: &'static str,
+    pub(crate) addr: SocketAddr,
     pub(crate) limits: Limits,
     shutdown: AtomicBool,
     /// Pokes the reactor when shutdown trips or a completion lands.
-    waker: Waker,
+    pub(crate) waker: Waker,
     /// Request accounting (the `/metrics` `requests` section and the
     /// Prometheus exposition alike).
     pub(crate) metrics: ServerMetrics,
@@ -262,18 +252,13 @@ pub(crate) struct Front {
 }
 
 impl Front {
-    /// Binds `addr` for a `role`. Returns the front state, the listener
-    /// and the receiving end of the front's waker, for [`start`].
-    pub(crate) fn bind(
-        addr: &str,
-        role: &'static str,
-        limits: Limits,
-    ) -> io::Result<(Front, TcpListener, WakeRx)> {
+    /// Binds `addr`. Returns the front state, the listener and the
+    /// receiving end of the front's waker, for the reactor.
+    pub(crate) fn bind(addr: &str, limits: Limits) -> io::Result<(Front, TcpListener, WakeRx)> {
         let listener = TcpListener::bind(addr)?;
         let (waker, wake_rx) = waker_pair()?;
         let front = Front {
             addr: listener.local_addr()?,
-            role,
             limits,
             shutdown: AtomicBool::new(false),
             waker,
@@ -310,7 +295,7 @@ impl Front {
     /// The next assigned trace id.
     pub(crate) fn mint_trace_id(&self) -> String {
         let seq = self.trace_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        format!("{}{seq:08x}", &self.role[..1])
+        format!("{}{seq:08x}", &ROLE[..1])
     }
 
     /// Records one fully written response: always into the in-memory
@@ -330,7 +315,7 @@ impl Front {
                     PHASES.iter().copied().zip(timeline.phase_values()).collect();
                 trace::request(&trace::RequestRecord {
                     trace: id,
-                    role: self.role,
+                    role: ROLE,
                     endpoint,
                     status,
                     dur_us: total_us,
@@ -339,78 +324,6 @@ impl Front {
             }
         }
     }
-}
-
-/// A running server or router: its bound address plus shutdown/join
-/// control.
-pub struct ServerHandle {
-    engine: Arc<dyn Engine>,
-    supervisor: Option<JoinHandle<()>>,
-}
-
-impl ServerHandle {
-    /// The address it is listening on (with the real port even when the
-    /// config asked for port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.engine.front().addr
-    }
-
-    /// Requests a graceful shutdown: stop accepting, finish in-flight
-    /// connections, then drain the role's own work. A router's shards
-    /// are shut down by `POST /v1/shutdown`, not by this call.
-    pub fn shutdown(&self) {
-        self.engine.front().initiate_shutdown();
-    }
-
-    /// Blocks until it has fully drained and exited.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the supervisor thread itself panicked.
-    pub fn join(mut self) {
-        if let Some(handle) = self.supervisor.take() {
-            handle.join().expect("supervisor panicked");
-        }
-    }
-}
-
-/// Puts `engine` behind its listener: the reactor thread, `workers`
-/// app-pool threads fed by a queue of `queue` jobs, and a supervisor
-/// that, once the reactor has drained every connection, joins the pool
-/// and then runs the role's `teardown`.
-pub(crate) fn start(
-    engine: Arc<dyn Engine>,
-    listener: TcpListener,
-    wake_rx: WakeRx,
-    workers: usize,
-    queue: usize,
-    teardown: impl FnOnce() + Send + 'static,
-) -> ServerHandle {
-    let completions = Arc::new(CompletionQueue::new(engine.front().waker.clone()));
-    let (app_tx, app_rx) = sync_channel::<AppJob>(queue);
-    let app_rx = Arc::new(Mutex::new(app_rx));
-    let app_workers: Vec<JoinHandle<()>> = (0..workers.max(1))
-        .map(|_| {
-            let engine = Arc::clone(&engine);
-            let app_rx = Arc::clone(&app_rx);
-            let completions = Arc::clone(&completions);
-            std::thread::spawn(move || app_worker_loop(engine, app_rx, completions))
-        })
-        .collect();
-    let reactor = {
-        let engine = Arc::clone(&engine);
-        std::thread::spawn(move || Reactor::run(engine, listener, wake_rx, completions, app_tx))
-    };
-    let supervisor = std::thread::spawn(move || {
-        let _ = reactor.join();
-        // The reactor owned the only app sender; its exit closes the app
-        // queue and the workers drain out.
-        for worker in app_workers {
-            let _ = worker.join();
-        }
-        teardown();
-    });
-    ServerHandle { engine, supervisor: Some(supervisor) }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! on).
 //!
 //! The module also hosts the matching [`client`] helpers the load generator,
-//! the shard router, the CLI and the tests use to talk to a running server.
+//! the CLI and the tests use to talk to a running server.
 
 /// Longest accepted request line or header line, in bytes.
 const MAX_LINE_BYTES: usize = 8 * 1024;
@@ -415,8 +415,8 @@ pub(crate) fn build_response(
 /// A tiny blocking HTTP client for talking to an `archdse-serve` instance:
 /// one-shot [`request`](client::request)/[`get`](client::get)/
 /// [`post`](client::post) helpers plus a keep-alive
-/// [`Conn`](client::Conn) for high-rate callers (the load generator and the
-/// shard router).
+/// [`Conn`](client::Conn) for high-rate callers such as the load
+/// generator.
 pub mod client {
     use std::io::{self, BufRead, BufReader, Read, Write};
     use std::net::TcpStream;
@@ -557,9 +557,8 @@ pub mod client {
             self.request_with(method, path, body, &[])
         }
 
-        /// [`request`](Conn::request) plus extra request headers — the
-        /// trace-context hop (`X-ArchDSE-Trace`) the load generator and
-        /// the shard router add.
+        /// [`request`](Conn::request) plus extra request headers, such as
+        /// the trace context (`X-ArchDSE-Trace`) the load generator adds.
         ///
         /// # Errors
         ///

@@ -17,10 +17,12 @@
 //! | `POST /v1/shutdown` | graceful shutdown (drains in-flight work) |
 //!
 //! Each endpoint answers one method: any other method on a known path
-//! is a `405`, and an unknown path is a `404` listing the table. A shard
-//! router ([`spawn_router`]) serves the same table with the same limits
-//! and refuses the same requests; [`spawn`] and [`spawn_router`] both
-//! return a [`ServerHandle`].
+//! is a `405`, and an unknown path is a `404` listing the table.
+//!
+//! A server is one process-local instance: one reactor thread owning
+//! every socket, one coalescer, one `/metrics` registry and, when a
+//! trace is installed, one trace file. [`spawn`] starts it and returns
+//! a [`ServerHandle`].
 //!
 //! ## Ingested workloads
 //!
@@ -99,15 +101,13 @@ mod loadgen;
 mod protocol;
 mod reactor;
 mod server;
-mod shard;
 
 pub use batcher::{BatcherConfig, CoalescerStats};
-pub use front::{routes, Limits, ServerHandle};
+pub use front::{routes, Limits};
 pub use http::client;
 pub use loadgen::{run as run_loadgen, LatencyStats, LoadgenConfig, LoadgenReport, StatusLatency};
 pub use protocol::{
     EvaluateResponse, EvaluatedPoint, ExplainResponse, JobResult, JobStatus, MetricsResponse,
     RequestCounters, WorkloadUploadResponse,
 };
-pub use server::{spawn, ServeConfig};
-pub use shard::{spawn_router, RouterConfig};
+pub use server::{spawn, ServeConfig, ServerHandle};

@@ -157,8 +157,7 @@ pub struct LoadgenReport {
     /// Per-status single-attempt round-trip percentiles, sorted by
     /// status code.
     pub statuses: Vec<StatusLatency>,
-    /// The server's coalescer counters after the run (summed across
-    /// shards when the target is a shard router).
+    /// The server's coalescer counters after the run.
     pub coalescer: CoalescerStats,
     /// The server's evaluate-ledger summary after the run — the per-tier
     /// answered counts live in its sections.
@@ -167,9 +166,6 @@ pub struct LoadgenReport {
     /// (`tier_gate_escalations_total`, scraped from the Prometheus
     /// exposition; only `"auto"` requests can escalate).
     pub escalations: u64,
-    /// Shards behind the target (`1` for a plain server; a shard router
-    /// reports its fan-out width in `/metrics`).
-    pub shards: u64,
 }
 
 impl LoadgenReport {
@@ -181,12 +177,8 @@ impl LoadgenReport {
             self.requests, self.ok, self.rejected, self.failed, self.io_errors
         ));
         out.push_str(&format!(
-            "throughput: offered {:.0} attempts/s, achieved {:.0} req/s over {:.2?} ({} shard{})\n",
-            self.offered_rps,
-            self.achieved_rps,
-            self.wall,
-            self.shards,
-            if self.shards == 1 { "" } else { "s" }
+            "throughput: offered {:.0} attempts/s, achieved {:.0} req/s over {:.2?}\n",
+            self.offered_rps, self.achieved_rps, self.wall
         ));
         if self.latency.samples > 0 {
             out.push_str(&format!(
@@ -479,10 +471,6 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
     let wall = started.elapsed();
 
     let metrics = client::get(&config.addr, "/metrics")?;
-    let shards = serde_json::from_str::<serde_json::Value>(&metrics.body)
-        .ok()
-        .and_then(|v| v.get("shards").and_then(|s| s.as_u64()))
-        .unwrap_or(1);
     let metrics: MetricsResponse = serde_json::from_str(&metrics.body)
         .map_err(|e| std::io::Error::other(format!("bad /metrics payload: {e}")))?;
     let exposition = client::get(&config.addr, "/metrics?format=prometheus")?;
@@ -516,7 +504,6 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
         coalescer: metrics.coalescer,
         ledger: metrics.ledger,
         escalations,
-        shards,
     })
 }
 
@@ -583,14 +570,12 @@ mod tests {
             coalescer: CoalescerStats::default(),
             ledger: LedgerSummary::default(),
             escalations: 0,
-            shards: 2,
         };
         let rendered = report.render();
         assert!(rendered.contains("latency: p50 3ms"), "{rendered}");
         assert!(rendered.contains("client-server gap: p50 1ms"), "{rendered}");
         assert!(rendered.contains("max 40ms (4 served)"), "{rendered}");
         assert!(rendered.contains("offered 2 attempts/s, achieved 2 req/s"), "{rendered}");
-        assert!(rendered.contains("(2 shards)"), "{rendered}");
         assert!(rendered.contains("status 200: 4 attempts"), "{rendered}");
         assert!(rendered.contains("status 503: 1 attempts"), "{rendered}");
         assert!(rendered.contains("tiers: lf 0 answered"), "{rendered}");

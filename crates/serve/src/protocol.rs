@@ -11,8 +11,7 @@ use serde_json::Value;
 use crate::batcher::{CoalescerStats, TierRequest};
 use crate::http::BadRequest;
 
-/// Most design points one `/v1/evaluate` request may carry. A router
-/// holds batches to the same cap, so both roles refuse the same requests.
+/// Most design points one `/v1/evaluate` request may carry.
 pub(crate) const MAX_POINTS_PER_REQUEST: usize = 256;
 
 /// A malformed request body: a 400 naming what is wrong.

@@ -1,4 +1,4 @@
-//! The readiness event loop behind both server modes.
+//! The server's readiness event loop.
 //!
 //! One reactor thread owns the listener, every connection state machine
 //! ([`Conn`]), a [`TimerWheel`] of read/write deadlines, and a [`Poller`]
@@ -8,10 +8,10 @@
 //!
 //! Work leaves the reactor two ways and comes back through one:
 //!
-//! - A role may serve an endpoint inline ([`Engine::inline`]): a single
-//!   server parses `/v1/evaluate` on the reactor — it is cheap string work —
-//!   and enqueues it on the coalescer, which stays the batching heart of the
-//!   service; the connection parks with interest `None`.
+//! - `/v1/evaluate` is parsed on the reactor ([`Shared::inline`]) — it is
+//!   cheap string work — and enqueued on the coalescer, which stays the
+//!   batching heart of the service; the connection parks with interest
+//!   `None`. `/v1/shutdown` only flips a flag and answers at once.
 //! - Every other endpoint is handed to a small app-handler pool (CPU-bound
 //!   JSON/ingestion/aggregation work must not stall the event loop).
 //!
@@ -40,9 +40,10 @@ use dse_reactor::{Event, Fired, Interest, Poller, TimerWheel, WakeRx, Waker, WAK
 
 use crate::batcher::EvalTiming;
 use crate::conn::{trace_id_hash, Conn, ConnState, ReadEvent};
-use crate::front::{json_reply, Endpoint, Front, Limits, Reply};
+use crate::front::{json_reply, Endpoint, Limits, Reply};
 use crate::http::{build_response, BadRequest, Request, CT_JSON};
 use crate::protocol::error_body;
+use crate::server::Shared;
 
 /// Listener registration token (connection tokens start above it).
 const LISTEN_TOKEN: u64 = 0;
@@ -50,37 +51,6 @@ const LISTEN_TOKEN: u64 = 0;
 const TICK: Duration = Duration::from_millis(5);
 /// Timer wheel size (deadlines beyond the horizon re-queue transparently).
 const WHEEL_SLOTS: usize = 512;
-
-/// What a serving role adds to the shared [`Front`]: the calls that
-/// differ between a single server and a shard router.
-pub(crate) trait Engine: Send + Sync + 'static {
-    /// The reactor-facing state every role shares.
-    fn front(&self) -> &Front;
-
-    /// Serves `endpoint` on the reactor thread when this role can do so
-    /// without blocking; `None` hands the request to the app pool. Work
-    /// it queues starts its `queue` phase at `dispatched_at`.
-    fn inline(
-        &self,
-        _endpoint: Endpoint,
-        _request: &Request,
-        _token: u64,
-        _generation: u64,
-        _dispatched_at: Instant,
-        _completions: &Arc<CompletionQueue>,
-    ) -> Option<Dispatch> {
-        None
-    }
-
-    /// Renders an evaluate that [`Engine::inline`] parked on the
-    /// coalescer. Only a role that parks evaluates overrides this.
-    fn render_evaluate(&self, _codes: &[u64], _entries: Vec<(LedgerEntry, Fidelity)>) -> Reply {
-        json_reply(Err(BadRequest::new(500, "this role evaluates nothing locally")))
-    }
-
-    /// Blocking handling of `endpoint` on an app-pool worker.
-    fn route(&self, endpoint: Endpoint, request: &Request) -> Reply;
-}
 
 /// Outcome of [`Reactor::dispatch`].
 pub(crate) enum Dispatch {
@@ -107,7 +77,7 @@ pub(crate) enum Outcome {
     /// An app-pool handler's response.
     Reply(Reply),
     /// The coalesced ledger entries of an evaluate, one per point of
-    /// `codes`, for [`Engine::render_evaluate`].
+    /// `codes`, for [`Shared::render_evaluate`].
     Evaluated { codes: Vec<u64>, entries: Vec<(LedgerEntry, Fidelity)> },
 }
 
@@ -144,7 +114,7 @@ pub(crate) struct AppJob {
 
 /// The app-pool worker body: handle requests until the queue closes.
 pub(crate) fn app_worker_loop(
-    engine: Arc<dyn Engine>,
+    shared: Arc<Shared>,
     rx: Arc<Mutex<Receiver<AppJob>>>,
     completions: Arc<CompletionQueue>,
 ) {
@@ -155,8 +125,8 @@ pub(crate) fn app_worker_loop(
         };
         let Ok(job) = job else { return };
         let picked_at = Instant::now();
-        engine.front().count(job.endpoint);
-        let reply = engine.route(job.endpoint, &job.request);
+        shared.front.count(job.endpoint);
+        let reply = shared.route(job.endpoint, &job.request);
         let timing = EvalTiming {
             queue_us: picked_at.saturating_duration_since(job.enqueued_at).as_micros() as u64,
             coalesce_us: 0,
@@ -173,7 +143,7 @@ pub(crate) fn app_worker_loop(
 }
 
 pub(crate) struct Reactor {
-    engine: Arc<dyn Engine>,
+    shared: Arc<Shared>,
     poller: Poller,
     wheel: TimerWheel,
     conns: HashMap<u64, Conn>,
@@ -189,7 +159,7 @@ impl Reactor {
     /// The reactor thread body. Returns when shutdown has been requested
     /// and every accepted connection has fully drained.
     pub(crate) fn run(
-        engine: Arc<dyn Engine>,
+        shared: Arc<Shared>,
         listener: TcpListener,
         wake_rx: WakeRx,
         completions: Arc<CompletionQueue>,
@@ -205,9 +175,9 @@ impl Reactor {
         if poller.register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::Read).is_err() {
             return;
         }
-        let limits = engine.front().limits;
+        let limits = shared.front.limits;
         let mut reactor = Reactor {
-            engine,
+            shared,
             poller,
             wheel: TimerWheel::new(TICK, WHEEL_SLOTS),
             conns: HashMap::new(),
@@ -237,7 +207,7 @@ impl Reactor {
                     std::thread::sleep(Duration::from_millis(1));
                 }
             }
-            self.engine.front().metrics.reactor_wakeups.inc();
+            self.shared.front.metrics.reactor_wakeups.inc();
 
             let batch = std::mem::take(&mut events);
             for event in &batch {
@@ -260,9 +230,9 @@ impl Reactor {
                     self.on_deadline(fire.token);
                 }
             }
-            self.engine.front().metrics.timer_entries.set(self.wheel.len() as f64);
+            self.shared.front.metrics.timer_entries.set(self.wheel.len() as f64);
 
-            if self.engine.front().is_shutting_down() && self.shutdown_sweep() {
+            if self.shared.front.is_shutting_down() && self.shutdown_sweep() {
                 return;
             }
         }
@@ -293,7 +263,7 @@ impl Reactor {
             let Some(listener) = self.listener.as_ref() else { return };
             match listener.accept() {
                 Ok((stream, _)) => {
-                    if self.engine.front().is_shutting_down() {
+                    if self.shared.front.is_shutting_down() {
                         continue; // drop it; we are draining
                     }
                     if stream.set_nonblocking(true).is_err() {
@@ -309,7 +279,7 @@ impl Reactor {
                     }
                     arm(&mut self.wheel, &mut conn, self.limits.read_timeout, token);
                     self.conns.insert(token, conn);
-                    self.engine.front().metrics.connections_open.set(self.conns.len() as f64);
+                    self.shared.front.metrics.connections_open.set(self.conns.len() as f64);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -317,7 +287,7 @@ impl Reactor {
                     // Out of fds or a transient accept failure: count it and
                     // yield briefly — level-triggered readiness would
                     // otherwise spin the loop at full speed.
-                    self.engine.front().metrics.accept_errors.inc();
+                    self.shared.front.metrics.accept_errors.inc();
                     std::thread::sleep(Duration::from_millis(2));
                     return;
                 }
@@ -381,11 +351,11 @@ impl Reactor {
     /// written out entirely and the connection is back in `Reading` (so the
     /// caller may continue pumping pipelined input).
     fn begin_request(&mut self, token: u64, mut request: Request) -> bool {
-        let shutting_down = self.engine.front().is_shutting_down();
+        let shutting_down = self.shared.front.is_shutting_down();
         // Trace context: adopt the client's id, or — only when a trace
         // sink is installed — assign one. Off path this is one load.
         if request.trace.is_none() && trace::enabled() {
-            request.trace = Some(self.engine.front().mint_trace_id());
+            request.trace = Some(self.shared.front.mint_trace_id());
         }
         let Some(conn) = self.conns.get_mut(&token) else { return false };
         let now = Instant::now();
@@ -416,7 +386,7 @@ impl Reactor {
         }
     }
 
-    /// Serves a resolved request inline when the role can, and otherwise
+    /// Serves a resolved request inline when it can, and otherwise
     /// queues it on the app pool. Only work that is cheap and nonblocking
     /// may run here. The `queue` phase starts at `now`, where `parse`
     /// ended, so the phases tile the request.
@@ -428,9 +398,9 @@ impl Reactor {
         generation: u64,
         now: Instant,
     ) -> Dispatch {
-        let front = self.engine.front();
+        let front = &self.shared.front;
         if let Some(done) =
-            self.engine.inline(endpoint, &request, token, generation, now, &self.completions)
+            self.shared.inline(endpoint, &request, token, generation, now, &self.completions)
         {
             front.count(endpoint);
             return done;
@@ -450,7 +420,7 @@ impl Reactor {
     /// Answers a request that never parsed (malformed, or cut off by the
     /// read deadline); the connection closes after the response.
     fn refuse_unparsed(&mut self, token: u64, status: u16, reason: &str) {
-        let metrics = &self.engine.front().metrics;
+        let metrics = &self.shared.front.metrics;
         metrics.errors.inc();
         metrics.response("unparsed", status).inc();
         self.respond(token, status, &error_body(reason), CT_JSON, false);
@@ -468,7 +438,7 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&token) else { return false };
         let endpoint = conn.endpoint;
         let elapsed = conn.started.map(|s| s.elapsed());
-        let metrics = &self.engine.front().metrics;
+        let metrics = &self.shared.front.metrics;
         if let Some(elapsed) = elapsed {
             metrics.request_seconds(endpoint).observe_duration(elapsed);
         }
@@ -491,7 +461,7 @@ impl Reactor {
         content_type: &'static str,
         keep_alive_allowed: bool,
     ) -> bool {
-        let shutting_down = self.engine.front().is_shutting_down();
+        let shutting_down = self.shared.front.is_shutting_down();
         let Some(conn) = self.conns.get_mut(&token) else { return false };
         let keep = keep_alive_allowed && conn.keep_alive_after && !shutting_down;
         conn.keep_alive_after = keep;
@@ -543,7 +513,7 @@ impl Reactor {
                     .unwrap_or(0);
                 let timeline = conn.timeline.clone();
                 let (endpoint, status) = (conn.endpoint, conn.status);
-                self.engine.front().record_request(&timeline, endpoint, status, total_us);
+                self.shared.front.record_request(&timeline, endpoint, status, total_us);
                 let Some(conn) = self.conns.get_mut(&token) else { return false };
                 if conn.keep_alive_after && conn.reset_for_next_request() {
                     let fd = conn.stream.as_raw_fd();
@@ -583,7 +553,7 @@ impl Reactor {
             Outcome::Reply(reply) => reply,
             Outcome::Evaluated { codes, entries } => {
                 let serialize_start = Instant::now();
-                let reply = self.engine.render_evaluate(&codes, entries);
+                let reply = self.shared.render_evaluate(&codes, entries);
                 conn.timeline.serialize_us = serialize_start.elapsed().as_micros() as u64;
                 reply
             }
@@ -606,7 +576,7 @@ impl Reactor {
                     self.refuse_unparsed(token, 408, "request timed out");
                 } else {
                     // Idle keep-alive / never-spoke connection: quiet close.
-                    self.engine.front().metrics.conns_reaped.inc();
+                    self.shared.front.metrics.conns_reaped.inc();
                     self.close_conn(token);
                 }
             }
@@ -619,7 +589,7 @@ impl Reactor {
         if let Some(mut conn) = self.conns.remove(&token) {
             conn.state = ConnState::Closed;
             let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            self.engine.front().metrics.connections_open.set(self.conns.len() as f64);
+            self.shared.front.metrics.connections_open.set(self.conns.len() as f64);
         }
     }
 }

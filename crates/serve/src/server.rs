@@ -8,6 +8,7 @@
 //! struct here is the hub all of them hang off.
 
 use std::collections::HashMap;
+use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, TrySendError};
@@ -25,17 +26,16 @@ use dse_space::{DesignPoint, DesignSpace};
 use dse_workloads::Benchmark;
 
 use crate::batcher::{run_coalescer, BatcherConfig, EvalCore, EvalJob, IngestedCore, ReplyFn};
-use crate::front::{
-    job_id, json_reply, start, wants_prometheus, Answer, Endpoint, Front, Limits, Reply,
-    ServerHandle,
-};
+use crate::front::{job_id, json_reply, wants_prometheus, Answer, Endpoint, Front, Limits, Reply};
 use crate::http::{BadRequest, Request, CT_JSON, CT_PROMETHEUS};
 use crate::protocol::{
     error_body, scrape_series, EvaluateRequest, EvaluateResponse, EvaluatedPoint, ExplainRequest,
     ExplainResponse, ExploreRequest, JobResult, JobStatus, MetricsResponse, WorkloadUploadRequest,
     WorkloadUploadResponse, COALESCER_BATCH_POINTS, COALESCER_QUEUE_WAIT, MAX_POINTS_PER_REQUEST,
 };
-use crate::reactor::{Completion, CompletionQueue, Dispatch, Engine, Outcome};
+use crate::reactor::{
+    app_worker_loop, AppJob, Completion, CompletionQueue, Dispatch, Outcome, Reactor,
+};
 
 /// Most ingested workloads one server instance will register; further
 /// uploads are rejected so a misbehaving client cannot grow the core
@@ -107,7 +107,7 @@ struct JobTable {
 
 /// Cross-thread server state.
 pub(crate) struct Shared {
-    front: Front,
+    pub(crate) front: Front,
     benchmarks: Vec<Benchmark>,
     space: DesignSpace,
     space_size: u64,
@@ -127,14 +127,13 @@ pub(crate) struct Shared {
     job_handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl Engine for Shared {
-    fn front(&self) -> &Front {
-        &self.front
-    }
-
+impl Shared {
+    /// Serves `endpoint` on the reactor thread when it can be done
+    /// without blocking; `None` hands the request to the app pool.
     /// `/v1/evaluate` goes straight to the coalescer and `/v1/shutdown`
-    /// only flips a flag, so neither waits for the app pool.
-    fn inline(
+    /// only flips a flag, so neither waits for the app pool. Work queued
+    /// here starts its `queue` phase at `dispatched_at`.
+    pub(crate) fn inline(
         &self,
         endpoint: Endpoint,
         request: &Request,
@@ -157,7 +156,11 @@ impl Engine for Shared {
 
     /// Renders the `/v1/evaluate` response once the coalescer's ledger
     /// entries come back. Runs on the reactor thread; pure computation.
-    fn render_evaluate(&self, codes: &[u64], entries: Vec<(LedgerEntry, Fidelity)>) -> Reply {
+    pub(crate) fn render_evaluate(
+        &self,
+        codes: &[u64],
+        entries: Vec<(LedgerEntry, Fidelity)>,
+    ) -> Reply {
         let mut results = Vec::with_capacity(entries.len());
         for (&code, (entry, answered_by)) in codes.iter().zip(&entries) {
             let point = self.space.decode(code);
@@ -184,7 +187,8 @@ impl Engine for Shared {
         json_reply(Ok(json(&EvaluateResponse { results })))
     }
 
-    fn route(&self, endpoint: Endpoint, request: &Request) -> Reply {
+    /// Blocking handling of `endpoint` on an app-pool worker.
+    pub(crate) fn route(&self, endpoint: Endpoint, request: &Request) -> Reply {
         let answer = match endpoint {
             Endpoint::Metrics => {
                 return handle_metrics(self, request).unwrap_or_else(|bad| json_reply(Err(bad)))
@@ -203,9 +207,7 @@ impl Engine for Shared {
         };
         json_reply(answer)
     }
-}
 
-impl Shared {
     /// Reactor-thread half of `/v1/evaluate`: parse, resolve, enqueue on
     /// the coalescer. Never blocks and never takes the core lock.
     fn dispatch_evaluate(
@@ -261,14 +263,48 @@ impl Shared {
     }
 }
 
-/// Binds the listener and spawns the whole service (reactor, app pool,
-/// coalescer). Returns immediately with the running handle.
+/// A running server: its bound address plus shutdown/join control.
+pub struct ServerHandle {
+    shared: Arc<Shared>,
+    supervisor: Option<JoinHandle<()>>,
+}
+
+impl ServerHandle {
+    /// The address it is listening on (with the real port even when the
+    /// config asked for port 0).
+    pub fn addr(&self) -> SocketAddr {
+        self.shared.front.addr
+    }
+
+    /// Requests a graceful shutdown: stop accepting, finish in-flight
+    /// connections, then drain queued evaluations and exploration jobs.
+    pub fn shutdown(&self) {
+        self.shared.front.initiate_shutdown();
+    }
+
+    /// Blocks until the server has fully drained and exited.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the supervisor thread itself panicked.
+    pub fn join(mut self) {
+        if let Some(handle) = self.supervisor.take() {
+            handle.join().expect("supervisor panicked");
+        }
+    }
+}
+
+/// Binds the listener and spawns the whole service: the reactor thread,
+/// `workers` app-pool threads fed by a queue of `queue_capacity` jobs,
+/// the coalescer, and a supervisor that, once the reactor has drained
+/// every connection, joins the pool, lets the coalescer drain, and joins
+/// the exploration jobs. Returns immediately with the running handle.
 ///
 /// # Errors
 ///
 /// Fails when the address cannot be bound or inspected.
 pub fn spawn(config: ServeConfig) -> std::io::Result<ServerHandle> {
-    let (front, listener, wake_rx) = Front::bind(&config.addr, "server", config.limits)?;
+    let (front, listener, wake_rx) = Front::bind(&config.addr, config.limits)?;
 
     let explorer = &config.explorer;
     let space = explorer.space().clone();
@@ -309,21 +345,41 @@ pub fn spawn(config: ServeConfig) -> std::io::Result<ServerHandle> {
         jobs: Arc::default(),
         job_handles: Mutex::new(Vec::new()),
     });
-    // Once the reactor and the app pool are gone: dropping the primary
-    // eval sender lets the coalescer drain the queue and exit, then the
-    // exploration jobs are joined.
-    let teardown = {
+    let completions = Arc::new(CompletionQueue::new(shared.front.waker.clone()));
+    let (app_tx, app_rx) = sync_channel::<AppJob>(config.batcher.queue_capacity);
+    let app_rx = Arc::new(Mutex::new(app_rx));
+    let app_workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
+        .map(|_| {
+            let shared = Arc::clone(&shared);
+            let app_rx = Arc::clone(&app_rx);
+            let completions = Arc::clone(&completions);
+            std::thread::spawn(move || app_worker_loop(shared, app_rx, completions))
+        })
+        .collect();
+    let reactor = {
         let shared = Arc::clone(&shared);
-        move || {
+        std::thread::spawn(move || Reactor::run(shared, listener, wake_rx, completions, app_tx))
+    };
+    let supervisor = {
+        let shared = Arc::clone(&shared);
+        std::thread::spawn(move || {
+            let _ = reactor.join();
+            // The reactor owned the only app sender; its exit closes the
+            // app queue and the workers drain out.
+            for worker in app_workers {
+                let _ = worker.join();
+            }
+            // Dropping the primary eval sender lets the coalescer drain
+            // the queue and exit, then the exploration jobs are joined.
             *shared.eval_tx.lock().expect("eval_tx poisoned") = None;
             let _ = coalescer.join();
             let handles = std::mem::take(&mut *shared.job_handles.lock().expect("jobs poisoned"));
             for handle in handles {
                 let _ = handle.join();
             }
-        }
+        })
     };
-    Ok(start(shared, listener, wake_rx, config.workers, config.batcher.queue_capacity, teardown))
+    Ok(ServerHandle { shared, supervisor: Some(supervisor) })
 }
 
 /// JSON-serializes a response payload (an internal failure here is a
@@ -554,5 +610,123 @@ fn handle_job(shared: &Shared, request: &Request) -> Answer {
     match shared.jobs.states.lock().expect("job table poisoned").get(&id) {
         None => Err(BadRequest::new(404, format!("no job {id}"))),
         Some(state) => Ok(json(&state.status(id))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::{Read as _, Write as _};
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    use dse_obs::Histogram;
+
+    use super::*;
+    use crate::http::client;
+    use crate::protocol::REQUESTS;
+
+    /// A quick server whose evaluation and app queues hold one job each,
+    /// and whose coalescer submits every request on its own.
+    fn one_slot_server(workers: usize) -> ServerHandle {
+        let mut config =
+            ServeConfig::new(Explorer::for_benchmark(Benchmark::StringSearch).trace_len(1_000));
+        config.workers = workers;
+        config.batcher =
+            BatcherConfig { max_batch_points: 1, max_delay: Duration::ZERO, queue_capacity: 1 };
+        spawn(config).expect("server binds")
+    }
+
+    /// Writes one request on a fresh connection and returns the
+    /// connection, to read its answer later.
+    fn send(addr: SocketAddr, method: &str, path: &str, body: &str) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let head = format!(
+            "{method} {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+            body.len()
+        );
+        stream.write_all(format!("{head}{body}").as_bytes()).expect("send");
+        stream
+    }
+
+    /// Reads a whole answer: its status and body.
+    fn answer(mut stream: TcpStream) -> (u16, String) {
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).expect("receive");
+        let status = raw["HTTP/1.1 ".len()..][..3].parse().expect("status code");
+        let body = raw.split_once("\r\n\r\n").map_or("", |(_, body)| body).to_string();
+        (status, body)
+    }
+
+    /// Waits until the server's own state satisfies `done`. The wait is
+    /// on the server's counters, never on elapsed time; the deadline only
+    /// turns a hang into a failure.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Sends one request on each of `streams` fresh connections, waits
+    /// until the server has refused one with a 503, then releases
+    /// `held` and checks that the others were served and the refusal
+    /// named `reason` and counted once in `serve_rejected_total`.
+    fn expect_one_refusal(
+        server: &ServerHandle,
+        held: std::sync::MutexGuard<'_, EvalCore>,
+        streams: Vec<TcpStream>,
+        reason: &str,
+    ) {
+        let rejected = &server.shared.front.metrics.rejected;
+        wait_until("a request was refused", || rejected.get() == 1);
+        drop(held);
+        let mut answers: Vec<(u16, String)> = streams.into_iter().map(answer).collect();
+        answers.sort();
+        let refused = answers.pop().expect("answers");
+        assert_eq!(refused.0, 503, "{answers:?} {refused:?}");
+        assert!(refused.1.contains(reason), "{}", refused.1);
+        assert!(answers.iter().all(|(status, _)| *status == 200), "{answers:?}");
+        let metrics =
+            client::get(&server.addr().to_string(), "/metrics?format=prometheus").expect("metrics");
+        assert!(metrics.body.lines().any(|l| l == "serve_rejected_total 1"), "{}", metrics.body);
+    }
+
+    #[test]
+    fn a_full_evaluation_queue_answers_503() {
+        let server = one_slot_server(4);
+        let addr = server.addr();
+        let registry = &server.shared.front.metrics.registry;
+        let queue_wait: Histogram = registry.histogram(COALESCER_QUEUE_WAIT, LATENCY_BUCKETS_S);
+        // With the core held, the coalescer stops inside its first window.
+        let held = server.shared.core.lock().expect("core");
+        let body = r#"{"points": [7], "fidelity": "lf"}"#;
+        let first = send(addr, "POST", "/v1/evaluate", body);
+        wait_until("the coalescer took the first request", || queue_wait.count() == 1);
+        // One of the next two fills the one-slot queue; the other is refused.
+        let mut streams = vec![first];
+        streams.extend((0..2).map(|_| send(addr, "POST", "/v1/evaluate", body)));
+        expect_one_refusal(&server, held, streams, "evaluation queue full, retry later");
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn a_full_request_queue_answers_503() {
+        let server = one_slot_server(1);
+        let addr = server.addr();
+        let scrapes =
+            server.shared.front.metrics.registry.counter_with(REQUESTS, &[("endpoint", "metrics")]);
+        // `/metrics` reads the core: with it held, the one app worker
+        // blocks on the first scrape.
+        let held = server.shared.core.lock().expect("core");
+        let first = send(addr, "GET", "/metrics", "");
+        wait_until("the app worker took the first scrape", || scrapes.get() == 1);
+        // One of the next two fills the one-slot queue; the other is refused.
+        let mut streams = vec![first];
+        streams.extend((0..2).map(|_| send(addr, "GET", "/metrics", "")));
+        expect_one_refusal(&server, held, streams, "request queue full, retry later");
+        server.shutdown();
+        server.join();
     }
 }

@@ -1,5 +1,4 @@
-//! Fixtures shared by the single-server and the router suites: the
-//! requests every serving role must refuse, so both hold the same list,
+//! Fixtures for the service suite: the requests the server must refuse
 //! and the ingestion fixture binaries.
 
 /// `(method, path, body, expected status)` of each refused request.
@@ -25,7 +24,7 @@ pub fn error_cases() -> Vec<(&'static str, &'static str, Option<String>, u16)> {
         .into_iter()
         .map(|(method, path, body, status)| (method, path, body.map(str::to_string), status))
         .collect();
-    // Over the 256-point cap, and spread over every shard of a router.
+    // Over the 256-point cap.
     let points: Vec<String> = (0..300).map(|code| code.to_string()).collect();
     let batch = format!(r#"{{"points": [{}], "fidelity": "lf"}}"#, points.join(","));
     cases.push(("POST", "/v1/evaluate", Some(batch), 400));
