@@ -23,6 +23,7 @@ pub(crate) fn loadgen_row(report: &LoadgenReport, config: &LoadgenConfig) -> Loa
         achieved_rps: report.achieved_rps,
         latency_us: Percentiles::from(&report.latency),
         delta_us: Percentiles::from(&report.delta),
+        connect_us: Percentiles::from(&report.connect),
         statuses: report
             .statuses
             .iter()
@@ -85,6 +86,9 @@ pub(crate) struct LoadgenRow {
     /// Client RTT minus server-reported time percentiles; all-zero
     /// unless the run used `--trace`.
     delta_us: Percentiles,
+    /// Per-connect wall time percentiles (first connections and
+    /// reconnects).
+    connect_us: Percentiles,
     statuses: Vec<StatusRow>,
     coalescer: archdse_serve::CoalescerStats,
     /// Answered/cached counts per fidelity tier, cheapest first.
@@ -101,22 +105,23 @@ struct LoadgenArtifact {
     rows: Vec<LoadgenRow>,
 }
 
-/// Prints the trend matrix's summary table and records every row in
-/// `results/BENCH_loadgen.json`.
+/// Prints the trend matrix's summary table (`connect(ms)` is the slowest
+/// connect) and records every row in `results/BENCH_loadgen.json`.
 pub(crate) fn record_trend(rows: Vec<LoadgenRow>) -> Result<(), serde_json::Error> {
     println!(
-        "{:>11} {:>9} {:>8} {:>11} {:>11} {:>9}",
-        "concurrency", "requests", "failed", "offered/s", "achieved/s", "p99(ms)"
+        "{:>11} {:>9} {:>8} {:>11} {:>11} {:>9} {:>13}",
+        "concurrency", "requests", "failed", "offered/s", "achieved/s", "p99(ms)", "connect(ms)"
     );
     for row in &rows {
         println!(
-            "{:>11} {:>9} {:>8} {:>11.0} {:>11.0} {:>9.1}",
+            "{:>11} {:>9} {:>8} {:>11.0} {:>11.0} {:>9.1} {:>13.1}",
             row.concurrency,
             row.requests,
             row.failed,
             row.offered_rps,
             row.achieved_rps,
-            row.latency_us.p99 as f64 / 1000.0
+            row.latency_us.p99 as f64 / 1000.0,
+            row.connect_us.max as f64 / 1000.0
         );
     }
     let artifact = serde_json::to_string_pretty(&LoadgenArtifact { rows })?;

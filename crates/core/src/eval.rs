@@ -240,12 +240,13 @@ impl MeanStepMask {
 /// Per-benchmark traces — and, through [`Evaluator::evaluate_batch`],
 /// whole batches of designs — are simulated on the `dse-exec` work pool.
 /// Each trace is expanded once into struct-of-arrays form at
-/// construction, and batches run as design-packs advanced in lockstep
-/// over the shared expansion by [`BatchSimulator`] (see the sim crate's
-/// batch module). Results are gathered in input order and lockstep
-/// results are bit-identical to the reference walk of each design, so
-/// the reported CPIs are bit-identical whatever the thread count or
-/// pack size (see the crate's DESIGN.md).
+/// construction. A batch runs as one lane per (trace, design) job,
+/// fanned across the work pool: each worker runs its jobs on one reused
+/// [`BatchSimulator`] lane over the shared expansion (see the sim
+/// crate's batch module). Results are gathered in job order and each
+/// lane run is bit-identical to the reference walk of its design, so
+/// the reported CPIs are bit-identical whatever the thread count (see
+/// the crate's DESIGN.md).
 #[derive(Debug)]
 pub struct SimulatorHf {
     traces: Vec<Trace>,
@@ -253,12 +254,6 @@ pub struct SimulatorHf {
     cache: CpiCache,
     threads: usize,
 }
-
-/// Designs per lockstep pack: enough to amortize each trace window
-/// across several cores' worth of state without the lanes' own cache
-/// models evicting the shared window. Any pack size yields
-/// bit-identical CPIs.
-const PACK_SIZE: usize = 8;
 
 impl SimulatorHf {
     /// Builds the HF evaluator for one benchmark.
@@ -326,9 +321,11 @@ impl SimulatorHf {
         self.threads
     }
 
-    /// Designs per lockstep pack in batched simulation.
+    /// Designs per simulation job: always 1, since every job is one
+    /// (trace, design) pair. Kept for `archdse-perf`, whose one-thread
+    /// re-run groups designs by this count.
     pub fn pack_size(&self) -> usize {
-        PACK_SIZE
+        1
     }
 
     /// Counters of the memoized CPI cache.
@@ -361,19 +358,16 @@ impl Evaluator for SimulatorHf {
         Fidelity::High
     }
 
-    /// Batched evaluation grouping the unmemoized designs into lockstep
-    /// packs per trace and fanning the (trace × pack) jobs across the
-    /// work pool, so small trace sets still keep all cores busy on
-    /// design sweeps while each pack re-streams its trace from the
-    /// shared expansion exactly once.
+    /// Batched evaluation fanning one job per (trace, unmemoized
+    /// design) pair across the work pool, so even a few designs on one
+    /// trace keep every core busy.
     ///
     /// Values and memo counters are identical to evaluating each point
-    /// in order; lockstep simulation is bit-identical to per-run
-    /// simulation and per-design CPIs are averaged in trace order, so
-    /// they are also bit-identical to the sequential walk at any thread
-    /// count and pack size. Memo answers — including within-batch
-    /// duplicates after their first occurrence — come back with
-    /// [`Evaluation::cached`] set.
+    /// in order; every lane run is bit-identical to per-run simulation
+    /// and per-design CPIs are averaged in trace order, so they are
+    /// also bit-identical to the sequential walk at any thread count.
+    /// Memo answers — including within-batch duplicates after their
+    /// first occurrence — come back with [`Evaluation::cached`] set.
     fn evaluate_batch(&mut self, space: &DesignSpace, points: &[DesignPoint]) -> Vec<Evaluation> {
         // Pass 1 (sequential): replay the exact memo-lookup sequence the
         // per-point path would issue, scheduling each design's first
@@ -403,38 +397,24 @@ impl Evaluator for SimulatorHf {
             }
         }
 
-        // Pass 2 (parallel): one job per (trace, design-pack) pair —
-        // each job advances its pack of designs in lockstep over the
-        // trace's shared expansion, so the trace is streamed once per
-        // pack instead of once per design. Jobs are gathered in job
-        // order and CPIs averaged per design in trace order. Each
-        // worker keeps one batch simulator whose lanes recycle cache
-        // arrays and kernel scratch across packs; every pack
-        // cold-starts its lanes and each lane's result depends only on
-        // its (design, trace), so nothing here depends on pack
-        // grouping, thread count or worker reuse.
+        // Pass 2 (parallel): one job per (trace, design) pair, trace
+        // major, handed out dynamically. Each worker keeps one batch
+        // simulator whose lane recycles its buffers from job to job;
+        // every run cold-starts the lane, so a result depends only on
+        // its (design, trace), never on the worker or the jobs it ran
+        // before. Results are gathered in job order and CPIs averaged
+        // per design in trace order, so nothing here depends on the
+        // thread count.
         let n_traces = self.traces.len();
-        let configs: Vec<CoreConfig> = to_run.iter().map(|(_, c)| c.clone()).collect();
-        let jobs: Vec<(usize, usize)> = (0..n_traces)
-            .flat_map(|t| (0..configs.len()).step_by(PACK_SIZE).map(move |d0| (t, d0)))
-            .collect();
-        let (configs, expanded) = (&configs, &self.expanded);
-        let per_job = par_map_with(
-            &jobs,
-            self.threads,
-            || None::<BatchSimulator>,
-            |slot, _, &(t, d0)| {
-                let batch = slot.get_or_insert_with(BatchSimulator::new);
-                let pack = &configs[d0..(d0 + PACK_SIZE).min(configs.len())];
-                let results = batch.run_pack(pack, &expanded[t]);
-                results.iter().map(SimResult::cpi).collect::<Vec<f64>>()
-            },
-        );
-        let mut cpis = vec![0.0f64; configs.len() * n_traces];
-        for (&(t, d0), pack_cpis) in jobs.iter().zip(&per_job) {
-            for (i, &cpi) in pack_cpis.iter().enumerate() {
-                cpis[(d0 + i) * n_traces + t] = cpi;
-            }
+        let jobs: Vec<(usize, usize)> =
+            (0..n_traces).flat_map(|t| (0..to_run.len()).map(move |d| (t, d))).collect();
+        let per_job =
+            par_map_with(&jobs, self.threads, BatchSimulator::new, |batch, _, &(t, d)| {
+                batch.run(&to_run[d].1, &self.expanded[t]).cpi()
+            });
+        let mut cpis = vec![0.0f64; to_run.len() * n_traces];
+        for (&(t, d), &cpi) in jobs.iter().zip(&per_job) {
+            cpis[d * n_traces + t] = cpi;
         }
         let means: Vec<f64> = (0..to_run.len())
             .map(|d| cpis[d * n_traces..(d + 1) * n_traces].iter().sum::<f64>() / n_traces as f64)

@@ -47,9 +47,9 @@ pub struct ReferenceOptimum {
 ///
 /// Which designs are drawn does not depend on any CPI, so every sample
 /// is drawn first and all of them are simulated in one
-/// [`SimulatorHf::cpi_batch`]: the batch packs designs into lockstep
-/// simulation and spreads the packs over the worker threads, with
-/// answers bit-identical to one [`SimulatorHf::cpi`] per sample.
+/// [`SimulatorHf::cpi_batch`]: the batch spreads one job per (trace,
+/// design) over the worker threads, with answers bit-identical to one
+/// [`SimulatorHf::cpi`] per sample.
 /// Simulations run outside any [`CostLedger`](dse_exec::CostLedger), so
 /// the pass never consumes DSE budget — it defines the measuring stick,
 /// exactly like the paper's offline reference sweep (it may warm the

@@ -101,6 +101,9 @@ fn waker_crosses_threads_and_drains() {
             "{backend:?}: waker never fired"
         );
         assert!(events.iter().any(|e| e.token == WAKE_TOKEN && e.readable));
+        // Join first: both wakes have landed before the drain, so the
+        // second cannot arrive after it and fire the drained wait.
+        let waker = handle.join().expect("join");
         wake_rx.drain();
 
         // Drained: the next bounded wait times out.
@@ -108,7 +111,6 @@ fn waker_crosses_threads_and_drains() {
             poller.wait(&mut events, Some(Duration::from_millis(10))).expect("wait after drain");
         assert_eq!(n, 0, "{backend:?}: waker still pending after drain");
 
-        let waker = handle.join().expect("join");
         waker.wake();
         assert!(
             wait_for(&poller, &mut events, Duration::from_secs(5)) > 0,

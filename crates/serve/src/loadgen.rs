@@ -157,6 +157,11 @@ pub struct LoadgenReport {
     /// Per-status single-attempt round-trip percentiles, sorted by
     /// status code.
     pub statuses: Vec<StatusLatency>,
+    /// Wall time of every successful `connect`: first connections and
+    /// reconnects alike. Kept apart from `latency`, so a slow accept
+    /// backlog shows as its own figure instead of inflating one
+    /// request's service interval.
+    pub connect: LatencyStats,
     /// The server's coalescer counters after the run.
     pub coalescer: CoalescerStats,
     /// The server's evaluate-ledger summary after the run — the per-tier
@@ -194,6 +199,12 @@ impl LoadgenReport {
             out.push_str(&format!(
                 "client-server gap: p50 {:?}, p95 {:?}, p99 {:?}, max {:?} ({} timed)\n",
                 self.delta.p50, self.delta.p95, self.delta.p99, self.delta.max, self.delta.samples
+            ));
+        }
+        if self.connect.samples > 0 {
+            out.push_str(&format!(
+                "connect: p50 {:?}, p99 {:?}, max {:?} ({} connects)\n",
+                self.connect.p50, self.connect.p99, self.connect.max, self.connect.samples
             ));
         }
         for s in &self.statuses {
@@ -277,6 +288,8 @@ struct ClientOutcome {
     deltas: Vec<Duration>,
     /// Per-attempt round-trip latencies keyed by answering status.
     by_status: Vec<(u16, Vec<Duration>)>,
+    /// Wall time of each successful connect.
+    connects: Vec<Duration>,
 }
 
 impl ClientOutcome {
@@ -294,6 +307,7 @@ impl ClientOutcome {
         self.io_errors += other.io_errors;
         self.served.extend(other.served);
         self.deltas.extend(other.deltas);
+        self.connects.extend(other.connects);
         for (status, rtts) in other.by_status {
             match self.by_status.iter_mut().find(|(s, _)| *s == status) {
                 Some((_, acc)) => acc.extend(rtts),
@@ -363,8 +377,12 @@ fn client_loop(
                 }
             }
             if conn.is_none() {
+                let connect_started = Instant::now();
                 match client::Conn::connect(&config.addr) {
-                    Ok(fresh) => conn = Some(fresh),
+                    Ok(fresh) => {
+                        outcome.connects.push(connect_started.elapsed());
+                        conn = Some(fresh);
+                    }
                     Err(_) => {
                         outcome.io_errors += 1;
                         io_failures += 1;
@@ -501,6 +519,7 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
         latency: LatencyStats::from_samples(total.served),
         delta: LatencyStats::from_samples(total.deltas),
         statuses,
+        connect: LatencyStats::from_samples(total.connects),
         coalescer: metrics.coalescer,
         ledger: metrics.ledger,
         escalations,
@@ -567,6 +586,7 @@ mod tests {
                     latency: LatencyStats::from_samples(vec![ms(1)]),
                 },
             ],
+            connect: LatencyStats::from_samples(vec![ms(1), ms(9)]),
             coalescer: CoalescerStats::default(),
             ledger: LedgerSummary::default(),
             escalations: 0,
@@ -578,11 +598,14 @@ mod tests {
         assert!(rendered.contains("offered 2 attempts/s, achieved 2 req/s"), "{rendered}");
         assert!(rendered.contains("status 200: 4 attempts"), "{rendered}");
         assert!(rendered.contains("status 503: 1 attempts"), "{rendered}");
+        assert!(rendered.contains("connect: p50 1ms, p99 9ms, max 9ms (2 connects)"), "{rendered}");
         assert!(rendered.contains("tiers: lf 0 answered"), "{rendered}");
         let mut silent = report;
         silent.latency = LatencyStats::default();
         silent.statuses.clear();
+        silent.connect = LatencyStats::default();
         assert!(!silent.render().contains("latency"), "no line without samples");
+        assert!(!silent.render().contains("connect"), "no connect line without samples");
     }
 
     #[test]
@@ -595,6 +618,7 @@ mod tests {
             served: vec![ms(5)],
             deltas: vec![ms(1)],
             by_status: vec![(200, vec![ms(5), ms(6)]), (503, vec![ms(1)])],
+            connects: vec![ms(1)],
         };
         let b = ClientOutcome {
             ok: 1,
@@ -604,11 +628,13 @@ mod tests {
             served: vec![ms(7)],
             deltas: vec![ms(2)],
             by_status: vec![(200, vec![ms(7)]), (400, vec![ms(2)])],
+            connects: vec![ms(3), ms(4)],
         };
         a.absorb(b);
         assert_eq!((a.ok, a.rejected, a.failed, a.io_errors), (3, 1, 1, 1));
         assert_eq!(a.served.len(), 2);
         assert_eq!(a.deltas.len(), 2);
+        assert_eq!(a.connects.len(), 3);
         let lens: Vec<(u16, usize)> = a.by_status.iter().map(|(s, v)| (*s, v.len())).collect();
         assert!(lens.contains(&(200, 3)) && lens.contains(&(503, 1)) && lens.contains(&(400, 1)));
     }

@@ -1,21 +1,21 @@
-//! The lane kernel: the simulator engine, run as design-batched
-//! lockstep packs over an expanded trace.
+//! The lane kernel: the simulator engine, one design ("lane") run to
+//! completion over an expanded trace.
 //!
-//! [`BatchSimulator`] advances K designs ("lanes") over one shared
-//! [`ExpandedTrace`] in lockstep *windows*: lane 0 simulates until its
-//! fetch pointer crosses the current window boundary, then lane 1, …,
-//! then the window advances. Each lane is an independent deterministic
-//! state machine, so pausing and resuming it at window boundaries
-//! cannot change a single counter — per-lane results are bit-identical
-//! to the cycle-by-cycle `ReferenceSimulator` walk on the original
-//! trace, at any pack size and any window length (asserted by
-//! `crates/sim/tests/equivalence.rs`). What lockstep buys is locality:
-//! a window of trace data stays hot in cache while all K designs
-//! consume it, instead of the whole trace being re-streamed once per
-//! design. [`Simulator`](crate::Simulator) is a one-lane pack.
+//! One job is one (trace, design) pair. [`BatchSimulator`] keeps a
+//! single lane whose allocations (ROB ring, cache arrays, timing wheel)
+//! it recycles from design to design, and runs each design over a
+//! shared, read-only [`ExpandedTrace`] from the first instruction to
+//! the last in one call. Parallelism lives one level up: the HF
+//! evaluator fans its (trace, design) jobs across the work pool, one
+//! `BatchSimulator` per worker. Every run cold-starts the lane, so each
+//! result is a pure function of its (design, trace) pair and
+//! bit-identical to the cycle-by-cycle `ReferenceSimulator` walk of the
+//! original trace, whatever ran on the lane before (asserted by
+//! `crates/sim/tests/equivalence.rs`). [`Simulator`](crate::Simulator)
+//! is the one-design front end over the same lane.
 //!
-//! Per lane, the kernel pays only for events where the reference walk
-//! re-scans the ROB every cycle:
+//! The kernel pays only for events where the reference walk re-scans
+//! the ROB every cycle:
 //!
 //! * ROB bookkeeping works in slot indices, so the hot loops never
 //!   compute `idx % rob_entries` (an integer division) — head/fetch
@@ -51,11 +51,11 @@
 //!   expiry scan, because an MSHR frees exactly when its load's
 //!   completion event pops.
 //!
-//! Kernel activity (lanes run, wheel pops, skipped cycles, per-lane
+//! Kernel activity (lane runs, wheel pops, skipped cycles, per-run
 //! wall time) is kept in plain lane-local integers and published to the
-//! `sim_kernel_*` metrics once per pack, never from the hot loop.
+//! `sim_kernel_*` metrics once per run, never from the hot loop.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dse_workloads::Op;
 
@@ -68,19 +68,6 @@ const DEADLOCK_CYCLES: u64 = 1_000_000;
 
 /// Null link of the intrusive waiter lists.
 const NO_WAITER: u32 = u32::MAX;
-
-/// Default lockstep window, in instructions. At ~21 bytes per expanded
-/// instruction a window is ~86 KiB — small enough to stay resident in
-/// L2 while every lane of a pack consumes it.
-const DEFAULT_WINDOW: usize = 4_096;
-
-/// Lanes advanced per lockstep rotation. Large packs run as a sequence
-/// of clusters this big, so the combined per-lane simulator state
-/// stays cache-resident across window switches; the shared expanded
-/// trace is small enough that re-streaming it once per cluster is
-/// cheap. Purely a scheduling choice — results are identical at any
-/// cluster size.
-const LANE_CLUSTER: usize = 8;
 
 /// Completion events bucketed by cycle — a timing wheel.
 ///
@@ -327,8 +314,8 @@ impl Slot {
 }
 
 /// One design's complete simulation state: core structures plus the
-/// paused position of its run. Lanes recycle every allocation across
-/// packs.
+/// position of its run. A lane recycles every allocation across
+/// designs.
 #[derive(Debug)]
 struct Lane {
     config: CoreConfig,
@@ -379,15 +366,11 @@ struct Lane {
     /// resolves, so the branch's slot cannot be reused meanwhile.
     pending_flush: Option<u32>,
     last_commit_cycle: u64,
-    /// Whether this lane has committed its whole trace.
-    done: bool,
     /// Completion events popped from the timing wheel (observability
-    /// only, like the two fields below — never part of [`SimResult`]).
+    /// only, like the field below — never part of [`SimResult`]).
     events_popped: u64,
     /// Cycles the idle skip-ahead jumped over instead of walking.
     skipped_cycles: u64,
-    /// Summed wall time of this lane's [`Lane::advance`] calls.
-    busy: Duration,
 }
 
 impl Lane {
@@ -419,10 +402,8 @@ impl Lane {
             fetch_resume_at: 0,
             pending_flush: None,
             last_commit_cycle: 0,
-            done: false,
             events_popped: 0,
             skipped_cycles: 0,
-            busy: Duration::ZERO,
         }
     }
 
@@ -479,10 +460,8 @@ impl Lane {
         self.fetch_resume_at = 0;
         self.pending_flush = None;
         self.last_commit_cycle = 0;
-        self.done = false;
         self.events_popped = 0;
         self.skipped_cycles = 0;
-        self.busy = Duration::ZERO;
     }
 
     /// Marks `slot` ready to issue.
@@ -538,18 +517,13 @@ impl Lane {
         }
     }
 
-    /// Runs this lane until it either commits the whole trace or its
-    /// fetch pointer reaches `fetch_limit` (the lockstep window edge).
-    /// Resuming with a later limit continues the run exactly where it
-    /// paused — the pause is invisible to every counter.
-    fn advance(&mut self, x: &ExpandedTrace, fetch_limit: usize) {
+    /// Runs this (freshly started) lane until it commits the whole
+    /// trace.
+    fn run(&mut self, x: &ExpandedTrace) {
         let lat = self.config.latencies;
         let cap = self.config.rob_entries;
 
         while self.committed < x.len() {
-            if self.next_fetch >= fetch_limit {
-                return;
-            }
             self.cycle += 1;
 
             // --- Idle-cycle skip-ahead (O(1) probes) -----------------
@@ -850,7 +824,6 @@ impl Lane {
 
         self.stats.cycles = self.cycle;
         self.stats.instructions = self.committed as u64;
-        self.done = true;
     }
 }
 
@@ -863,19 +836,18 @@ fn build_predictor(config: &CoreConfig) -> Option<Gshare> {
     }
 }
 
-/// Simulates a pack of designs in lockstep over one shared
-/// [`ExpandedTrace`] — the simulator engine every high-fidelity
-/// evaluation runs on.
+/// Runs designs one at a time over a shared [`ExpandedTrace`] on one
+/// reused lane — the simulator engine every high-fidelity evaluation
+/// runs on.
 ///
 /// Results are bit-identical to the cycle-by-cycle `ReferenceSimulator`
-/// walk of each design over the original trace — the lockstep schedule
-/// only changes *when* each design's deterministic state machine runs,
-/// never what it computes — while the shared trace window stays hot in
-/// cache across all designs of the pack.
+/// walk of each design over the original trace. Each run cold-starts
+/// the lane, so a result never depends on which designs the simulator
+/// ran before.
 ///
-/// A `BatchSimulator` reuses its per-lane allocations (ROB rings, cache
-/// arrays, timing wheels) across packs, so a worker thread sweeping
-/// many packs allocates once per lane, not once per design.
+/// A `BatchSimulator` reuses its lane's allocations (ROB ring, cache
+/// arrays, timing wheel) across runs, so a worker thread sweeping many
+/// designs allocates once, not once per design.
 ///
 /// # Examples
 ///
@@ -886,134 +858,78 @@ fn build_predictor(config: &CoreConfig) -> Option<Gshare> {
 ///
 /// let space = DesignSpace::boom();
 /// let trace = Benchmark::Mm.trace(2_000, 7);
-/// let configs: Vec<CoreConfig> = [space.smallest(), space.largest()]
-///     .iter()
-///     .map(|p| CoreConfig::from_point(&space, p))
-///     .collect();
-/// let batch = BatchSimulator::new().run_pack(&configs, &ExpandedTrace::expand(&trace));
-/// assert_eq!(batch[1], ReferenceSimulator::new(configs[1].clone()).run(&trace));
+/// let expanded = ExpandedTrace::expand(&trace);
+/// let config = CoreConfig::from_point(&space, &space.largest());
+/// let mut sim = BatchSimulator::new();
+/// let result = sim.run(&config, &expanded);
+/// assert_eq!(result, ReferenceSimulator::new(config).run(&trace));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct BatchSimulator {
-    lanes: Vec<Lane>,
-    window: usize,
-}
-
-impl Default for BatchSimulator {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Built on the first run, then recycled.
+    lane: Option<Lane>,
 }
 
 impl BatchSimulator {
-    /// Creates a batch simulator with the default lockstep window.
+    /// Creates a batch simulator; its lane is allocated on first use.
     pub fn new() -> Self {
-        Self { lanes: Vec::new(), window: DEFAULT_WINDOW }
+        Self { lane: None }
     }
 
-    /// Overrides the lockstep window length, in instructions.
+    /// Simulates `config` over `trace` from a cold core.
     ///
-    /// Any window produces bit-identical results; the length only
-    /// tunes how much trace data is shared per lane switch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn with_window(mut self, window: usize) -> Self {
-        assert!(window > 0, "lockstep window must be positive");
-        self.window = window;
-        self
-    }
-
-    /// The lockstep window length, in instructions.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Simulates every design of `configs` over `trace`, returning one
-    /// [`SimResult`] per design in input order.
-    ///
-    /// Each result is bit-identical to
+    /// The result is bit-identical to
     /// `ReferenceSimulator::new(config).run(&original_trace)`.
     ///
     /// # Panics
     ///
-    /// Panics on an empty trace, an empty pack, or an invalid
-    /// configuration.
-    pub fn run_pack(&mut self, configs: &[CoreConfig], trace: &ExpandedTrace) -> Vec<SimResult> {
+    /// Panics on an empty trace or an invalid configuration.
+    pub fn run(&mut self, config: &CoreConfig, trace: &ExpandedTrace) -> SimResult {
         assert!(!trace.is_empty(), "cannot simulate an empty trace");
-        assert!(!configs.is_empty(), "cannot simulate an empty design pack");
-        for config in configs {
-            if let Err(e) = config.validate() {
-                panic!("invalid core configuration: {e}");
-            }
+        if let Err(e) = config.validate() {
+            panic!("invalid core configuration: {e}");
         }
-        while self.lanes.len() < configs.len() {
-            self.lanes.push(Lane::new(&configs[self.lanes.len()]));
-        }
-        let lanes = &mut self.lanes[..configs.len()];
-        for (lane, config) in lanes.iter_mut().zip(configs) {
-            lane.start(config);
-        }
+        let lane = self.lane.get_or_insert_with(|| Lane::new(config));
+        lane.start(config);
+        let start = Instant::now();
+        lane.run(trace);
+        let busy = start.elapsed();
 
-        // Lanes are visited in clusters: every lane of a cluster
-        // finishes the whole trace before the next cluster starts.
-        // Within a cluster the window rotation shares trace data; the
-        // cluster bound keeps the combined lane state (ROB rings plus
-        // cache-model arrays, which can reach ~1 MiB per large design)
-        // resident across window switches instead of thrashing when a
-        // caller hands over a very large pack. Scheduling order cannot
-        // change any result: lanes never interact.
-        for cluster in lanes.chunks_mut(LANE_CLUSTER) {
-            let mut fetch_limit = self.window;
-            loop {
-                let limit = if fetch_limit >= trace.len() { usize::MAX } else { fetch_limit };
-                let mut all_done = true;
-                for lane in cluster.iter_mut() {
-                    if !lane.done {
-                        let start = Instant::now();
-                        lane.advance(trace, limit);
-                        lane.busy += start.elapsed();
-                        all_done &= lane.done;
-                    }
-                }
-                if all_done {
-                    break;
-                }
-                fetch_limit += self.window;
-            }
-        }
-
-        // Kernel activity goes to the atomic registry once per pack,
+        // Kernel activity goes to the atomic registry once per run,
         // never into `SimResult` (whose bit-identity the equivalence
         // suite compares) and never from the hot loop.
         let m = metrics();
-        m.packs.inc();
-        m.pack_designs.observe(configs.len() as f64);
-        m.expansion_reuse.inc();
-        m.kernel_runs.add(lanes.len() as u64);
-        m.events_popped.add(lanes.iter().map(|lane| lane.events_popped).sum());
-        m.skipped_cycles.add(lanes.iter().map(|lane| lane.skipped_cycles).sum());
-        for lane in lanes.iter() {
-            m.run_seconds.observe_duration(lane.busy);
-        }
-        lanes.iter().map(|lane| lane.stats).collect()
+        m.kernel_runs.inc();
+        m.events_popped.add(lane.events_popped);
+        m.skipped_cycles.add(lane.skipped_cycles);
+        m.run_seconds.observe_duration(busy);
+        lane.stats
+    }
+
+    /// Simulates every design of `configs` over `trace` in turn on the
+    /// one reused lane, returning one [`SimResult`] per design in input
+    /// order — [`Self::run`] in a loop, kept for callers that hold a
+    /// slice of designs.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty trace, an empty design list, or an invalid
+    /// configuration.
+    pub fn run_pack(&mut self, configs: &[CoreConfig], trace: &ExpandedTrace) -> Vec<SimResult> {
+        assert!(!configs.is_empty(), "cannot simulate an empty design pack");
+        configs.iter().map(|config| self.run(config, trace)).collect()
     }
 }
 
 /// Cached registry handles for lane-kernel metrics.
 struct BatchMetrics {
-    packs: dse_obs::Counter,
-    pack_designs: dse_obs::Histogram,
-    /// Packs served from an already-expanded trace; together with
-    /// `sim_trace_expansions_total` this measures how far each one-time
-    /// expansion was amortized.
-    expansion_reuse: dse_obs::Counter,
-    /// Lanes simulated (one per design per pack).
+    /// Lane runs (one per (trace, design) job), each over an
+    /// already-expanded trace; together with `sim_trace_expansions_total`
+    /// this measures how far each one-time expansion was amortized.
     kernel_runs: dse_obs::Counter,
     events_popped: dse_obs::Counter,
     skipped_cycles: dse_obs::Counter,
-    /// One sample per lane: the summed wall time of its `advance` calls.
+    /// One sample per lane run: its wall time.
     run_seconds: dse_obs::Histogram,
 }
 
@@ -1022,9 +938,6 @@ fn metrics() -> &'static BatchMetrics {
     METRICS.get_or_init(|| {
         let registry = dse_obs::global();
         BatchMetrics {
-            packs: registry.counter("sim_batch_packs_total"),
-            pack_designs: registry.histogram("sim_batch_pack_designs", dse_obs::SIZE_BUCKETS),
-            expansion_reuse: registry.counter("sim_batch_expansion_reuse_total"),
             kernel_runs: registry.counter("sim_kernel_runs_total"),
             events_popped: registry.counter("sim_kernel_events_popped_total"),
             skipped_cycles: registry.counter("sim_kernel_skipped_cycles_total"),
@@ -1066,18 +979,20 @@ mod tests {
         let skipped = registry.counter("sim_kernel_skipped_cycles_total");
         let seconds = registry.histogram("sim_kernel_run_seconds", dse_obs::LATENCY_BUCKETS_S);
         let before = (runs.get(), popped.get(), skipped.get(), seconds.count());
-        let mut batch = BatchSimulator::new().with_window(64);
-        let _ = batch.run_pack(&configs(2), &ExpandedTrace::expand(&trace));
-        for lane in &batch.lanes {
+        let x = ExpandedTrace::expand(&trace);
+        let mut batch = BatchSimulator::new();
+        for config in &configs(2) {
+            let _ = batch.run(config, &x);
+            let lane = batch.lane.as_ref().expect("lane built by the run");
             assert_eq!(lane.events_popped, 200, "one wheel pop per load");
             assert!(lane.skipped_cycles > 200 * 100, "DRAM waits are skipped");
         }
         // Other tests publish concurrently, so the registry only bounds
-        // this pack's contribution from below.
+        // these runs' contribution from below.
         assert!(runs.get() - before.0 >= 2);
         assert!(popped.get() - before.1 >= 400);
         assert!(skipped.get() - before.2 >= 2 * 200 * 100);
-        assert!(seconds.count() - before.3 >= 2, "one wall-time sample per lane");
+        assert!(seconds.count() - before.3 >= 2, "one wall-time sample per run");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! single run. [`ExpandedTrace`] pays that decode exactly once: operation classes, dependency
 //! distances, memory addresses and branch metadata are split into
 //! dense parallel arrays with all `Option`s pre-resolved, so the
-//! batch kernel's dispatch stage reads exactly the bytes it needs and
-//! K lockstep designs share one read-only copy (the type is `Sync` —
+//! lane kernel's dispatch stage reads exactly the bytes it needs and
+//! every worker's lane shares one read-only copy (the type is `Sync` —
 //! plain owned arrays, no interior mutability).
 
 use std::convert::Infallible;

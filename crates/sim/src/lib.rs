@@ -17,8 +17,10 @@
 //!   where the number of MSHRs caps outstanding L1 load misses.
 //!
 //! One engine runs all of it: the lane kernel behind [`BatchSimulator`],
-//! which advances packs of designs in lockstep over an
-//! [`ExpandedTrace`]. [`Simulator`] is its one-design front end. The
+//! which runs one design at a time over a shared [`ExpandedTrace`] on a
+//! reused lane. One job is one (trace, design) pair; the HF evaluator
+//! fans those jobs across the work pool, one lane per worker.
+//! [`Simulator`] is the one-design front end. The
 //! cycle-by-cycle `ReferenceSimulator` (compiled for tests and under
 //! the `reference` feature) is the oracle the kernel is differentially
 //! tested against, counter for counter, in `tests/equivalence.rs`.

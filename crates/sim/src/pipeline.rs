@@ -1,7 +1,5 @@
 //! The public one-design [`Simulator`] front end over the lane kernel.
 
-use std::slice;
-
 use dse_workloads::Trace;
 
 use crate::{BatchSimulator, CoreConfig, ExpandedTrace, SimResult};
@@ -15,14 +13,14 @@ use crate::{BatchSimulator, CoreConfig, ExpandedTrace, SimResult};
 /// availability), and dispatches new instructions unless a mispredicted
 /// branch has frozen the front end.
 ///
-/// A `Simulator` is a one-design pack on the lane kernel: each
-/// [`run`](Simulator::run) expands the trace and simulates it as a
-/// one-lane [`BatchSimulator`] pack, which is differentially tested to
-/// produce bit-identical [`SimResult`]s to the retained cycle-by-cycle
+/// A `Simulator` is one design on the lane kernel: each
+/// [`run`](Simulator::run) expands the trace and runs it on the lane of
+/// a [`BatchSimulator`], which is differentially tested to produce
+/// bit-identical [`SimResult`]s to the retained cycle-by-cycle
 /// `ReferenceSimulator` walk. Every run starts from a cold core, so
 /// results depend only on `(config, trace)`. Sweeps over many designs
-/// should call [`BatchSimulator::run_pack`] directly and expand each
-/// trace once.
+/// should expand each trace once and call [`BatchSimulator::run`] per
+/// (trace, design) job, one `BatchSimulator` per worker.
 ///
 /// # Examples
 ///
@@ -69,7 +67,7 @@ impl Simulator {
     /// or if the pipeline stops making progress (which would indicate a
     /// simulator bug).
     pub fn run(&mut self, trace: &Trace) -> SimResult {
-        self.batch.run_pack(slice::from_ref(&self.config), &ExpandedTrace::expand(trace))[0]
+        self.batch.run(&self.config, &ExpandedTrace::expand(trace))
     }
 }
 

@@ -57,8 +57,8 @@ struct RobEntry {
 /// let trace = Benchmark::StringSearch.trace(2_000, 1);
 /// let cfg = CoreConfig::from_point(&space, &space.smallest());
 /// let reference = ReferenceSimulator::new(cfg.clone()).run(&trace);
-/// let lanes = BatchSimulator::new().run_pack(&[cfg], &ExpandedTrace::expand(&trace));
-/// assert_eq!(reference, lanes[0]);
+/// let lane = BatchSimulator::new().run(&cfg, &ExpandedTrace::expand(&trace));
+/// assert_eq!(reference, lane);
 /// ```
 #[derive(Debug)]
 pub struct ReferenceSimulator {

@@ -1,17 +1,15 @@
 //! The differential suite proving the lane kernel bit-identical to the
 //! retained cycle-by-cycle reference walk, the simulator's only oracle.
 //!
-//! [`Simulator`] is a one-lane [`BatchSimulator`] pack, so every case
-//! here covers both. Equivalence is asserted on the *full*
-//! [`SimResult`] — every counter, not just CPI — across:
+//! [`Simulator`] runs on a [`BatchSimulator`] lane, so every case here
+//! covers both. Equivalence is asserted on the *full* [`SimResult`] —
+//! every counter, not just CPI — across:
 //!
-//! * every [`Benchmark::ALL`] trace with a pack of design-space corner
+//! * every [`Benchmark::ALL`] trace with a list of design-space corner
 //!   points (and each corner through `Simulator`);
-//! * front-end (gshare) and prefetch variants, mixed *within* one pack;
-//! * pack-shape sweeps: every split of one design list into packs, and
-//!   a pack larger than the design count (padded with repeats);
-//! * lockstep-window sweeps, including a window of one instruction and
-//!   one far larger than the trace;
+//! * front-end (gshare) and prefetch variants, mixed *within* one list;
+//! * one reused lane fed the same designs in several orders, with
+//!   back-to-back repeats — the orders dynamic job hand-out can produce;
 //! * reuse of one `BatchSimulator` and one `Simulator` across traces;
 //! * hand-built traces that maximise idle-cycle skip-ahead and MSHR
 //!   stalls;
@@ -19,8 +17,8 @@
 //!   workspace-level `tests/parallel_eval.rs` and
 //!   `tests/serve_determinism.rs` suites, so their thread-count and
 //!   coalescing bit-identity guarantees provably rest on the oracle;
-//! * ≥64 random (trace, pack, window) proptest cases with mixed flags,
-//!   which also check the accounting invariants of every lane.
+//! * ≥64 random (trace, design list) proptest cases with mixed flags,
+//!   which also check the accounting invariants of every run.
 
 use std::collections::BTreeSet;
 
@@ -32,19 +30,20 @@ use dse_space::{DesignSpace, Param};
 use dse_workloads::{Benchmark, Instr, Op, Trace};
 use proptest::prelude::*;
 
-/// Oracle results for every design of a pack.
+/// Oracle results for every design of a list.
 fn reference(configs: &[CoreConfig], trace: &Trace) -> Vec<SimResult> {
     configs.iter().map(|cfg| ReferenceSimulator::new(cfg.clone()).run(trace)).collect()
 }
 
-/// One differential case: the whole pack in lockstep versus the oracle,
-/// full-result equality lane by lane.
+/// One differential case: every design of the list, run in turn on one
+/// reused lane, versus the oracle, full-result equality design by
+/// design.
 fn assert_pack_matches(configs: &[CoreConfig], trace: &Trace, label: &str) -> Vec<SimResult> {
     let lanes = BatchSimulator::new().run_pack(configs, &ExpandedTrace::expand(trace));
     let oracle = reference(configs, trace);
-    assert_eq!(lanes.len(), oracle.len(), "lane count: {label}");
-    for (lane, (got, want)) in lanes.iter().zip(&oracle).enumerate() {
-        assert_eq!(got, want, "lane {lane} diverged from the reference: {label}");
+    assert_eq!(lanes.len(), oracle.len(), "result count: {label}");
+    for (design, (got, want)) in lanes.iter().zip(&oracle).enumerate() {
+        assert_eq!(got, want, "design {design} diverged from the reference: {label}");
     }
     lanes
 }
@@ -73,15 +72,10 @@ fn all_benchmarks_match_with_a_corner_pack() {
     }
 }
 
-#[test]
-fn front_end_and_prefetch_variants_match_within_one_pack() {
-    // All four (gshare × prefetch) variants of every corner share a
-    // single pack, so lanes with different front-end models run in
-    // lockstep next to each other.
-    let space = DesignSpace::boom();
-    let trace = Benchmark::Quicksort.trace(8_000, 7);
-    let mut pack = Vec::new();
-    for base in corner_configs(&space) {
+/// All four (gshare × prefetch) variants of every corner point.
+fn front_end_variants(space: &DesignSpace) -> Vec<CoreConfig> {
+    let mut configs = Vec::new();
+    for base in corner_configs(space) {
         for gshare in [false, true] {
             for prefetch in [false, true] {
                 let mut cfg = base.clone();
@@ -89,52 +83,54 @@ fn front_end_and_prefetch_variants_match_within_one_pack() {
                     cfg.branch_model = BranchModel::Gshare { history_bits: 6, table_bits: 10 };
                 }
                 cfg.l2_next_line_prefetch = prefetch;
-                pack.push(cfg);
+                configs.push(cfg);
             }
         }
     }
-    assert_pack_matches(&pack, &trace, "mixed front-end pack");
+    configs
 }
 
 #[test]
-fn pack_shape_is_invisible() {
-    // The same six designs, grouped every way the scheduler might:
-    // the per-design results must never depend on who shares a pack.
+fn front_end_and_prefetch_variants_match_within_one_pack() {
+    // Designs with different front-end models run back to back on one
+    // lane, so a predictor or prefetcher swap between runs is covered.
     let space = DesignSpace::boom();
-    let configs = corner_configs(&space);
+    let trace = Benchmark::Quicksort.trace(8_000, 7);
+    assert_pack_matches(&front_end_variants(&space), &trace, "mixed front-end list");
+}
+
+#[test]
+fn design_order_on_a_reused_lane_is_invisible() {
+    // Dynamic job hand-out decides which designs one worker's lane sees
+    // and in what order. Feed one reused simulator the mixed corner and
+    // front-end list forwards, in a fixed permutation with back-to-back
+    // repeats, and backwards: every run must match the oracle for its
+    // own design.
+    let space = DesignSpace::boom();
+    let configs = front_end_variants(&space);
     let trace = Benchmark::Dijkstra.trace(6_000, 3);
     let x = ExpandedTrace::expand(&trace);
     let oracle = reference(&configs, &trace);
 
-    for pack_size in 1..=configs.len() {
-        let mut batch = BatchSimulator::new();
-        let mut got = Vec::new();
-        for pack in configs.chunks(pack_size) {
-            got.extend(batch.run_pack(pack, &x));
+    let n = configs.len();
+    // 7 is coprime with the list length, so this visits every design.
+    assert_ne!(n % 7, 0, "the stride must permute all {n} designs");
+    let permuted: Vec<usize> = (0..n)
+        .flat_map(|i| {
+            let d = i * 7 % n;
+            if i % 5 == 0 {
+                vec![d, d]
+            } else {
+                vec![d]
+            }
+        })
+        .collect();
+    let orders = [(0..n).collect::<Vec<_>>(), permuted, (0..n).rev().collect()];
+    let mut reused = BatchSimulator::new();
+    for (o, order) in orders.iter().enumerate() {
+        for &d in order {
+            assert_eq!(reused.run(&configs[d], &x), oracle[d], "order {o}, design {d}");
         }
-        assert_eq!(got, oracle, "pack size {pack_size}");
-    }
-
-    // A pack larger than the distinct design count: repeats share the
-    // trace with their own twin and still agree lane for lane.
-    let mut padded = configs.clone();
-    padded.extend(configs.iter().cloned());
-    let got = BatchSimulator::new().run_pack(&padded, &x);
-    for (lane, r) in got.iter().enumerate() {
-        assert_eq!(r, &oracle[lane % configs.len()], "padded lane {lane}");
-    }
-}
-
-#[test]
-fn lockstep_window_is_invisible() {
-    let space = DesignSpace::boom();
-    let configs = corner_configs(&space);
-    let trace = Benchmark::FpVvadd.trace(4_000, 5);
-    let x = ExpandedTrace::expand(&trace);
-    let oracle = reference(&configs, &trace);
-    for window in [1, 17, 512, 4_000, 1 << 24] {
-        let got = BatchSimulator::new().with_window(window).run_pack(&configs, &x);
-        assert_eq!(got, oracle, "window {window}");
     }
 }
 
@@ -282,17 +278,17 @@ fn arb_trace(len: usize) -> impl Strategy<Value = Trace> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// ≥64 random (trace, pack, window) cases: a pack of designs drawn
-    /// from random codes — with the gshare and prefetch flags flipped
-    /// on alternating lanes — in lockstep versus the reference, full
-    /// `SimResult` equality plus the accounting invariants.
+    /// ≥64 random (trace, design list) cases: designs drawn from random
+    /// codes — with the gshare and prefetch flags flipped on
+    /// alternating designs — run in turn on one lane versus the
+    /// reference, full `SimResult` equality plus the accounting
+    /// invariants.
     #[test]
     fn random_packs_match_the_reference(
         trace in arb_trace(500),
         codes in proptest::collection::vec(0u64..3_000_000, 1..7),
         gshare in proptest::bool::ANY,
         prefetch in proptest::bool::ANY,
-        window in 1usize..1_000,
     ) {
         prop_assume!(!trace.is_empty());
         let space = DesignSpace::boom();
@@ -301,8 +297,8 @@ proptest! {
             .enumerate()
             .map(|(i, &code)| {
                 let mut cfg = CoreConfig::from_point(&space, &space.decode(code));
-                // Flip the out-of-space knobs on alternating lanes so
-                // mixed packs are the common case, not the corner.
+                // Flip the out-of-space knobs on alternating designs so
+                // mixed lists are the common case, not the corner.
                 if gshare && i % 2 == 0 {
                     cfg.branch_model = BranchModel::Gshare { history_bits: 6, table_bits: 10 };
                 }
@@ -310,9 +306,7 @@ proptest! {
                 cfg
             })
             .collect();
-        let lanes = BatchSimulator::new()
-            .with_window(window)
-            .run_pack(&pack, &ExpandedTrace::expand(&trace));
+        let lanes = BatchSimulator::new().run_pack(&pack, &ExpandedTrace::expand(&trace));
         prop_assert_eq!(&lanes, &reference(&pack, &trace));
         let branches = trace.iter().filter(|i| i.op == Op::Branch).count() as u64;
         for (cfg, r) in pack.iter().zip(&lanes) {

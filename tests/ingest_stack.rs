@@ -53,9 +53,9 @@ fn lane_kernel_matches_the_reference_on_the_ingested_trace() {
     let reference: Vec<SimResult> =
         configs.iter().map(|c| ReferenceSimulator::new(c.clone()).run(&ingested.trace)).collect();
     let expanded = ExpandedTrace::expand(&ingested.trace);
-    let lockstep = BatchSimulator::new().run_pack(&configs, &expanded);
-    assert_eq!(lockstep, reference, "the lane kernel must match the oracle counter for counter");
-    assert!(lockstep.iter().all(|r| r.instructions == ingested.trace.len() as u64));
+    let lanes = BatchSimulator::new().run_pack(&configs, &expanded);
+    assert_eq!(lanes, reference, "the lane kernel must match the oracle counter for counter");
+    assert!(lanes.iter().all(|r| r.instructions == ingested.trace.len() as u64));
 }
 
 #[test]

@@ -59,6 +59,27 @@ fn thread_count_does_not_change_batch_results() {
 }
 
 #[test]
+fn one_trace_serve_batch_is_identical_at_any_thread_count() {
+    // The shape of a `/v1/evaluate` request on a one-benchmark server:
+    // a few fresh designs on one trace, now split across workers.
+    let space = DesignSpace::boom();
+    let points = spread(&space, 4);
+    let run = |threads: usize| {
+        let mut hf = SimulatorHf::for_benchmark(Benchmark::Mm, 2_000, 5, 1.0).with_threads(threads);
+        let cpis = hf.cpi_batch(&space, &points);
+        (cpis, hf.cache_stats(), hf.evaluations())
+    };
+    let (one, one_stats, one_evals) = run(1);
+    for threads in [2, 4] {
+        let (many, stats, evals) = run(threads);
+        let same = one.iter().zip(&many).all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(same, "{threads} threads diverged from 1 thread: {many:?} vs {one:?}");
+        assert_eq!(stats, one_stats, "{threads} threads: memo counters diverged");
+        assert_eq!(evals, one_evals, "{threads} threads: evaluation count diverged");
+    }
+}
+
+#[test]
 fn same_seed_explorer_runs_are_bit_identical() {
     let run = || {
         Explorer::for_benchmark(Benchmark::StringSearch)
