@@ -13,7 +13,12 @@
 //!
 //! The per-benchmark section times [`Simulator`] — one design on the
 //! lane kernel, expanding its trace on every run — on a reused instance
-//! against the reference's per-evaluation cold construction.
+//! against the reference's per-evaluation cold construction, in
+//! [`ROUNDS`] paired rounds per benchmark: each round times both
+//! engines back to back (in alternating order), and the reported
+//! speed-up is the median of the per-round ratios, so host drift
+//! between rounds cancels instead of landing on whichever engine ran
+//! later.
 //!
 //! The serve section times the shape of one `/v1/evaluate` request on a
 //! one-benchmark server: `SimulatorHf::evaluate_batch` of
@@ -31,9 +36,14 @@ use dse_workloads::{Benchmark, Trace};
 
 const TRACE_LEN: usize = 30_000;
 const TRACE_SEED: u64 = 7;
-/// Per-engine measurement floor: repeat until this much time is spent.
+/// The serve section runs paired rounds until each side has at least
+/// `2 * MIN_REPS` of them and both together have spent `2 * MIN_MEASURE`.
 const MIN_MEASURE: std::time::Duration = std::time::Duration::from_millis(300);
 const MIN_REPS: u32 = 3;
+/// Paired rounds per benchmark in the per-benchmark section.
+const ROUNDS: usize = 9;
+/// Per-engine measurement floor within one paired round.
+const ROUND_MIN: std::time::Duration = std::time::Duration::from_millis(50);
 /// Designs per serve-shaped batch: one serve-fresh request's points.
 const SERVE_POINTS: usize = 4;
 /// The serve section's benchmark and trace length (serve-fresh's).
@@ -44,12 +54,13 @@ const SERVE_TRACE_LEN: usize = 10_000;
 /// the memo.
 const DESIGN_STRIDE: u64 = 1_000_003;
 
-/// Instructions per second of `run`, which simulates `instructions`.
-fn throughput(instructions: u64, mut run: impl FnMut() -> u64) -> f64 {
+/// Instructions per second of `run`, which simulates `instructions`,
+/// repeated until `floor` has passed.
+fn throughput(instructions: u64, floor: std::time::Duration, mut run: impl FnMut() -> u64) -> f64 {
     let start = Instant::now();
     let mut reps = 0u32;
     let mut checksum = 0u64;
-    while reps < MIN_REPS || start.elapsed() < MIN_MEASURE {
+    while reps == 0 || start.elapsed() < floor {
         checksum = checksum.wrapping_add(run());
         reps += 1;
     }
@@ -137,11 +148,28 @@ fn record_throughput(
     let mut json_rows = Vec::new();
     let mut log_speedup_sum = 0.0;
     for (b, trace) in traces {
-        let simulator_ips = throughput(TRACE_LEN as u64, || sim.run(trace).cycles);
-        let reference_ips = throughput(TRACE_LEN as u64, || {
-            ReferenceSimulator::new(config.clone()).run(trace).cycles
-        });
-        let speedup = simulator_ips / reference_ips;
+        let (mut sim_ips, mut ref_ips, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+        for round in 0..ROUNDS {
+            let mut time_sim = || throughput(TRACE_LEN as u64, ROUND_MIN, || sim.run(trace).cycles);
+            let time_ref = || {
+                throughput(TRACE_LEN as u64, ROUND_MIN, || {
+                    ReferenceSimulator::new(config.clone()).run(trace).cycles
+                })
+            };
+            let (s, r) = if round % 2 == 0 {
+                let s = time_sim();
+                (s, time_ref())
+            } else {
+                let r = time_ref();
+                (time_sim(), r)
+            };
+            sim_ips.push(s);
+            ref_ips.push(r);
+            ratios.push(s / r);
+        }
+        let simulator_ips = median(&mut sim_ips);
+        let reference_ips = median(&mut ref_ips);
+        let speedup = median(&mut ratios);
         log_speedup_sum += speedup.ln();
         rows.push(format!(
             "{:<14} simulator {:>8.2} Minstr/s   reference {:>7.2} Minstr/s   speedup {speedup:>5.2}x",
@@ -155,7 +183,10 @@ fn record_throughput(
         ));
     }
     let geomean = (log_speedup_sum / traces.len() as f64).exp();
-    rows.push(format!("{:<14} geomean speedup {geomean:>5.2}x", ""));
+    rows.push(format!(
+        "{:<14} geomean speedup {geomean:>5.2}x (medians of {ROUNDS} paired rounds)",
+        ""
+    ));
 
     // Paired rounds — alternate the two thread counts so slow clock
     // drift (thermal, noisy neighbours) biases both sides equally
@@ -196,7 +227,7 @@ fn record_throughput(
         &format!(
             "{{\n  \"bench\": \"sim_kernel\",\n  \"provenance\": {},\n  \
              \"trace_len\": {TRACE_LEN},\n  \"trace_seed\": {TRACE_SEED},\n  \
-             \"design\": \"largest\",\n  \"benchmarks\": [\n{}\n  ],\n  \
+             \"design\": \"largest\",\n  \"rounds\": {ROUNDS},\n  \"benchmarks\": [\n{}\n  ],\n  \
              \"geomean_speedup\": {geomean:.3},\n  \"serve_batch\": {{\"benchmark\": \
              \"{SERVE_BENCH}\", \"trace_len\": {SERVE_TRACE_LEN}, \"designs\": {SERVE_POINTS}, \
              \"rounds\": {rounds}, \"one_thread_ms\": {one_ms:.3}, \"threads\": {cores}, \
@@ -234,10 +265,15 @@ fn provenance(cores: usize) -> String {
     )
 }
 
+/// Median of `values` (the upper one of an even count).
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
 /// Median of `secs`, in milliseconds.
 fn median_ms(secs: &mut [f64]) -> f64 {
-    secs.sort_by(f64::total_cmp);
-    1e3 * secs[secs.len() / 2]
+    1e3 * median(secs)
 }
 
 criterion_group!(benches, bench_sim_kernel);

@@ -122,7 +122,9 @@ where
 /// `(i, item)`.
 ///
 /// With `threads <= 1` (or fewer than two items) everything runs on the
-/// calling thread with a single scratch value and no spawns.
+/// calling thread with a single scratch value and no spawns. Otherwise
+/// the calling thread is one of the workers and `threads - 1` more are
+/// spawned, so a two-worker batch pays for one spawn, not two.
 ///
 /// # Panics
 ///
@@ -146,29 +148,27 @@ where
     gathered.resize_with(items.len(), || None);
 
     let mut gather_time = std::time::Duration::ZERO;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut scratch = init();
-                    let mut produced = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= items.len() {
-                            return produced;
-                        }
-                        produced.push((i, f(&mut scratch, i, &items[i])));
-                    }
-                })
-            })
-            .collect();
-        // Joins run in spawn order: the first join also absorbs the
-        // straggler wait, later ones are pure scatter-by-index.
-        let gather_start = std::time::Instant::now();
-        for handle in handles {
-            for (i, value) in handle.join().expect("evaluation worker panicked") {
-                gathered[i] = Some(value);
+    let work = || {
+        let mut scratch = init();
+        let mut produced = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if i >= items.len() {
+                return produced;
             }
+            produced.push((i, f(&mut scratch, i, &items[i])));
+        }
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let own = work();
+        // Gathering starts when the calling thread's share runs dry:
+        // the first join also absorbs the straggler wait, later ones
+        // are pure scatter-by-index.
+        let gather_start = std::time::Instant::now();
+        let joined = handles.into_iter().map(|h| h.join().expect("evaluation worker panicked"));
+        for (i, value) in std::iter::once(own).chain(joined).flatten() {
+            gathered[i] = Some(value);
         }
         gather_time = gather_start.elapsed();
     });
@@ -406,6 +406,27 @@ mod tests {
             let parallel = run(threads);
             let same = sequential.iter().zip(&parallel).all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "{threads} threads diverged");
+        }
+    }
+
+    #[test]
+    fn par_map_with_makes_the_calling_thread_a_worker() {
+        // One scratch per worker, and one of the workers is the caller:
+        // `threads` workers cost `threads - 1` spawns.
+        let items: Vec<u32> = (0..64).collect();
+        for threads in [2, 3, 8] {
+            let inits = std::sync::Mutex::new(Vec::new());
+            let out = par_map_with(
+                &items,
+                threads,
+                || inits.lock().unwrap().push(std::thread::current().id()),
+                |(), _, &x| x + 1,
+            );
+            assert_eq!(out, (1..=64).collect::<Vec<_>>());
+            let inits = inits.into_inner().unwrap();
+            assert_eq!(inits.len(), threads, "one scratch per worker");
+            let caller = std::thread::current().id();
+            assert_eq!(inits.iter().filter(|&&id| id == caller).count(), 1, "{threads} threads");
         }
     }
 
