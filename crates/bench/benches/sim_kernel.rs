@@ -23,7 +23,10 @@
 //! The serve section times the shape of one `/v1/evaluate` request on a
 //! one-benchmark server: `SimulatorHf::evaluate_batch` of
 //! [`SERVE_POINTS`] never-seen designs on one [`SERVE_BENCH`] trace,
-//! at one thread and at all cores, in paired rounds.
+//! at one thread and at all cores, in paired rounds until each side has
+//! spent [`MIN_MEASURE`]. A batch takes a few milliseconds, so a second
+//! or less of rounds is at the mercy of the host; the reported speed-up
+//! is again the median of the per-round ratios.
 
 use std::time::Instant;
 
@@ -36,10 +39,9 @@ use dse_workloads::{Benchmark, Trace};
 
 const TRACE_LEN: usize = 30_000;
 const TRACE_SEED: u64 = 7;
-/// The serve section runs paired rounds until each side has at least
-/// `2 * MIN_REPS` of them and both together have spent `2 * MIN_MEASURE`.
-const MIN_MEASURE: std::time::Duration = std::time::Duration::from_millis(300);
-const MIN_REPS: u32 = 3;
+/// The serve section runs paired rounds until each side has spent at
+/// least this long.
+const MIN_MEASURE: std::time::Duration = std::time::Duration::from_secs(2);
 /// Paired rounds per benchmark in the per-benchmark section.
 const ROUNDS: usize = 9;
 /// Per-engine measurement floor within one paired round.
@@ -188,33 +190,37 @@ fn record_throughput(
         ""
     ));
 
-    // Paired rounds — alternate the two thread counts so slow clock
-    // drift (thermal, noisy neighbours) biases both sides equally
-    // instead of whichever happened to run second. Each side gets fresh
-    // designs every round, so every batch simulates all its points.
+    // Paired rounds: each round times both thread counts back to back,
+    // in alternating order, so slow clock drift (thermal, noisy
+    // neighbours) biases both sides equally and cancels in the round's
+    // ratio. Each side gets fresh designs every round, so every batch
+    // simulates all its points.
     let mut secs = [Vec::new(), Vec::new()];
-    let floor = 2.0 * MIN_MEASURE.as_secs_f64();
+    let floor = MIN_MEASURE.as_secs_f64();
     for round in 1.. {
-        if secs[0].len() >= 2 * MIN_REPS as usize && secs.iter().flatten().sum::<f64>() >= floor {
+        if secs.iter().all(|s| s.iter().sum::<f64>() >= floor) {
             break;
         }
         let points = serve_points(space, round);
-        for (hf, secs) in serve.iter_mut().zip(&mut secs) {
+        let order = if round % 2 == 0 { [0, 1] } else { [1, 0] };
+        for side in order {
+            let hf = &mut serve[side];
             let before = hf.evaluations();
             let start = Instant::now();
             std::hint::black_box(hf.cpi_batch(space, &points));
-            secs.push(start.elapsed().as_secs_f64());
+            secs[side].push(start.elapsed().as_secs_f64());
             assert_eq!(hf.evaluations() - before, SERVE_POINTS, "a serve batch hit the memo");
         }
     }
     let rounds = secs[0].len();
+    let mut ratios: Vec<f64> = secs[0].iter().zip(&secs[1]).map(|(one, all)| one / all).collect();
+    let speedup = median(&mut ratios);
     let [one_ms, all_ms] = secs.map(|mut s| median_ms(&mut s));
     let cores = serve[1].threads();
-    let speedup = one_ms / all_ms;
     rows.push(format!(
         "serve batch    {SERVE_POINTS} designs on {SERVE_BENCH} x {SERVE_TRACE_LEN}: \
          1 thread {one_ms:>6.2} ms   {cores} threads {all_ms:>6.2} ms   speedup {speedup:>5.2}x \
-         ({rounds} rounds, medians)"
+         ({rounds} paired rounds, medians)"
     ));
 
     eprintln!(

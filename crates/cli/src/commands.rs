@@ -141,16 +141,8 @@ fn explorer(args: &Args) -> Result<Explorer, Box<dyn Error>> {
 }
 
 pub(crate) fn cmd_explore(args: &Args) -> Result<i32, Box<dyn Error>> {
-    let tiers: usize = args.value("tiers")?;
-    if !(2..=dse_exec::Fidelity::COUNT).contains(&tiers) {
-        let count = dse_exec::Fidelity::COUNT;
-        return Err(usage_error(format!("--tiers must be 2 or {count}, got {tiers}")));
-    }
-    let explorer = explorer(args)?
-        .lf_episodes(args.value("lf-episodes")?)
-        .hf_budget(args.value("hf-budget")?)
-        .tiers(tiers)
-        .gate_threshold(args.value("gate-threshold")?);
+    let explorer =
+        explorer(args)?.lf_episodes(args.value("lf-episodes")?).hf_budget(args.value("hf-budget")?);
     if let Err(e) = explorer.check_area() {
         return Err(usage_error(format!("error: {e}")));
     }
@@ -361,10 +353,8 @@ fn loadgen_config(args: &Args, fidelity: &str) -> Result<LoadgenConfig, Box<dyn 
 
 pub(crate) fn cmd_loadgen(args: &Args) -> Result<i32, Box<dyn Error>> {
     let fidelity = args.value::<String>("fidelity")?.to_ascii_lowercase();
-    if fidelity != "auto" && dse_exec::Fidelity::from_key(&fidelity).is_none() {
-        return Err(usage_error(format!(
-            "--fidelity must be lf, learned, hf or auto, got {fidelity:?}"
-        )));
+    if dse_exec::Fidelity::from_key(&fidelity).is_none() {
+        return Err(usage_error(format!("--fidelity must be lf or hf, got {fidelity:?}")));
     }
     if args.switch("trend") {
         return cmd_loadgen_trend(args, &fidelity);

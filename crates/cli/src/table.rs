@@ -193,10 +193,6 @@ static TABLE: &[Command] = &[
         BENCHMARK, GENERAL, AREA, LEAKAGE, SEED,
         Flag::value("lf-episodes", "<n>", "LF training episodes").default("300"),
         Flag::value("hf-budget", "<n>", "HF simulations").default("9"),
-        Flag::value("tiers", "<2|3>", "fidelity tiers: 2 = LF+HF, 3 adds the online-learned mid \
-            tier with gate routing").default("2"),
-        Flag::value("gate-threshold", "<e>", "learned-tier confidence gate: answer when the \
-            conformal error bound is below e (3-tier runs only)").default("0.05"),
         TRACE_LEN.default("30000"),
         THREADS,
         Flag::value("save-fnn", "<file>", "persist the trained network as JSON"),
@@ -244,8 +240,7 @@ static TABLE: &[Command] = &[
         Flag::switch("trend", "sweep {16, 256, 1024} clients closed-loop, each against a fresh \
             self-hosted server, and record every row in results/BENCH_loadgen.json"),
         Flag::value("points", "<n>", "design points per request").default("4"),
-        Flag::value("fidelity", "<name>", "tier to request: lf|learned|hf, or auto to let the \
-            uncertainty gate route").default("lf"),
+        Flag::value("fidelity", "<lf|hf>", "fidelity to request").default("lf"),
         Flag::value("seed", "<n>", "point-choice seed").default("1"),
         Flag::value("trace-len", "<n>", "self-hosted servers' trace length; their eval queue holds \
             at least one request per client").default("2000"),

@@ -47,22 +47,20 @@ pub struct RunLedger {
     /// `(evaluations, cache_hits, cache_misses, denied, model_time_units)`
     /// for the LF section.
     pub lf: (u64, u64, u64, u64, f64),
-    /// The same five counters for the learned mid tier (all zero in a
-    /// two-tier trace, which predates the field and reconciles as such).
-    pub learned: (u64, u64, u64, u64, f64),
     /// The same five counters for the HF section.
     pub hf: (u64, u64, u64, u64, f64),
 }
 
-/// The integer per-tier counters of the `run_summary` event, each
-/// written as `<tier key>_<counter>` (`lf_cache_hits`), in tuple order.
+/// The integer per-fidelity counters of the `run_summary` event, each
+/// written as `<fidelity key>_<counter>` (`lf_cache_hits`), in tuple
+/// order.
 const COUNTERS: [&str; 4] = ["evaluations", "cache_hits", "cache_misses", "denied"];
-/// The per-tier model-time field suffix of the `run_summary` event.
+/// The per-fidelity model-time field suffix of the `run_summary` event.
 const MODEL_TIME: &str = "model_time_units";
 
 /// Emits the `run_summary` event `explore --trace-out` closes its trace
-/// with: the run's result, then every tier's ledger counters, cheapest
-/// tier first, the budget floor and, when one was installed, the budget.
+/// with: the run's result, then both fidelities' ledger counters, LF
+/// first, and, when one was installed, the budget.
 /// [`summarize`] reads the counters back in the same shape.
 pub fn emit_run_summary(best_cpi: f64, hf_sims: u64, summary: &LedgerSummary) {
     let mut fields: Vec<(String, FieldValue)> =
@@ -75,7 +73,6 @@ pub fn emit_run_summary(best_cpi: f64, hf_sims: u64, summary: &LedgerSummary) {
         }
         fields.push((format!("{}_{MODEL_TIME}", fidelity.key()), section.model_time_units.into()));
     }
-    fields.push(("budget_floor".into(), summary.budget_floor.key().into()));
     if let Some(budget) = summary.hf_budget {
         fields.push(("hf_budget".into(), budget.into()));
     }
@@ -95,7 +92,9 @@ pub struct TraceSummary {
     pub spans: u64,
     /// Span name → `(count, total duration in µs)`.
     pub phase_wall_us: BTreeMap<String, (u64, u64)>,
-    /// Fidelity label → summed `ledger_batch` deltas.
+    /// Fidelity key (`lf`, `hf`) → summed `ledger_batch` deltas.
+    /// Batches of any other fidelity, which traces written while the
+    /// repository had a learned mid tier can hold, are ignored.
     pub per_fidelity: BTreeMap<String, FidelityTotals>,
     /// `episode` events per phase label.
     pub episodes: BTreeMap<String, u64>,
@@ -160,9 +159,9 @@ pub fn summarize(text: &str, top: usize) -> Result<TraceSummary, String> {
                         let fidelity = value
                             .get("fidelity")
                             .and_then(Value::as_str)
-                            .unwrap_or("unknown")
-                            .to_string();
-                        let t = summary.per_fidelity.entry(fidelity).or_default();
+                            .and_then(Fidelity::from_key);
+                        let Some(fidelity) = fidelity else { continue };
+                        let t = summary.per_fidelity.entry(fidelity.key().to_string()).or_default();
                         t.batches += 1;
                         t.proposals += get_u64(&value, "proposals");
                         t.evaluations += get_u64(&value, "evaluations");
@@ -178,14 +177,14 @@ pub fn summarize(text: &str, top: usize) -> Result<TraceSummary, String> {
                         *summary.episodes.entry(phase).or_insert(0) += 1;
                     }
                     "run_summary" => {
-                        let [lf, learned, hf] = Fidelity::STACK.map(|fidelity| {
+                        let [lf, hf] = Fidelity::ALL.map(|fidelity| {
                             let key = |suffix: &str| format!("{}_{suffix}", fidelity.key());
                             let [evaluations, cache_hits, cache_misses, denied] =
                                 COUNTERS.map(|counter| get_u64(&value, &key(counter)));
                             let time = get_f64(&value, &key(MODEL_TIME));
                             (evaluations, cache_hits, cache_misses, denied, time)
                         });
-                        summary.run_summary = Some(RunLedger { lf, learned, hf });
+                        summary.run_summary = Some(RunLedger { lf, hf });
                     }
                     _ => {}
                 }
@@ -211,7 +210,7 @@ pub fn reconcile(summary: &TraceSummary) -> Result<(), Vec<String>> {
         return Err(vec!["trace carries no run_summary event to reconcile against".into()]);
     };
     let mut errors = Vec::new();
-    for (label, expected) in [("lf", run.lf), ("learned", run.learned), ("hf", run.hf)] {
+    for (label, expected) in [("lf", run.lf), ("hf", run.hf)] {
         let got = summary.per_fidelity.get(label).copied().unwrap_or_default();
         let pairs = [
             ("evaluations", got.evaluations, expected.0),
@@ -529,19 +528,17 @@ mod tests {
 {"type":"event","name":"episode","span":2,"ts_us":2,"phase":"lf","episode":0,"cpi":1.5}
 {"type":"event","name":"ledger_batch","span":2,"ts_us":3,"fidelity":"lf","proposals":4,"evaluations":3,"cache_hits":1,"cache_misses":3,"denied":0,"model_time_units":3.0,"dur_us":120}
 {"type":"span_end","id":2,"name":"lf_phase","ts_us":10,"dur_us":9}
-{"type":"event","name":"ledger_batch","span":1,"ts_us":11,"fidelity":"learned","proposals":2,"evaluations":1,"cache_hits":1,"cache_misses":1,"denied":0,"model_time_units":0.01,"dur_us":40}
 {"type":"event","name":"ledger_batch","span":1,"ts_us":12,"fidelity":"hf","proposals":2,"evaluations":2,"cache_hits":0,"cache_misses":2,"denied":0,"model_time_units":2.0,"dur_us":300}
 {"type":"span_end","id":1,"name":"mfrl_run","ts_us":20,"dur_us":20}
-{"type":"event","name":"run_summary","span":null,"ts_us":21,"lf_evaluations":3,"lf_cache_hits":1,"lf_cache_misses":3,"lf_denied":0,"lf_model_time_units":3.0,"learned_evaluations":1,"learned_cache_hits":1,"learned_cache_misses":1,"learned_denied":0,"learned_model_time_units":0.01,"budget_floor":"learned","hf_evaluations":2,"hf_cache_hits":0,"hf_cache_misses":2,"hf_denied":0,"hf_model_time_units":2.0}
+{"type":"event","name":"run_summary","span":null,"ts_us":21,"lf_evaluations":3,"lf_cache_hits":1,"lf_cache_misses":3,"lf_denied":0,"lf_model_time_units":3.0,"hf_evaluations":2,"hf_cache_hits":0,"hf_cache_misses":2,"hf_denied":0,"hf_model_time_units":2.0}
 "#;
 
     #[test]
     fn summarize_aggregates_spans_and_deltas() {
         let s = summarize(TRACE, 5).unwrap();
-        assert_eq!((s.lines, s.spans, s.events), (9, 2, 5));
+        assert_eq!((s.lines, s.spans, s.events), (8, 2, 4));
         assert_eq!(s.phase_wall_us["lf_phase"], (1, 9));
         assert_eq!(s.per_fidelity["lf"].evaluations, 3);
-        assert_eq!(s.per_fidelity["learned"].cache_hits, 1);
         assert_eq!(s.per_fidelity["hf"].eval_wall_us, 300);
         assert_eq!(s.episodes["lf"], 1);
         assert_eq!(s.hottest[0], ("mfrl_run".to_string(), 20));
@@ -558,21 +555,8 @@ mod tests {
     }
 
     #[test]
-    fn two_tier_trace_without_learned_fields_still_reconciles() {
-        // Traces written before the learned tier existed carry no
-        // learned_* fields and no "learned" ledger_batch events; both
-        // sides default to zero and must agree.
-        let trace = r#"{"type":"event","name":"ledger_batch","span":null,"ts_us":1,"fidelity":"hf","proposals":1,"evaluations":1,"cache_hits":0,"cache_misses":1,"denied":0,"model_time_units":1.0,"dur_us":10}
-{"type":"event","name":"run_summary","span":null,"ts_us":2,"lf_evaluations":0,"lf_cache_hits":0,"lf_cache_misses":0,"lf_denied":0,"lf_model_time_units":0.0,"hf_evaluations":1,"hf_cache_hits":0,"hf_cache_misses":1,"hf_denied":0,"hf_model_time_units":1.0}
-"#;
-        let s = summarize(trace, 5).unwrap();
-        assert_eq!(s.run_summary.unwrap().learned, (0, 0, 0, 0, 0.0));
-        assert!(reconcile(&s).is_ok());
-    }
-
-    #[test]
     fn missing_run_summary_is_an_error() {
-        let truncated: String = TRACE.lines().take(7).map(|l| format!("{l}\n")).collect();
+        let truncated: String = TRACE.lines().take(6).map(|l| format!("{l}\n")).collect();
         let s = summarize(&truncated, 5).unwrap();
         assert!(reconcile(&s).is_err());
     }

@@ -46,11 +46,10 @@ pub(crate) fn loadgen_row(report: &LoadgenReport, config: &LoadgenConfig) -> Loa
                 cached: section.cache_hits,
             })
             .collect(),
-        escalations: report.escalations,
     }
 }
 
-/// Per-tier answered counts in the loadgen artifact.
+/// Per-fidelity answered counts in the loadgen artifact.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct TierCounts {
     tier: String,
@@ -91,10 +90,8 @@ pub(crate) struct LoadgenRow {
     connect_us: Percentiles,
     statuses: Vec<StatusRow>,
     coalescer: archdse_serve::CoalescerStats,
-    /// Answered/cached counts per fidelity tier, cheapest first.
+    /// Answered/cached counts per fidelity, cheapest first.
     tiers: Vec<TierCounts>,
-    /// Gate escalations the server recorded during the run.
-    escalations: u64,
 }
 
 /// The `results/BENCH_loadgen.json` payload: one row per client count of

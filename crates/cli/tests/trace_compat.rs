@@ -5,8 +5,9 @@
 //!
 //! The fixtures are verbatim golden copies of the two earlier schema
 //! generations: `trace_pr5_two_tier.jsonl` (LF+HF only, no `learned_*`
-//! fields) and `trace_pr7_three_tier.jsonl` (adds the learned tier and
-//! `tier_gate` events). Do not regenerate them; they pin the past.
+//! fields) and `trace_pr7_three_tier.jsonl` (adds the since-deleted
+//! learned mid tier and `tier_gate` events, which the readers now skip).
+//! Do not regenerate them; they pin the past.
 
 use archdse_cli::trace_report;
 
@@ -22,8 +23,7 @@ fn pr5_era_two_tier_trace_parses_and_reconciles() {
     assert_eq!(summary.spans, 3);
     assert_eq!(summary.per_fidelity["lf"].evaluations, 5);
     assert_eq!(summary.per_fidelity["hf"].evaluations, 2);
-    // No learned tier anywhere: both sides default to zero and agree.
-    assert_eq!(summary.run_summary.unwrap().learned, (0, 0, 0, 0, 0.0));
+    assert_eq!(summary.run_summary.unwrap().hf.0, 2);
     assert!(trace_report::reconcile(&summary).is_ok());
     // And no request records, which `--requests` mode reports as such
     // rather than choking on the old schema.
@@ -34,7 +34,13 @@ fn pr5_era_two_tier_trace_parses_and_reconciles() {
 fn pr7_era_three_tier_trace_parses_and_reconciles() {
     let text = fixture("trace_pr7_three_tier.jsonl");
     let summary = trace_report::summarize(&text, 5).expect("legacy trace parses");
-    assert_eq!(summary.per_fidelity["learned"].cache_hits, 1);
+    // The learned batch, its `learned_*` run_summary fields and the
+    // `tier_gate` event are read and ignored; LF and HF still reconcile.
+    assert!(!summary.per_fidelity.contains_key("learned"));
+    assert_eq!(summary.per_fidelity["lf"].evaluations, 4);
+    assert_eq!(summary.per_fidelity["hf"].evaluations, 1);
+    let run = summary.run_summary.unwrap();
+    assert_eq!((run.lf.0, run.hf.0), (4, 1));
     assert!(trace_report::reconcile(&summary).is_ok());
 }
 

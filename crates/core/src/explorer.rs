@@ -4,14 +4,11 @@ use std::error::Error;
 use std::fmt;
 
 use dse_area::AreaModel;
-use dse_exec::{
-    CostLedger, FeatureFn, Fidelity, LearnedTier, LedgerEntry, LedgerRouter, TierGate,
-    TieredEvaluator,
-};
+use dse_exec::{CostLedger, LedgerEntry, LedgerRouter};
 use dse_fnn::{extract_rules, Fnn, FnnBuilder, Rule, RuleExtractionConfig};
 use dse_mfrl::{
-    HfOutcome, HfPhaseConfig, LfOutcome, LfPhaseConfig, LowFidelity as _, MultiFidelityConfig,
-    MultiFidelityDse, RewardKind,
+    HfOutcome, HfPhaseConfig, LfOutcome, LfPhaseConfig, MultiFidelityConfig, MultiFidelityDse,
+    RewardKind,
 };
 use dse_space::{DesignPoint, DesignSpace, MergedParam, Param};
 use dse_workloads::Benchmark;
@@ -113,8 +110,6 @@ pub struct Explorer {
     preference: Option<Preference>,
     gradient_mask: bool,
     reward: RewardKind,
-    tiers: usize,
-    gate_threshold: f64,
 }
 
 impl Explorer {
@@ -146,8 +141,6 @@ impl Explorer {
             preference: None,
             gradient_mask: true,
             reward: RewardKind::IncumbentGap,
-            tiers: 2,
-            gate_threshold: 0.05,
         }
     }
 
@@ -271,36 +264,22 @@ impl Explorer {
         self
     }
 
-    /// Sets the fidelity-stack depth: 2 (the default) is the paper's
-    /// LF→HF flow; 3 inserts the online-learned mid tier with
-    /// uncertainty-gated routing, and the HF budget then meters learned
-    /// *and* simulated answers alike (same proposals, fewer simulator
-    /// charges). Values other than 2 or 3 panic.
+    /// Accepts only 2, the paper's LF→HF flow, and panics on any other
+    /// value. It configures nothing; it is kept because the benchmark
+    /// (`archdse-perf`, which changes only with the benchmark) spells out
+    /// `.tiers(2)` in its campaign. Drop it with the next change to the
+    /// benchmark.
     ///
     /// # Panics
     ///
-    /// Panics unless `tiers` is 2 or 3.
-    pub fn tiers(mut self, tiers: usize) -> Self {
-        assert!(
-            (2..=Fidelity::COUNT).contains(&tiers),
-            "the stack supports 2 or {} tiers, got {tiers}",
-            Fidelity::COUNT
+    /// Panics unless `tiers` is 2.
+    pub fn tiers(self, tiers: usize) -> Self {
+        assert_eq!(
+            tiers, 2,
+            "the explorer has two fidelities (LF and HF); `tiers` is kept for the benchmark's \
+             campaign and takes no other value"
         );
-        self.tiers = tiers;
         self
-    }
-
-    /// Sets the conformal error-bound threshold of the learned tier's
-    /// gate (only meaningful with [`Explorer::tiers`]\(3\)). Tighter
-    /// thresholds escalate more proposals to the simulator.
-    pub fn gate_threshold(mut self, threshold: f64) -> Self {
-        self.gate_threshold = threshold;
-        self
-    }
-
-    /// The configured stack depth (2 = plain LF→HF).
-    pub fn tier_count(&self) -> usize {
-        self.tiers
     }
 
     /// The design space being explored.
@@ -389,13 +368,13 @@ impl Explorer {
 
     /// Runs the full LF→HF flow and extracts the rule base.
     ///
-    /// The LF phase never touches the simulator, so with two tiers and
-    /// more than one worker thread the simulator's traces are generated
+    /// The LF phase never touches the simulator, so with more than one
+    /// worker thread the simulator's traces are generated
     /// on another thread while the LF phase runs, and the HF phase's first
     /// proposal waits for them. The report is the same either way.
     pub fn run(&self) -> ExplorationReport {
         let threads = self.threads.unwrap_or_else(dse_exec::default_threads);
-        if self.tiers >= 3 || threads < 2 {
+        if threads < 2 {
             let mut hf = self.hf_evaluator();
             return self.run_with_hf(&mut hf);
         }
@@ -407,7 +386,7 @@ impl Explorer {
             let (simulator, built) = std::sync::mpsc::sync_channel(1);
             let flow = scope.spawn(move || {
                 let mut hf = Deferred::new(|| built.recv().expect("the simulator is built"));
-                self.run_two_tier(&mut hf)
+                self.run_flow(&mut hf)
             });
             // The flow can end, by panicking, before it needs the simulator.
             let _ = simulator.send(self.hf_evaluator());
@@ -415,29 +394,8 @@ impl Explorer {
         })
     }
 
-    /// Builds the learned mid tier's feature map: a bias, the LF
-    /// estimate and its square (so the ridge fit is an LF→HF
-    /// calibration, not a from-scratch CPI model), the normalized
-    /// design features, and their products with the LF estimate (the
-    /// LF model's blind spots — caches, branching — scale with how
-    /// busy the pipeline is, so the correction is multiplicative).
-    pub fn learned_features(&self) -> FeatureFn {
-        let lf = self.lf_model();
-        Box::new(move |space, point| {
-            let cpi = lf.cpi(space, point);
-            let design = point.feature_vector(space);
-            let mut x = Vec::with_capacity(3 + 2 * design.len());
-            x.push(1.0);
-            x.push(cpi);
-            x.push(cpi * cpi);
-            x.extend(design.iter().copied());
-            x.extend(design.iter().map(|f| f * cpi));
-            x
-        })
-    }
-
     /// The phase configuration of this explorer's LF→HF flow.
-    fn flow_config(&self, tiered: bool) -> MultiFidelityConfig {
+    fn flow_config(&self) -> MultiFidelityConfig {
         MultiFidelityConfig {
             lf: LfPhaseConfig {
                 episodes: self.lf_episodes,
@@ -449,21 +407,22 @@ impl Explorer {
             hf: HfPhaseConfig {
                 budget: self.hf_budget,
                 seed: self.seed ^ 0xA5,
-                // With the learned tier in play, learned answers spend
-                // the same budget as simulations: equal proposal budget,
-                // fewer simulator charges.
-                budget_floor: if tiered { Fidelity::Learned } else { Fidelity::High },
                 ..Default::default()
             },
         }
     }
 
-    /// The report of a finished flow whose winner simulated at `best_cpi`.
-    fn report(&self, outcome: dse_mfrl::DseOutcome, fnn: Fnn, best_cpi: f64) -> ExplorationReport {
+    /// The LF→HF flow against `hf`.
+    fn run_flow(&self, hf: &mut impl LedgerRouter) -> ExplorationReport {
+        let lf = self.lf_model();
+        let constraints = self.constraints();
+        let mut fnn = self.build_fnn();
+        let dse = MultiFidelityDse::new(self.flow_config());
+        let outcome = dse.run(&mut fnn, &self.space, &lf, hf, &constraints);
         let rules = extract_rules(&fnn, &RuleExtractionConfig::default());
         ExplorationReport {
             best_point: outcome.hf.best_point.clone(),
-            best_cpi,
+            best_cpi: outcome.hf.best_cpi,
             lf: outcome.lf,
             hf: outcome.hf,
             fnn,
@@ -472,55 +431,10 @@ impl Explorer {
         }
     }
 
-    /// The two-tier flow against `hf`.
-    fn run_two_tier(&self, hf: &mut impl LedgerRouter) -> ExplorationReport {
-        let lf = self.lf_model();
-        let constraints = self.constraints();
-        let mut fnn = self.build_fnn();
-        let dse = MultiFidelityDse::new(self.flow_config(false));
-        let outcome = dse.run(&mut fnn, &self.space, &lf, hf, &constraints);
-        let best_cpi = outcome.hf.best_cpi;
-        self.report(outcome, fnn, best_cpi)
-    }
-
     /// Runs the flow against a caller-supplied HF evaluator (so
-    /// experiments can share its cache across methods). With three
-    /// tiers, a fresh learned tier is trained within the run; use
-    /// [`Explorer::run_with_hf_and_tier`] to carry one across runs.
+    /// experiments can share its cache across methods).
     pub fn run_with_hf(&self, hf: &mut SimulatorHf) -> ExplorationReport {
-        if self.tiers >= 3 {
-            let mut learned = LearnedTier::new(self.learned_features());
-            return self.run_with_hf_and_tier(hf, &mut learned);
-        }
-        self.run_two_tier(hf)
-    }
-
-    /// Runs the three-tier flow against a caller-owned learned tier as
-    /// well as a caller-owned simulator. The tier is infrastructure
-    /// like the simulator's memo: experiments that run many seeds hand
-    /// the same tier to each run, so the ridge keeps training online
-    /// across the whole campaign and later runs route more answers to
-    /// it. Ignores [`Explorer::tiers`]\(2\) — calling this *is* opting
-    /// into the stack.
-    pub fn run_with_hf_and_tier(
-        &self,
-        hf: &mut SimulatorHf,
-        learned: &mut LearnedTier,
-    ) -> ExplorationReport {
-        let lf = self.lf_model();
-        let constraints = self.constraints();
-        let mut fnn = self.build_fnn();
-        let dse = MultiFidelityDse::new(self.flow_config(true));
-        let outcome = {
-            let mut router =
-                TieredEvaluator::new(learned, hf, TierGate::enabled(self.gate_threshold));
-            dse.run(&mut fnn, &self.space, &lf, &mut router, &constraints)
-        };
-        // Tiered routing may have tracked the winner at a learned answer;
-        // re-simulate it, offline and memoized with no ledger, so the
-        // reported CPI is always the simulator's.
-        let best_cpi = hf.cpi(&self.space, &outcome.hf.best_point);
-        self.report(outcome, fnn, best_cpi)
+        self.run_flow(hf)
     }
 }
 
@@ -653,25 +567,6 @@ mod tests {
         // The unconstrained run is free to (and with 12 mm² will) leak more.
         let free_leak = power.leakage_mw(&space, &unconstrained.best_point);
         assert!(free_leak > capped_leak * 0.8, "sanity: budgets actually differ");
-    }
-
-    #[test]
-    fn three_tier_stack_shares_the_budget_and_reports_simulated_cpi() {
-        use dse_exec::Fidelity;
-        let report = quick(Benchmark::StringSearch).tiers(3).run();
-        // Learned and HF charges share the one budget of 4.
-        assert!(report.ledger.budgeted_evaluations() <= 4);
-        assert!(report.ledger.evaluations(Fidelity::High) <= 4);
-        assert_eq!(report.ledger.budget_floor(), Fidelity::Learned);
-        // The headline CPI is always the simulator's, never a learned
-        // estimate, and the winner is feasible.
-        assert!(report.best_cpi > 0.0 && report.best_cpi.is_finite());
-        let explorer = quick(Benchmark::StringSearch);
-        assert!(explorer.constraints().fits(explorer.space(), &report.best_point));
-        // Deterministic like every other flow.
-        let again = quick(Benchmark::StringSearch).tiers(3).run();
-        assert_eq!(report.best_point, again.best_point);
-        assert_eq!(report.best_cpi, again.best_cpi);
     }
 
     #[test]

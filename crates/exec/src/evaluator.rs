@@ -1,8 +1,8 @@
 //! The one cost-model interface, and the one feasibility interface.
 //!
 //! Every cost model in the workspace — the analytical LF proxy (through
-//! `dse_mfrl::LfEvaluator`), the learned mid tier and the cycle-level HF
-//! simulator — implements [`Evaluator`] directly: hand it a batch of
+//! `dse_mfrl::LfEvaluator`) and the cycle-level HF simulator —
+//! implements [`Evaluator`] directly: hand it a batch of
 //! design points, get back one [`Evaluation`] per point carrying the CPI,
 //! the fidelity tag and whether the evaluator's own memo answered it.
 //! Search code never talks to an evaluator directly; it goes through a
@@ -15,66 +15,46 @@ use dse_space::{DesignPoint, DesignSpace};
 use crate::CacheStats;
 use serde::{Content, DeError, Deserialize, Serialize};
 
-/// One tier of the ordered fidelity stack.
+/// The fidelity of a cost model: the paper's two.
 ///
-/// A `Fidelity` is a tier index plus static labels: tier 0 is the
-/// cheapest cost model, higher tiers are more expensive and more
-/// trustworthy. This repo's stack is [`Fidelity::Low`] (the analytical
-/// proxy), [`Fidelity::Learned`] (the online-trained mid tier) and
-/// [`Fidelity::High`] (the cycle-level simulator); [`Fidelity::STACK`]
-/// lists them cheapest-first. Ordering (`<`, `>`) follows the tier
-/// index, so "escalate" is simply [`Fidelity::next`].
+/// [`Fidelity::Low`] is the analytical proxy the RL agent explores
+/// with; [`Fidelity::High`] is the cycle-level simulator it spends its
+/// few simulations on. Ordering (`<`, `>`) puts the cheaper one first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Fidelity {
-    tier: u8,
-    label: &'static str,
-    key: &'static str,
+pub enum Fidelity {
+    /// The cheap analytical proxy (~1000x cheaper than a simulation).
+    Low,
+    /// The cycle-level simulator, the ground truth.
+    High,
 }
 
-#[allow(non_upper_case_globals)]
 impl Fidelity {
-    /// Tier 0: the cheap analytical proxy (~1000x cheaper than a
-    /// simulation).
-    pub const Low: Fidelity = Fidelity { tier: 0, label: "LF", key: "lf" };
-    /// Tier 1: the learned mid tier — an online regressor trained from
-    /// the HF evaluations the ledger commits.
-    pub const Learned: Fidelity = Fidelity { tier: 1, label: "learned", key: "learned" };
-    /// Tier 2: the cycle-level simulator, the ground truth of the stack.
-    pub const High: Fidelity = Fidelity { tier: 2, label: "HF", key: "hf" };
+    /// Both fidelities, cheapest first.
+    pub const ALL: [Fidelity; 2] = [Fidelity::Low, Fidelity::High];
 
-    /// The ordered tier stack, cheapest first.
-    pub const STACK: [Fidelity; 3] = [Fidelity::Low, Fidelity::Learned, Fidelity::High];
-
-    /// Number of tiers in the stack.
-    pub const COUNT: usize = Self::STACK.len();
-
-    /// The tier index (0 = cheapest).
-    pub const fn tier(self) -> usize {
-        self.tier as usize
-    }
-
-    /// A short human-readable label ("LF" / "learned" / "HF").
+    /// A short human-readable label ("LF" / "HF").
     pub const fn label(self) -> &'static str {
-        self.label
+        match self {
+            Fidelity::Low => "LF",
+            Fidelity::High => "HF",
+        }
     }
 
     /// The lowercase key used in metric labels, trace events and wire
-    /// formats ("lf" / "learned" / "hf").
+    /// formats ("lf" / "hf").
     pub const fn key(self) -> &'static str {
-        self.key
+        match self {
+            Fidelity::Low => "lf",
+            Fidelity::High => "hf",
+        }
     }
 
-    /// Looks a tier up by its wire/metric key (case-insensitive; the
+    /// Looks a fidelity up by its wire/metric key (case-insensitive; the
     /// human-readable labels are accepted too).
     pub fn from_key(name: &str) -> Option<Fidelity> {
-        Self::STACK
+        Self::ALL
             .into_iter()
-            .find(|f| f.key.eq_ignore_ascii_case(name) || f.label.eq_ignore_ascii_case(name))
-    }
-
-    /// The next (more expensive) tier, if any — the escalation step.
-    pub fn next(self) -> Option<Fidelity> {
-        Self::STACK.get(self.tier() + 1).copied()
+            .find(|f| f.key().eq_ignore_ascii_case(name) || f.label().eq_ignore_ascii_case(name))
     }
 }
 
@@ -92,9 +72,8 @@ impl Serialize for Fidelity {
 
 impl Deserialize for Fidelity {
     fn from_content(c: &Content) -> Result<Self, DeError> {
-        let name = c.as_str().ok_or_else(|| DeError::new("expected a fidelity tier name"))?;
-        Fidelity::from_key(name)
-            .ok_or_else(|| DeError::new(format!("unknown fidelity tier {name:?}")))
+        let name = c.as_str().ok_or_else(|| DeError::new("expected a fidelity name"))?;
+        Fidelity::from_key(name).ok_or_else(|| DeError::new(format!("unknown fidelity {name:?}")))
     }
 }
 
@@ -189,17 +168,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tier_stack_orders_labels_and_round_trips() {
-        assert!(Fidelity::Low < Fidelity::Learned && Fidelity::Learned < Fidelity::High);
-        assert_eq!(Fidelity::Low.next(), Some(Fidelity::Learned));
-        assert_eq!(Fidelity::Learned.next(), Some(Fidelity::High));
-        assert_eq!(Fidelity::High.next(), None);
-        assert_eq!(Fidelity::Learned.tier(), 1);
+    fn fidelities_order_label_and_round_trip() {
+        assert!(Fidelity::Low < Fidelity::High);
         assert_eq!(Fidelity::from_key("hf"), Some(Fidelity::High));
         assert_eq!(Fidelity::from_key("LF"), Some(Fidelity::Low));
-        assert_eq!(Fidelity::from_key("Learned"), Some(Fidelity::Learned));
+        assert_eq!(Fidelity::from_key("learned"), None);
         assert_eq!(Fidelity::from_key("medium"), None);
-        for fidelity in Fidelity::STACK {
+        for fidelity in Fidelity::ALL {
             let content = fidelity.to_content();
             assert_eq!(Fidelity::from_content(&content).unwrap(), fidelity);
         }

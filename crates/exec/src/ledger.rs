@@ -1,4 +1,4 @@
-//! The per-tier cost ledger — the single source of budget truth.
+//! The per-fidelity cost ledger — the single source of budget truth.
 //!
 //! A [`CostLedger`] sits between search code and the [`Evaluator`]s it
 //! drives. Every proposal flows through [`CostLedger::evaluate`] /
@@ -8,23 +8,21 @@
 //! * **hit** — the ledger already evaluated this design earlier in the
 //!   run; the stored CPI is replayed for free ([`LedgerEntry::Replayed`]).
 //! * **miss + charged** — a design new to this run; the evaluator is
-//!   invoked, the per-tier evaluation count rises by one
+//!   invoked, the per-fidelity evaluation count rises by one
 //!   ([`LedgerEntry::Charged`]). This charges the run's budget even when
 //!   the evaluator answers from a memo warmed by *another* run — budgets
 //!   meter proposals, not simulator work.
 //! * **miss + denied** — a design new to this run proposed after the
 //!   budget ran out; nothing is evaluated ([`LedgerEntry::Denied`]).
 //!
-//! The budget meters charged evaluations at every tier at or above the
-//! [budget floor](CostLedger::set_budget_floor) — [`Fidelity::High`] by
-//! default, which reproduces the classic two-fidelity HF budget exactly.
-//! A tiered run lowers the floor to [`Fidelity::Learned`] so learned-
-//! and HF-tier charges spend the same budget while their
-//! `model_time_units` stay separate.
+//! The budget meters charged HF evaluations; LF charges never spend it.
 //!
 //! `model_time_units` accumulates the actual cost of fresh model runs
 //! (an evaluator-memo answer costs nothing), in units of one simulated
-//! trace, so all tiers' spend is comparable on one axis.
+//! trace, so both fidelities' spend is comparable on one axis.
+//!
+//! Search code proposes through a [`LedgerRouter`]: any [`Evaluator`]
+//! is one, and wrappers that time or defer an evaluator implement it too.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -36,11 +34,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::{Evaluation, Evaluator, Fidelity};
 
-/// Cached per-tier handle for the evaluator-call latency histogram.
+/// Cached per-fidelity handle for the evaluator-call latency histogram.
 fn eval_batch_seconds(fidelity: Fidelity) -> &'static Histogram {
-    static CELLS: [OnceLock<Histogram>; Fidelity::COUNT] =
-        [const { OnceLock::new() }; Fidelity::COUNT];
-    CELLS[fidelity.tier()].get_or_init(|| {
+    static CELLS: [OnceLock<Histogram>; 2] = [const { OnceLock::new() }; 2];
+    CELLS[fidelity as usize].get_or_init(|| {
         dse_obs::global().histogram_with(
             "exec_eval_batch_seconds",
             &[("fidelity", fidelity.key())],
@@ -49,11 +46,10 @@ fn eval_batch_seconds(fidelity: Fidelity) -> &'static Histogram {
     })
 }
 
-/// Cached per-tier handle for the scheduled-batch-size histogram.
+/// Cached per-fidelity handle for the scheduled-batch-size histogram.
 fn eval_batch_points(fidelity: Fidelity) -> &'static Histogram {
-    static CELLS: [OnceLock<Histogram>; Fidelity::COUNT] =
-        [const { OnceLock::new() }; Fidelity::COUNT];
-    CELLS[fidelity.tier()].get_or_init(|| {
+    static CELLS: [OnceLock<Histogram>; 2] = [const { OnceLock::new() }; 2];
+    CELLS[fidelity as usize].get_or_init(|| {
         dse_obs::global().histogram_with(
             "exec_eval_batch_points",
             &[("fidelity", fidelity.key())],
@@ -62,7 +58,7 @@ fn eval_batch_points(fidelity: Fidelity) -> &'static Histogram {
     })
 }
 
-/// Counters for one tier of a [`CostLedger`].
+/// Counters for one fidelity of a [`CostLedger`].
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct FidelityLedger {
     /// Charged evaluations: run-unique designs handed to the evaluator.
@@ -78,7 +74,7 @@ pub struct FidelityLedger {
 }
 
 impl FidelityLedger {
-    /// Total proposals that reached this tier.
+    /// Total proposals that reached this fidelity.
     pub fn proposals(&self) -> u64 {
         self.cache_hits + self.cache_misses
     }
@@ -108,92 +104,52 @@ impl std::fmt::Display for FidelityLedger {
 }
 
 /// The serializable roll-up of a [`CostLedger`] for reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct LedgerSummary {
-    /// Low-fidelity (tier 0) counters.
+    /// Low-fidelity counters.
     pub low: FidelityLedger,
-    /// Learned mid-tier (tier 1) counters.
-    pub learned: FidelityLedger,
-    /// High-fidelity (tier 2) counters.
+    /// High-fidelity counters.
     pub high: FidelityLedger,
-    /// The evaluation budget, when one was installed.
+    /// The HF budget, when one was installed.
     pub hf_budget: Option<u64>,
-    /// The cheapest tier whose charges consume the budget.
-    pub budget_floor: Fidelity,
-}
-
-impl Default for LedgerSummary {
-    fn default() -> Self {
-        Self {
-            low: FidelityLedger::default(),
-            learned: FidelityLedger::default(),
-            high: FidelityLedger::default(),
-            hf_budget: None,
-            budget_floor: Fidelity::High,
-        }
-    }
 }
 
 impl LedgerSummary {
-    /// The counters of one tier.
+    /// The counters of one fidelity.
     pub fn section(&self, fidelity: Fidelity) -> &FidelityLedger {
-        match fidelity.tier() {
-            0 => &self.low,
-            1 => &self.learned,
-            _ => &self.high,
+        match fidelity {
+            Fidelity::Low => &self.low,
+            Fidelity::High => &self.high,
         }
     }
 
-    /// Every tier's counters, cheapest first.
-    pub fn sections(&self) -> [(Fidelity, &FidelityLedger); Fidelity::COUNT] {
-        [
-            (Fidelity::Low, &self.low),
-            (Fidelity::Learned, &self.learned),
-            (Fidelity::High, &self.high),
-        ]
+    /// Both fidelities' counters, cheapest first.
+    pub fn sections(&self) -> [(Fidelity, &FidelityLedger); 2] {
+        [(Fidelity::Low, &self.low), (Fidelity::High, &self.high)]
     }
 
-    /// Total model time spent across all tiers.
+    /// Total model time spent at both fidelities.
     pub fn total_model_time(&self) -> f64 {
-        self.sections().iter().map(|(_, s)| s.model_time_units).sum()
+        self.low.model_time_units + self.high.model_time_units
     }
 
-    /// Charged evaluations at tiers at or above the budget floor.
-    pub fn budgeted_evaluations(&self) -> u64 {
-        self.sections()
-            .iter()
-            .filter(|(f, _)| *f >= self.budget_floor)
-            .map(|(_, s)| s.evaluations)
-            .sum()
-    }
-
-    /// Adds another summary's counters into this one (budgets add too;
-    /// the lower budget floor wins).
+    /// Adds another summary's counters into this one (budgets add too).
     pub fn absorb(&mut self, other: LedgerSummary) {
         self.low.absorb(other.low);
-        self.learned.absorb(other.learned);
         self.high.absorb(other.high);
         self.hf_budget = match (self.hf_budget, other.hf_budget) {
             (None, None) => None,
             (a, b) => Some(a.unwrap_or(0) + b.unwrap_or(0)),
         };
-        self.budget_floor = self.budget_floor.min(other.budget_floor);
     }
 }
 
 impl std::fmt::Display for LedgerSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "LF: {}", self.low)?;
-        if self.learned.proposals() > 0 || self.learned.denied > 0 {
-            writeln!(f, "learned: {}", self.learned)?;
-        }
         write!(f, "HF: {}", self.high)?;
         if let Some(budget) = self.hf_budget {
-            write!(f, " [budget {budget}")?;
-            if self.budget_floor < Fidelity::High {
-                write!(f, " from {}", self.budget_floor.key())?;
-            }
-            write!(f, "]")?;
+            write!(f, " [budget {budget}]")?;
         }
         Ok(())
     }
@@ -226,31 +182,24 @@ impl LedgerEntry {
     }
 }
 
-/// One tier's run-local state: counters plus the run memo.
+/// One fidelity's run-local state: counters plus the run memo.
 #[derive(Debug, Clone, PartialEq, Default)]
-struct TierState {
+struct FidelityState {
     counters: FidelityLedger,
     seen: HashMap<u64, f64>,
 }
 
-/// Per-run evaluation accounting across the whole tier stack.
+/// Per-run evaluation accounting at both fidelities.
 ///
 /// One ledger lives for one optimization run; evaluators (which may
 /// carry memos shared across runs) are infrastructure handed in per
 /// call. The ledger deduplicates proposals within the run, enforces the
-/// budget over the tiers at or above the budget floor, and meters model
-/// time — search code reads budgets and counts *only* from here.
-#[derive(Debug, Clone, PartialEq)]
+/// HF budget, and meters model time — search code reads budgets and
+/// counts *only* from here.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CostLedger {
-    tiers: [TierState; Fidelity::COUNT],
+    state: [FidelityState; 2],
     budget: Option<u64>,
-    budget_floor: Fidelity,
-}
-
-impl Default for CostLedger {
-    fn default() -> Self {
-        Self { tiers: Default::default(), budget: None, budget_floor: Fidelity::High }
-    }
 }
 
 impl CostLedger {
@@ -259,33 +208,15 @@ impl CostLedger {
         Self::default()
     }
 
-    /// Builder: installs an evaluation budget (floor unchanged, so by
-    /// default this is the classic HF budget).
+    /// Builder: installs an HF evaluation budget.
     pub fn with_hf_budget(mut self, budget: usize) -> Self {
         self.set_hf_budget(budget);
         self
     }
 
-    /// Installs (or replaces) the evaluation budget.
+    /// Installs (or replaces) the HF evaluation budget.
     pub fn set_hf_budget(&mut self, budget: usize) {
         self.budget = Some(budget as u64);
-    }
-
-    /// Sets the cheapest tier whose charges consume the budget.
-    ///
-    /// The default floor is [`Fidelity::High`]: only HF charges spend
-    /// the budget, exactly the pre-stack behavior. A tiered run lowers
-    /// the floor to [`Fidelity::Learned`] so a confident learned-tier
-    /// answer spends one budget unit just like an HF simulation — equal
-    /// budgets then mean equal totals of budgeted answers, while the
-    /// metered model time shows what the routing actually saved.
-    pub fn set_budget_floor(&mut self, floor: Fidelity) {
-        self.budget_floor = floor;
-    }
-
-    /// The cheapest tier whose charges consume the budget.
-    pub fn budget_floor(&self) -> Fidelity {
-        self.budget_floor
     }
 
     /// The installed budget, if any.
@@ -293,43 +224,35 @@ impl CostLedger {
         self.budget.map(|b| b as usize)
     }
 
-    /// Budgeted evaluations still affordable (`None` when unlimited).
+    /// HF evaluations still affordable (`None` when unlimited).
     pub fn hf_remaining(&self) -> Option<usize> {
-        self.budget.map(|b| b.saturating_sub(self.budgeted_evaluations()) as usize)
+        let spent = self.section(Fidelity::High).evaluations;
+        self.budget.map(|b| b.saturating_sub(spent) as usize)
     }
 
-    /// Charged evaluations at tiers at or above the budget floor.
-    pub fn budgeted_evaluations(&self) -> u64 {
-        Fidelity::STACK
-            .into_iter()
-            .filter(|f| *f >= self.budget_floor)
-            .map(|f| self.tiers[f.tier()].counters.evaluations)
-            .sum()
-    }
-
-    /// The counters of one tier.
+    /// The counters of one fidelity.
     pub fn section(&self, fidelity: Fidelity) -> &FidelityLedger {
-        &self.tiers[fidelity.tier()].counters
+        &self.state[fidelity as usize].counters
     }
 
-    /// Charged evaluation count of one tier.
+    /// Charged evaluation count of one fidelity.
     pub fn evaluations(&self, fidelity: Fidelity) -> usize {
         self.section(fidelity).evaluations as usize
     }
 
     /// The CPI this run already paid for, if any (uncounted peek).
     pub fn known(&self, fidelity: Fidelity, key: u64) -> Option<f64> {
-        self.tiers[fidelity.tier()].seen.get(&key).copied()
+        self.state[fidelity as usize].seen.get(&key).copied()
     }
 
     /// Whether this run already evaluated the design (uncounted).
     pub fn knows(&self, fidelity: Fidelity, key: u64) -> bool {
-        self.tiers[fidelity.tier()].seen.contains_key(&key)
+        self.state[fidelity as usize].seen.contains_key(&key)
     }
 
-    /// Number of run-unique designs evaluated at one tier.
+    /// Number of run-unique designs evaluated at one fidelity.
     pub fn unique_designs(&self, fidelity: Fidelity) -> usize {
-        self.tiers[fidelity.tier()].seen.len()
+        self.state[fidelity as usize].seen.len()
     }
 
     /// Proposes one design: replay, charge, or deny.
@@ -365,7 +288,7 @@ impl CostLedger {
         }
         let fidelity = evaluator.fidelity();
         let before = *self.section(fidelity);
-        let budgeted = fidelity >= self.budget_floor;
+        let budgeted = fidelity == Fidelity::High;
         // Pass 1 (sequential, input order): replay run-memo hits, fold
         // within-batch duplicates, charge or deny the rest.
         let mut scheduled: Vec<DesignPoint> = Vec::new();
@@ -373,7 +296,7 @@ impl CostLedger {
         let mut slots: Vec<Slot> = Vec::with_capacity(points.len());
         for point in points {
             let key = space.encode(point);
-            if let Some(&cpi) = self.tiers[fidelity.tier()].seen.get(&key) {
+            if let Some(&cpi) = self.state[fidelity as usize].seen.get(&key) {
                 self.section_mut(fidelity).cache_hits += 1;
                 slots.push(Slot::Ready(LedgerEntry::Replayed(cpi)));
             } else if let Some(&idx) = scheduled_keys.get(&key) {
@@ -418,7 +341,7 @@ impl CostLedger {
             if !ev.cached {
                 self.section_mut(fidelity).model_time_units += cost;
             }
-            self.tiers[fidelity.tier()].seen.insert(space.encode(point), ev.cpi);
+            self.state[fidelity as usize].seen.insert(space.encode(point), ev.cpi);
         }
         if !points.is_empty() {
             if !scheduled.is_empty() {
@@ -427,7 +350,7 @@ impl CostLedger {
             }
             if trace::enabled() {
                 // Every ledger mutation flows through this method, so
-                // summing these deltas per tier over a whole trace
+                // summing these deltas per fidelity over a whole trace
                 // reproduces the final `LedgerSummary` exactly — the
                 // invariant `trace-report` checks offline.
                 let after = *self.section(fidelity);
@@ -465,22 +388,57 @@ impl CostLedger {
     /// The serializable roll-up for reports.
     pub fn summary(&self) -> LedgerSummary {
         LedgerSummary {
-            low: self.tiers[Fidelity::Low.tier()].counters,
-            learned: self.tiers[Fidelity::Learned.tier()].counters,
-            high: self.tiers[Fidelity::High.tier()].counters,
+            low: *self.section(Fidelity::Low),
+            high: *self.section(Fidelity::High),
             hf_budget: self.budget,
-            budget_floor: self.budget_floor,
         }
     }
 
     fn section_mut(&mut self, fidelity: Fidelity) -> &mut FidelityLedger {
-        &mut self.tiers[fidelity.tier()].counters
+        &mut self.state[fidelity as usize].counters
     }
 }
 
 impl std::fmt::Display for CostLedger {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.summary().fmt(f)
+    }
+}
+
+/// Anything that can answer proposals through a [`CostLedger`]. Every
+/// [`Evaluator`] is one (the blanket impl); the MFRL phases are generic
+/// over this, so wrappers that time an evaluator, or build it on first
+/// use, slot in without the phases knowing.
+pub trait LedgerRouter {
+    /// Proposes a batch, in input order, through the ledger.
+    fn route_batch(
+        &mut self,
+        ledger: &mut CostLedger,
+        space: &DesignSpace,
+        points: &[DesignPoint],
+    ) -> Vec<LedgerEntry>;
+
+    /// Proposes one design (a one-point batch).
+    fn route(
+        &mut self,
+        ledger: &mut CostLedger,
+        space: &DesignSpace,
+        point: &DesignPoint,
+    ) -> LedgerEntry {
+        self.route_batch(ledger, space, std::slice::from_ref(point))
+            .pop()
+            .expect("one-point batch produced no entry")
+    }
+}
+
+impl<E: Evaluator + ?Sized> LedgerRouter for E {
+    fn route_batch(
+        &mut self,
+        ledger: &mut CostLedger,
+        space: &DesignSpace,
+        points: &[DesignPoint],
+    ) -> Vec<LedgerEntry> {
+        ledger.evaluate_batch(self, space, points)
     }
 }
 
@@ -534,7 +492,7 @@ mod tests {
         }
     }
 
-    /// A tier-tagged trivial evaluator: CPI = encoded index, fixed cost.
+    /// A fidelity-tagged trivial evaluator: CPI = encoded index, fixed cost.
     struct Flat(Fidelity, f64);
 
     impl Evaluator for Flat {
@@ -658,61 +616,28 @@ mod tests {
     }
 
     #[test]
-    fn every_tier_keeps_its_own_memo_and_counters() {
+    fn each_fidelity_keeps_its_own_memo_and_counters() {
         let space = DesignSpace::boom();
         let mut ledger = CostLedger::new();
-        for fidelity in Fidelity::STACK {
+        for fidelity in Fidelity::ALL {
             let entries =
                 ledger.evaluate_batch(&mut Flat(fidelity, 0.5), &space, &points(&space, &[2, 2]));
             assert_eq!(entries[0].cpi(), Some(2.0));
             assert_eq!(entries[1], LedgerEntry::Replayed(2.0));
         }
-        for fidelity in Fidelity::STACK {
+        for fidelity in Fidelity::ALL {
             let section = ledger.section(fidelity);
             assert_eq!((section.evaluations, section.cache_hits), (1, 1));
             assert!(ledger.knows(fidelity, 2));
             assert_eq!(ledger.unique_designs(fidelity), 1);
         }
-        // The summary's sections are exactly the per-tier counters, and
-        // totals are the sums over them.
+        // The summary's sections are exactly the per-fidelity counters,
+        // and totals are the sums over them.
         let summary = ledger.summary();
         for (fidelity, section) in summary.sections() {
             assert_eq!(section, ledger.section(fidelity));
         }
-        assert!((summary.total_model_time() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn learned_floor_shares_one_budget_between_learned_and_hf() {
-        let space = DesignSpace::boom();
-        let mut ledger = CostLedger::new().with_hf_budget(3);
-        ledger.set_budget_floor(Fidelity::Learned);
-        assert_eq!(ledger.budget_floor(), Fidelity::Learned);
-
-        // Two learned charges spend two budget units...
-        let entries = ledger.evaluate_batch(
-            &mut Flat(Fidelity::Learned, 0.01),
-            &space,
-            &points(&space, &[1, 2]),
-        );
-        assert!(entries.iter().all(|e| !e.is_denied()));
-        assert_eq!(ledger.hf_remaining(), Some(1));
-        assert_eq!(ledger.budgeted_evaluations(), 2);
-
-        // ...so only one HF charge is still affordable.
-        let entries = ledger.evaluate_batch(&mut Memo::new(), &space, &points(&space, &[3, 4]));
-        assert_eq!(entries[0].cpi(), Some(3.0));
-        assert!(entries[1].is_denied());
-        assert_eq!(ledger.hf_remaining(), Some(0));
-
-        // LF stays below the floor: never denied.
-        let entry = ledger.evaluate(&mut Flat(Fidelity::Low, 0.001), &space, &space.decode(9));
-        assert_eq!(entry.cpi(), Some(9.0));
-
-        // The summary records the floor and the budgeted total.
-        let summary = ledger.summary();
-        assert_eq!(summary.budget_floor, Fidelity::Learned);
-        assert_eq!(summary.budgeted_evaluations(), 3);
+        assert!((summary.total_model_time() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -721,22 +646,17 @@ mod tests {
             low: FidelityLedger { evaluations: 2, ..Default::default() },
             high: FidelityLedger { evaluations: 3, model_time_units: 9.0, ..Default::default() },
             hf_budget: Some(5),
-            ..Default::default()
         };
         let b = LedgerSummary {
             high: FidelityLedger { evaluations: 1, model_time_units: 3.0, ..Default::default() },
-            learned: FidelityLedger { evaluations: 4, ..Default::default() },
             hf_budget: None,
-            budget_floor: Fidelity::Learned,
             ..Default::default()
         };
         a.absorb(b);
         assert_eq!(a.low.evaluations, 2);
-        assert_eq!(a.learned.evaluations, 4);
         assert_eq!(a.high.evaluations, 4);
         assert_eq!(a.high.model_time_units, 12.0);
         assert_eq!(a.hf_budget, Some(5));
-        assert_eq!(a.budget_floor, Fidelity::Learned);
     }
 
     #[test]
@@ -746,16 +666,6 @@ mod tests {
         let restored: LedgerSummary = serde::Deserialize::from_content(&content).unwrap();
         assert_eq!(summary, restored);
         let text = format!("{summary}");
-        assert!(text.contains("LF:") && text.contains("HF:") && text.contains("budget 9"));
-        // An idle learned tier stays out of the rendering; an active one
-        // (or a lowered floor) shows up.
-        assert!(!text.contains("learned"), "{text}");
-        let mut ledger = CostLedger::new().with_hf_budget(4);
-        ledger.set_budget_floor(Fidelity::Learned);
-        let space = DesignSpace::boom();
-        ledger.evaluate(&mut Flat(Fidelity::Learned, 0.01), &space, &space.decode(1));
-        let text = format!("{}", ledger.summary());
-        assert!(text.contains("learned: 1 evals"), "{text}");
-        assert!(text.contains("budget 4 from learned"), "{text}");
+        assert!(text.contains("LF:") && text.contains("HF:") && text.contains("budget 9]"));
     }
 }

@@ -36,14 +36,10 @@
 #![warn(missing_docs)]
 
 mod evaluator;
-mod learned;
 mod ledger;
-mod tiered;
 
 pub use evaluator::{Constraint, Evaluation, Evaluator, Fidelity};
-pub use learned::{FeatureFn, LearnedConfig, LearnedTier};
-pub use ledger::{CostLedger, FidelityLedger, LedgerEntry, LedgerSummary};
-pub use tiered::{LedgerRouter, TierGate, TieredEvaluator};
+pub use ledger::{CostLedger, FidelityLedger, LedgerEntry, LedgerRouter, LedgerSummary};
 
 use std::collections::HashMap;
 

@@ -26,11 +26,11 @@ pub struct HfPhaseConfig {
     pub reinforce: ReinforceConfig,
     /// RNG seed.
     pub seed: u64,
-    /// Cheapest tier the budget meters (see
-    /// [`CostLedger::set_budget_floor`]). The default — [`Fidelity::High`]
-    /// — reproduces the two-fidelity flow exactly; tiered runs lower it
-    /// to [`Fidelity::Learned`] so learned answers spend the same budget
-    /// as simulations.
+    /// The fidelity the budget meters: only [`Fidelity::High`], and
+    /// [`HfPhase::run`] panics on any other value. The field is kept so
+    /// that the benchmark's copy of the explorer's phase configuration
+    /// (`archdse-perf`, which changes only with the benchmark) still
+    /// compiles; drop it with the next change to the benchmark.
     pub budget_floor: Fidelity,
 }
 
@@ -87,11 +87,12 @@ impl HfPhase {
     /// A zero budget degrades gracefully — nothing is simulated and the
     /// LF-converged design is returned with its LF CPI.
     ///
-    /// `hf` is any [`LedgerRouter`]: a plain [`Evaluator`](dse_exec::Evaluator)
-    /// reproduces the two-fidelity flow, while a
-    /// [`TieredEvaluator`](dse_exec::TieredEvaluator) turns the LF→HF
-    /// promotion into gated escalation through the tier stack — the
-    /// phase itself never learns the stack depth.
+    /// `hf` is any [`LedgerRouter`]: a plain [`Evaluator`](dse_exec::Evaluator),
+    /// or a wrapper that times it or builds it on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `budget_floor` is not [`Fidelity::High`].
     #[allow(clippy::too_many_arguments)] // the phase wiring is the arity
     pub fn run<R: LedgerRouter + ?Sized>(
         &self,
@@ -105,8 +106,13 @@ impl HfPhase {
     ) -> HfOutcome {
         let cfg = &self.config;
         let _phase_span = trace::span("hf_phase");
+        assert_eq!(
+            cfg.budget_floor,
+            Fidelity::High,
+            "the HF budget meters simulations only; `budget_floor` is kept for the benchmark's \
+             copy of this configuration and takes no other value"
+        );
         ledger.set_hf_budget(cfg.budget);
-        ledger.set_budget_floor(cfg.budget_floor);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut history: Vec<(DesignPoint, f64)> = Vec::new();
 

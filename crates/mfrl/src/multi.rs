@@ -63,8 +63,8 @@ impl MultiFidelityDse {
     /// [`CostLedger`] meters the whole run and is returned in the
     /// outcome; `hf` may carry a memo warmed by other runs — a memo
     /// answer costs no model time but still charges this run's budget.
-    /// `hf` is any [`LedgerRouter`]: a plain evaluator gives the
-    /// two-fidelity flow, a tiered router the gated stack.
+    /// `hf` is any [`LedgerRouter`]: a plain evaluator, or a wrapper
+    /// that times it or builds it on first use.
     pub fn run<E: LedgerRouter + ?Sized>(
         &self,
         fnn: &mut Fnn,

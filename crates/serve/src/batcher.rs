@@ -4,20 +4,17 @@
 //! trip through the evaluation stack. The reactor enqueues an [`EvalJob`]
 //! per request; one coalescer thread takes the first job plus whatever
 //! is queued behind it, up to [`max_batch_points`], and submits **one**
-//! [`CostLedger::evaluate_batch`] per fidelity tier in the window
-//! (auto-routed jobs form their own group, split per tier by the router).
+//! [`CostLedger::evaluate_batch`] per fidelity in the window.
 //! An idle server never waits; under load, jobs queue behind the running
 //! batch and form the next window. [`max_delay`] is an opt-in floor on
 //! the window, zero by default. The batch inherits `exec::par_map`
 //! parallelism in the simulator while the ledger keeps the accounting
 //! counter-exact with a sequential walk, so coalescing changes
 //! throughput — never results.
-//! Every tier the ledger drives is an `Evaluator`: the simulator and the
-//! learned tier directly, the analytical model through a
-//! [`LfEvaluator`] borrowed for each ledger call.
-//! Every HF charge trains the server's learned tier at the window
-//! boundary, on the coalescer thread holding the core lock, so training
-//! order is the ledger's commit order regardless of client concurrency.
+//! Both fidelities the ledger drives are `Evaluator`s: the simulator
+//! directly, the analytical model through a [`LfEvaluator`] borrowed for
+//! each ledger call. An answer depends only on the design and the
+//! fidelity, never on which requests came before it.
 //!
 //! [`max_batch_points`]: BatcherConfig::max_batch_points
 //! [`max_delay`]: BatcherConfig::max_delay
@@ -28,7 +25,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use archdse::eval::{AnalyticalLf, SimulatorHf};
-use dse_exec::{CostLedger, Fidelity, LearnedTier, LedgerEntry, TierGate, TieredEvaluator};
+use dse_exec::{CostLedger, Fidelity, LedgerEntry};
 use dse_mfrl::LfEvaluator;
 use dse_obs::trace;
 use dse_space::{DesignPoint, DesignSpace};
@@ -82,11 +79,7 @@ impl CoalescerStats {
 /// Each upload gets its own LF model (built from the *ingested*
 /// profile), its own HF simulator (replaying the *ingested* trace) and
 /// its own ledger, so synthetic-benchmark accounting and memoization
-/// never mix with real-binary results. The learned tier and the auto
-/// router stay synthetic-only: they are trained on the server's
-/// template workload, and answering a different binary from that
-/// training set would silently misroute — ingested workloads therefore
-/// only accept the `"lf"` and `"hf"` tiers (enforced at parse time).
+/// never mix with real-binary results.
 #[derive(Debug)]
 pub(crate) struct IngestedCore {
     /// The registered workload id.
@@ -102,22 +95,16 @@ pub(crate) struct IngestedCore {
     pub ledger: CostLedger,
 }
 
-/// The shared evaluation stack: the full fidelity tier stack (analytical
-/// LF, the server-lifetime learned tier, the simulator) plus the
-/// server-lifetime ledger, locked as one unit so ledger state, evaluator
-/// memos and the learned tier's training set can never drift apart.
-/// Ingested workloads ride in the same lock with their own
-/// [`IngestedCore`] stacks.
+/// The shared evaluation stack: both fidelities (analytical LF and the
+/// simulator) plus the server-lifetime ledger, locked as one unit so
+/// ledger state and evaluator memos can never drift apart. Ingested
+/// workloads ride in the same lock with their own [`IngestedCore`]
+/// stacks.
 #[derive(Debug)]
 pub(crate) struct EvalCore {
     pub space: DesignSpace,
     pub hf: SimulatorHf,
     pub lf: AnalyticalLf,
-    /// The online mid tier, trained from every HF charge the ledger
-    /// commits through this core.
-    pub learned: LearnedTier,
-    /// Gate for `"auto"` routing.
-    pub gate: TierGate,
     pub ledger: CostLedger,
     /// Uploaded workloads, in registration order; an [`EvalJob`]'s
     /// `workload` index points into this list.
@@ -125,68 +112,27 @@ pub(crate) struct EvalCore {
 }
 
 impl EvalCore {
-    /// Routes one batch to the evaluator of the *requested* tier through
-    /// the ledger.
-    fn evaluate(&mut self, fidelity: Fidelity, points: &[DesignPoint]) -> Vec<LedgerEntry> {
-        if fidelity == Fidelity::Low {
-            return self.ledger.evaluate_batch(&mut LfEvaluator(&self.lf), &self.space, points);
-        }
-        if fidelity == Fidelity::Learned {
-            // Fold any pending HF observations in before answering.
-            self.learned.refit();
-            return self.ledger.evaluate_batch(&mut self.learned, &self.space, points);
-        }
-        let entries = self.ledger.evaluate_batch(&mut self.hf, &self.space, points);
-        // Window-boundary training: fresh simulator charges become
-        // learned-tier observations (deferred to the next refit).
-        for (point, entry) in points.iter().zip(&entries) {
-            if let LedgerEntry::Charged(ev) = entry {
-                self.learned.observe(&self.space, point, ev.cpi);
-            }
-        }
-        entries
-    }
-
-    /// Routes one batch through the uncertainty gate: each point is
-    /// answered at the cheapest tier whose conformal bound clears the
-    /// gate, escalating to the simulator otherwise. Returns the entries
-    /// plus the tier that answered each point.
-    fn evaluate_auto(&mut self, points: &[DesignPoint]) -> (Vec<LedgerEntry>, Vec<Fidelity>) {
-        TieredEvaluator::new(&mut self.learned, &mut self.hf, self.gate).evaluate_batch_routed(
-            &mut self.ledger,
-            &self.space,
-            points,
-        )
-    }
-
-    /// Routes one batch to a registered ingested workload's private
-    /// stack. Only the analytical LF and the trace-replaying HF exist
-    /// there — the learned/auto tiers are synthetic-only (see
-    /// [`IngestedCore`]) and requests naming them are rejected before
-    /// they can reach the queue.
-    fn evaluate_ingested(
+    /// Answers one batch at `fidelity` through the ledger of `workload`:
+    /// the synthetic template's (`None`) or a registered ingested
+    /// workload's.
+    fn evaluate(
         &mut self,
-        workload: usize,
+        workload: Option<usize>,
         fidelity: Fidelity,
         points: &[DesignPoint],
     ) -> Vec<LedgerEntry> {
-        let w = &mut self.ingested[workload];
-        if fidelity == Fidelity::Low {
-            w.ledger.evaluate_batch(&mut LfEvaluator(&w.lf), &self.space, points)
-        } else if fidelity == Fidelity::High {
-            w.ledger.evaluate_batch(&mut w.hf, &self.space, points)
-        } else {
-            unreachable!("learned tier requests on ingested workloads are rejected at parse")
+        let (ledger, lf, hf) = match workload {
+            None => (&mut self.ledger, &self.lf, &mut self.hf),
+            Some(i) => {
+                let w = &mut self.ingested[i];
+                (&mut w.ledger, &w.lf, &mut w.hf)
+            }
+        };
+        match fidelity {
+            Fidelity::Low => ledger.evaluate_batch(&mut LfEvaluator(lf), &self.space, points),
+            Fidelity::High => ledger.evaluate_batch(hf, &self.space, points),
         }
     }
-}
-
-/// What tier an evaluate request asked for: a fixed tier by name, or
-/// `"auto"` — let the gate route each point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TierRequest {
-    Fixed(Fidelity),
-    Auto,
 }
 
 /// Phase durations the coalescer measured for one job, handed back
@@ -207,11 +153,11 @@ pub(crate) struct EvalTiming {
 /// How a finished evaluation gets back to whoever is waiting: the
 /// reactor posts a completion (and wakes its poller), tests hand in a
 /// plain channel sender. Either way it is a one-shot callback.
-pub(crate) type ReplyFn = Box<dyn FnOnce(Vec<(LedgerEntry, Fidelity)>, EvalTiming) + Send>;
+pub(crate) type ReplyFn = Box<dyn FnOnce(Vec<LedgerEntry>, EvalTiming) + Send>;
 
 /// One evaluate request, queued for the coalescer.
 pub(crate) struct EvalJob {
-    pub tier: TierRequest,
+    pub fidelity: Fidelity,
     /// `None` evaluates the server's synthetic template workload;
     /// `Some(i)` evaluates registered ingested workload `i`.
     pub workload: Option<usize>,
@@ -221,8 +167,7 @@ pub(crate) struct EvalJob {
     pub enqueued_at: Instant,
     /// The request's trace id, when it has one — batch span links.
     pub trace: Option<String>,
-    /// Rendezvous back to the parked connection; each entry carries the
-    /// tier that actually answered it.
+    /// Rendezvous back to the parked connection.
     pub reply: ReplyFn,
 }
 
@@ -260,11 +205,10 @@ pub(crate) fn run_coalescer(
     }
 }
 
-/// Submits one gathered window: one ledger batch per (tier, workload)
-/// group present — the fixed tiers and the `"auto"` group of the
-/// synthetic template workload first, then each ingested workload in
-/// registration order — results split back to each waiting request in
-/// arrival order.
+/// Submits one gathered window: one ledger batch per (workload,
+/// fidelity) group present — the synthetic template workload first,
+/// then each ingested workload in registration order, LF before HF —
+/// results split back to each waiting request in arrival order.
 fn submit_window(
     mut jobs: Vec<EvalJob>,
     window_opened: Instant,
@@ -276,24 +220,20 @@ fn submit_window(
     for job in &jobs {
         queue_wait.observe_duration(now.saturating_duration_since(job.enqueued_at));
     }
-    let tier_rank = |tier: TierRequest| match tier {
-        TierRequest::Fixed(f) => Fidelity::STACK.iter().position(|&s| s == f).unwrap_or(0),
-        TierRequest::Auto => Fidelity::STACK.len(),
-    };
-    let mut keys: Vec<(Option<usize>, TierRequest)> =
-        jobs.iter().map(|j| (j.workload, j.tier)).collect();
-    keys.sort_by_key(|&(workload, tier)| (workload.map_or(0, |i| i + 1), tier_rank(tier)));
+    let mut keys: Vec<(Option<usize>, Fidelity)> =
+        jobs.iter().map(|j| (j.workload, j.fidelity)).collect();
+    keys.sort_by_key(|&(workload, fidelity)| (workload.map_or(0, |i| i + 1), fidelity));
     keys.dedup();
     // Each group: its key, its member jobs and their points, merged.
     let groups: Vec<_> = keys
         .into_iter()
-        .map(|(workload, tier)| {
+        .map(|(workload, fidelity)| {
             let group: Vec<usize> = (0..jobs.len())
-                .filter(|&i| jobs[i].tier == tier && jobs[i].workload == workload)
+                .filter(|&i| jobs[i].fidelity == fidelity && jobs[i].workload == workload)
                 .collect();
             let merged: Vec<DesignPoint> =
                 group.iter().flat_map(|&i| jobs[i].points.iter().cloned()).collect();
-            (workload, tier, group, merged)
+            (workload, fidelity, group, merged)
         })
         .collect();
     // Account the whole window before any reply leaves: a client that
@@ -301,7 +241,7 @@ fn submit_window(
     for (_, _, _, merged) in &groups {
         batch_points.observe(merged.len() as f64);
     }
-    for (workload, tier, group, merged) in groups {
+    for (workload, fidelity, group, merged) in groups {
         if trace::enabled() {
             // Hand the member request ids to the exec layer: the
             // `ledger_batch` event this group produces carries span
@@ -312,28 +252,8 @@ fn submit_window(
             }
         }
         let exec_start = Instant::now();
-        let answered: Vec<(LedgerEntry, Fidelity)> = {
-            let mut core = core.lock().expect("evaluation core poisoned");
-            match (workload, tier) {
-                (None, TierRequest::Fixed(fidelity)) => core
-                    .evaluate(fidelity, &merged)
-                    .into_iter()
-                    .map(|entry| (entry, fidelity))
-                    .collect(),
-                (None, TierRequest::Auto) => {
-                    let (entries, routes) = core.evaluate_auto(&merged);
-                    entries.into_iter().zip(routes).collect()
-                }
-                (Some(idx), TierRequest::Fixed(fidelity)) => core
-                    .evaluate_ingested(idx, fidelity, &merged)
-                    .into_iter()
-                    .map(|entry| (entry, fidelity))
-                    .collect(),
-                (Some(_), TierRequest::Auto) => {
-                    unreachable!("auto routing on ingested workloads is rejected at parse")
-                }
-            }
-        };
+        let answered =
+            core.lock().expect("evaluation core poisoned").evaluate(workload, fidelity, &merged);
         // Drain any links the exec layer did not consume (tracing may
         // have been toggled mid-window) so they cannot leak into the
         // next group's batch event.
@@ -378,8 +298,6 @@ mod tests {
             space: explorer.space().clone(),
             hf: explorer.hf_evaluator(),
             lf: explorer.lf_model(),
-            learned: LearnedTier::new(LearnedTier::point_features()),
-            gate: TierGate::enabled(0.05),
             ledger: CostLedger::new(),
             ingested: Vec::new(),
         }))
@@ -388,7 +306,7 @@ mod tests {
     /// An `lf` job for one design code that reports its timing on `done`.
     fn lf_job(core: &Mutex<EvalCore>, code: u64, done: Sender<EvalTiming>) -> EvalJob {
         EvalJob {
-            tier: TierRequest::Fixed(Fidelity::Low),
+            fidelity: Fidelity::Low,
             workload: None,
             points: vec![core.lock().unwrap().space.decode(code)],
             enqueued_at: Instant::now(),

@@ -33,10 +33,7 @@
 //! LF model built from the *ingested* profile, an HF simulator
 //! replaying the *ingested* trace, and a dedicated ledger. Subsequent
 //! `/v1/evaluate` and `/v1/explore` requests address it by
-//! `"workload": "<name>"`. Ingested workloads answer the `"lf"` and
-//! `"hf"` tiers only: the learned tier and the `"auto"` router are
-//! trained on the server's synthetic template workload and would
-//! silently misroute a different binary.
+//! `"workload": "<name>"`, at either fidelity (`"lf"` or `"hf"`).
 //!
 //! ## The cross-request micro-batcher
 //!

@@ -37,8 +37,7 @@ pub struct LoadgenConfig {
     pub duration: Option<Duration>,
     /// Design points per request.
     pub points_per_request: usize,
-    /// The wire fidelity name every request asks for: a tier key
-    /// (`"lf"`, `"learned"`, `"hf"`) or `"auto"` for gate routing.
+    /// The wire fidelity name every request asks for: `"lf"` or `"hf"`.
     pub fidelity: String,
     /// Seed of the deterministic point choice.
     pub seed: u64,
@@ -164,13 +163,9 @@ pub struct LoadgenReport {
     pub connect: LatencyStats,
     /// The server's coalescer counters after the run.
     pub coalescer: CoalescerStats,
-    /// The server's evaluate-ledger summary after the run — the per-tier
-    /// answered counts live in its sections.
+    /// The server's evaluate-ledger summary after the run — the
+    /// per-fidelity answered counts live in its sections.
     pub ledger: LedgerSummary,
-    /// Gate escalations the server recorded
-    /// (`tier_gate_escalations_total`, scraped from the Prometheus
-    /// exposition; only `"auto"` requests can escalate).
-    pub escalations: u64,
 }
 
 impl LoadgenReport {
@@ -221,40 +216,24 @@ impl LoadgenReport {
             self.coalescer.amortization()
         ));
         let (mut evaluations, mut cache_hits) = (0u64, 0u64);
-        let mut tiers = Vec::new();
+        let mut fidelities = Vec::new();
         for (fidelity, section) in self.ledger.sections() {
             evaluations += section.evaluations;
             cache_hits += section.cache_hits;
-            tiers.push(format!(
+            fidelities.push(format!(
                 "{} {} answered ({} cached)",
                 fidelity.key(),
                 section.evaluations,
                 section.cache_hits
             ));
         }
-        out.push_str(&format!(
-            "tiers: {}; {} gate escalations\n",
-            tiers.join(", "),
-            self.escalations
-        ));
+        out.push_str(&format!("fidelities: {}\n", fidelities.join(", ")));
         out.push_str(&format!(
             "ledger: {evaluations} evaluations, {cache_hits} cache hits, {:.1} model-time units\n",
             self.ledger.total_model_time()
         ));
         out
     }
-}
-
-/// Pulls one un-labelled counter's value out of a Prometheus text
-/// exposition (0 when the series was never written).
-fn scrape_counter(text: &str, name: &str) -> u64 {
-    text.lines()
-        .find_map(|line| {
-            let rest = line.strip_prefix(name)?;
-            rest.trim().parse::<f64>().ok()
-        })
-        .map(|v| v as u64)
-        .unwrap_or(0)
 }
 
 /// Deterministic point choice: an splitmix-style LCG per client, so the
@@ -491,8 +470,6 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
     let metrics = client::get(&config.addr, "/metrics")?;
     let metrics: MetricsResponse = serde_json::from_str(&metrics.body)
         .map_err(|e| std::io::Error::other(format!("bad /metrics payload: {e}")))?;
-    let exposition = client::get(&config.addr, "/metrics?format=prometheus")?;
-    let escalations = scrape_counter(&exposition.body, "tier_gate_escalations_total");
 
     let attempts: u64 =
         total.by_status.iter().map(|(_, rtts)| rtts.len() as u64).sum::<u64>() + total.io_errors;
@@ -522,7 +499,6 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
         connect: LatencyStats::from_samples(total.connects),
         coalescer: metrics.coalescer,
         ledger: metrics.ledger,
-        escalations,
     })
 }
 
@@ -589,7 +565,6 @@ mod tests {
             connect: LatencyStats::from_samples(vec![ms(1), ms(9)]),
             coalescer: CoalescerStats::default(),
             ledger: LedgerSummary::default(),
-            escalations: 0,
         };
         let rendered = report.render();
         assert!(rendered.contains("latency: p50 3ms"), "{rendered}");
@@ -599,7 +574,7 @@ mod tests {
         assert!(rendered.contains("status 200: 4 attempts"), "{rendered}");
         assert!(rendered.contains("status 503: 1 attempts"), "{rendered}");
         assert!(rendered.contains("connect: p50 1ms, p99 9ms, max 9ms (2 connects)"), "{rendered}");
-        assert!(rendered.contains("tiers: lf 0 answered"), "{rendered}");
+        assert!(rendered.contains("fidelities: lf 0 answered"), "{rendered}");
         let mut silent = report;
         silent.latency = LatencyStats::default();
         silent.statuses.clear();
@@ -649,14 +624,5 @@ mod tests {
         assert_eq!(server_timing_app_ms("exec;dur=1.0"), None);
         assert_eq!(server_timing_app_ms("app;dur=nope"), None);
         assert_eq!(server_timing_app_ms(""), None);
-    }
-
-    #[test]
-    fn prometheus_counter_scrape_handles_absence_and_noise() {
-        let text = "# TYPE tier_gate_escalations_total counter\n\
-                    tier_route_total{tier=\"hf\",reason=\"escalated\"} 3\n\
-                    tier_gate_escalations_total 5\n";
-        assert_eq!(scrape_counter(text, "tier_gate_escalations_total"), 5);
-        assert_eq!(scrape_counter("", "tier_gate_escalations_total"), 0);
     }
 }

@@ -8,7 +8,7 @@ use dse_obs::{MetricValue, Registry, Snapshot};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
-use crate::batcher::{CoalescerStats, TierRequest};
+use crate::batcher::CoalescerStats;
 use crate::http::BadRequest;
 
 /// Most design points one `/v1/evaluate` request may carry.
@@ -60,55 +60,33 @@ fn get_bool(value: &Value, key: &str) -> Result<Option<bool>, BadRequest> {
     }
 }
 
-/// `POST /v1/evaluate` body: encoded design points plus a fidelity tier
+/// `POST /v1/evaluate` body: encoded design points plus a fidelity
 /// and, optionally, a registered ingested workload to evaluate instead
 /// of the server's synthetic template.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct EvaluateRequest {
     /// Encoded design indices (`DesignSpace::encode` order).
     pub points: Vec<u64>,
-    /// Which tier to spend — a fixed one, or gate-routed `"auto"`.
-    pub fidelity: TierRequest,
+    /// Which fidelity answers every point.
+    pub fidelity: Fidelity,
     /// Registered workload id (from `POST /v1/workloads`), or `None`
     /// for the synthetic template workload.
     pub workload: Option<String>,
 }
 
 impl EvaluateRequest {
-    /// Parses `{"points": [..], "fidelity": "lf"|"learned"|"hf"|"auto",
-    /// "workload": "id"}` (fidelity case-insensitive, default `"hf"`)
-    /// and range-checks every index against `space_size`. Ingested
-    /// workloads have no learned tier or router, so `workload` combined
-    /// with `"learned"`/`"auto"` is rejected here, before anything is
-    /// queued.
+    /// Parses `{"points": [..], "fidelity": "lf"|"hf", "workload": "id"}`
+    /// (fidelity case-insensitive, default `"hf"`) and range-checks every
+    /// index against `space_size`.
     pub fn parse(body: &str, space_size: u64, max_points: usize) -> Result<Self, BadRequest> {
         let value = parse_body(body)?;
         let fidelity = match get_str(&value, "fidelity")? {
-            None => TierRequest::Fixed(Fidelity::High),
-            Some(name) => {
-                let key = name.to_ascii_lowercase();
-                if key == "auto" {
-                    TierRequest::Auto
-                } else if let Some(tier) = Fidelity::from_key(&key) {
-                    TierRequest::Fixed(tier)
-                } else {
-                    return Err(invalid(format!(
-                        "unknown fidelity {name:?} (expected \"lf\", \"learned\", \"hf\" or \
-                         \"auto\")"
-                    )));
-                }
-            }
+            None => Fidelity::High,
+            Some(name) => Fidelity::from_key(name).ok_or_else(|| {
+                invalid(format!("unknown fidelity {name:?} (expected \"lf\" or \"hf\")"))
+            })?,
         };
         let workload = get_str(&value, "workload")?.map(str::to_string);
-        if workload.is_some()
-            && !matches!(fidelity, TierRequest::Fixed(Fidelity::Low | Fidelity::High))
-        {
-            return Err(invalid(
-                "ingested workloads answer fixed tiers only: use fidelity \"lf\" or \"hf\" \
-                 (the learned tier and \"auto\" routing are trained on the synthetic template \
-                 workload)",
-            ));
-        }
         let raw = value
             .get("points")
             .ok_or_else(|| invalid("missing `points` array"))?
@@ -177,7 +155,7 @@ pub struct WorkloadUploadResponse {
     /// The registered workload id, echoing the request.
     pub workload: String,
     /// Dynamic instructions the binary retired during ingestion (also
-    /// the length of the trace the HF tier replays).
+    /// the length of the trace the HF simulator replays).
     pub instructions: u64,
     /// The code the binary passed to `exit`.
     pub exit_code: u64,
@@ -192,8 +170,7 @@ pub struct EvaluatedPoint {
     pub point: u64,
     /// Cycles per instruction.
     pub cpi: f64,
-    /// The tier that answered: `"LF"`, `"learned"` or `"HF"`. Under
-    /// `"auto"` routing this varies per row.
+    /// The fidelity that answered: `"LF"` or `"HF"`.
     pub fidelity: String,
     /// Whether the answer came from the run ledger or the evaluator
     /// memo rather than a fresh model run.
@@ -405,8 +382,8 @@ pub(crate) const ERRORS: &str = "serve_errors_total";
 /// The job states `job_states` counts, in order.
 const JOB_STATES: [&str; 3] = ["running", "done", "failed"];
 
-// Made at scrape time: per-tier ledger series labelled `tier` with the
-// fidelity key (model time is a gauge, the rest counters), then the HF
+// Made at scrape time: per-fidelity ledger series labelled `tier` with
+// the fidelity key (model time is a gauge, the rest counters), then the HF
 // memo's counters and entry gauge.
 const LEDGER_EVALUATIONS: &str = "serve_ledger_evaluations_total";
 const LEDGER_HITS: &str = "serve_ledger_cache_hits_total";
@@ -452,7 +429,7 @@ impl MetricsResponse {
     /// The JSON view of the snapshot the Prometheus form renders, so
     /// both `/metrics` forms carry the same numbers. A series the
     /// snapshot lacks reads as zero. The service ledger installs no
-    /// budget, so `hf_budget` and `budget_floor` keep their defaults.
+    /// budget, so `hf_budget` keeps its default.
     pub(crate) fn from_snapshot(snapshot: &Snapshot) -> Self {
         let counter = |name: &str, labels: &[(&str, &str)]| match snapshot.value(name, labels) {
             Some(MetricValue::Counter(v)) => *v,
@@ -497,9 +474,8 @@ impl MetricsResponse {
             },
             ledger: LedgerSummary {
                 low: tier(Fidelity::Low),
-                learned: tier(Fidelity::Learned),
                 high: tier(Fidelity::High),
-                ..LedgerSummary::default()
+                hf_budget: None,
             },
             hf_cache: CacheStats {
                 hits: counter(HF_CACHE_HITS, &[]),
@@ -527,23 +503,21 @@ mod tests {
     fn evaluate_request_parses_and_validates() {
         let ok = EvaluateRequest::parse(r#"{"points": [0, 5], "fidelity": "lf"}"#, 10, 8).unwrap();
         assert_eq!(ok.points, vec![0, 5]);
-        assert_eq!(ok.fidelity, TierRequest::Fixed(Fidelity::Low));
-        // Defaults to HF.
+        assert_eq!(ok.fidelity, Fidelity::Low);
+        // Defaults to HF; names are case-insensitive.
         let hf = EvaluateRequest::parse(r#"{"points": [1]}"#, 10, 8).unwrap();
-        assert_eq!(hf.fidelity, TierRequest::Fixed(Fidelity::High));
-        // The full tier stack and the router are addressable by name,
-        // case-insensitively.
-        let mid = EvaluateRequest::parse(r#"{"points": [1], "fidelity": "learned"}"#, 10, 8);
-        assert_eq!(mid.unwrap().fidelity, TierRequest::Fixed(Fidelity::Learned));
-        let auto = EvaluateRequest::parse(r#"{"points": [1], "fidelity": "AUTO"}"#, 10, 8);
-        assert_eq!(auto.unwrap().fidelity, TierRequest::Auto);
+        assert_eq!(hf.fidelity, Fidelity::High);
+        let upper = EvaluateRequest::parse(r#"{"points": [1], "fidelity": "HF"}"#, 10, 8);
+        assert_eq!(upper.unwrap().fidelity, Fidelity::High);
         // Out of range, empty, too many, bad fidelity, junk.
         assert!(EvaluateRequest::parse(r#"{"points": [10]}"#, 10, 8).is_err());
         assert!(EvaluateRequest::parse(r#"{"points": []}"#, 10, 8).is_err());
         assert!(EvaluateRequest::parse(r#"{"points": [1, 2, 3]}"#, 10, 2).is_err());
-        let bad = EvaluateRequest::parse(r#"{"points": [1], "fidelity": "mid"}"#, 10, 8);
-        let msg = bad.unwrap_err().reason;
-        assert!(msg.contains("\"learned\"") && msg.contains("\"auto\""), "{msg}");
+        for name in ["mid", "learned", "auto"] {
+            let body = format!(r#"{{"points": [1], "fidelity": "{name}"}}"#);
+            let msg = EvaluateRequest::parse(&body, 10, 8).unwrap_err().reason;
+            assert!(msg.contains("\"lf\" or \"hf\""), "{msg}");
+        }
         assert!(EvaluateRequest::parse("nonsense", 10, 8).is_err());
         assert!(EvaluateRequest::parse("", 10, 8).is_err());
     }
@@ -587,18 +561,12 @@ mod tests {
         // Absent workload: wire format identical to before.
         let plain = EvaluateRequest::parse(r#"{"points": [1]}"#, 10, 8).unwrap();
         assert_eq!(plain.workload, None);
-        // Named workload with a fixed lf/hf tier is accepted.
+        // Named workload with a fidelity is accepted.
         let w =
             EvaluateRequest::parse(r#"{"points": [1], "workload": "fw", "fidelity": "lf"}"#, 10, 8)
                 .unwrap();
         assert_eq!(w.workload.as_deref(), Some("fw"));
-        // Learned/auto on an ingested workload are rejected at parse,
-        // naming the tiers that do work.
-        for tier in ["learned", "auto"] {
-            let body = format!(r#"{{"points": [1], "workload": "fw", "fidelity": "{tier}"}}"#);
-            let msg = EvaluateRequest::parse(&body, 10, 8).unwrap_err().reason;
-            assert!(msg.contains("\"lf\"") && msg.contains("\"hf\""), "{msg}");
-        }
+        assert_eq!(w.fidelity, Fidelity::Low);
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub(crate) enum Outcome {
     Reply(Reply),
     /// The coalesced ledger entries of an evaluate, one per point of
     /// `codes`, for [`Shared::render_evaluate`].
-    Evaluated { codes: Vec<u64>, entries: Vec<(LedgerEntry, Fidelity)> },
+    Evaluated { codes: Vec<u64>, fidelity: Fidelity, entries: Vec<LedgerEntry> },
 }
 
 /// MPSC rendezvous from workers back to the reactor, with a built-in wake.
@@ -551,9 +551,9 @@ impl Reactor {
         conn.timeline.resp_ready = Some(done.posted_at);
         let (status, body, content_type) = match done.outcome {
             Outcome::Reply(reply) => reply,
-            Outcome::Evaluated { codes, entries } => {
+            Outcome::Evaluated { codes, fidelity, entries } => {
                 let serialize_start = Instant::now();
-                let reply = self.shared.render_evaluate(&codes, entries);
+                let reply = self.shared.render_evaluate(&codes, fidelity, entries);
                 conn.timeline.serialize_us = serialize_start.elapsed().as_micros() as u64;
                 reply
             }

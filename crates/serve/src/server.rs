@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use archdse::eval::{AnalyticalLf, DesignConstraints, IngestedWorkload, SimulatorHf};
 use archdse::{Explorer, Fnn};
-use dse_exec::{CostLedger, Fidelity, LearnedTier, LedgerEntry, TierGate};
+use dse_exec::{CostLedger, Fidelity, LedgerEntry};
 use dse_fnn::{explain_decision, explain_top_action};
 use dse_mfrl::{Constraint as _, LowFidelity as _};
 use dse_obs::{Counter, Snapshot, LATENCY_BUCKETS_S, SIZE_BUCKETS};
@@ -159,10 +159,11 @@ impl Shared {
     pub(crate) fn render_evaluate(
         &self,
         codes: &[u64],
-        entries: Vec<(LedgerEntry, Fidelity)>,
+        fidelity: Fidelity,
+        entries: Vec<LedgerEntry>,
     ) -> Reply {
         let mut results = Vec::with_capacity(entries.len());
-        for (&code, (entry, answered_by)) in codes.iter().zip(&entries) {
+        for (&code, entry) in codes.iter().zip(&entries) {
             let point = self.space.decode(code);
             let (cpi, cached) = match entry {
                 LedgerEntry::Charged(ev) => (ev.cpi, ev.cached),
@@ -177,7 +178,7 @@ impl Shared {
             results.push(EvaluatedPoint {
                 point: code,
                 cpi,
-                fidelity: answered_by.label().to_string(),
+                fidelity: fidelity.label().to_string(),
                 cached,
                 area_mm2: self.constraints.area().area_mm2(&self.space, &point),
                 leakage_mw: self.constraints.leakage_mw(&self.space, &point),
@@ -233,17 +234,18 @@ impl Shared {
 
         let completions = Arc::clone(completions);
         let codes = parsed.points;
+        let fidelity = parsed.fidelity;
         let reply: ReplyFn = Box::new(move |entries, timing| {
             completions.push(Completion {
                 token,
                 generation,
                 timing,
                 posted_at: Instant::now(),
-                outcome: Outcome::Evaluated { codes, entries },
+                outcome: Outcome::Evaluated { codes, fidelity, entries },
             });
         });
         let job = EvalJob {
-            tier: parsed.fidelity,
+            fidelity,
             workload,
             points,
             enqueued_at: dispatched_at,
@@ -313,8 +315,6 @@ pub fn spawn(config: ServeConfig) -> std::io::Result<ServerHandle> {
         space: space.clone(),
         hf: explorer.hf_evaluator(),
         lf: lf_model.clone(),
-        learned: LearnedTier::new(LearnedTier::point_features()),
-        gate: TierGate::enabled(0.05),
         ledger: CostLedger::new(),
         ingested: Vec::new(),
     }));

@@ -8,6 +8,8 @@ pub fn error_cases() -> Vec<(&'static str, &'static str, Option<String>, u16)> {
         ("POST", "/v1/evaluate", Some(r#"{"points": []}"#), 400),
         ("POST", "/v1/evaluate", Some(r#"{"points": [99999999999999]}"#), 400),
         ("POST", "/v1/evaluate", Some(r#"{"points": [1], "fidelity": "mid"}"#), 400),
+        ("POST", "/v1/evaluate", Some(r#"{"points": [1], "fidelity": "learned"}"#), 400),
+        ("POST", "/v1/evaluate", Some(r#"{"points": [1], "fidelity": "auto"}"#), 400),
         ("POST", "/v1/explain", Some(r#"{"k": 3}"#), 400),
         ("POST", "/v1/explain", Some(r#"{"point": 1, "output": "nosuch"}"#), 400),
         ("POST", "/v1/explore", Some(r#"{"general": true, "benchmark": "mm"}"#), 400),

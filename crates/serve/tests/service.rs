@@ -53,6 +53,11 @@ fn the_four_core_endpoints_answer() {
     let hf: EvaluateResponse = serde_json::from_str(&hf.body).unwrap();
     assert_eq!(hf.results[0].fidelity, "HF");
     assert!(hf.results[0].area_mm2 > 0.0 && hf.results[0].leakage_mw > 0.0);
+    // Omitting the fidelity means HF: same label, same answer.
+    let default = client::post(&addr, "/v1/evaluate", r#"{"points": [7]}"#).unwrap();
+    let default: EvaluateResponse = serde_json::from_str(&default.body).unwrap();
+    assert_eq!(default.results[0].fidelity, "HF");
+    assert_eq!(default.results[0].cpi, hf.results[0].cpi);
 
     // /v1/explain decomposes a decision into rule contributions.
     let explain = client::post(&addr, "/v1/explain", r#"{"point": 12345, "k": 4}"#).unwrap();
@@ -68,7 +73,7 @@ fn the_four_core_endpoints_answer() {
     assert_eq!(metrics.status, 200);
     let metrics: archdse_serve::MetricsResponse = serde_json::from_str(&metrics.body).unwrap();
     assert_eq!(metrics.requests.healthz, 1);
-    assert_eq!(metrics.requests.evaluate, 3);
+    assert_eq!(metrics.requests.evaluate, 4);
     assert_eq!(metrics.requests.explain, 1);
     assert!(metrics.coalescer.requests >= 3);
     assert!(metrics.ledger.low.evaluations >= 2);
@@ -90,6 +95,18 @@ fn error_paths_answer_structured_json() {
         assert_eq!(response.status, expected, "{method} {path}: {}", response.body);
         let parsed: Value = serde_json::from_str(&response.body).expect("errors are JSON");
         assert!(parsed.get("error").is_some(), "{method} {path} lacks an error field");
+    }
+
+    // An unknown fidelity is refused with a message that echoes it and
+    // names the two there are.
+    for bad in ["mid", "learned", "auto", "ultra"] {
+        let body = format!("{{\"points\": [1], \"fidelity\": {bad:?}}}");
+        let response = client::post(&addr, "/v1/evaluate", &body).unwrap();
+        assert_eq!(response.status, 400, "{bad}: {}", response.body);
+        let err: Value = serde_json::from_str(&response.body).unwrap();
+        let message = err.get("error").and_then(Value::as_str).unwrap_or_default();
+        assert!(message.contains(bad), "message should echo the bad name: {message}");
+        assert!(message.contains("\"lf\" or \"hf\""), "message should offer lf and hf: {message}");
     }
 
     // An oversize body is rejected with 413 before any parsing.
@@ -200,9 +217,8 @@ const METRICS_GOLDEN: &str = concat!(
     r#"{"requests":{"healthz":1,"metrics":1,"evaluate":3,"explain":0,"explore":0,"workloads":0,"#,
     r#""jobs":0,"rejected":0,"errors":1},"coalescer":{"requests":2,"batches":2,"points":5},"#,
     r#""ledger":{"low":{"evaluations":2,"cache_hits":1,"cache_misses":2,"denied":0,"#,
-    r#""model_time_units":0.002},"learned":{"evaluations":0,"cache_hits":0,"cache_misses":0,"#,
-    r#""denied":0,"model_time_units":0.0},"high":{"evaluations":2,"cache_hits":0,"cache_misses":2,"#,
-    r#""denied":0,"model_time_units":2.0},"hf_budget":null,"budget_floor":"hf"},"#,
+    r#""model_time_units":0.002},"high":{"evaluations":2,"cache_hits":0,"cache_misses":2,"#,
+    r#""denied":0,"model_time_units":2.0},"hf_budget":null},"#,
     r#""hf_cache":{"hits":0,"misses":2,"entries":2},"job_states":[0,0,0]}"#,
 );
 
@@ -330,7 +346,7 @@ fn uploaded_workloads_register_and_answer_lf_and_hf() {
     let listed = health.get("workloads").and_then(Value::as_array).unwrap();
     assert_eq!(listed.len(), 1);
 
-    // Evaluate it at both supported tiers; HF twice replays the second
+    // Evaluate it at both fidelities; HF twice replays the second
     // answer from the workload's own ledger.
     for fidelity in ["lf", "hf"] {
         let body =
@@ -401,13 +417,6 @@ fn unknown_workload_ids_are_a_400_naming_the_registered_ones() {
     let explore = client::post(&addr, "/v1/explore", r#"{"workload": "nope"}"#).unwrap();
     assert_eq!(explore.status, 400, "{}", explore.body);
     assert!(explore.body.contains("stride-c"), "{}", explore.body);
-
-    // Learned/auto tiers on an ingested workload are rejected at parse.
-    for tier in ["learned", "auto"] {
-        let body = format!(r#"{{"points": [1], "fidelity": "{tier}", "workload": "stride-c"}}"#);
-        let response = client::post(&addr, "/v1/evaluate", &body).unwrap();
-        assert_eq!(response.status, 400, "{}", response.body);
-    }
 
     // Bad uploads are structured 400s, not panics: junk base64, a
     // non-ELF payload, and a name collision with a benchmark.

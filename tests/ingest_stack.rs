@@ -1,7 +1,8 @@
 //! Cross-layer guarantees for ingested workloads: a fixture ELF runs
 //! through the LF analytical model, the HF lane kernel (bit-identical
-//! to the reference walk), the on-disk trace format, and the 3-tier
-//! router — and every stage is a pure function of the ELF bytes.
+//! to the reference walk), the on-disk trace format, and the full
+//! LF→HF exploration — and every stage is a pure function of the ELF
+//! bytes.
 
 use archdse::eval::{AnalyticalLf, IngestedWorkload, SimulatorHf};
 use archdse::Explorer;
@@ -92,7 +93,7 @@ fn same_elf_twice_yields_byte_identical_trace_files() {
 }
 
 #[test]
-fn three_tier_exploration_of_an_ingested_workload_is_deterministic() {
+fn two_tier_exploration_of_an_ingested_workload_is_deterministic() {
     let run = || {
         let ingested = ingest("loop_sum");
         let workload = IngestedWorkload::new(
@@ -105,7 +106,6 @@ fn three_tier_exploration_of_an_ingested_workload_is_deterministic() {
             .seed(11)
             .lf_episodes(12)
             .hf_budget(2)
-            .tiers(3)
             .run();
         (report.best_point.clone(), report.best_cpi, report.ledger.summary())
     };
