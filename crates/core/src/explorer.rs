@@ -386,7 +386,7 @@ impl Explorer {
             let (simulator, built) = std::sync::mpsc::sync_channel(1);
             let flow = scope.spawn(move || {
                 let mut hf = Deferred::new(|| built.recv().expect("the simulator is built"));
-                self.run_flow(&mut hf)
+                self.run_with_hf(&mut hf)
             });
             // The flow can end, by panicking, before it needs the simulator.
             let _ = simulator.send(self.hf_evaluator());
@@ -412,8 +412,10 @@ impl Explorer {
         }
     }
 
-    /// The LF→HF flow against `hf`.
-    fn run_flow(&self, hf: &mut impl LedgerRouter) -> ExplorationReport {
+    /// Runs the flow against a caller-supplied HF evaluator (so
+    /// experiments can share its cache across methods), or anything
+    /// else that answers proposals through the ledger.
+    pub fn run_with_hf(&self, hf: &mut impl LedgerRouter) -> ExplorationReport {
         let lf = self.lf_model();
         let constraints = self.constraints();
         let mut fnn = self.build_fnn();
@@ -429,12 +431,6 @@ impl Explorer {
             rules,
             ledger: outcome.ledger,
         }
-    }
-
-    /// Runs the flow against a caller-supplied HF evaluator (so
-    /// experiments can share its cache across methods).
-    pub fn run_with_hf(&self, hf: &mut SimulatorHf) -> ExplorationReport {
-        self.run_flow(hf)
     }
 }
 

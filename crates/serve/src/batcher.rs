@@ -13,7 +13,7 @@
 //! throughput — never results.
 //! Both fidelities the ledger drives are `Evaluator`s: the simulator
 //! directly, the analytical model through a [`LfEvaluator`] borrowed for
-//! each ledger call. An answer depends only on the design and the
+//! each ledger call. A CPI depends only on the design and the
 //! fidelity, never on which requests came before it.
 //!
 //! [`max_batch_points`]: BatcherConfig::max_batch_points
