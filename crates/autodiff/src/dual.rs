@@ -52,6 +52,15 @@ impl<const N: usize> Dual<N> {
         Self { v: value, d, seeded: true }
     }
 
+    /// A number that depends on the variables, with the given value and
+    /// partials: what [`value`](Self::value) and
+    /// [`gradient`](Self::gradient) read back from any non-constant, so a
+    /// stored dual can be rebuilt bit for bit.
+    #[inline]
+    pub fn from_parts(value: f64, gradient: [f64; N]) -> Self {
+        Self { v: value, d: gradient, seeded: true }
+    }
+
     /// A constant: zero derivative with respect to every variable.
     #[inline]
     pub(crate) fn constant(value: f64) -> Self {

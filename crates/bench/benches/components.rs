@@ -53,6 +53,11 @@ fn bench_analytical(c: &mut Criterion) {
     group.bench_function("beneficial_params_6_models", |b| {
         b.iter(|| std::hint::black_box(lf.beneficial_params(&space, &point)))
     });
+    // The fused CPI-and-mask probe an untraced campaign asks at every new
+    // point.
+    group.bench_function("cpi_and_mask_6_models", |b| {
+        b.iter(|| std::hint::black_box(lf.cpi_and_mask(&space, &point)))
+    });
     group.finish();
 }
 
