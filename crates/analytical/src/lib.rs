@@ -38,10 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod latency;
-
-pub use latency::Latencies;
-
 use dse_autodiff::{Dual, PiecewiseLinear, Scalar};
 use dse_space::{DesignPoint, DesignSpace, Param};
 use dse_workloads::WorkloadProfile;
@@ -52,8 +48,18 @@ use dse_workloads::WorkloadProfile;
 const SMOOTH_BETA: f64 = 16.0;
 
 /// Minimum predicted per-step CPI reduction for a parameter to count as
-/// beneficial in [`AnalyticalModel::beneficial_params`].
-const BENEFIT_EPS: f64 = 1e-6;
+/// beneficial: the threshold of [`AnalyticalModel::beneficial_params`],
+/// and of any mask that averages several models' steps.
+pub const BENEFIT_EPS: f64 = 1e-6;
+
+/// Cycles an L2 hit adds to an L1 miss (at 1 GHz). The cycle-level
+/// simulator in `dse-sim` uses the same latencies, so that LF and HF
+/// disagree through modeling abstraction, not inconsistent physics.
+const L2_HIT_CYCLES: f64 = 18.0;
+/// Cycles a DRAM access adds to an L2 miss.
+const DRAM_CYCLES: f64 = 180.0;
+/// Cycles lost per mispredicted branch (pipeline refill).
+const FLUSH_PENALTY_CYCLES: f64 = 12.0;
 
 /// A dual number over all 11 design parameters.
 type Grad = Dual<{ Param::COUNT }>;
@@ -171,7 +177,6 @@ impl Cell {
 pub struct AnalyticalModel {
     profile: WorkloadProfile,
     reuse: PiecewiseLinear,
-    latencies: Latencies,
     /// The construction space's candidates, parameter by parameter in
     /// [`Param::ALL`] order.
     candidates: Vec<f64>,
@@ -193,20 +198,6 @@ impl AnalyticalModel {
     /// Panics if the profile fails [`WorkloadProfile::validate`] — all
     /// shipped [`Benchmark`](dse_workloads::Benchmark) profiles pass.
     pub fn new(space: &DesignSpace, profile: WorkloadProfile) -> Self {
-        Self::with_latencies(space, profile, Latencies::default())
-    }
-
-    /// Builds the model with custom latency constants, bound to `space`
-    /// as in [`new`](Self::new).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile fails validation.
-    pub fn with_latencies(
-        space: &DesignSpace,
-        profile: WorkloadProfile,
-        latencies: Latencies,
-    ) -> Self {
         if let Err(e) = profile.validate() {
             panic!("invalid workload profile: {e}");
         }
@@ -219,7 +210,6 @@ impl AnalyticalModel {
         let mut model = Self {
             profile,
             reuse,
-            latencies,
             candidates: Param::ALL.iter().flat_map(|&p| space.candidates(p)).copied().collect(),
             starts,
             cells: Vec::new(),
@@ -266,11 +256,6 @@ impl AnalyticalModel {
         self.combine(self.cells(self.indices(space, point)).map(|cell| cell.value))
     }
 
-    /// Predicted instructions per cycle (1/CPI).
-    pub fn ipc_in(&self, space: &DesignSpace, point: &DesignPoint) -> f64 {
-        1.0 / self.cpi_in(space, point)
-    }
-
     /// CPI together with its gradient with respect to each parameter's
     /// *value* (in [`Param::ALL`] order), via forward-mode autodiff.
     ///
@@ -292,22 +277,13 @@ impl AnalyticalModel {
         (out.value(), grad)
     }
 
-    /// First-order predicted ΔCPI for bumping each parameter to its next
-    /// candidate; `None` where the parameter is already maximal.
+    /// [`cpi_in`](Self::cpi_in) and the first-order predicted ΔCPI for
+    /// bumping each parameter to its next candidate (`None` where the
+    /// parameter is already maximal), from one gradient pass.
     ///
-    /// This is `∂CPI/∂value × candidate step`, the quantity the LF phase
-    /// masks on: the paper "only allow\[s\] the design parameters with
-    /// negative gradients to be chosen for increasing".
-    pub fn step_deltas(
-        &self,
-        space: &DesignSpace,
-        point: &DesignPoint,
-    ) -> [Option<f64>; Param::COUNT] {
-        self.cpi_and_step_deltas(space, point).1
-    }
-
-    /// [`cpi_in`](Self::cpi_in) and [`step_deltas`](Self::step_deltas)
-    /// from one gradient pass; both bit-identical to the separate calls.
+    /// A step's ΔCPI is `∂CPI/∂value × candidate step`, the quantity the
+    /// LF phase masks on: the paper "only allow\[s\] the design
+    /// parameters with negative gradients to be chosen for increasing".
     pub fn cpi_and_step_deltas(
         &self,
         space: &DesignSpace,
@@ -329,7 +305,8 @@ impl AnalyticalModel {
     /// Parameters whose next step is predicted to *reduce* CPI — the LF
     /// action mask.
     pub fn beneficial_params(&self, space: &DesignSpace, point: &DesignPoint) -> Vec<Param> {
-        self.step_deltas(space, point)
+        self.cpi_and_step_deltas(space, point)
+            .1
             .into_iter()
             .zip(Param::ALL)
             .filter_map(|(delta, p)| match delta {
@@ -461,15 +438,13 @@ impl AnalyticalModel {
         let miss2 = S::constant(1.0) - hit2;
         let l2_served = (miss1 - miss2.clone()).smooth_max(&S::constant(0.0), SMOOTH_BETA);
         let loads = S::constant(self.profile.mix.load);
-        let l2_pen = loads.clone() * l2_served * S::constant(self.latencies.l2_hit) / mshr_overlap;
-        let dram_pen = loads * miss2 * S::constant(self.latencies.dram) / dram_overlap;
+        let l2_pen = loads.clone() * l2_served * S::constant(L2_HIT_CYCLES) / mshr_overlap;
+        let dram_pen = loads * miss2 * S::constant(DRAM_CYCLES) / dram_overlap;
         let mem_cpi_term = l2_pen + dram_pen;
 
         // Branch mispredict flushes.
         let branch_cpi = S::constant(
-            self.profile.mix.branch
-                * self.profile.branch_mispredict_rate
-                * self.latencies.flush_penalty,
+            self.profile.mix.branch * self.profile.branch_mispredict_rate * FLUSH_PENALTY_CYCLES,
         );
 
         base_cpi + mem_cpi_term + branch_cpi
@@ -567,7 +542,7 @@ mod tests {
                 point = next;
             }
         }
-        let deltas = m.step_deltas(&space, &point);
+        let deltas = m.cpi_and_step_deltas(&space, &point).1;
         let rob_delta = deltas[Param::RobEntry.index()].unwrap();
         assert!(
             rob_delta.abs() < 5e-3,
@@ -706,14 +681,6 @@ mod tests {
             for p in m.beneficial_params(&space, &point) {
                 prop_assert!(!point.is_max(&space, p));
             }
-        }
-
-        #[test]
-        fn ipc_is_cpi_reciprocal(code in 0u64..3_000_000) {
-            let (space, m) = model(Benchmark::Quicksort);
-            let point = space.decode(code);
-            let prod = m.ipc_in(&space, &point) * m.cpi_in(&space, &point);
-            prop_assert!((prod - 1.0).abs() < 1e-12);
         }
     }
 }

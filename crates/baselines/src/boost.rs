@@ -59,11 +59,6 @@ impl Gbrt {
     pub fn predict(&self, x: &[f64]) -> f64 {
         self.base + self.learning_rate * self.stages.iter().map(|t| t.predict(x)).sum::<f64>()
     }
-
-    /// Number of boosting stages.
-    pub fn stage_count(&self) -> usize {
-        self.stages.len()
-    }
 }
 
 /// AdaBoost.R2 regression — the surrogate of the ActBoost baseline

@@ -49,7 +49,7 @@ pub use dse_exec::{Constraint, CostLedger, Evaluation, Evaluator, Fidelity, Ledg
 pub use forest::RandomForest;
 pub use gp::GaussianProcess;
 pub use kmeans::{kmeans, Clustering};
-pub use optimizer::{sample_feasible, OptimizationResult, Optimizer, SampleFeasibleError};
+pub use optimizer::{OptimizationResult, Optimizer};
 pub use optimizers::{
     ActBoostOptimizer, BagGbrtOptimizer, BoomExplorerOptimizer, RandomForestOptimizer,
     RandomSearchOptimizer, ScboOptimizer,

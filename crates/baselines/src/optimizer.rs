@@ -1,7 +1,5 @@
 //! The common optimizer interface and evaluation bookkeeping.
 
-use std::collections::HashSet;
-
 use dse_exec::{Constraint, CostLedger, Evaluator, Fidelity, LedgerEntry, LedgerSummary};
 use dse_space::{DesignPoint, DesignSpace};
 use rand::rngs::StdRng;
@@ -41,65 +39,6 @@ pub trait Optimizer {
         budget: usize,
         seed: u64,
     ) -> OptimizationResult;
-}
-
-/// Rejection sampling gave up: feasible designs are too rare under the
-/// active constraint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SampleFeasibleError {
-    /// How many distinct feasible designs were requested.
-    pub requested: usize,
-    /// How many were found before giving up.
-    pub found: usize,
-    /// How many random draws were attempted.
-    pub attempts: usize,
-}
-
-impl std::fmt::Display for SampleFeasibleError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "found only {} of {} requested feasible designs after {} random draws — \
-             the feasibility constraint is too tight for rejection sampling",
-            self.found, self.requested, self.attempts
-        )
-    }
-}
-
-impl std::error::Error for SampleFeasibleError {}
-
-/// Draws `n` distinct feasible design points by rejection sampling.
-///
-/// # Errors
-///
-/// Returns [`SampleFeasibleError`] when 10 000·n rejections fail to find
-/// enough feasible designs, so tight area limits degrade gracefully
-/// instead of aborting a whole experiment run. With the Table 2 area
-/// limits feasibility is plentiful and sampling always succeeds.
-pub fn sample_feasible(
-    space: &DesignSpace,
-    constraint: &dyn Constraint,
-    n: usize,
-    rng: &mut StdRng,
-) -> Result<Vec<DesignPoint>, SampleFeasibleError> {
-    let mut out = Vec::with_capacity(n);
-    let mut seen = HashSet::new();
-    let mut attempts = 0usize;
-    let max_attempts = 10_000 * n.max(1);
-    while out.len() < n {
-        if attempts >= max_attempts {
-            return Err(SampleFeasibleError { requested: n, found: out.len(), attempts });
-        }
-        attempts += 1;
-        let p = space.random_point(rng);
-        if !constraint.fits(space, &p) {
-            continue;
-        }
-        if seen.insert(space.encode(&p)) {
-            out.push(p);
-        }
-    }
-    Ok(out)
 }
 
 /// Shared evaluation bookkeeping for every baseline: the run's
@@ -263,30 +202,6 @@ pub(crate) mod testutil {
 mod tests {
     use super::testutil::{small_designs, Sphere};
     use super::*;
-    use rand::SeedableRng;
-
-    #[test]
-    fn sample_feasible_respects_the_predicate() {
-        let space = DesignSpace::boom();
-        let mut rng = StdRng::seed_from_u64(0);
-        let samples =
-            sample_feasible(&space, &small_designs, 20, &mut rng).expect("feasibility plentiful");
-        assert_eq!(samples.len(), 20);
-        for p in samples {
-            assert!(small_designs(&space, &p));
-        }
-    }
-
-    #[test]
-    fn sample_feasible_reports_an_impossible_constraint_gracefully() {
-        let space = DesignSpace::boom();
-        let mut rng = StdRng::seed_from_u64(1);
-        let impossible = |_: &DesignSpace, _: &DesignPoint| false;
-        let err = sample_feasible(&space, &impossible, 3, &mut rng).unwrap_err();
-        assert_eq!(err, SampleFeasibleError { requested: 3, found: 0, attempts: 30_000 });
-        let msg = err.to_string();
-        assert!(msg.contains("0 of 3") && msg.contains("30000 random draws"), "{msg}");
-    }
 
     #[test]
     fn eval_log_enforces_budget_and_dedup() {

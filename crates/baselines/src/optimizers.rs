@@ -24,6 +24,33 @@ fn init_phase(log: &mut EvalLog, n: usize, rng: &mut StdRng) {
     }
 }
 
+/// Which end of the acquisition scores a pick takes. Ties break as
+/// `Iterator::min_by` and `max_by` break them.
+#[derive(Clone, Copy)]
+enum Pick {
+    /// The first candidate with the least score.
+    FirstMin,
+    /// The last candidate with the greatest score.
+    LastMax,
+}
+
+/// The candidate of `pool` that `pick` selects by `score` of its feature
+/// vector; each candidate is scored once.
+fn pick_scored(
+    pool: Vec<DesignPoint>,
+    space: &DesignSpace,
+    pick: Pick,
+    score: impl Fn(&[f64]) -> f64,
+) -> Option<DesignPoint> {
+    let scored = pool.into_iter().map(|p| (score(&p.feature_vector(space)), p));
+    let by_score = |a: &(f64, DesignPoint), b: &(f64, DesignPoint)| a.0.total_cmp(&b.0);
+    let best = match pick {
+        Pick::FirstMin => scored.min_by(by_score),
+        Pick::LastMax => scored.max_by(by_score),
+    };
+    best.map(|(_, p)| p)
+}
+
 /// Pure random search — the sanity floor for Fig. 5.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RandomSearchOptimizer;
@@ -76,13 +103,7 @@ impl Optimizer for RandomForestOptimizer {
             let (x, y) = log.training_data();
             let rf = RandomForest::fit(&x, &y, 30, 6, seed ^ log.history.len() as u64);
             let pool = log.candidate_pool(POOL, &mut rng);
-            let pick = pool
-                .into_iter()
-                .min_by(|a, b| {
-                    let sa = lcb(&rf.predict(&a.feature_vector(space)));
-                    let sb = lcb(&rf.predict(&b.feature_vector(space)));
-                    sa.total_cmp(&sb)
-                })
+            let pick = pick_scored(pool, space, Pick::FirstMin, |f| lcb(&rf.predict(f)))
                 .or_else(|| log.random_unseen(&mut rng));
             let Some(pick) = pick else { break };
             log.evaluate(&pick);
@@ -124,19 +145,14 @@ impl Optimizer for ActBoostOptimizer {
             let model = AdaBoostR2::fit(&x, &y, 25, 3, seed ^ round as u64);
             let pool = log.candidate_pool(POOL, &mut rng);
             let explore = round % 3 == 2; // every third pick is active learning
-            let pick = pool
-                .into_iter()
-                .min_by(|a, b| {
-                    let fa = a.feature_vector(space);
-                    let fb = b.feature_vector(space);
-                    let (sa, sb) = if explore {
-                        (-model.disagreement(&fa), -model.disagreement(&fb))
-                    } else {
-                        (model.predict(&fa), model.predict(&fb))
-                    };
-                    sa.total_cmp(&sb)
-                })
-                .or_else(|| log.random_unseen(&mut rng));
+            let pick = pick_scored(pool, space, Pick::FirstMin, |f| {
+                if explore {
+                    -model.disagreement(f)
+                } else {
+                    model.predict(f)
+                }
+            })
+            .or_else(|| log.random_unseen(&mut rng));
             let Some(pick) = pick else { break };
             log.evaluate(&pick);
             round += 1;
@@ -170,13 +186,7 @@ impl Optimizer for BagGbrtOptimizer {
             let (x, y) = log.training_data();
             let bag = fit_bag(&x, &y, 8, &mut rng);
             let pool = log.candidate_pool(POOL, &mut rng);
-            let pick = pool
-                .into_iter()
-                .min_by(|a, b| {
-                    let sa = lcb(&bag_predict(&bag, &a.feature_vector(space)));
-                    let sb = lcb(&bag_predict(&bag, &b.feature_vector(space)));
-                    sa.total_cmp(&sb)
-                })
+            let pick = pick_scored(pool, space, Pick::FirstMin, |f| lcb(&bag_predict(&bag, f)))
                 .or_else(|| log.random_unseen(&mut rng));
             let Some(pick) = pick else { break };
             log.evaluate(&pick);
@@ -240,14 +250,11 @@ impl Optimizer for BoomExplorerOptimizer {
             let pick = match GaussianProcess::fit(&x, &y, true, seed) {
                 Ok(gp) => {
                     let best = log.best_feasible_value();
-                    pool.into_iter()
-                        .max_by(|a, b| {
-                            let (ma, sa) = gp.predict(&a.feature_vector(space));
-                            let (mb, sb) = gp.predict(&b.feature_vector(space));
-                            expected_improvement(ma, sa, best)
-                                .total_cmp(&expected_improvement(mb, sb, best))
-                        })
-                        .or_else(|| log.random_unseen(&mut rng))
+                    pick_scored(pool, space, Pick::LastMax, |f| {
+                        let (mean, std) = gp.predict(f);
+                        expected_improvement(mean, std, best)
+                    })
+                    .or_else(|| log.random_unseen(&mut rng))
                 }
                 Err(_) => log.random_unseen(&mut rng),
             };

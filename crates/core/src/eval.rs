@@ -2,9 +2,9 @@
 //! proxy, the cycle-level simulator as an [`Evaluator`], and the area
 //! and power limits as [`Constraint`]s.
 
-use dse_analytical::AnalyticalModel;
+use dse_analytical::{AnalyticalModel, BENEFIT_EPS};
 use dse_area::{Activity, AreaModel, PowerModel};
-use dse_exec::{par_map, par_map_with, CacheStats, CpiCache, Evaluation, Evaluator, Fidelity};
+use dse_exec::{par_map_with, CacheStats, CpiCache, Evaluation, Evaluator, Fidelity};
 use dse_mfrl::{param_bits, Constraint, LowFidelity, LF_TRACE_EQUIVALENT};
 use dse_sim::{BatchSimulator, CoreConfig, ExpandedTrace, SimResult};
 use dse_space::{DesignPoint, DesignSpace, Param};
@@ -73,30 +73,22 @@ pub fn activity_of(result: &SimResult) -> Activity {
 /// Low-fidelity adapter: one analytical model per benchmark, averaged.
 ///
 /// For application-specific DSE (Table 2) this holds a single model; for
-/// general-purpose DSE (Fig. 5) it averages all six. CPI/IPC average
+/// general-purpose DSE (Fig. 5) it averages all six. CPI averages
 /// across models; the gradient mask endorses a parameter when the *mean*
 /// predicted step benefit is negative.
 ///
-/// Batched estimates ([`LowFidelity::cpi_batch`]) fan designs across the
-/// `dse-exec` work pool; each design's estimate is the same pure function
-/// either way, so results are bit-identical at any thread count.
+/// Every estimate runs on the calling thread, batches included: a
+/// design's answer is six table reads per model, well under a
+/// microsecond, so a thread costs more than it saves.
 #[derive(Debug, Clone)]
 pub struct AnalyticalLf {
     models: Vec<AnalyticalModel>,
-    threads: usize,
 }
-
-/// Minimum mean per-step CPI reduction for the mask (mirrors the
-/// threshold inside [`AnalyticalModel::beneficial_params`]).
-const BENEFIT_EPS: f64 = 1e-6;
 
 impl AnalyticalLf {
     /// Builds the LF proxy for one benchmark at a data scale.
     pub fn for_benchmark(space: &DesignSpace, benchmark: Benchmark, data_scale: f64) -> Self {
-        Self {
-            models: vec![AnalyticalModel::new(space, benchmark.profile_scaled(data_scale))],
-            threads: dse_exec::default_threads(),
-        }
+        Self { models: vec![AnalyticalModel::new(space, benchmark.profile_scaled(data_scale))] }
     }
 
     /// Builds the general-purpose LF proxy averaging `benchmarks`.
@@ -111,7 +103,6 @@ impl AnalyticalLf {
                 .iter()
                 .map(|&b| AnalyticalModel::new(space, b.profile_scaled(data_scale)))
                 .collect(),
-            threads: dse_exec::default_threads(),
         }
     }
 
@@ -126,21 +117,7 @@ impl AnalyticalLf {
     /// constructor check).
     pub fn for_profiles(space: &DesignSpace, profiles: &[WorkloadProfile]) -> Self {
         assert!(!profiles.is_empty(), "need at least one profile");
-        Self {
-            models: profiles.iter().map(|p| AnalyticalModel::new(space, p.clone())).collect(),
-            threads: dse_exec::default_threads(),
-        }
-    }
-
-    /// Overrides the worker-thread count for batched estimates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one worker thread");
-        self.threads = threads;
-        self
+        Self { models: profiles.iter().map(|p| AnalyticalModel::new(space, p.clone())).collect() }
     }
 
     /// The underlying per-benchmark models.
@@ -154,16 +131,10 @@ impl LowFidelity for AnalyticalLf {
         self.models.iter().map(|m| m.cpi_in(space, point)).sum::<f64>() / self.models.len() as f64
     }
 
-    fn cpi_batch(&self, space: &DesignSpace, points: &[DesignPoint]) -> Vec<f64> {
-        par_map(points, self.threads, |p| self.cpi(space, p))
-    }
-
+    /// The parameters set in [`cpi_and_mask`](LowFidelity::cpi_and_mask)'s
+    /// bits, so the mean mask is folded in one place.
     fn beneficial_params(&self, space: &DesignSpace, point: &DesignPoint) -> Vec<Param> {
-        let mut mask = MeanStepMask::new(self.models.len());
-        for model in &self.models {
-            mask.add(model.step_deltas(space, point));
-        }
-        let bits = mask.bits();
+        let (_, bits) = self.cpi_and_mask(space, point);
         Param::ALL.into_iter().filter(|p| bits >> p.index() & 1 == 1).collect()
     }
 
@@ -563,7 +534,7 @@ mod tests {
     #[test]
     fn analytical_batch_matches_the_sequential_walk() {
         let space = DesignSpace::boom();
-        let lf = AnalyticalLf::for_benchmarks(&space, &Benchmark::ALL, 1.0).with_threads(3);
+        let lf = AnalyticalLf::for_benchmarks(&space, &Benchmark::ALL, 1.0);
         let points: Vec<DesignPoint> =
             (0..17).map(|i| space.decode(i * 999_331 % space.size())).collect();
         let batched = lf.cpi_batch(&space, &points);

@@ -1,17 +1,19 @@
 //! Deterministic parallel evaluation backend.
 //!
-//! Every CPI evaluation in the workspace used to be strictly
-//! sequential. This crate supplies the two pieces that make batched
-//! evaluation fast *without* giving up reproducibility:
+//! This crate supplies the two pieces that make batched evaluation fast
+//! *without* giving up reproducibility:
 //!
-//! * [`par_map`] / [`par_map_indexed`] / [`par_map_with`] — a std-only
-//!   scoped-thread work pool (`std::thread::scope`, no dependencies)
-//!   that fans a slice of jobs across cores and gathers results **by
-//!   index**, so the output order — and therefore every downstream fold
-//!   over it — is independent of OS scheduling. Running with 1 thread
-//!   or N threads produces bit-identical results. The `_with` variant
-//!   gives each worker a private scratch value (e.g. a reusable
-//!   simulator) so per-job setup costs amortize across a batch.
+//! * [`par_map`] / [`par_map_with`] — a std-only scoped-thread work pool
+//!   (`std::thread::scope`, no dependencies) that fans a slice of jobs
+//!   across cores and gathers results **by index**, so the output order
+//!   — and therefore every downstream fold over it — is independent of
+//!   OS scheduling. Running with 1 thread or N threads produces
+//!   bit-identical results. The `_with` variant gives each worker a
+//!   private scratch value (e.g. a reusable simulator) so per-job setup
+//!   costs amortize across a batch. The pool is for jobs worth a
+//!   thread: the HF simulator's batches use it, while analytical (LF)
+//!   batches, at under a microsecond per design, run on the calling
+//!   thread.
 //! * [`CpiCache`] — the shared memoized CPI cache keyed by a design's
 //!   encoded index, with hit/miss/eval counters ([`CacheStats`]). It
 //!   replaces the ad-hoc `HashMap` caches that used to live separately
@@ -90,24 +92,11 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_indexed(items, threads, |_, item| f(item))
+    par_map_with(items, threads, || (), |(), _, item| f(item))
 }
 
-/// [`par_map`] variant handing `f` the item index as well.
-///
-/// # Panics
-///
-/// Propagates the first panic raised inside `f`.
-pub fn par_map_indexed<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_with(items, threads, || (), |(), i, item| f(i, item))
-}
-
-/// [`par_map_indexed`] variant with per-worker scratch state.
+/// [`par_map`] variant with per-worker scratch state, handing `f` the
+/// item index as well.
 ///
 /// Each worker thread calls `init` once and hands the resulting scratch
 /// value to every job it processes, so expensive per-job setup (a
@@ -352,13 +341,6 @@ mod tests {
             let same = sequential.iter().zip(&parallel).all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "{threads} threads diverged");
         }
-    }
-
-    #[test]
-    fn par_map_indexed_passes_the_item_index() {
-        let items = ["a", "b", "c"];
-        let labelled = par_map_indexed(&items, 2, |i, s| format!("{i}:{s}"));
-        assert_eq!(labelled, vec!["0:a", "1:b", "2:c"]);
     }
 
     #[test]

@@ -263,13 +263,91 @@ impl Deserialize for Consequents {
     }
 }
 
+/// What [`Fnn::new`] requires of its inputs and outputs.
+fn check_layers(inputs: &[InputSpec], output_names: &[String]) -> Result<(), String> {
+    if inputs.is_empty() {
+        return Err("need at least one input".into());
+    }
+    if output_names.is_empty() {
+        return Err("need at least one output".into());
+    }
+    for spec in inputs {
+        let expected = match spec.kind {
+            InputKind::Metric => 3,
+            InputKind::Parameter => 2,
+        };
+        if spec.memberships.len() != expected {
+            return Err(format!("input {} needs {expected} membership functions", spec.name));
+        }
+        if !spec.memberships.iter().all(|m| m.width().is_finite() && m.width() > 0.0) {
+            return Err(format!("input {} has a membership width that is not positive", spec.name));
+        }
+    }
+    Ok(())
+}
+
+/// Every rule's fuzzy-set label per input: the mixed-radix enumeration
+/// of the inputs' sets, input 0 most significant.
+fn enumerate_rules(inputs: &[InputSpec]) -> Vec<Vec<usize>> {
+    let n_rules: usize = inputs.iter().map(|s| s.memberships.len()).product();
+    let mut rule_labels = Vec::with_capacity(n_rules);
+    for r in 0..n_rules {
+        let mut rest = r;
+        let mut labels = vec![0usize; inputs.len()];
+        for (i, spec) in inputs.iter().enumerate().rev() {
+            let n = spec.memberships.len();
+            labels[i] = rest % n;
+            rest /= n;
+        }
+        rule_labels.push(labels);
+    }
+    rule_labels
+}
+
+/// A saved [`Fnn`]'s fields as written, before any shape check.
+#[derive(Deserialize)]
+struct SavedFnn {
+    inputs: Vec<InputSpec>,
+    output_names: Vec<String>,
+    consequents: Consequents,
+    rule_labels: Vec<Vec<usize>>,
+}
+
+impl Deserialize for Fnn {
+    fn from_content(c: &Content) -> Result<Self, DeError> {
+        let SavedFnn { inputs, output_names, consequents, rule_labels } =
+            SavedFnn::from_content(c)?;
+        check_layers(&inputs, &output_names).map_err(DeError::new)?;
+        if rule_labels != enumerate_rules(&inputs) {
+            return Err(DeError::new(
+                "rule_labels are not the mixed-radix enumeration of the inputs' fuzzy sets",
+            ));
+        }
+        let (rules, outputs) = (rule_labels.len(), output_names.len());
+        if consequents.outputs != outputs || consequents.values.len() != rules * outputs {
+            return Err(DeError::new(format!(
+                "consequents must be {rules} rows of {outputs} values, found {} rows of {}",
+                consequents.values.len() / consequents.outputs,
+                consequents.outputs
+            )));
+        }
+        Ok(Self { inputs, output_names, consequents, rule_labels })
+    }
+}
+
 /// The fuzzy neural network (see the [crate docs](crate) for the layer
 /// structure).
 ///
 /// Construct via [`FnnBuilder`](crate::FnnBuilder); drive with
 /// [`Fnn::forward`] / [`Fnn::backward`] (or [`Fnn::backward_into`]) /
 /// [`Fnn::apply`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A saved network loads only if it has the shape [`Fnn::new`] builds:
+/// each input with its kind's number of positive-width memberships, the
+/// rules of the inputs' mixed-radix enumeration, and one consequent row
+/// of one value per output for each rule. Anything else is a
+/// [`DeError`] naming the mismatch.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fnn {
     inputs: Vec<InputSpec>,
     output_names: Vec<String>,
@@ -289,19 +367,8 @@ impl Fnn {
     /// Panics if `inputs` or `outputs` is empty, or if any input has the
     /// wrong number of membership functions for its kind.
     pub fn new(inputs: Vec<InputSpec>, output_names: Vec<String>) -> Self {
-        assert!(!inputs.is_empty(), "need at least one input");
-        assert!(!output_names.is_empty(), "need at least one output");
-        for spec in &inputs {
-            let expected = match spec.kind {
-                InputKind::Metric => 3,
-                InputKind::Parameter => 2,
-            };
-            assert_eq!(
-                spec.memberships.len(),
-                expected,
-                "input {} needs {expected} membership functions",
-                spec.name
-            );
+        if let Err(e) = check_layers(&inputs, &output_names) {
+            panic!("{e}");
         }
         let n_rules: usize = inputs.iter().map(|s| s.memberships.len()).product();
         // The consequent block comes before the per-rule label vectors so
@@ -311,17 +378,7 @@ impl Fnn {
         // traces (8x the minor faults in a repeated explore set-up).
         let outputs = output_names.len();
         let consequents = Consequents { values: vec![0.0; n_rules * outputs], outputs };
-        let mut rule_labels = Vec::with_capacity(n_rules);
-        for r in 0..n_rules {
-            let mut rest = r;
-            let mut labels = vec![0usize; inputs.len()];
-            for (i, spec) in inputs.iter().enumerate().rev() {
-                let n = spec.memberships.len();
-                labels[i] = rest % n;
-                rest /= n;
-            }
-            rule_labels.push(labels);
-        }
+        let rule_labels = enumerate_rules(&inputs);
         Self { inputs, output_names, consequents, rule_labels }
     }
 
@@ -1008,6 +1065,82 @@ mod tests {
         assert_eq!(obs.values.len(), 7);
         assert_eq!(obs.values[0], 1.5);
         assert_eq!(obs.values[1], 2.0); // L1 = 2 KiB at the smallest design
+    }
+
+    /// [`tiny`] saved as JSON after `edit` has changed its tree, then
+    /// loaded back.
+    fn load_edited(edit: impl FnOnce(&mut Content)) -> Result<Fnn, String> {
+        let mut saved = tiny().to_content();
+        edit(&mut saved);
+        let json = serde_json::to_string(&saved).expect("serializes");
+        serde_json::from_str(&json).map_err(|e| e.to_string())
+    }
+
+    fn field<'a>(c: &'a mut Content, name: &str) -> &'a mut Vec<Content> {
+        let Content::Map(fields) = c else { panic!("a network saves as a map") };
+        match fields.iter_mut().find(|(k, _)| k == name) {
+            Some((_, Content::Seq(items))) => items,
+            _ => panic!("no array field {name}"),
+        }
+    }
+
+    #[test]
+    fn saved_network_missing_a_consequent_row_is_rejected() {
+        let err = load_edited(|c| {
+            field(c, "consequents").pop();
+        })
+        .unwrap_err();
+        assert!(
+            err.contains("consequents must be 12 rows of 2 values, found 11 rows of 2"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn saved_network_with_short_consequent_rows_is_rejected() {
+        let err = load_edited(|c| {
+            for row in field(c, "consequents") {
+                let Content::Seq(values) = row else { panic!("a row is an array") };
+                values.pop();
+            }
+        })
+        .unwrap_err();
+        assert!(err.contains("12 rows of 2 values, found 12 rows of 1"), "{err}");
+    }
+
+    #[test]
+    fn saved_network_with_reordered_rules_is_rejected() {
+        let err = load_edited(|c| field(c, "rule_labels").swap(0, 1)).unwrap_err();
+        assert!(err.contains("rule_labels are not the mixed-radix enumeration"), "{err}");
+        let err = load_edited(|c| {
+            field(c, "rule_labels").pop();
+        })
+        .unwrap_err();
+        assert!(err.contains("rule_labels are not the mixed-radix enumeration"), "{err}");
+    }
+
+    #[test]
+    fn saved_network_with_a_misshapen_input_is_rejected() {
+        fn memberships(c: &mut Content) -> &mut Vec<Content> {
+            let Content::Map(spec) = &mut field(c, "inputs")[1] else {
+                panic!("an input is a map")
+            };
+            let Some((_, Content::Seq(memberships))) = spec.get_mut(2) else { panic!("no sets") };
+            memberships
+        }
+        let err = load_edited(|c| {
+            memberships(c).pop();
+        })
+        .unwrap_err();
+        assert!(err.contains("input A needs 2 membership functions"), "{err}");
+        let err = load_edited(|c| {
+            let Content::Map(set) = &mut memberships(c)[0] else { panic!("a set is a map") };
+            set.iter_mut().find(|(k, _)| k == "width").expect("a width").1 = Content::F64(0.0);
+        })
+        .unwrap_err();
+        assert!(err.contains("input A has a membership width that is not positive"), "{err}");
+        let err = load_edited(|c| field(c, "output_names").clear()).unwrap_err();
+        assert!(err.contains("need at least one output"), "{err}");
     }
 
     proptest! {

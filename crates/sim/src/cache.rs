@@ -62,11 +62,6 @@ impl Cache {
         self.ways
     }
 
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        (self.sets * self.ways) as u64 * LINE_BYTES
-    }
-
     /// Accesses `addr`, returning whether it hit; allocates the line and
     /// updates LRU state either way (allocate-on-miss for both loads and
     /// stores).

@@ -6,10 +6,10 @@ use crate::BranchModel;
 
 /// Fixed pipeline/memory latency constants (cycles at 1 GHz).
 ///
-/// Deliberately compatible with the analytical model's
-/// [`Latencies`](../dse_analytical/struct.Latencies.html) so that LF/HF
-/// disagreement comes from modeling abstraction, not inconsistent
-/// physics.
+/// `l2_hit`, `dram` and `flush_penalty` deliberately equal the
+/// analytical model's constants in `dse-analytical` (18, 180 and 12
+/// cycles), so that LF/HF disagreement comes from modeling abstraction,
+/// not inconsistent physics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimLatencies {
     /// Load-to-use latency of an L1 hit.

@@ -101,7 +101,7 @@ fn rob_bias_diverges_between_fidelities() {
             point = next;
         }
     }
-    let lf_step = lf.models()[0].step_deltas(&space, &point)[Param::RobEntry.index()]
+    let lf_step = lf.models()[0].cpi_and_step_deltas(&space, &point).1[Param::RobEntry.index()]
         .expect("ROB not at max");
     // LF predicts only a marginal gain per ROB step (≈ −0.01 CPI).
     assert!(lf_step < 0.0, "predicted ROB delta should be (weakly) beneficial: {lf_step}");
