@@ -78,8 +78,12 @@ pub fn activity_of(result: &SimResult) -> Activity {
 /// predicted step benefit is negative.
 ///
 /// Every estimate runs on the calling thread, batches included: a
-/// design's answer is six table reads per model, well under a
-/// microsecond, so a thread costs more than it saves.
+/// design's answer is six table reads per model, about 0.2 µs per
+/// model. Threads cost more than they save on an explore campaign's one
+/// LF batch of about 200 designs and on any one-model served batch up
+/// to the coalescer's default ceiling (319 designs). A six-model served
+/// batch above about 64 designs is slower without them: about 290 µs
+/// rather than 240 µs at 256 designs (DESIGN.md "Evaluation backend").
 #[derive(Debug, Clone)]
 pub struct AnalyticalLf {
     models: Vec<AnalyticalModel>,
@@ -532,7 +536,7 @@ mod tests {
     }
 
     #[test]
-    fn analytical_batch_matches_the_sequential_walk() {
+    fn analytical_cost_per_eval_counts_every_model() {
         let space = DesignSpace::boom();
         let lf = AnalyticalLf::for_benchmarks(&space, &Benchmark::ALL, 1.0);
         let points: Vec<DesignPoint> =

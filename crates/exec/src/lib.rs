@@ -12,7 +12,7 @@
 //!   private scratch value (e.g. a reusable simulator) so per-job setup
 //!   costs amortize across a batch. The pool is for jobs worth a
 //!   thread: the HF simulator's batches use it, while analytical (LF)
-//!   batches, at under a microsecond per design, run on the calling
+//!   batches, at about 0.2 µs per model and design, run on the calling
 //!   thread.
 //! * [`CpiCache`] — the shared memoized CPI cache keyed by a design's
 //!   encoded index, with hit/miss/eval counters ([`CacheStats`]). It

@@ -81,10 +81,6 @@ impl FnnBuilder {
                 Membership::new(MembershipKind::Sigmoid, lo + range * 0.75, range / 8.0),
             ],
         };
-        // Sized once. Grown by pushes, its two freed smaller buffers
-        // moved where `Fnn::new`'s blocks land, and glibc then trimmed
-        // the freed simulator traces at the heap top on every rebuild
-        // (5x the minor faults in a repeated explore set-up).
         let mut inputs = Vec::with_capacity(1 + MergedParam::COUNT);
         inputs.push(metric);
         for g in MergedParam::ALL {
